@@ -59,7 +59,7 @@ _DEFAULTS = {
         "pairs": None,
         "v0": 1.0,
         "workers": None,
-        "out": "records.csv",
+        "out": "records.npz",
     },
     "verify": {
         "records": None,
@@ -130,12 +130,16 @@ def _build_parser() -> _Parser:
                      help='"all" or "ta,tb;ta,tb;..." in degrees')
     sim.add_argument("--v0", type=float)
     sim.add_argument("--workers", type=int)
-    sim.add_argument("--out", type=Path)
+    sim.add_argument("--out", type=Path,
+                     help="record file: .npz (the default, records.npz) is "
+                          "binary, any other suffix is CSV")
 
     ver = sub.add_parser("verify", description=(
         "Run a discord verdict over a record file."))
     ver.add_argument("--config", type=Path)
-    ver.add_argument("--records", type=Path)
+    ver.add_argument("--records", type=Path,
+                     help="record file: .npz is binary, any other suffix "
+                          "is read as CSV")
     ver.add_argument("--mode", choices=["gaussian", "mixture"])
     ver.add_argument("--threshold", type=float)
     ver.add_argument("--k-min", type=float, dest="k_min")
@@ -220,8 +224,10 @@ def _resolve_out(path) -> Path:
 
 @contextmanager
 def _atomic(path: Path):
-    """Yield a temp path in the same directory; replace on success."""
-    tmp = path.with_name(path.name + ".tmp")
+    """Yield a temp path in the same directory; replace on success.  The
+    temp name keeps the destination's suffix (records.tmp.npz), because
+    write_records picks the file format from the suffix."""
+    tmp = path.with_name(f"{path.stem}.tmp{path.suffix}")
     try:
         yield tmp
         os.replace(tmp, path)

@@ -15,9 +15,11 @@ records match the analytic output densities.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import warnings
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +33,10 @@ from .states import DEFAULT_V0, GaussianBipartiteState
 CHUNK = 1 << 16
 
 CSV_HEADER = "theta_A,theta_B,x_A,x_B"
+# record columns in file order, also the member names of a .npz record file
+COLUMNS = tuple(CSV_HEADER.split(","))
+# record files with this suffix are binary .npz; any other suffix is CSV
+NPZ_SUFFIX = ".npz"
 
 # default signed displacement of the switched-phase scheme, chosen so the
 # measured-mode peak of the displaced component sits at -12 vacuum units
@@ -329,12 +335,25 @@ def scheme_from_dict(doc: dict) -> ModulationScheme:
 
 
 def write_records(rs: RecordSet, path, sidecar: bool = True) -> None:
-    """Write records as CSV (17 significant digits, so float64 round-trips
-    bitwise) plus an optional JSON provenance sidecar."""
+    """Write records in the format named by the file suffix, plus an
+    optional JSON provenance sidecar ``<file>.meta.json``.
+
+    A ``.npz`` file holds one uncompressed 1-D float64 member per column,
+    named as in the CSV header.  Any other suffix gets CSV with 17
+    significant digits, so float64 round-trips bitwise in either format.
+    """
     path = Path(path)
-    data = np.column_stack([rs.theta_a, rs.theta_b, rs.x_a, rs.x_b])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=CSV_HEADER,
-               comments="")
+    columns = (rs.theta_a, rs.theta_b, rs.x_a, rs.x_b)
+    if path.suffix == NPZ_SUFFIX:
+        # a file handle, because given a path numpy appends .npz to any
+        # name that lacks it
+        with open(path, "wb") as fh:
+            np.savez(fh, **{name: np.asarray(col, dtype=np.float64)
+                            for name, col in zip(COLUMNS, columns)})
+    else:
+        data = np.column_stack(columns)
+        np.savetxt(path, data, fmt="%.17g", delimiter=",", header=CSV_HEADER,
+                   comments="")
     if sidecar and rs.meta:
         path.with_suffix(path.suffix + ".meta.json").write_text(
             json.dumps(rs.meta, indent=2, sort_keys=True) + "\n"
@@ -342,11 +361,30 @@ def write_records(rs: RecordSet, path, sidecar: bool = True) -> None:
 
 
 def read_records(path) -> RecordSet:
-    """Read a record CSV written by write_records (or any file with the
-    same four-column layout)."""
+    """Read a record file written by write_records, in the format named by
+    its suffix; a CSV may be any file with the same four-column layout.
+
+    Malformed content and non-finite values raise ParseError naming the
+    first bad file row (CSV) or record and column (.npz).
+    """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"no such record file: {path}")
+    if path.suffix == NPZ_SUFFIX:
+        columns = _read_npz(path)
+    else:
+        columns = _read_csv(path)
+    meta_path = path.with_suffix(path.suffix + ".meta.json")
+    meta = {}
+    if meta_path.exists():
+        try:
+            meta = json.loads(meta_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad sidecar {meta_path}: {exc}") from exc
+    return RecordSet(*columns, meta)
+
+
+def _read_csv(path: Path) -> list[np.ndarray]:
     try:
         with warnings.catch_warnings():
             # header-only files are a legal empty record set, not a warning
@@ -358,15 +396,58 @@ def read_records(path) -> RecordSet:
         data = data.reshape(0, 4)
     if data.shape[1] != 4:
         raise ParseError(f"{path} has {data.shape[1]} columns, expected 4")
-    meta_path = path.with_suffix(path.suffix + ".meta.json")
-    meta = {}
-    if meta_path.exists():
-        try:
-            meta = json.loads(meta_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad sidecar {meta_path}: {exc}") from exc
-    return RecordSet(data[:, 0].copy(), data[:, 1].copy(),
-                     data[:, 2].copy(), data[:, 3].copy(), meta)
+    bad = _first_nonfinite(data.T)
+    if bad is not None:
+        index, col = bad
+        raise ParseError(f"cannot parse {path}: row {_data_line(path, index)}: "
+                         f"non-finite {COLUMNS[col]} ({data[index, col]})")
+    return [data[:, 0].copy(), data[:, 1].copy(),
+            data[:, 2].copy(), data[:, 3].copy()]
+
+
+def _read_npz(path: Path) -> list[np.ndarray]:
+    if not zipfile.is_zipfile(path):
+        raise ParseError(f"cannot parse {path}: not a .npz (zip) archive")
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            members = npz.files
+            columns = [npz[name] for name in COLUMNS if name in members]
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ParseError(f"cannot parse {path}: {exc}") from exc
+    if sorted(members) != sorted(COLUMNS):
+        raise ParseError(f"cannot parse {path}: members {members}, "
+                         f"expected {list(COLUMNS)}")
+    for name, col in zip(COLUMNS, columns):
+        if col.ndim != 1 or col.dtype != np.float64:
+            raise ParseError(f"cannot parse {path}: member {name} is "
+                             f"{col.ndim}-D {col.dtype}, expected 1-D float64")
+    lengths = [len(col) for col in columns]
+    if len(set(lengths)) > 1:
+        raise ParseError(f"cannot parse {path}: member lengths "
+                         f"{dict(zip(COLUMNS, lengths))} differ")
+    bad = _first_nonfinite(columns)
+    if bad is not None:
+        index, col = bad
+        raise ParseError(f"cannot parse {path}: record {index + 1}: "
+                         f"non-finite {COLUMNS[col]} ({columns[col][index]})")
+    return columns
+
+
+def _first_nonfinite(columns) -> tuple[int, int] | None:
+    """(record index, column index) of the first non-finite value."""
+    bad = [(int(np.argmin(ok)), col)
+           for col, ok in enumerate(map(np.isfinite, columns)) if not ok.all()]
+    return min(bad, default=None)
+
+
+def _data_line(path: Path, index: int) -> int:
+    """File line of data row `index` (from 0), skipping what np.loadtxt
+    skips: the header, blank lines and # comments."""
+    with open(path) as fh:
+        next(fh, None)  # header
+        lines = (row for row, line in enumerate(fh, start=2)
+                 if line.split("#", 1)[0].strip())
+        return next(itertools.islice(lines, index, None))
 
 
 def _locate_bad_row(path: Path, exc: Exception) -> str:

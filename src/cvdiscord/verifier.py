@@ -391,6 +391,20 @@ def _pair_stats(rs: RecordSet, theta_a: float, theta_b: float,
                      n_plus=len(plus), n_minus=len(minus))
 
 
+def _pairs_present(rs: RecordSet, shown: int = 8) -> str:
+    """The phase pairs a record set holds, for an error message, with a
+    hint when the stored phases look like degrees."""
+    keys = rs.pair_keys()
+    listed = ", ".join(f"({ta:.6g}, {tb:.6g})" for ta, tb in keys[:shown])
+    if len(keys) > shown:
+        listed += f" and {len(keys) - shown} more"
+    text = f"the records hold phase pairs {listed or 'none'}"
+    if any(abs(t) > 2.0 * np.pi for key in keys for t in key):
+        text += ("; phases are stored in radians, but some exceed 2*pi: "
+                 "were they written in degrees?")
+    return text
+
+
 def verdict_gaussian(rs: RecordSet, threshold: float = 0.0,
                      k_min: float = K_MIN_DEFAULT, seed: int = 0,
                      n_boot: int = BOOTSTRAP_DEFAULT,
@@ -408,6 +422,7 @@ def verdict_gaussian(rs: RecordSet, threshold: float = 0.0,
         if len(sub) == 0:
             raise ValidationError(
                 f"missing records for phase pair ({theta_a:.6g}, {theta_b:.6g})"
+                f"; {_pairs_present(rs)}"
             )
         subsets.append((theta_a, theta_b, sub))
     sizes = np.array([len(s) for _, _, s in subsets], dtype=float)

@@ -1,0 +1,309 @@
+"""Record files: the format follows the suffix (.npz binary, anything else
+CSV), both formats carry the same records and give the same verdicts, and
+bad files fail at the boundary as a ParseError (exit 1) that says where.
+"""
+
+import hashlib
+import json
+import math
+import zipfile
+
+import numpy as np
+import pytest
+
+from cvdiscord import (
+    ParseError,
+    RecordSet,
+    SimulationConfig,
+    SwitchedNoise,
+    read_records,
+    sample_scheme,
+    write_records,
+)
+from cvdiscord.cli import main
+from cvdiscord.sampler import COLUMNS
+
+FIELDS = ("theta_a", "theta_b", "x_a", "x_b")
+
+
+def run(*argv):
+    return main([str(a) for a in argv])
+
+
+def sample(n=3_000, seed=61):
+    return sample_scheme(SimulationConfig(SwitchedNoise(2.0, 1.0, 0.4), n,
+                                          seed=seed))
+
+
+def assert_bitwise_equal(a, b):
+    for name in FIELDS:
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes(), name
+
+
+def savez(path, **members):
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
+# ---------------------------------------------------------------------------
+# the .npz format
+# ---------------------------------------------------------------------------
+
+
+def test_csv_and_npz_read_back_bitwise_equal(tmp_path):
+    rs = sample()
+    write_records(rs, tmp_path / "rec.csv")
+    write_records(rs, tmp_path / "rec.npz")
+    from_csv = read_records(tmp_path / "rec.csv")
+    from_npz = read_records(tmp_path / "rec.npz")
+    assert_bitwise_equal(from_csv, rs)
+    assert_bitwise_equal(from_npz, from_csv)
+    assert from_npz.meta == from_csv.meta == rs.meta
+    assert (tmp_path / "rec.npz.meta.json").exists()
+
+
+def test_npz_holds_four_uncompressed_float64_columns(tmp_path):
+    rs = sample()
+    path = tmp_path / "rec.npz"
+    write_records(rs, path)
+    with zipfile.ZipFile(path) as zf:
+        infos = zf.infolist()
+    assert [i.filename for i in infos] == [f"{c}.npy" for c in COLUMNS]
+    assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
+    with np.load(path, allow_pickle=False) as npz:
+        for name, field in zip(COLUMNS, FIELDS):
+            assert npz[name].dtype == np.float64 and npz[name].ndim == 1
+            assert np.array_equal(npz[name], getattr(rs, field))
+
+
+def test_npz_bytes_are_deterministic(tmp_path):
+    rs = sample()
+    write_records(rs, tmp_path / "a.npz")
+    write_records(rs, tmp_path / "b.npz")
+    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+
+def test_write_read_empty_records_npz(tmp_path):
+    empty = RecordSet(*(np.array([]) for _ in range(4)))
+    path = tmp_path / "empty.npz"
+    write_records(empty, path)
+    back = read_records(path)
+    assert len(back) == 0
+    assert all(getattr(back, f).dtype == np.float64 for f in FIELDS)
+
+
+def test_other_suffixes_are_csv(tmp_path):
+    rs = sample(n=10)
+    path = tmp_path / "rec.dat"
+    write_records(rs, path)
+    assert path.read_text().splitlines()[0] == "theta_A,theta_B,x_A,x_B"
+    assert_bitwise_equal(read_records(path), rs)
+
+
+# ---------------------------------------------------------------------------
+# non-finite records
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("suffix, where", [(".csv", "row 5"),
+                                           (".npz", "record 4")])
+def test_non_finite_record_exits_1_naming_it(tmp_path, monkeypatch, capsys,
+                                             value, suffix, where):
+    monkeypatch.chdir(tmp_path)
+    rs = sample(n=2_000)
+    rs.x_b[3] = value
+    write_records(rs, tmp_path / f"rec{suffix}")
+    assert run("verify", "--records", f"rec{suffix}") == 1
+    err = capsys.readouterr().err
+    assert f"rec{suffix}" in err and where in err
+    assert "non-finite x_B" in err
+    assert not (tmp_path / "verdict.json").exists()
+
+
+def test_non_finite_csv_row_counts_file_lines(tmp_path):
+    path = tmp_path / "rec.csv"
+    path.write_text("theta_A,theta_B,x_A,x_B\n0,0,1,2\n\n# note\n"
+                    "0,0,1,2\n0,inf,1,2\n")
+    with pytest.raises(ParseError, match="row 6: non-finite theta_B"):
+        read_records(path)
+
+
+def test_first_non_finite_record_is_named(tmp_path):
+    rs = sample(n=100)
+    rs.x_b[40] = math.nan
+    rs.theta_a[70] = math.inf
+    rs.x_a[40] = math.inf
+    path = tmp_path / "rec.npz"
+    write_records(rs, path)
+    with pytest.raises(ParseError, match="record 41: non-finite x_A"):
+        read_records(path)
+
+
+# ---------------------------------------------------------------------------
+# malformed .npz files
+# ---------------------------------------------------------------------------
+
+
+def _good_columns(n=50):
+    rs = sample(n=n)
+    return dict(zip(COLUMNS, (rs.theta_a, rs.theta_b, rs.x_a, rs.x_b)))
+
+
+def _not_a_zip(path):
+    path.write_text("theta_A,theta_B,x_A,x_B\n0,0,1,2\n")
+
+
+def _empty_file(path):
+    path.write_bytes(b"")
+
+
+def _npy_file(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros((50, 4)))
+
+
+def _truncated(path):
+    savez(path, **_good_columns())
+    path.write_bytes(path.read_bytes()[:600])
+
+
+def _missing_member(path):
+    cols = _good_columns()
+    del cols["x_B"]
+    savez(path, **cols)
+
+
+def _misnamed_member(path):
+    cols = _good_columns()
+    cols["x_b"] = cols.pop("x_B")
+    savez(path, **cols)
+
+
+def _two_d_member(path):
+    cols = _good_columns()
+    cols["x_B"] = cols["x_B"].reshape(-1, 1)
+    savez(path, **cols)
+
+
+def _int_member(path):
+    cols = _good_columns()
+    cols["x_A"] = np.arange(50)
+    savez(path, **cols)
+
+
+def _object_member(path):
+    cols = _good_columns()
+    cols["theta_A"] = np.array([None] * 50, dtype=object)
+    savez(path, **cols)
+
+
+def _uneven_members(path):
+    cols = _good_columns()
+    cols["x_B"] = cols["x_B"][:-1]
+    savez(path, **cols)
+
+
+@pytest.mark.parametrize("make, fault", [
+    (_not_a_zip, "not a .npz"),
+    (_empty_file, "not a .npz"),
+    (_npy_file, "not a .npz"),
+    (_truncated, "not a .npz"),
+    (_missing_member, "members"),
+    (_misnamed_member, "members"),
+    (_two_d_member, "x_B is 2-D float64, expected 1-D float64"),
+    (_int_member, "x_A is 1-D int64, expected 1-D float64"),
+    (_object_member, "allow_pickle"),
+    (_uneven_members, "lengths"),
+])
+def test_malformed_npz_exits_1(tmp_path, monkeypatch, capsys, make, fault):
+    monkeypatch.chdir(tmp_path)
+    make(tmp_path / "bad.npz")
+    with pytest.raises(ParseError, match="bad.npz"):
+        read_records(tmp_path / "bad.npz")
+    assert run("verify", "--records", "bad.npz") == 1
+    err = capsys.readouterr().err
+    assert "bad.npz" in err and fault in err
+
+
+# ---------------------------------------------------------------------------
+# phase pairs
+# ---------------------------------------------------------------------------
+
+
+def test_missing_pair_lists_pairs_and_hints_at_degrees(tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--n", "2000", "--out", "rad.csv") == 0
+    rs = read_records("rad.csv")
+    rs.theta_a = np.degrees(rs.theta_a)
+    rs.theta_b = np.degrees(rs.theta_b)
+    write_records(rs, tmp_path / "deg.csv")
+    capsys.readouterr()
+    assert run("verify", "--records", "deg.csv") == 1
+    err = capsys.readouterr().err
+    assert "missing records for phase pair (0, 1.5708)" in err
+    assert "(0, 90), (90, 0), (90, 90)" in err
+    assert "radians" in err
+
+
+def test_missing_pair_in_radians_gets_no_degree_hint(tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--n", "2000", "--pairs", "0,0;0,90",
+               "--out", "two.npz") == 0
+    capsys.readouterr()
+    assert run("verify", "--records", "two.npz") == 1
+    err = capsys.readouterr().err
+    assert "phase pairs (0, 0), (0, 1.5708)" in err
+    assert "radians" not in err
+
+
+# ---------------------------------------------------------------------------
+# the command line
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["gaussian", "mixture"])
+def test_verdict_bytes_do_not_depend_on_format(tmp_path, monkeypatch, mode):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--depth", "2", "--n", "5000", "--seed", "8",
+               "--out", "rec.npz") == 0
+    write_records(read_records("rec.npz"), tmp_path / "rec.csv")
+    for suffix in ("npz", "csv"):
+        assert run("verify", "--records", f"rec.{suffix}", "--mode", mode,
+                   "--boot", "50", "--out", f"verdict_{suffix}.json") == 0
+    npz_bytes = (tmp_path / "verdict_npz.json").read_bytes()
+    assert npz_bytes == (tmp_path / "verdict_csv.json").read_bytes()
+
+
+def test_simulate_defaults_to_npz(tmp_path, monkeypatch, capsys):
+    workdir, outdir = tmp_path / "work", tmp_path / "out"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    monkeypatch.setenv("CVDISCORD_OUTDIR", str(outdir))
+    assert run("simulate", "--n", "1000", "--pairs", "0,0") == 0
+    printed = capsys.readouterr().out.splitlines()
+    names = ["records.npz", "records.npz.meta.json", "records.manifest.json"]
+    assert printed == [str(outdir / n) for n in names]
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(names)
+    assert list(workdir.iterdir()) == []
+    manifest = json.loads((outdir / "records.manifest.json").read_text())
+    assert manifest["config"]["out"] == "records.npz"
+    assert manifest["outputs"] == {
+        str(outdir / n): hashlib.sha256((outdir / n).read_bytes()).hexdigest()
+        for n in names[:2]}
+    assert zipfile.is_zipfile(outdir / "records.npz")
+    assert len(read_records(outdir / "records.npz")) == 1000
+
+
+def test_npz_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for workers in ("1", "4"):
+        assert run("simulate", "--depth", "1.5", "--n", "150000",
+                   "--seed", "42", "--pairs", "0,0;90,90",
+                   "--workers", workers, "--out", f"rec_{workers}.npz") == 0
+    assert (tmp_path / "rec_1.npz").read_bytes() == \
+        (tmp_path / "rec_4.npz").read_bytes()
