@@ -558,7 +558,8 @@ def _cmd_counterexample(cfg: dict) -> tuple[Path, list[Path], dict]:
         report["hidden_discord"], curve_sets["hidden"] = _certify_hidden(cfg)
     t1 = time.perf_counter()
     out = _resolve_out(cfg["out"])
-    _atomic_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _atomic_text(out, json.dumps(report, indent=2, sort_keys=True,
+                                 allow_nan=False) + "\n")
     outputs = [out]
     if cfg["plotdata"] is not None:
         prefix = _resolve_out(cfg["plotdata"])

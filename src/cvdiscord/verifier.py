@@ -531,6 +531,7 @@ def sweep_modulation(depths, n: int, seed: int, eta: float = 1.0 / np.sqrt(2.0),
 
 
 def verdict_to_json(verdict: DiscordVerdict) -> str:
+    """Strict JSON; a pair's "k" is null exactly when its sigma_delta is 0."""
     doc = {
         "decision": verdict.decision,
         "k_min": verdict.k_min,
@@ -541,14 +542,14 @@ def verdict_to_json(verdict: DiscordVerdict) -> str:
                 "theta_B": p.theta_b,
                 "delta": p.delta,
                 "sigma_delta": p.sigma_delta,
-                "k": p.k,
+                "k": None if np.isinf(p.k) else p.k,
                 "chi2_p": p.chi2.p_value,
             }
             for p in verdict.per_pair
         ],
         "meta": verdict.meta,
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def mixture_verdict_to_json(verdict: MixtureVerdict) -> str:
@@ -571,7 +572,7 @@ def mixture_verdict_to_json(verdict: MixtureVerdict) -> str:
         ],
         "meta": verdict.meta,
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def histogram_to_csv(hist: Histogram, path) -> None:

@@ -11,6 +11,7 @@ from cvdiscord import (
     ArcsineComponent,
     CoherentPoint,
     MarginalForm,
+    NumericError,
     PMixtureState,
     ThermalComponent,
     ValidationError,
@@ -251,6 +252,55 @@ def test_input_marginal_component_shapes():
     assert turning - 1.2 < peaks[1] < turning
 
 
+def _arcsine_by_quad(alpha0, u):
+    """Reference arcsine marginal in natural units, one adaptive quadrature
+    per point over the half period (the integrand is even in phi)."""
+    val, _ = integrate.quad(lambda phi: np.exp(-((u - alpha0 * np.cos(phi)) ** 2)),
+                            0.0, np.pi, epsabs=1e-15, epsrel=1e-13, limit=400)
+    return val / (np.pi * np.sqrt(np.pi))
+
+
+@pytest.mark.parametrize("alpha0", [0.0, 0.5, 3.0, 8.0])
+def test_arcsine_marginal_matches_quadrature(alpha0):
+    # v0 = 1/2 puts the public density in natural units
+    mix = PMixtureState((ArcsineComponent(1.0, alpha0),), eta=0.7, v0=0.5)
+    u = np.linspace(-12.0, 12.0, 231)
+    want = np.array([_arcsine_by_quad(alpha0, v) for v in u])
+    got = input_marginal_D1(mix, u.reshape(11, 21))
+    assert got.shape == (11, 21)
+    assert np.max(np.abs(got.ravel() - want)) <= 1e-12
+    for v in (-12.0, -3.7, 0.0, 2.5, 8.0, 12.0):
+        one = input_marginal_D1(mix, v)
+        assert isinstance(one, float)
+        assert abs(one - _arcsine_by_quad(alpha0, v)) <= 1e-12
+    if alpha0 == 0.0:
+        vacuum = PMixtureState((CoherentPoint(1.0, 0.0),), eta=0.7, v0=0.5)
+        np.testing.assert_allclose(input_marginal_D1(mix, u),
+                                   input_marginal_D1(vacuum, u),
+                                   rtol=1e-15, atol=0.0)
+
+
+def test_arcsine_marginal_spans_blocks_and_keeps_nan():
+    # more points than one evaluation block, in an order that mixes blocks
+    mix = PMixtureState((ArcsineComponent(1.0, 2.2),), eta=0.7, v0=0.5)
+    u = np.random.default_rng(5).uniform(-9.0, 9.0, 5000)
+    got = input_marginal_D1(mix, u)
+    for i in range(0, 5000, 499):
+        assert abs(got[i] - _arcsine_by_quad(2.2, u[i])) <= 1e-12
+    # the node count is chosen per block, so values agree to the tolerance
+    np.testing.assert_allclose(input_marginal_D1(mix, u[::-1]), got[::-1],
+                               rtol=0.0, atol=1e-13)
+    with_nan = input_marginal_D1(mix, np.array([np.nan, u[0]]))
+    assert np.isnan(with_nan[0])
+    assert with_nan[1] == pytest.approx(got[0], rel=0.0, abs=1e-13)
+
+
+def test_arcsine_marginal_refuses_an_unresolvable_amplitude():
+    mix = PMixtureState((ArcsineComponent(1.0, 1000.0),), eta=0.7)
+    with pytest.raises(NumericError):
+        input_marginal_D1(mix, 0.3)
+
+
 def test_vacuum_thermal_blend_is_heavy_tailed():
     x = np.linspace(-16.0, 16.0, 3201)
     blend = PMixtureState(
@@ -291,16 +341,33 @@ def test_output_joint_normalizes_for_every_component_kind():
 
 
 def test_output_wigner_reduces_to_joint_density():
-    mix = PMixtureState((ThermalComponent(0.7, 1.2), CoherentPoint(0.3, 0.8)),
-                        eta=0.55)
     p = np.linspace(-9.0, 9.0, 161)
-    for x1, x2 in ((0.0, 0.0), (1.1, -0.6)):
-        sheet = np.array([
-            [output_wigner_from_P(mix, (x1, p1, x2, p2)) for p2 in p]
-            for p1 in p
-        ])
-        brute = np.trapezoid(np.trapezoid(sheet, p, axis=1), p, axis=0)
-        assert output_joint_density(mix, x1, x2) == pytest.approx(brute, rel=1e-6)
+    for mix in (
+        PMixtureState((ThermalComponent(0.7, 1.2), CoherentPoint(0.3, 0.8)),
+                      eta=0.55),
+        PMixtureState((ArcsineComponent(0.6, 2.1), CoherentPoint(0.4, 0.5 - 0.3j)),
+                      eta=0.55),
+    ):
+        for x1, x2 in ((0.0, 0.0), (1.1, -0.6)):
+            sheet = np.array([
+                [output_wigner_from_P(mix, (x1, p1, x2, p2)) for p2 in p]
+                for p1 in p
+            ])
+            brute = np.trapezoid(np.trapezoid(sheet, p, axis=1), p, axis=0)
+            assert output_joint_density(mix, x1, x2) == pytest.approx(brute,
+                                                                      rel=1e-6)
+
+
+def test_arcsine_wigner_is_marginal_times_vacuum_momentum():
+    # at eta = 1 the output Wigner density at (x, p, 0, 0) is the input one
+    # times the idle vacuum's 1/pi; v0 = 1/2 keeps natural units
+    mix = PMixtureState((ArcsineComponent(1.0, 2.7),), eta=1.0, v0=0.5)
+    for x in np.linspace(-6.0, 6.0, 25):
+        d1 = input_marginal_D1(mix, x)
+        for p in (-2.5, -0.4, 0.0, 1.3):
+            want = d1 * np.exp(-p * p) / np.sqrt(np.pi) / np.pi
+            assert output_wigner_from_P(mix, (x, p, 0.0, 0.0)) == pytest.approx(
+                want, rel=1e-13, abs=1e-300)
 
 
 def test_output_wigner_vacuum_input_is_two_mode_vacuum():

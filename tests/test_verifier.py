@@ -6,6 +6,8 @@ states must come out discordant.  Seeds are fixed, so every number in
 here is reproducible.
 """
 
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -38,6 +40,9 @@ from cvdiscord import (
 )
 from cvdiscord.verifier import (
     CANONICAL_PAIRS,
+    ChiSquareResult,
+    DiscordVerdict,
+    PairStats,
     bin_count_fd,
     histogram_to_csv,
     sweep_to_csv,
@@ -426,3 +431,27 @@ def test_verdict_json_and_csv_outputs(tmp_path):
     sweep_to_csv(rows, sweep_path)
     header = sweep_path.read_text().splitlines()[0]
     assert header == "depth,delta,sigma_delta,delta_analytic,n"
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_verdict_json_is_strict_with_null_k_for_zero_sigma():
+    chi2 = ChiSquareResult(statistic=3.5, dof=4, p_value=0.48, merged_bins=0)
+    pairs = (
+        PairStats(theta_a=0.0, theta_b=0.0, delta=0.25, sigma_delta=0.0,
+                  k=np.inf, chi2=chi2, n_plus=10, n_minus=10),
+        PairStats(theta_a=0.0, theta_b=HALF_PI, delta=0.1, sigma_delta=0.03,
+                  k=0.1 / 0.03, chi2=chi2, n_plus=10, n_minus=10),
+    )
+    verdict = DiscordVerdict(per_pair=pairs, decision="discordant", k_min=3.0,
+                             threshold=0.0, meta={"seed": 1})
+    text = verdict_to_json(verdict)
+    assert "Infinity" not in text
+    parsed = _strict_json(text)
+    assert parsed["pairs"][0]["k"] is None
+    assert parsed["pairs"][0]["sigma_delta"] == 0.0
+    assert parsed["pairs"][1]["k"] == 0.1 / 0.03
