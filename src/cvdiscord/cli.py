@@ -33,64 +33,81 @@ from .fock import (build_ce_hidden_discord, build_ce_zero_discord,
                    fock_state_to_json, grid_moments, grid_peak,
                    homodyne_marginal_fock, squeezed_vacuum_fock,
                    superposition_basis, thermal_fock, verify_classical_on_b)
+from .marginals import density_curve_to_csv
 from .sampler import (SWITCHED_PHASE_AMPLITUDE, AsyncSine, GaussianModulation,
                       RecordSet, SimulationConfig, SwitchedNoise,
                       SwitchedPhase, concat_records, read_records,
                       sample_scheme, scheme_to_dict, write_records)
-from .verifier import (estimate_density, split_by_threshold, sweep_modulation,
-                       sweep_to_csv, verdict_gaussian, verdict_mixture,
-                       mixture_verdict_to_json, verdict_to_json)
+from .verifier import (CANONICAL_PAIRS, estimate_density, split_by_threshold,
+                       sweep_modulation, sweep_to_csv, verdict_gaussian,
+                       verdict_mixture, mixture_verdict_to_json,
+                       verdict_to_json)
 
-CANONICAL_PAIRS_DEG = ((0.0, 0.0), (0.0, 90.0), (90.0, 0.0), (90.0, 90.0))
+# --scheme name -> builder of the modulation scheme from the effective config
+_SCHEMES = {
+    "gaussian": lambda cfg: GaussianModulation(*_noise_depths(cfg)),
+    "switched-noise": lambda cfg: SwitchedNoise(*_noise_depths(cfg), cfg["duty"]),
+    "switched-phase": lambda cfg: SwitchedPhase(
+        _pick(cfg["amplitude"], SWITCHED_PHASE_AMPLITUDE), cfg["duty"]),
+    "async": lambda cfg: AsyncSine(_pick(cfg["depth"], 1.0)),
+}
 
-_DEFAULTS = {
+# command -> option -> (default, argparse keywords).  Each option is both
+# the flag --<option, with - for _> and the config-file key <option>.
+_OPTIONS = {
     "simulate": {
-        "scheme": "gaussian",
-        "depth": None,
-        "depth_x": None,
-        "depth_p": None,
-        "duty": 0.5,
-        "amplitude": None,
-        "n": 100000,
-        "seed": 0,
-        "eta": 1.0 / math.sqrt(2.0),
-        "theta_a": 0.0,
-        "theta_b": 0.0,
-        "pairs": None,
-        "v0": 1.0,
-        "workers": None,
-        "out": "records.npz",
+        "scheme": ("gaussian", {"choices": list(_SCHEMES)}),
+        "depth": (None, {"type": float, "help": "modulation depth for both quadratures"}),
+        "depth_x": (None, {"type": float}),
+        "depth_p": (None, {"type": float}),
+        "duty": (0.5, {"type": float, "help": "gate duty cycle in (0, 1]"}),
+        "amplitude": (None, {"type": float, "help": "switched-phase displacement "
+                             "in sqrt(v0) units"}),
+        "n": (100000, {"type": int, "help": "records per phase pair"}),
+        "seed": (0, {"type": int}),
+        "eta": (1.0 / math.sqrt(2.0), {"type": float, "help": "splitter transmissivity"}),
+        "theta_a": (0.0, {"type": float, "help": "station A phase, degrees"}),
+        "theta_b": (0.0, {"type": float, "help": "station B phase, degrees"}),
+        "pairs": (None, {"help": '"all" or "ta,tb;ta,tb;..." in degrees'}),
+        "v0": (1.0, {"type": float}),
+        "workers": (None, {"type": int}),
+        "out": ("records.npz", {"type": Path, "help": "record file: .npz (the "
+                                "default, records.npz) is binary, any other "
+                                "suffix is CSV"}),
     },
     "verify": {
-        "records": None,
-        "mode": "gaussian",
-        "threshold": 0.0,
-        "k_min": 3.0,
-        "alpha": 0.05,
-        "seed": 0,
-        "boot": 200,
-        "pairs": "all",
-        "out": "verdict.json",
-        "plotdata": None,
+        "records": (None, {"type": Path, "help": "record file: .npz is binary, "
+                           "any other suffix is read as CSV"}),
+        "mode": ("gaussian", {"choices": ["gaussian", "mixture"]}),
+        "threshold": (0.0, {"type": float}),
+        "k_min": (3.0, {"type": float}),
+        "alpha": (0.05, {"type": float, "help": "mixture-mode significance level"}),
+        "seed": (0, {"type": int, "help": "bootstrap seed"}),
+        "boot": (200, {"type": int, "help": "bootstrap replicates"}),
+        "pairs": ("all", {"help": '"all" or "ta,tb;..." in degrees (gaussian mode)'}),
+        "out": ("verdict.json", {"type": Path}),
+        "plotdata": (None, {"type": Path, "help": "write aligned density curves here"}),
     },
     "sweep": {
-        "depths": "0:5:22",
-        "n": 100000,
-        "seed": 0,
-        "eta": 1.0 / math.sqrt(2.0),
-        "v0": 1.0,
-        "workers": None,
-        "out": "sweep.csv",
+        "depths": ("0:5:22", {"help": '"a:b:n" for n evenly spaced values, or a '
+                              'comma list'}),
+        "n": (100000, {"type": int}),
+        "seed": (0, {"type": int}),
+        "eta": (1.0 / math.sqrt(2.0), {"type": float}),
+        "v0": (1.0, {"type": float}),
+        "workers": (None, {"type": int}),
+        "out": ("sweep.csv", {"type": Path}),
     },
     "counterexample": {
-        "which": "both",
-        "alpha": 1.0,
-        "nbar": 1.0,
-        "r": 0.5,
-        "v0": 1.0,
-        "out": "counterexample.json",
-        "plotdata": None,
-        "dump_state": None,
+        "which": ("both", {"choices": ["zero", "hidden", "both"]}),
+        "alpha": (1.0, {"type": float, "help": "coherent amplitude"}),
+        "nbar": (1.0, {"type": float}),
+        "r": (0.5, {"type": float, "help": "squeeze parameter"}),
+        "v0": (1.0, {"type": float}),
+        "out": ("counterexample.json", {"type": Path}),
+        "plotdata": (None, {"type": Path, "help": "prefix for marginal curve CSVs"}),
+        "dump_state": (None, {"type": Path, "help": "prefix for density-matrix "
+                              "JSON dumps"}),
     },
 }
 
@@ -104,80 +121,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="cvdiscord",
                      description="Discord verification for homodyne records")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", parents=[], description=(
-        "Draw homodyne records.  The gaussian scheme simulates all four "
-        "canonical phase pairs by default (n records each, per-pair seeds "
-        "seed, seed+1, ...); other schemes use a single pair."))
-    sim.add_argument("--config", type=Path)
-    sim.add_argument("--scheme", choices=["gaussian", "switched-noise",
-                                          "switched-phase", "async"])
-    sim.add_argument("--depth", type=float,
-                     help="modulation depth for both quadratures")
-    sim.add_argument("--depth-x", type=float, dest="depth_x")
-    sim.add_argument("--depth-p", type=float, dest="depth_p")
-    sim.add_argument("--duty", type=float, help="gate duty cycle in (0, 1]")
-    sim.add_argument("--amplitude", type=float,
-                     help="switched-phase displacement in sqrt(v0) units")
-    sim.add_argument("--n", type=int, help="records per phase pair")
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--eta", type=float, help="splitter transmissivity")
-    sim.add_argument("--theta-a", type=float, dest="theta_a",
-                     help="station A phase, degrees")
-    sim.add_argument("--theta-b", type=float, dest="theta_b",
-                     help="station B phase, degrees")
-    sim.add_argument("--pairs",
-                     help='"all" or "ta,tb;ta,tb;..." in degrees')
-    sim.add_argument("--v0", type=float)
-    sim.add_argument("--workers", type=int)
-    sim.add_argument("--out", type=Path,
-                     help="record file: .npz (the default, records.npz) is "
-                          "binary, any other suffix is CSV")
-
-    ver = sub.add_parser("verify", description=(
-        "Run a discord verdict over a record file."))
-    ver.add_argument("--config", type=Path)
-    ver.add_argument("--records", type=Path,
-                     help="record file: .npz is binary, any other suffix "
-                          "is read as CSV")
-    ver.add_argument("--mode", choices=["gaussian", "mixture"])
-    ver.add_argument("--threshold", type=float)
-    ver.add_argument("--k-min", type=float, dest="k_min")
-    ver.add_argument("--alpha", type=float,
-                     help="mixture-mode significance level")
-    ver.add_argument("--seed", type=int, help="bootstrap seed")
-    ver.add_argument("--boot", type=int, help="bootstrap replicates")
-    ver.add_argument("--pairs",
-                     help='"all" or "ta,tb;..." in degrees (gaussian mode)')
-    ver.add_argument("--out", type=Path)
-    ver.add_argument("--plotdata", type=Path,
-                     help="write aligned density curves here")
-
-    swp = sub.add_parser("sweep", description=(
-        "Peak separation versus modulation depth on a balanced splitter."))
-    swp.add_argument("--config", type=Path)
-    swp.add_argument("--depths",
-                     help='"a:b:n" for n evenly spaced values, or a comma list')
-    swp.add_argument("--n", type=int)
-    swp.add_argument("--seed", type=int)
-    swp.add_argument("--eta", type=float)
-    swp.add_argument("--v0", type=float)
-    swp.add_argument("--workers", type=int)
-    swp.add_argument("--out", type=Path)
-
-    ce = sub.add_parser("counterexample", description=(
-        "Build and certify the Fock-space edge cases."))
-    ce.add_argument("--config", type=Path)
-    ce.add_argument("--which", choices=["zero", "hidden", "both"])
-    ce.add_argument("--alpha", type=float, help="coherent amplitude")
-    ce.add_argument("--nbar", type=float)
-    ce.add_argument("--r", type=float, help="squeeze parameter")
-    ce.add_argument("--v0", type=float)
-    ce.add_argument("--out", type=Path)
-    ce.add_argument("--plotdata", type=Path,
-                    help="prefix for marginal curve CSVs")
-    ce.add_argument("--dump-state", type=Path, dest="dump_state",
-                    help="prefix for density-matrix JSON dumps")
+    for command, run in _COMMANDS.items():
+        cmd = sub.add_parser(command, description=run.__doc__)
+        cmd.add_argument("--config", type=Path)
+        for key, (_, kwargs) in _OPTIONS[command].items():
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key, **kwargs)
     return parser
 
 
@@ -187,9 +135,9 @@ def _build_parser() -> _Parser:
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
-    defaults = _DEFAULTS[args.command]
-    eff = dict(defaults)
-    if getattr(args, "config", None) is not None:
+    options = _OPTIONS[args.command]
+    eff = {key: default for key, (default, _) in options.items()}
+    if args.config is not None:
         cfg_path = Path(args.config)
         if not cfg_path.exists():
             raise ValidationError(f"no such config file: {cfg_path}")
@@ -200,13 +148,17 @@ def _effective_config(args: argparse.Namespace) -> dict:
         if not isinstance(doc, dict):
             raise ValidationError("config must be a JSON object")
         for key, value in doc.items():
-            if key not in defaults:
+            if key not in options:
                 raise ValidationError(
                     f"unknown config key {key!r} for {args.command}"
                 )
+            choices = options[key][1].get("choices")
+            if choices is not None and value not in choices:
+                raise ValidationError(f"config key {key!r}: invalid choice: "
+                                      f"{value!r} (choose from {choices})")
             eff[key] = value
-    for key in defaults:
-        value = getattr(args, key, None)
+    for key in options:
+        value = getattr(args, key)
         if value is not None:
             eff[key] = value
     return eff
@@ -310,8 +262,7 @@ def parse_depths(text: str) -> np.ndarray:
 def parse_pairs(text: str) -> list[tuple[float, float]]:
     """Phase pairs in degrees: "all" or "ta,tb;ta,tb;...". Returns radians."""
     if text == "all":
-        return [(math.radians(a), math.radians(b))
-                for a, b in CANONICAL_PAIRS_DEG]
+        return list(CANONICAL_PAIRS)
     pairs = []
     for chunk in str(text).split(";"):
         parts = chunk.split(",")
@@ -334,23 +285,9 @@ def _pick(*values):
     return None
 
 
-def _build_scheme(cfg: dict):
-    kind = cfg["scheme"]
-    if kind == "gaussian":
-        depth_x = _pick(cfg["depth_x"], cfg["depth"], 0.0)
-        depth_p = _pick(cfg["depth_p"], cfg["depth"], 0.0)
-        return GaussianModulation(depth_x, depth_p)
-    if kind == "switched-noise":
-        depth_x = _pick(cfg["depth_x"], cfg["depth"], 0.0)
-        depth_p = _pick(cfg["depth_p"], cfg["depth"], 0.0)
-        return SwitchedNoise(depth_x, depth_p, cfg["duty"])
-    if kind == "switched-phase":
-        amp = _pick(cfg["amplitude"], SWITCHED_PHASE_AMPLITUDE)
-        return SwitchedPhase(amp, cfg["duty"])
-    if kind == "async":
-        depth = _pick(cfg["depth"], 1.0)
-        return AsyncSine(depth)
-    raise ValidationError(f"unknown scheme {kind!r}")
+def _noise_depths(cfg: dict) -> tuple[float, float]:
+    return (_pick(cfg["depth_x"], cfg["depth"], 0.0),
+            _pick(cfg["depth_p"], cfg["depth"], 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -375,22 +312,11 @@ def emit_plotdata(rs: RecordSet, threshold: float, path: Path) -> None:
     avg_var = 0.5 * (float(plus.x_b.var()) + float(minus.x_b.var()))
     ref = np.exp(-((x - mean) ** 2) / (2.0 * avg_var)) / math.sqrt(
         2.0 * math.pi * avg_var)
-    cols = np.column_stack([x, hist_all.density(), hist_p.density(),
-                            hist_m.density(), ref])
     with _atomic(path) as tmp:
-        np.savetxt(
-            tmp, cols, fmt="%.17g", delimiter=",",
-            header="x,unconditional,conditional_plus,conditional_minus,"
-                   "gaussian_reference",
-            comments="")
-
-
-def _fock_curves_csv(grid, curves: dict, path: Path) -> None:
-    names = list(curves)
-    cols = np.column_stack([grid.points] + [curves[n] for n in names])
-    with _atomic(path) as tmp:
-        np.savetxt(tmp, cols, fmt="%.17g", delimiter=",",
-                   header=",".join(["x"] + names), comments="")
+        density_curve_to_csv(tmp, x, {"unconditional": hist_all.density(),
+                                      "conditional_plus": hist_p.density(),
+                                      "conditional_minus": hist_m.density(),
+                                      "gaussian_reference": ref})
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +325,10 @@ def _fock_curves_csv(grid, curves: dict, path: Path) -> None:
 
 
 def _cmd_simulate(cfg: dict) -> tuple[Path, list[Path], dict]:
-    scheme = _build_scheme(cfg)
+    """Draw homodyne records.  The gaussian scheme simulates all four
+    canonical phase pairs by default (n records each, per-pair seeds seed,
+    seed+1, ...); other schemes use a single pair."""
+    scheme = _SCHEMES[cfg["scheme"]](cfg)
     if cfg["pairs"] is not None:
         pairs = parse_pairs(cfg["pairs"])
     elif cfg["scheme"] == "gaussian":
@@ -434,6 +363,7 @@ def _cmd_simulate(cfg: dict) -> tuple[Path, list[Path], dict]:
 
 
 def _cmd_verify(cfg: dict) -> tuple[Path, list[Path], dict]:
+    """Run a discord verdict over a record file."""
     if cfg["records"] is None:
         raise ValidationError("verify needs --records")
     t0 = time.perf_counter()
@@ -468,6 +398,7 @@ def _cmd_verify(cfg: dict) -> tuple[Path, list[Path], dict]:
 
 
 def _cmd_sweep(cfg: dict) -> tuple[Path, list[Path], dict]:
+    """Peak separation versus modulation depth on a balanced splitter."""
     depths = parse_depths(cfg["depths"])
     t0 = time.perf_counter()
     rows = sweep_modulation(depths, n=cfg["n"], seed=cfg["seed"],
@@ -482,80 +413,68 @@ def _cmd_sweep(cfg: dict) -> tuple[Path, list[Path], dict]:
     return out, [out], timings
 
 
-def _certify_zero(cfg: dict) -> tuple[dict, dict]:
-    state = build_ce_zero_discord(alpha=cfg["alpha"], v0=cfg["v0"])
-    basis = superposition_basis(state.dim_b)
-    classical = verify_classical_on_b(state, basis, tol=1e-8)
+def _sign_report(state) -> tuple:
+    """Condition B on the sign of A's x outcome and locate the peaks of the
+    two conditional homodyne marginals of B on the default grid; returns
+    the report, the grid and the marginals in plot-file column order."""
     rho_p, p_plus = conditional_b_given_sign(state, +1)
     rho_m, p_minus = conditional_b_given_sign(state, -1)
     grid = default_grid(state.dim_b, state.v0)
     dens_p = homodyne_marginal_fock(rho_p, grid)
     dens_m = homodyne_marginal_fock(rho_m, grid)
-    dens_all = homodyne_marginal_fock(state.reduced_b(), grid)
     peak_p = grid_peak(grid, dens_p)
     peak_m = grid_peak(grid, dens_m)
     report = {
-        "alpha": cfg["alpha"],
         "dim_A": state.dim_a,
         "dim_B": state.dim_b,
-        "classical_on_B": bool(classical),
         "p_plus": p_plus,
         "p_minus": p_minus,
         "peak_plus": peak_p,
         "peak_minus": peak_m,
         "peak_separation": peak_p - peak_m,
     }
-    curves = {"grid": grid, "unconditional": dens_all,
-              "conditional_plus": dens_p, "conditional_minus": dens_m,
-              "state": state}
-    return report, curves
+    curves = {"unconditional": homodyne_marginal_fock(state.reduced_b(), grid),
+              "conditional_plus": dens_p, "conditional_minus": dens_m}
+    return report, grid, curves
 
 
-def _certify_hidden(cfg: dict) -> tuple[dict, dict]:
+def _certify_zero(cfg: dict) -> tuple:
+    state = build_ce_zero_discord(alpha=cfg["alpha"], v0=cfg["v0"])
+    report, grid, curves = _sign_report(state)
+    classical = verify_classical_on_b(state, superposition_basis(state.dim_b),
+                                      tol=1e-8)
+    report.update(alpha=cfg["alpha"], classical_on_B=bool(classical))
+    return report, state, grid, curves
+
+
+def _certify_hidden(cfg: dict) -> tuple:
     state = build_ce_hidden_discord(nbar=cfg["nbar"], r=cfg["r"],
                                     v0=cfg["v0"])
-    rho_p, p_plus = conditional_b_given_sign(state, +1)
-    rho_m, p_minus = conditional_b_given_sign(state, -1)
-    grid = default_grid(state.dim_b, state.v0)
-    dens_p = homodyne_marginal_fock(rho_p, grid)
-    dens_m = homodyne_marginal_fock(rho_m, grid)
-    dens_all = homodyne_marginal_fock(state.reduced_b(), grid)
-    peak_p = grid_peak(grid, dens_p)
-    peak_m = grid_peak(grid, dens_m)
-    _, var_p = grid_moments(grid, dens_p)
-    _, var_m = grid_moments(grid, dens_m)
-    thermal = thermal_fock(cfg["nbar"], state.dim_b)
-    squeezed = np.outer(squeezed_vacuum_fock(cfg["r"], state.dim_b),
-                        squeezed_vacuum_fock(cfg["r"], state.dim_b).conj())
-    report = {
-        "nbar": cfg["nbar"],
-        "r": cfg["r"],
-        "dim_A": state.dim_a,
-        "dim_B": state.dim_b,
-        "p_plus": p_plus,
-        "p_minus": p_minus,
-        "peak_plus": peak_p,
-        "peak_minus": peak_m,
-        "peak_separation": peak_p - peak_m,
-        "variance_plus": var_p,
-        "variance_minus": var_m,
-        "variance_ratio": max(var_p, var_m) / min(var_p, var_m),
-        "commutator_norm": commutator_norm(thermal, squeezed),
-    }
-    curves = {"grid": grid, "unconditional": dens_all,
-              "conditional_plus": dens_p, "conditional_minus": dens_m,
-              "state": state}
-    return report, curves
+    report, grid, curves = _sign_report(state)
+    _, var_p = grid_moments(grid, curves["conditional_plus"])
+    _, var_m = grid_moments(grid, curves["conditional_minus"])
+    squeezed = squeezed_vacuum_fock(cfg["r"], state.dim_b)
+    report.update(
+        nbar=cfg["nbar"],
+        r=cfg["r"],
+        variance_plus=var_p,
+        variance_minus=var_m,
+        variance_ratio=max(var_p, var_m) / min(var_p, var_m),
+        commutator_norm=commutator_norm(thermal_fock(cfg["nbar"], state.dim_b),
+                                        np.outer(squeezed, squeezed.conj())),
+    )
+    return report, state, grid, curves
 
 
 def _cmd_counterexample(cfg: dict) -> tuple[Path, list[Path], dict]:
+    """Build and certify the Fock-space edge cases."""
     t0 = time.perf_counter()
-    report = {}
-    curve_sets = {}
+    cases = {}
     if cfg["which"] in ("zero", "both"):
-        report["zero_discord"], curve_sets["zero"] = _certify_zero(cfg)
+        cases["zero"] = _certify_zero(cfg)
     if cfg["which"] in ("hidden", "both"):
-        report["hidden_discord"], curve_sets["hidden"] = _certify_hidden(cfg)
+        cases["hidden"] = _certify_hidden(cfg)
+    report = {f"{name}_discord": case[0] for name, case in cases.items()}
     t1 = time.perf_counter()
     out = _resolve_out(cfg["out"])
     _atomic_text(out, json.dumps(report, indent=2, sort_keys=True,
@@ -563,19 +482,16 @@ def _cmd_counterexample(cfg: dict) -> tuple[Path, list[Path], dict]:
     outputs = [out]
     if cfg["plotdata"] is not None:
         prefix = _resolve_out(cfg["plotdata"])
-        for name, curves in curve_sets.items():
+        for name, (_, _, grid, curves) in cases.items():
             path = prefix.with_name(f"{prefix.name}_{name}.csv")
-            _fock_curves_csv(curves["grid"], {
-                "unconditional": curves["unconditional"],
-                "conditional_plus": curves["conditional_plus"],
-                "conditional_minus": curves["conditional_minus"],
-            }, path)
+            with _atomic(path) as tmp:
+                density_curve_to_csv(tmp, grid.points, curves)
             outputs.append(path)
     if cfg["dump_state"] is not None:
         prefix = _resolve_out(cfg["dump_state"])
-        for name, curves in curve_sets.items():
+        for name, (_, state, _, _) in cases.items():
             path = prefix.with_name(f"{prefix.name}_{name}.json")
-            _atomic_text(path, fock_state_to_json(curves["state"]) + "\n")
+            _atomic_text(path, fock_state_to_json(state) + "\n")
             outputs.append(path)
     t2 = time.perf_counter()
     timings = {"build_s": t1 - t0, "write_s": t2 - t1, "total_s": t2 - t0}

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .errors import (DegenerateSplitError, TruncationError, ValidationError)
+from .errors import DegenerateSplitError, TruncationError, ValidationError, require_fields
 
 DIM_DEFAULT = 20
 DIM_MAX = 40
@@ -459,6 +459,7 @@ def fock_state_from_json(text: str) -> FockDensityMatrix:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"bad state document: {exc}") from exc
+    require_fields(doc, ("dim_A", "dim_B", "v0", "entries"), "state document")
     da, db = int(doc["dim_A"]), int(doc["dim_B"])
     d = da * db
     flat = np.array([complex(re, im) for re, im in doc["entries"]])

@@ -23,6 +23,7 @@ module converts to the configured v0 units at the boundary
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erf, erfc
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, kind_class, require_fields
 from .states import DEFAULT_V0, GaussianBipartiteState, rotate_local
 
 PEAK_XTOL = 1e-10
@@ -227,17 +228,36 @@ ARCSINE_BLOCK = 2048
 
 @dataclass(frozen=True)
 class CoherentPoint:
-    """Single coherent component at complex amplitude alpha."""
+    """Single coherent component at complex amplitude alpha: a Gaussian
+    marginal of vacuum width centered at Re alpha."""
 
     weight: float
     alpha: complex
 
     kind = "coherent"
 
+    def d1(self, u):
+        return np.exp(-((u - self.alpha.real) ** 2)) / np.sqrt(np.pi)
+
+    def wigner(self, u, w):
+        mu, mw = self.alpha.real, self.alpha.imag
+        return np.exp(-((u - mu) ** 2) - (w - mw) ** 2) / np.pi
+
+    def to_doc(self) -> dict:
+        return {"kind": self.kind, "weight": self.weight,
+                "alpha": [self.alpha.real, self.alpha.imag]}
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "CoherentPoint":
+        require_fields(doc, ("weight", "alpha"), "coherent component")
+        re, im = doc["alpha"]
+        return cls(doc["weight"], complex(re, im))
+
 
 @dataclass(frozen=True)
 class ThermalComponent:
-    """Thermal component with mean occupation nbar."""
+    """Thermal component with mean occupation nbar: a zero-mean Gaussian
+    marginal of variance (2*nbar + 1)/2."""
 
     weight: float
     nbar: float
@@ -248,19 +268,83 @@ class ThermalComponent:
         if self.nbar < 0:
             raise ValidationError("thermal occupation must be >= 0")
 
+    def d1(self, u):
+        var = (2.0 * self.nbar + 1.0) / 2.0
+        return np.exp(-(u**2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+
+    def wigner(self, u, w):
+        var = (2.0 * self.nbar + 1.0) / 2.0
+        return np.exp(-(u**2 + w**2) / (2.0 * var)) / (2.0 * np.pi * var)
+
+    def to_doc(self) -> dict:
+        return {"kind": self.kind, **dataclasses.asdict(self)}
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "ThermalComponent":
+        require_fields(doc, ("weight", "nbar"), "thermal component")
+        return cls(doc["weight"], doc["nbar"])
+
 
 @dataclass(frozen=True)
 class ArcsineComponent:
     """Coherent amplitude alpha0*cos(phi) with phi uniform: the arcsine
-    displacement distribution left by asynchronous sine modulation."""
+    displacement distribution left by asynchronous sine modulation, with a
+    marginal peaked near +-alpha0."""
 
     weight: float
     alpha0: float
 
     kind = "arcsine"
 
+    def d1(self, u) -> np.ndarray:
+        """The phase average mean_phi exp(-(u - alpha0 cos phi)^2)/sqrt(pi),
+        by the periodic trapezoid rule, which converges exponentially for
+        this analytic integrand (Trefethen & Weideman, SIAM Review 56 (2014)
+        385).  The node count starts at ARCSINE_NODES_START and doubles,
+        reusing the nodes already evaluated, until two successive rules
+        agree to ARCSINE_ATOL on a block of points.
+        """
+        flat = np.asarray(u, dtype=float).ravel()
+        out = np.empty_like(flat)
+        for start in range(0, flat.size, ARCSINE_BLOCK):
+            block = flat[start:start + ARCSINE_BLOCK, None]
+            turns = np.arange(ARCSINE_NODES_START) / ARCSINE_NODES_START
+            n, total, coarse = 0, 0.0, np.inf
+            while True:
+                nodes = self.alpha0 * np.cos(2.0 * np.pi * turns)
+                total = total + np.exp(-((block - nodes) ** 2)).sum(axis=1)
+                n += turns.size
+                fine = total / (n * np.sqrt(np.pi))
+                # a NaN point compares False and passes through as NaN
+                if not (np.abs(fine - coarse) > ARCSINE_ATOL).any():
+                    break
+                if n >= ARCSINE_NODES_MAX:
+                    raise NumericError(f"arcsine phase average did not "
+                                       f"converge in {n} nodes "
+                                       f"(alpha0 = {self.alpha0})")
+                turns = (np.arange(n) + 0.5) / n
+                coarse = fine
+            out[start:start + ARCSINE_BLOCK] = fine
+        return out.reshape(np.shape(u))
 
+    def wigner(self, u, w):
+        return self.d1(u) * np.exp(-(w**2)) / np.sqrt(np.pi)
+
+    def to_doc(self) -> dict:
+        return {"kind": self.kind, **dataclasses.asdict(self)}
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "ArcsineComponent":
+        require_fields(doc, ("weight", "alpha0"), "arcsine component")
+        return cls(doc["weight"], doc["alpha0"])
+
+
+# component.d1(u) and component.wigner(u, w) are its measured-quadrature
+# marginal and phase-space density in natural units (vacuum:
+# exp(-u^2)/sqrt(pi) and exp(-u^2 - w^2)/pi); to_doc/from_doc its JSON form
 Component = CoherentPoint | ThermalComponent | ArcsineComponent
+COMPONENTS = {cls.kind: cls for cls in
+              (CoherentPoint, ThermalComponent, ArcsineComponent)}
 
 
 @dataclass(frozen=True)
@@ -289,65 +373,13 @@ class PMixtureState:
         return float(np.sqrt(1.0 - self.eta**2))
 
 
-def _arcsine_d1_natural(alpha0: float, u) -> np.ndarray:
-    """Arcsine marginal in natural units, the phase average
-    mean_phi exp(-(u - alpha0 cos phi)^2)/sqrt(pi), by the periodic trapezoid
-    rule, which converges exponentially for this analytic integrand
-    (Trefethen & Weideman, SIAM Review 56 (2014) 385).  The node count starts
-    at ARCSINE_NODES_START and doubles, reusing the nodes already evaluated,
-    until two successive rules agree to ARCSINE_ATOL on a block of points.
-    """
-    flat = np.asarray(u, dtype=float).ravel()
-    out = np.empty_like(flat)
-    for start in range(0, flat.size, ARCSINE_BLOCK):
-        block = flat[start:start + ARCSINE_BLOCK, None]
-        turns = np.arange(ARCSINE_NODES_START) / ARCSINE_NODES_START
-        n, total, coarse = 0, 0.0, np.inf
-        while True:
-            nodes = alpha0 * np.cos(2.0 * np.pi * turns)
-            total = total + np.exp(-((block - nodes) ** 2)).sum(axis=1)
-            n += turns.size
-            fine = total / (n * np.sqrt(np.pi))
-            # a NaN point compares False and passes through as NaN
-            if not (np.abs(fine - coarse) > ARCSINE_ATOL).any():
-                break
-            if n >= ARCSINE_NODES_MAX:
-                raise NumericError(f"arcsine phase average did not converge "
-                                   f"in {n} nodes (alpha0 = {alpha0})")
-            turns = (np.arange(n) + 0.5) / n
-            coarse = fine
-        out[start:start + ARCSINE_BLOCK] = fine
-    return out.reshape(np.shape(u))
-
-
-def _d1_natural(component: Component, u):
-    """Measured-quadrature marginal of one input component in natural units
-    (vacuum marginal exp(-u^2)/sqrt(pi); coherent alpha centered Re alpha)."""
-    u = np.asarray(u, dtype=float)
-    if isinstance(component, CoherentPoint):
-        m = component.alpha.real
-        return np.exp(-((u - m) ** 2)) / np.sqrt(np.pi)
-    if isinstance(component, ThermalComponent):
-        var = (2.0 * component.nbar + 1.0) / 2.0
-        return np.exp(-(u**2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
-    if isinstance(component, ArcsineComponent):
-        return _arcsine_d1_natural(component.alpha0, u)
-    raise ValidationError(f"unknown component kind {component!r}")
-
-
 def input_marginal_D1(mixture: PMixtureState, x):
-    """Measured-quadrature marginal of the splitter input, in v0 units.
-
-    Weighted sum of component marginals: a coherent point is a Gaussian of
-    vacuum width centered at sqrt(2*v0)*Re(alpha); a thermal component is a
-    zero-mean Gaussian of variance (2*nbar + 1)*v0; an arcsine component
-    averages displaced vacuua over the phase and peaks near
-    +-sqrt(2*v0)*alpha0.
-    """
+    """Measured-quadrature marginal of the splitter input, in v0 units:
+    the weighted sum of the component marginals d1."""
     x = np.asarray(x, dtype=float)
     scale = np.sqrt(2.0 * mixture.v0)
     u = x / scale
-    total = sum(c.weight * _d1_natural(c, u) for c in mixture.components)
+    total = sum(c.weight * c.d1(u) for c in mixture.components)
     val = total / scale
     return val if np.ndim(val) else float(val)
 
@@ -369,25 +401,9 @@ def output_joint_density(mixture: PMixtureState, x1, x2):
     eta, eta_t = mixture.eta, mixture.eta_tilde
     along = eta * u1 + eta_t * u2
     across = eta * u2 - eta_t * u1
-    d1 = sum(c.weight * _d1_natural(c, along) for c in mixture.components)
+    d1 = sum(c.weight * c.d1(along) for c in mixture.components)
     val = d1 * np.exp(-(across**2)) / np.sqrt(np.pi) / scale**2
     return val if np.ndim(val) else float(val)
-
-
-def _component_wigner_natural(component: Component, u, w):
-    """Phase-space density of one input component in natural units
-    (vacuum: exp(-u^2 - w^2)/pi)."""
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if isinstance(component, CoherentPoint):
-        mu, mw = component.alpha.real, component.alpha.imag
-        return np.exp(-((u - mu) ** 2) - (w - mw) ** 2) / np.pi
-    if isinstance(component, ThermalComponent):
-        var = (2.0 * component.nbar + 1.0) / 2.0
-        return np.exp(-(u**2 + w**2) / (2.0 * var)) / (2.0 * np.pi * var)
-    if isinstance(component, ArcsineComponent):
-        return _d1_natural(component, u) * np.exp(-(w**2)) / np.sqrt(np.pi)
-    raise ValidationError(f"unknown component kind {component!r}")
 
 
 def output_wigner_from_P(mixture: PMixtureState, point):
@@ -410,10 +426,7 @@ def output_wigner_from_P(mixture: PMixtureState, point):
     along_w = eta * w1 + eta_t * w2
     across_u = eta * u2 - eta_t * u1
     across_w = eta * w2 - eta_t * w1
-    w_in = sum(
-        c.weight * _component_wigner_natural(c, along_u, along_w)
-        for c in mixture.components
-    )
+    w_in = sum(c.weight * c.wigner(along_u, along_w) for c in mixture.components)
     vac = np.exp(-(across_u**2) - across_w**2) / np.pi
     return float(w_in * vac / scale**4)
 
@@ -424,37 +437,22 @@ def output_wigner_from_P(mixture: PMixtureState, point):
 
 
 def mixture_to_json(mixture: PMixtureState) -> str:
-    comps = []
-    for c in mixture.components:
-        if isinstance(c, CoherentPoint):
-            comps.append({"kind": "coherent", "weight": c.weight,
-                          "alpha": [c.alpha.real, c.alpha.imag]})
-        elif isinstance(c, ThermalComponent):
-            comps.append({"kind": "thermal", "weight": c.weight, "nbar": c.nbar})
-        else:
-            comps.append({"kind": "arcsine", "weight": c.weight, "alpha0": c.alpha0})
+    comps = [c.to_doc() for c in mixture.components]
     return json.dumps({"eta": mixture.eta, "v0": mixture.v0, "components": comps},
                       indent=2)
 
 
 def mixture_from_json(text: str) -> PMixtureState:
+    """Inverse of mixture_to_json; a missing field, a non-object document
+    or component, or an unknown kind is a ValidationError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"bad mixture document: {exc}") from exc
-    comps: list[Component] = []
-    for entry in doc.get("components", []):
-        kind = entry.get("kind")
-        if kind == "coherent":
-            re, im = entry["alpha"]
-            comps.append(CoherentPoint(entry["weight"], complex(re, im)))
-        elif kind == "thermal":
-            comps.append(ThermalComponent(entry["weight"], entry["nbar"]))
-        elif kind == "arcsine":
-            comps.append(ArcsineComponent(entry["weight"], entry["alpha0"]))
-        else:
-            raise ValidationError(f"unknown component kind {kind!r}")
-    return PMixtureState(tuple(comps), float(doc["eta"]),
+    require_fields(doc, ("eta", "components"), "mixture document")
+    comps = tuple(kind_class(entry, COMPONENTS, "component").from_doc(entry)
+                  for entry in doc["components"])
+    return PMixtureState(comps, float(doc["eta"]),
                          float(doc.get("v0", DEFAULT_V0)))
 
 

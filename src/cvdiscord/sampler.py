@@ -15,9 +15,9 @@ records match the analytic output densities.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
-import os
 import warnings
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, kind_class
 from .marginals import joint_marginal_form
 from .states import DEFAULT_V0, GaussianBipartiteState
 
@@ -58,6 +58,10 @@ class GaussianModulation:
         if self.depth_x < 0 or self.depth_p < 0:
             raise ValidationError("modulation depths must be non-negative")
 
+    def displace(self, rng, d: np.ndarray, root: float) -> None:
+        d[:, 0] = self.depth_x * root * rng.standard_normal(len(d))
+        d[:, 1] = self.depth_p * root * rng.standard_normal(len(d))
+
 
 @dataclass(frozen=True)
 class SwitchedNoise:
@@ -73,6 +77,12 @@ class SwitchedNoise:
         if self.depth_x < 0 or self.depth_p < 0:
             raise ValidationError("modulation depths must be non-negative")
         _check_duty(self.duty)
+
+    def displace(self, rng, d: np.ndarray, root: float) -> None:
+        m = len(d)
+        gate = rng.random(m) < self.duty
+        d[:, 0] = np.where(gate, self.depth_x * root * rng.standard_normal(m), 0.0)
+        d[:, 1] = np.where(gate, self.depth_p * root * rng.standard_normal(m), 0.0)
 
 
 @dataclass(frozen=True)
@@ -92,6 +102,10 @@ class SwitchedPhase:
     def __post_init__(self):
         _check_duty(self.duty)
 
+    def displace(self, rng, d: np.ndarray, root: float) -> None:
+        gate = rng.random(len(d)) < self.duty
+        d[:, 1] = np.where(gate, self.amplitude * root, 0.0)
+
 
 @dataclass(frozen=True)
 class AsyncSine:
@@ -106,8 +120,16 @@ class AsyncSine:
         if self.depth < 0:
             raise ValidationError("modulation depth must be non-negative")
 
+    def displace(self, rng, d: np.ndarray, root: float) -> None:
+        phi = rng.uniform(0.0, 2.0 * np.pi, len(d))
+        d[:, 0] = self.depth * root * np.cos(phi)
 
+
+# scheme.displace(rng, d, root) fills the zeroed per-sample pre-splitter
+# displacement d, shape (m, 2), in absolute units (root = sqrt(v0))
 ModulationScheme = GaussianModulation | SwitchedNoise | SwitchedPhase | AsyncSine
+SCHEMES = {cls.kind: cls for cls in
+           (GaussianModulation, SwitchedNoise, SwitchedPhase, AsyncSine)}
 
 
 def _check_duty(duty: float) -> None:
@@ -189,15 +211,13 @@ def _run_chunks(n: int, seed, fill, workers: int | None = None) -> None:
     """Run fill(rng, start, stop) over fixed-size chunks with per-chunk
     substreams; the chunk layout never depends on the worker count."""
     ranges = _chunk_ranges(n)
-    if workers is None:
-        workers = int(os.environ.get("CVDISCORD_WORKERS", "1"))
 
     def job(item):
         idx, start, stop = item
         rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
         fill(rng, start, stop)
 
-    if workers > 1 and len(ranges) > 1:
+    if workers is not None and workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(job, ranges))
     else:
@@ -238,28 +258,6 @@ def sample_gaussian(state: GaussianBipartiteState, theta_a: float, theta_b: floa
                      x_a, x_b, meta)
 
 
-def _displacements(scheme: ModulationScheme, rng, m: int, v0: float) -> np.ndarray:
-    """Per-sample pre-splitter displacement, shape (m, 2) in absolute units."""
-    root = np.sqrt(v0)
-    d = np.zeros((m, 2))
-    if isinstance(scheme, GaussianModulation):
-        d[:, 0] = scheme.depth_x * root * rng.standard_normal(m)
-        d[:, 1] = scheme.depth_p * root * rng.standard_normal(m)
-    elif isinstance(scheme, SwitchedNoise):
-        gate = rng.random(m) < scheme.duty
-        d[:, 0] = np.where(gate, scheme.depth_x * root * rng.standard_normal(m), 0.0)
-        d[:, 1] = np.where(gate, scheme.depth_p * root * rng.standard_normal(m), 0.0)
-    elif isinstance(scheme, SwitchedPhase):
-        gate = rng.random(m) < scheme.duty
-        d[:, 1] = np.where(gate, scheme.amplitude * root, 0.0)
-    elif isinstance(scheme, AsyncSine):
-        phi = rng.uniform(0.0, 2.0 * np.pi, m)
-        d[:, 0] = scheme.depth * root * np.cos(phi)
-    else:
-        raise ValidationError(f"unknown scheme {scheme!r}")
-    return d
-
-
 def sample_scheme(config: SimulationConfig, workers: int | None = None) -> RecordSet:
     """Draw homodyne records for a modulation scheme.
 
@@ -279,7 +277,8 @@ def sample_scheme(config: SimulationConfig, workers: int | None = None) -> Recor
 
     def fill(rng, start, stop):
         m = stop - start
-        d = _displacements(config.scheme, rng, m, config.v0)
+        d = np.zeros((m, 2))
+        config.scheme.displace(rng, d, root)
         noise = rng.standard_normal((m, 2)) * root
         x_a[start:stop] = eta * (d @ proj_a) + noise[:, 0]
         x_b[start:stop] = eta_t * (d @ proj_b) + noise[:, 1]
@@ -300,33 +299,22 @@ def sample_scheme(config: SimulationConfig, workers: int | None = None) -> Recor
 
 
 def scheme_to_dict(scheme: ModulationScheme) -> dict:
-    if isinstance(scheme, GaussianModulation):
-        return {"kind": scheme.kind, "depth_x": scheme.depth_x, "depth_p": scheme.depth_p}
-    if isinstance(scheme, SwitchedNoise):
-        return {"kind": scheme.kind, "depth_x": scheme.depth_x,
-                "depth_p": scheme.depth_p, "duty": scheme.duty}
-    if isinstance(scheme, SwitchedPhase):
-        return {"kind": scheme.kind, "amplitude": scheme.amplitude,
-                "duty": scheme.duty, "threshold_hint": scheme.threshold_hint}
-    if isinstance(scheme, AsyncSine):
-        return {"kind": scheme.kind, "depth": scheme.depth}
-    raise ValidationError(f"unknown scheme {scheme!r}")
+    return {"kind": scheme.kind, **dataclasses.asdict(scheme)}
 
 
 def scheme_from_dict(doc: dict) -> ModulationScheme:
-    kind = doc.get("kind")
-    if kind == "gaussian":
-        return GaussianModulation(doc.get("depth_x", 0.0), doc.get("depth_p", 0.0))
-    if kind == "switched_noise":
-        return SwitchedNoise(doc.get("depth_x", 0.0), doc.get("depth_p", 0.0),
-                             doc.get("duty", 0.5))
-    if kind == "switched_phase":
-        return SwitchedPhase(doc.get("amplitude", SWITCHED_PHASE_AMPLITUDE),
-                             doc.get("duty", 0.5),
-                             doc.get("threshold_hint", SWITCHED_PHASE_THRESHOLD))
-    if kind == "async_sine":
-        return AsyncSine(doc.get("depth", 0.0))
-    raise ValidationError(f"unknown scheme kind {kind!r}")
+    """Inverse of scheme_to_dict.  A missing field takes its default; an
+    unknown field or a value that is not a number is a ValidationError."""
+    cls = kind_class(doc, SCHEMES, "scheme")
+    fields = {key: value for key, value in doc.items() if key != "kind"}
+    names = {f.name for f in dataclasses.fields(cls)}
+    for key, value in fields.items():
+        if key not in names:
+            raise ValidationError(f"unknown field {key!r} for a {cls.kind} scheme")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValidationError(f"field {key!r} of a {cls.kind} scheme must "
+                                  f"be a number, got {value!r}")
+    return cls(**fields)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, require_fields
 
 # tolerances used by the physicality checks
 SYMMETRY_TOL = 1e-12
@@ -330,13 +330,9 @@ def state_from_json(text: str) -> GaussianBipartiteState:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"bad state document: {exc}") from exc
-    try:
-        means = doc["means"]
-        cov = doc["cov"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError("state document needs 'means' and 'cov'") from exc
+    require_fields(doc, ("means", "cov"), "state document")
     return GaussianBipartiteState(
-        np.asarray(means, dtype=float),
-        np.asarray(cov, dtype=float),
+        np.asarray(doc["means"], dtype=float),
+        np.asarray(doc["cov"], dtype=float),
         float(doc.get("v0", DEFAULT_V0)),
     )

@@ -295,14 +295,22 @@ def separation_statistic(rs: RecordSet, threshold: float = 0.0,
                          ) -> tuple[float, float, PeakEstimate, PeakEstimate]:
     """Peak separation Delta between the sign-conditioned B marginals,
     with its bootstrap standard error."""
-    plus, minus = split_by_threshold(rs, threshold)
     ss = np.random.SeedSequence((seed, 0xB007))
+    return _separation(rs, threshold, ss, n_boot)[1]
+
+
+def _separation(rs: RecordSet, threshold: float, ss: np.random.SeedSequence,
+                n_boot: int):
+    """Split on the A outcome and fit both B peaks, bootstrapping each side
+    with its own stream spawned from ss; returns ((plus, minus),
+    (delta, sigma, peak_plus, peak_minus))."""
+    plus, minus = split_by_threshold(rs, threshold)
     rng_p, rng_m = [np.random.default_rng(s) for s in ss.spawn(2)]
     peak_p = estimate_peak(estimate_density(plus), rng_p, n_boot)
     peak_m = estimate_peak(estimate_density(minus), rng_m, n_boot)
     delta = peak_p.location - peak_m.location
     sigma = float(np.hypot(peak_p.std_error, peak_m.std_error))
-    return delta, sigma, peak_p, peak_m
+    return (plus, minus), (delta, sigma, peak_p, peak_m)
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +378,8 @@ def chi_square_two_sample(hist_r: Histogram, hist_s: Histogram,
 def _pair_stats(rs: RecordSet, theta_a: float, theta_b: float,
                 threshold: float, seed: int, n_boot: int,
                 pair_index: int) -> PairStats:
-    plus, minus = split_by_threshold(rs, threshold)
     ss = np.random.SeedSequence((seed, pair_index))
-    rng_p, rng_m = [np.random.default_rng(s) for s in ss.spawn(2)]
-    hist_p = estimate_density(plus)
-    hist_m = estimate_density(minus)
-    peak_p = estimate_peak(hist_p, rng_p, n_boot)
-    peak_m = estimate_peak(hist_m, rng_m, n_boot)
-    delta = peak_p.location - peak_m.location
-    sigma = float(np.hypot(peak_p.std_error, peak_m.std_error))
+    (plus, minus), (delta, sigma, _, _) = _separation(rs, threshold, ss, n_boot)
     k = abs(delta) / sigma if sigma > 0 else np.inf
     # common binning for the two-sample comparison
     both = np.concatenate([plus.x_b, minus.x_b])

@@ -10,9 +10,11 @@ import sys
 import numpy as np
 import pytest
 
+from cvdiscord import cli
 from cvdiscord.cli import main, parse_depths, parse_pairs
 from cvdiscord.errors import ValidationError
 from cvdiscord.fock import fock_state_from_json
+from cvdiscord.sampler import scheme_from_dict, scheme_to_dict
 
 
 def sha256(path):
@@ -211,6 +213,57 @@ def test_bad_config_json_is_rejected(tmp_path, monkeypatch, capsys):
     cfg.write_text("{not json")
     assert run("simulate", "--config", cfg) == 1
     assert "bad config JSON" in capsys.readouterr().err
+
+
+def _subparsers():
+    action = next(a for a in cli._build_parser()._actions
+                  if a.dest == "command")
+    return action.choices
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "sweep",
+                                     "counterexample"])
+def test_every_option_is_a_flag_and_a_config_key(command, tmp_path):
+    parser = _subparsers()[command]
+    flags = {s for a in parser._actions for s in a.option_strings}
+    options = cli._OPTIONS[command]
+    assert flags == {"-h", "--help", "--config"} | {
+        "--" + key.replace("_", "-") for key in options}
+    bare = cli._effective_config(cli._build_parser().parse_args([command]))
+    cfg = tmp_path / "defaults.json"
+    cfg.write_text(json.dumps({key: default
+                               for key, (default, _) in options.items()}))
+    full = cli._effective_config(
+        cli._build_parser().parse_args([command, "--config", str(cfg)]))
+    assert set(bare) == set(options)
+    assert full == bare
+
+
+def test_scheme_choices_are_the_builder_table():
+    scheme_flag = next(a for a in _subparsers()["simulate"]._actions
+                       if a.dest == "scheme")
+    assert list(scheme_flag.choices) == list(cli._SCHEMES)
+    for name in scheme_flag.choices:
+        cfg = cli._effective_config(cli._build_parser().parse_args(
+            ["simulate", "--scheme", name, "--depth", "1.5"]))
+        scheme = cli._SCHEMES[name](cfg)
+        assert scheme_from_dict(scheme_to_dict(scheme)) == scheme
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("verify", {"mode": "bogus", "records": "rec.npz"}),
+    ("counterexample", {"which": "neither"}),
+    ("simulate", {"scheme": ["gaussian"]}),
+])
+def test_config_values_outside_the_choices_are_rejected(command, doc, tmp_path,
+                                                        monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--n", "300", "--out", "rec.npz") == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run(command, "--config", cfg, "--out", "out.json") == 1
+    assert "invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ with coinciding peaks.  Everything here is deterministic linear algebra,
 no sampling.
 """
 
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -355,3 +357,14 @@ def test_fock_state_json_round_trip():
     doc = fock_state_to_json(state).replace('"dim_A": 20', '"dim_A": 7')
     with pytest.raises(ValidationError):
         fock_state_from_json(doc)
+
+
+@pytest.mark.parametrize("field", ["dim_A", "dim_B", "v0", "entries", None])
+def test_fock_state_from_json_names_a_missing_field(field):
+    doc = json.loads(fock_state_to_json(build_ce_zero_discord(alpha=0.8, dim_b=4)))
+    if field is None:
+        doc, field = [doc], "JSON object"
+    else:
+        del doc[field]
+    with pytest.raises(ValidationError, match=field):
+        fock_state_from_json(json.dumps(doc))

@@ -406,6 +406,34 @@ def test_mixture_json_round_trip():
             {"eta": 0.5, "components": [{"kind": "unknown", "weight": 1.0}]}))
 
 
+def test_mixture_json_layout_is_pinned():
+    mix = PMixtureState(
+        (CoherentPoint(0.25, 1.0 - 2.0j), ThermalComponent(0.5, 0.8),
+         ArcsineComponent(0.25, 1.1)),
+        eta=0.62, v0=2.0)
+    assert mixture_to_json(mix) == (
+        '{\n  "eta": 0.62,\n  "v0": 2.0,\n  "components": [\n    {\n'
+        '      "kind": "coherent",\n      "weight": 0.25,\n      "alpha": [\n'
+        '        1.0,\n        -2.0\n      ]\n    },\n    {\n'
+        '      "kind": "thermal",\n      "weight": 0.5,\n      "nbar": 0.8\n'
+        '    },\n    {\n      "kind": "arcsine",\n      "weight": 0.25,\n'
+        '      "alpha0": 1.1\n    }\n  ]\n}')
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"components": [{"kind": "thermal", "weight": 1.0, "nbar": 0.5}]}, "eta"),
+    ({"eta": 0.5}, "components"),
+    ({"eta": 0.5, "components": [{"kind": "thermal", "nbar": 0.5}]}, "weight"),
+    ({"eta": 0.5, "components": [{"kind": "coherent", "weight": 1.0}]}, "alpha"),
+    ({"eta": 0.5, "components": [{"kind": "arcsine", "weight": 1.0}]}, "alpha0"),
+    ({"eta": 0.5, "components": [0.5]}, "JSON object"),
+    ([0.5], "JSON object"),
+])
+def test_mixture_from_json_names_a_missing_field(doc, named):
+    with pytest.raises(ValidationError, match=named):
+        mixture_from_json(json.dumps(doc))
+
+
 def test_density_curve_exports(tmp_path):
     x = np.linspace(-1.0, 1.0, 5)
     columns = {"uncond": np.exp(-x**2), "cond": np.exp(-((x - 0.1) ** 2))}

@@ -276,3 +276,16 @@ def test_scheme_dict_round_trip():
         assert scheme_from_dict(scheme_to_dict(scheme)) == scheme
     with pytest.raises(ValidationError):
         scheme_from_dict({"kind": "unheard-of"})
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "gaussian", "depth": 3.0},          # a field of another scheme
+    {"kind": "async_sine", "depth": 1.0, "duty": 0.5},
+    {"kind": "gaussian", "depth_x": "3"},        # a field of the wrong type
+    {"kind": "switched_phase", "amplitude": None},
+    {"kind": "switched_noise", "duty": True},
+    ["gaussian"],                                # not an object
+])
+def test_scheme_from_dict_rejects_unknown_and_mistyped_fields(doc):
+    with pytest.raises(ValidationError):
+        scheme_from_dict(doc)
