@@ -11,9 +11,9 @@ the non-Gaussian edge cases where peak separation and discord part ways.
 
 __version__ = "0.1.0"
 
-from .errors import (DegenerateSplitError, InsufficientDataError,
-                     NumericError, ParseError, ToolkitError, TruncationError,
-                     ValidationError)
+from .errors import (DegenerateSplitError, EmptySideError,
+                     InsufficientDataError, NumericError, ParseError,
+                     ToolkitError, TruncationError, ValidationError)
 from .states import (GaussianBipartiteState, SingleModeState,
                      ValidationReport, apply_beam_splitter,
                      beam_splitter_matrix, c_block_is_zero, modulated_beam,

@@ -35,10 +35,10 @@ from .fock import (build_ce_hidden_discord, build_ce_zero_discord,
                    superposition_basis, thermal_fock, verify_classical_on_b)
 from .marginals import density_curve_to_csv
 from .sampler import (SWITCHED_PHASE_AMPLITUDE, AsyncSine, GaussianModulation,
-                      RecordSet, SimulationConfig, SwitchedNoise,
-                      SwitchedPhase, concat_records, read_records,
-                      sample_scheme, scheme_to_dict, write_records)
-from .verifier import (CANONICAL_PAIRS, estimate_density, split_by_threshold,
+                      SimulationConfig, SwitchedNoise, SwitchedPhase,
+                      concat_records, read_records, sample_scheme,
+                      scheme_to_dict, write_records)
+from .verifier import (CANONICAL_PAIRS, ConditionalHistograms,
                        sweep_modulation, sweep_to_csv, verdict_gaussian,
                        verdict_mixture, mixture_verdict_to_json,
                        verdict_to_json)
@@ -70,7 +70,7 @@ _OPTIONS = {
         "theta_b": (0.0, {"type": float, "help": "station B phase, degrees"}),
         "pairs": (None, {"help": '"all" or "ta,tb;ta,tb;..." in degrees'}),
         "v0": (1.0, {"type": float}),
-        "workers": (None, {"type": int}),
+        "workers": (None, {"type": int, "help": "accepted; has no effect"}),
         "out": ("records.npz", {"type": Path, "help": "record file: .npz (the "
                                 "default, records.npz) is binary, any other "
                                 "suffix is CSV"}),
@@ -95,7 +95,7 @@ _OPTIONS = {
         "seed": (0, {"type": int}),
         "eta": (1.0 / math.sqrt(2.0), {"type": float}),
         "v0": (1.0, {"type": float}),
-        "workers": (None, {"type": int}),
+        "workers": (None, {"type": int, "help": "accepted; has no effect"}),
         "out": ("sweep.csv", {"type": Path}),
     },
     "counterexample": {
@@ -295,28 +295,21 @@ def _noise_depths(cfg: dict) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def emit_plotdata(rs: RecordSet, threshold: float, path: Path) -> None:
-    """Aligned density curves of the B outcome: unconditional, both
-    sign-conditioned sides, and a Gaussian of the overall mean and the
-    average of the two conditional variances (the reference curve a
-    Gaussian mixture would have to match)."""
-    if len(rs) == 0:
-        raise ValidationError("no records to plot")
-    plus, minus = split_by_threshold(rs, threshold)
-    hist_all = estimate_density(rs)
-    edges = hist_all.edges
-    hist_p = estimate_density(plus, edges=edges)
-    hist_m = estimate_density(minus, edges=edges)
-    x = hist_all.centers
-    mean = float(rs.x_b.mean())
-    avg_var = 0.5 * (float(plus.x_b.var()) + float(minus.x_b.var()))
-    ref = np.exp(-((x - mean) ** 2) / (2.0 * avg_var)) / math.sqrt(
+def emit_plotdata(hists: ConditionalHistograms, path: Path) -> None:
+    """Aligned density curves of the B outcome from a verdict's histograms:
+    unconditional, both sign-conditioned sides, and a Gaussian of the
+    overall mean and the average of the two conditional variances (the
+    reference curve a Gaussian mixture would have to match)."""
+    x = hists.whole.centers
+    avg_var = 0.5 * (hists.var_plus + hists.var_minus)
+    ref = np.exp(-((x - hists.mean) ** 2) / (2.0 * avg_var)) / math.sqrt(
         2.0 * math.pi * avg_var)
+    curves = {"unconditional": hists.whole.density(),
+              "conditional_plus": hists.plus.density(),
+              "conditional_minus": hists.minus.density(),
+              "gaussian_reference": ref}
     with _atomic(path) as tmp:
-        density_curve_to_csv(tmp, x, {"unconditional": hist_all.density(),
-                                      "conditional_plus": hist_p.density(),
-                                      "conditional_minus": hist_m.density(),
-                                      "gaussian_reference": ref})
+        density_curve_to_csv(tmp, x, curves)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +334,7 @@ def _cmd_simulate(cfg: dict) -> tuple[Path, list[Path], dict]:
         sim = SimulationConfig(scheme=scheme, n_samples=cfg["n"],
                                seed=cfg["seed"] + i, eta=cfg["eta"],
                                theta_a=ta, theta_b=tb, v0=cfg["v0"])
-        parts.append(sample_scheme(sim, workers=cfg["workers"]))
+        parts.append(sample_scheme(sim))
     rs = concat_records(parts, meta={
         "kind": "scheme",
         "scheme": scheme_to_dict(scheme),
@@ -373,11 +366,13 @@ def _cmd_verify(cfg: dict) -> tuple[Path, list[Path], dict]:
         verdict = verdict_gaussian(rs, threshold=cfg["threshold"],
                                    k_min=cfg["k_min"], seed=cfg["seed"],
                                    n_boot=cfg["boot"], pairs=pairs)
+        hists = verdict.per_pair[0].hists
         text = verdict_to_json(verdict)
     else:
         verdict = verdict_mixture(rs, threshold=cfg["threshold"],
                                   alpha=cfg["alpha"], seed=cfg["seed"],
                                   n_boot=cfg["boot"])
+        hists = verdict.hists
         text = mixture_verdict_to_json(verdict)
     t1 = time.perf_counter()
     out = _resolve_out(cfg["out"])
@@ -385,12 +380,7 @@ def _cmd_verify(cfg: dict) -> tuple[Path, list[Path], dict]:
     outputs = [out]
     if cfg["plotdata"] is not None:
         plot_path = _resolve_out(cfg["plotdata"])
-        plot_rs = rs
-        if cfg["mode"] == "gaussian":
-            first = rs.select_pair(*parse_pairs(cfg["pairs"])[0])
-            if len(first):
-                plot_rs = first
-        emit_plotdata(plot_rs, cfg["threshold"], plot_path)
+        emit_plotdata(hists, plot_path)
         outputs.append(plot_path)
     t2 = time.perf_counter()
     timings = {"verify_s": t1 - t0, "write_s": t2 - t1, "total_s": t2 - t0}
@@ -402,8 +392,7 @@ def _cmd_sweep(cfg: dict) -> tuple[Path, list[Path], dict]:
     depths = parse_depths(cfg["depths"])
     t0 = time.perf_counter()
     rows = sweep_modulation(depths, n=cfg["n"], seed=cfg["seed"],
-                            eta=cfg["eta"], v0=cfg["v0"],
-                            workers=cfg["workers"])
+                            eta=cfg["eta"], v0=cfg["v0"])
     t1 = time.perf_counter()
     out = _resolve_out(cfg["out"])
     with _atomic(out) as tmp:

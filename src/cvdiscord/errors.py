@@ -17,6 +17,10 @@ class DegenerateSplitError(ToolkitError):
     """A threshold split left one side empty."""
 
 
+class EmptySideError(DegenerateSplitError, ValidationError):
+    """A threshold leaves one side of the records empty: bad input."""
+
+
 class InsufficientDataError(ToolkitError):
     """Not enough records or occupied bins to run a statistic."""
 

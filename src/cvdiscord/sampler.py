@@ -2,9 +2,9 @@
 
 Records are rows (theta_A, theta_B, x_A, x_B): the local-oscillator phases
 and the two quadrature outcomes of one joint measurement.  Sampling is
-chunked with one RNG substream per fixed-size chunk, derived from
-(seed, chunk index), so the output is byte-identical regardless of how
-many workers process the chunks.
+serial and chunked, with one RNG substream per fixed-size chunk derived
+from (seed, chunk index); the samplers accept a workers keyword, which
+has no effect.
 
 The modulation schemes draw a per-sample classical displacement for the
 pre-splitter beam, mix it through the splitter (vacuum on the idle port)
@@ -20,7 +20,6 @@ import itertools
 import json
 import warnings
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -202,27 +201,12 @@ def concat_records(parts: list[RecordSet], meta: dict | None = None) -> RecordSe
     )
 
 
-def _chunk_ranges(n: int) -> list[tuple[int, int, int]]:
-    return [(idx, start, min(start + CHUNK, n))
-            for idx, start in enumerate(range(0, n, CHUNK))]
-
-
-def _run_chunks(n: int, seed, fill, workers: int | None = None) -> None:
-    """Run fill(rng, start, stop) over fixed-size chunks with per-chunk
-    substreams; the chunk layout never depends on the worker count."""
-    ranges = _chunk_ranges(n)
-
-    def job(item):
-        idx, start, stop = item
+def _chunks(n: int, seed):
+    """(rng, start, stop) for each fixed-size chunk of n records, the rng a
+    substream derived from (seed, chunk index)."""
+    for idx, start in enumerate(range(0, n, CHUNK)):
         rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
-        fill(rng, start, stop)
-
-    if workers is not None and workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(job, ranges))
-    else:
-        for item in ranges:
-            job(item)
+        yield rng, start, min(start + CHUNK, n)
 
 
 def sample_gaussian(state: GaussianBipartiteState, theta_a: float, theta_b: float,
@@ -238,14 +222,12 @@ def sample_gaussian(state: GaussianBipartiteState, theta_a: float, theta_b: floa
 
     x_a = np.empty(n)
     x_b = np.empty(n)
-
-    def fill(rng, start, stop):
+    for rng, start, stop in _chunks(n, seed):
         z = rng.standard_normal((stop - start, 2))
         xy = z @ chol.T + mean
         x_a[start:stop] = xy[:, 0]
         x_b[start:stop] = xy[:, 1]
 
-    _run_chunks(n, seed, fill, workers)
     meta = {
         "kind": "gaussian_state",
         "theta_a": theta_a,
@@ -274,8 +256,7 @@ def sample_scheme(config: SimulationConfig, workers: int | None = None) -> Recor
 
     x_a = np.empty(n)
     x_b = np.empty(n)
-
-    def fill(rng, start, stop):
+    for rng, start, stop in _chunks(n, config.seed):
         m = stop - start
         d = np.zeros((m, 2))
         config.scheme.displace(rng, d, root)
@@ -283,7 +264,6 @@ def sample_scheme(config: SimulationConfig, workers: int | None = None) -> Recor
         x_a[start:stop] = eta * (d @ proj_a) + noise[:, 0]
         x_b[start:stop] = eta_t * (d @ proj_b) + noise[:, 1]
 
-    _run_chunks(n, config.seed, fill, workers)
     meta = {
         "kind": "scheme",
         "scheme": scheme_to_dict(config.scheme),

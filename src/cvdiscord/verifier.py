@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .errors import (DegenerateSplitError, InsufficientDataError,
-                     NumericError, ValidationError)
+from .errors import (EmptySideError, InsufficientDataError, NumericError,
+                     ValidationError)
 from .marginals import analytic_peak_separation, joint_marginal_form
 from .sampler import RecordSet, sample_gaussian
 
@@ -80,6 +80,18 @@ class Histogram:
 
 
 @dataclass(frozen=True)
+class ConditionalHistograms:
+    """One pair's B outcomes binned whole and per side, on shared edges."""
+
+    whole: Histogram
+    plus: Histogram
+    minus: Histogram
+    mean: float
+    var_plus: float
+    var_minus: float
+
+
+@dataclass(frozen=True)
 class PeakEstimate:
     location: float
     std_error: float
@@ -105,6 +117,7 @@ class PairStats:
     chi2: ChiSquareResult
     n_plus: int
     n_minus: int
+    hists: ConditionalHistograms | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -133,6 +146,7 @@ class MixtureVerdict:
     threshold: float
     variance_ratio: float
     meta: dict = field(default_factory=dict)
+    hists: ConditionalHistograms | None = field(default=None, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -140,22 +154,29 @@ class MixtureVerdict:
 # ---------------------------------------------------------------------------
 
 
+def _sign_split(rs: RecordSet, threshold: float, where: str = ""):
+    """The plus-side mask x_A >= threshold and the B outcomes of each side;
+    an empty side is bad input, named by the threshold and where."""
+    plus_mask = rs.x_a >= threshold
+    n_plus = int(plus_mask.sum())
+    if n_plus == 0 or n_plus == len(rs):
+        raise EmptySideError(
+            f"threshold {threshold} leaves one side empty{where} "
+            f"({n_plus} of {len(rs)} records on the plus side)"
+        )
+    return plus_mask, rs.x_b[plus_mask], rs.x_b[~plus_mask]
+
+
 def split_by_threshold(rs: RecordSet, threshold: float = 0.0
                        ) -> tuple[RecordSet, RecordSet]:
     """Partition records on the A outcome: x_A >= threshold goes to the
     plus side, the rest to the minus side."""
-    plus_mask = rs.x_a >= threshold
-    n_plus = int(plus_mask.sum())
-    if n_plus == 0 or n_plus == len(rs):
-        raise DegenerateSplitError(
-            f"threshold {threshold} leaves one side empty "
-            f"({n_plus} of {len(rs)} records on the plus side)"
-        )
+    plus_mask, plus_b, minus_b = _sign_split(rs, threshold)
     minus_mask = ~plus_mask
     plus = RecordSet(rs.theta_a[plus_mask], rs.theta_b[plus_mask],
-                     rs.x_a[plus_mask], rs.x_b[plus_mask], dict(rs.meta))
+                     rs.x_a[plus_mask], plus_b, dict(rs.meta))
     minus = RecordSet(rs.theta_a[minus_mask], rs.theta_b[minus_mask],
-                      rs.x_a[minus_mask], rs.x_b[minus_mask], dict(rs.meta))
+                      rs.x_a[minus_mask], minus_b, dict(rs.meta))
     return plus, minus
 
 
@@ -170,9 +191,7 @@ def bin_count_fd(values: np.ndarray) -> int:
     span = float(values.max() - values.min())
     q75, q25 = np.percentile(values, [75.0, 25.0])
     iqr = q75 - q25
-    if span <= 0:
-        return MIN_BINS
-    if iqr <= 0:
+    if span <= 0 or iqr <= 0:
         return MIN_BINS
     width = 2.0 * iqr / len(values) ** (1.0 / 3.0)
     k = int(np.ceil(span / width)) if width > 0 else MAX_BINS
@@ -200,6 +219,16 @@ def estimate_density(data, bins: int | None = None,
     full = np.linspace(lo - width, hi + width, k + 3)
     counts, _ = np.histogram(values, bins=full)
     return Histogram(full, counts)
+
+
+def _bin_sides(x_b, plus_b, minus_b) -> ConditionalHistograms:
+    """Bin x_b whole by the Freedman-Diaconis rule and the plus side on its
+    edges; minus = whole - plus is exact, as the range holds every value."""
+    whole = estimate_density(x_b)
+    plus = estimate_density(plus_b, edges=whole.edges)
+    return ConditionalHistograms(
+        whole, plus, Histogram(whole.edges, whole.counts - plus.counts),
+        float(x_b.mean()), float(plus_b.var()), float(minus_b.var()))
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +329,17 @@ def separation_statistic(rs: RecordSet, threshold: float = 0.0,
 
 
 def _separation(rs: RecordSet, threshold: float, ss: np.random.SeedSequence,
-                n_boot: int):
+                n_boot: int, where: str = ""):
     """Split on the A outcome and fit both B peaks, bootstrapping each side
-    with its own stream spawned from ss; returns ((plus, minus),
+    with its own stream spawned from ss; returns ((plus_b, minus_b),
     (delta, sigma, peak_plus, peak_minus))."""
-    plus, minus = split_by_threshold(rs, threshold)
+    _, plus_b, minus_b = _sign_split(rs, threshold, where)
     rng_p, rng_m = [np.random.default_rng(s) for s in ss.spawn(2)]
-    peak_p = estimate_peak(estimate_density(plus), rng_p, n_boot)
-    peak_m = estimate_peak(estimate_density(minus), rng_m, n_boot)
+    peak_p = estimate_peak(estimate_density(plus_b), rng_p, n_boot)
+    peak_m = estimate_peak(estimate_density(minus_b), rng_m, n_boot)
     delta = peak_p.location - peak_m.location
     sigma = float(np.hypot(peak_p.std_error, peak_m.std_error))
-    return (plus, minus), (delta, sigma, peak_p, peak_m)
+    return (plus_b, minus_b), (delta, sigma, peak_p, peak_m)
 
 
 # ---------------------------------------------------------------------------
@@ -379,17 +408,15 @@ def _pair_stats(rs: RecordSet, theta_a: float, theta_b: float,
                 threshold: float, seed: int, n_boot: int,
                 pair_index: int) -> PairStats:
     ss = np.random.SeedSequence((seed, pair_index))
-    (plus, minus), (delta, sigma, _, _) = _separation(rs, threshold, ss, n_boot)
+    (plus_b, minus_b), (delta, sigma, _, _) = _separation(
+        rs, threshold, ss, n_boot,
+        f" at phase pair ({theta_a:.6g}, {theta_b:.6g})")
     k = abs(delta) / sigma if sigma > 0 else np.inf
-    # common binning for the two-sample comparison
-    both = np.concatenate([plus.x_b, minus.x_b])
-    edges = estimate_density(both).edges
-    chi2 = chi_square_two_sample(
-        estimate_density(plus, edges=edges), estimate_density(minus, edges=edges)
-    )
+    hists = _bin_sides(rs.x_b, plus_b, minus_b)
     return PairStats(theta_a=theta_a, theta_b=theta_b, delta=delta,
-                     sigma_delta=sigma, k=float(k), chi2=chi2,
-                     n_plus=len(plus), n_minus=len(minus))
+                     sigma_delta=sigma, k=float(k),
+                     chi2=chi_square_two_sample(hists.plus, hists.minus),
+                     n_plus=len(plus_b), n_minus=len(minus_b), hists=hists)
 
 
 def _pairs_present(rs: RecordSet, shown: int = 8) -> str:
@@ -455,24 +482,23 @@ def verdict_mixture(rs: RecordSet, threshold: float,
     p-value drops below alpha.  Peak and mean shifts per side are reported
     as diagnostics.
     """
-    plus, minus = split_by_threshold(rs, threshold)
-    hist_all = estimate_density(rs)
-    edges = hist_all.edges
+    _, plus_b, minus_b = _sign_split(rs, threshold)
+    hists = _bin_sides(rs.x_b, plus_b, minus_b)
     ss = np.random.SeedSequence((seed, 0xA11))
     rngs = [np.random.default_rng(s) for s in ss.spawn(3)]
-    peak_all = estimate_peak(hist_all, rngs[0], n_boot)
-    mean_all = float(rs.x_b.mean())
+    peak_all = estimate_peak(hists.whole, rngs[0], n_boot)
     sides = []
-    for sign, side, rng in ((1, plus, rngs[1]), (-1, minus, rngs[2])):
-        hist_side = estimate_density(side, edges=edges)
-        chi2 = chi_square_two_sample(hist_side, hist_all)
+    for sign, hist_side, side_b, variance, rng in (
+            (1, hists.plus, plus_b, hists.var_plus, rngs[1]),
+            (-1, hists.minus, minus_b, hists.var_minus, rngs[2])):
+        chi2 = chi_square_two_sample(hist_side, hists.whole)
         peak_side = estimate_peak(hist_side, rng, n_boot)
         sides.append(SideReport(
             sign=sign,
             chi2=chi2,
             peak_shift=peak_side.location - peak_all.location,
-            mean_shift=float(side.x_b.mean()) - mean_all,
-            variance=float(side.x_b.var()),
+            mean_shift=float(side_b.mean()) - hists.mean,
+            variance=variance,
         ))
     variance_ratio = max(sides[0].variance, sides[1].variance) / min(
         sides[0].variance, sides[1].variance)
@@ -484,6 +510,7 @@ def verdict_mixture(rs: RecordSet, threshold: float,
         threshold=threshold,
         variance_ratio=float(variance_ratio),
         meta=dict(rs.meta),
+        hists=hists,
     )
 
 
@@ -512,8 +539,7 @@ def sweep_modulation(depths, n: int, seed: int, eta: float = 1.0 / np.sqrt(2.0),
     for i, depth in enumerate(depths):
         state = split_balanced(modulated_beam(0.0, depth, v0))
         form = joint_marginal_form(state, half_pi, half_pi)
-        rs = sample_gaussian(state, half_pi, half_pi, n, seed=int(seed + i),
-                             workers=workers)
+        rs = sample_gaussian(state, half_pi, half_pi, n, seed=int(seed + i))
         delta, sigma, _, _ = separation_statistic(rs, 0.0, seed=int(seed + i),
                                                   n_boot=n_boot)
         rows.append({

@@ -14,7 +14,10 @@ from cvdiscord import cli
 from cvdiscord.cli import main, parse_depths, parse_pairs
 from cvdiscord.errors import ValidationError
 from cvdiscord.fock import fock_state_from_json
-from cvdiscord.sampler import scheme_from_dict, scheme_to_dict
+from cvdiscord.sampler import (RecordSet, read_records, scheme_from_dict,
+                               scheme_to_dict)
+from cvdiscord.verifier import (estimate_density, split_by_threshold,
+                                verdict_gaussian, verdict_mixture)
 
 
 def sha256(path):
@@ -135,17 +138,40 @@ def test_round_trip_gaussian_verdict(tmp_path, monkeypatch):
     assert max(ks) >= 3.0
 
 
-def test_round_trip_mixture_verdict_with_plotdata(tmp_path, monkeypatch):
+def _plotdata_reference(rs, threshold=0.0):
+    """The five --plotdata columns rebuilt from the public API."""
+    plus, minus = split_by_threshold(rs, threshold)
+    whole = estimate_density(rs)
+    x = whole.centers
+    mean = float(rs.x_b.mean())
+    avg_var = 0.5 * (float(plus.x_b.var()) + float(minus.x_b.var()))
+    ref = np.exp(-((x - mean) ** 2) / (2.0 * avg_var)) / math.sqrt(
+        2.0 * math.pi * avg_var)
+    return np.column_stack([
+        x, whole.density(),
+        estimate_density(plus, edges=whole.edges).density(),
+        estimate_density(minus, edges=whole.edges).density(), ref])
+
+
+@pytest.mark.parametrize("mode", ["gaussian", "mixture"])
+def test_round_trip_verdict_with_plotdata(tmp_path, monkeypatch, mode):
     monkeypatch.chdir(tmp_path)
-    assert run("simulate", "--scheme", "switched-noise", "--depth", "3.0",
-               "--duty", "0.5", "--n", "20000", "--seed", "2",
-               "--theta-a", "0", "--theta-b", "0", "--out", "rec.csv") == 0
-    assert run("verify", "--records", "rec.csv", "--mode", "mixture",
+    if mode == "gaussian":
+        simulate = ("--depth", "2.0", "--n", "10000", "--seed", "1")
+        # the first requested pair is not the first pair in the file
+        verify = ("--pairs", "90,90;0,0", "--boot", "50")
+    else:
+        simulate = ("--scheme", "switched-noise", "--depth", "3.0",
+                    "--duty", "0.5", "--n", "20000", "--seed", "2",
+                    "--theta-a", "0", "--theta-b", "0")
+        verify = ("--mode", "mixture")
+    assert run("simulate", *simulate, "--out", "rec.csv") == 0
+    assert run("verify", "--records", "rec.csv", *verify,
                "--out", "verdict.json", "--plotdata", "plot.csv") == 0
 
     doc = json.loads((tmp_path / "verdict.json").read_text())
     assert doc["decision"] == "discordant"
-    assert len(doc["sides"]) == 2
+    assert len(doc["pairs" if mode == "gaussian" else "sides"]) == 2
 
     plot = tmp_path / "plot.csv"
     header = plot.read_text().splitlines()[0]
@@ -157,6 +183,55 @@ def test_round_trip_mixture_verdict_with_plotdata(tmp_path, monkeypatch):
     # the unconditional curve is a density over the plotted window
     mass = np.trapezoid(cols[:, 1], cols[:, 0])
     assert mass == pytest.approx(1.0, abs=0.05)
+
+    # gaussian mode plots the first requested pair, mixture mode all records
+    rs = read_records(tmp_path / "rec.csv")
+    if mode == "gaussian":
+        rs = rs.select_pair(math.radians(90.0), math.radians(90.0))
+    np.testing.assert_array_equal(cols, _plotdata_reference(rs))
+
+
+def test_verdict_histograms_agree_with_the_verdict():
+    rng = np.random.default_rng(4)
+    n = 6000
+    x_a = np.round(rng.normal(size=n), 2)  # some x_A sit on the threshold
+    # x_B on a 0.05 grid, so many records share a value
+    x_b = np.round(rng.normal(size=n) + 0.8 * x_a, 1) / 2.0
+    rs = RecordSet(np.zeros(n), np.zeros(n), x_a, x_b)
+    n_plus = int((x_a >= 0.0).sum())
+    pair = verdict_gaussian(rs, n_boot=20, pairs=[(0.0, 0.0)]).per_pair[0]
+    assert (pair.n_plus, pair.n_minus) == (n_plus, n - n_plus)
+    for hists in (pair.hists, verdict_mixture(rs, 0.0, n_boot=20).hists):
+        assert (hists.plus.total, hists.minus.total) == (n_plus, n - n_plus)
+        assert hists.whole.total == n
+        assert np.array_equal(hists.plus.edges, hists.whole.edges)
+        assert np.array_equal(hists.minus.edges, hists.whole.edges)
+        assert np.all(hists.minus.counts >= 0)
+        assert np.array_equal(hists.plus.counts + hists.minus.counts,
+                              hists.whole.counts)
+        assert np.array_equal(
+            hists.minus.counts,
+            np.histogram(x_b[x_a < 0.0], bins=hists.whole.edges)[0])
+
+
+def test_empty_side_of_the_threshold_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--scheme", "switched-phase", "--depth", "1.5",
+               "--n", "3000", "--seed", "5", "--out", "sp.npz") == 0
+    assert run("simulate", "--n", "3000", "--pairs", "0,0;90,90",
+               "--out", "g.npz") == 0
+    capsys.readouterr()
+    assert run("verify", "--records", "sp.npz", "--mode", "mixture",
+               "--threshold", "-6", "--out", "v.json") == 1
+    assert capsys.readouterr().err == (
+        "error: threshold -6.0 leaves one side empty "
+        "(3000 of 3000 records on the plus side)\n")
+    assert run("verify", "--records", "g.npz", "--pairs", "0,0;90,90",
+               "--threshold", "100", "--out", "v.json") == 1
+    assert capsys.readouterr().err == (
+        "error: threshold 100.0 leaves one side empty at phase pair (0, 0) "
+        "(0 of 3000 records on the plus side)\n")
+    assert not (tmp_path / "v.json").exists()
 
 
 # ---------------------------------------------------------------------------
