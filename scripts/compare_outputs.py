@@ -16,7 +16,10 @@ with --plotdata, sweep, and counterexample with --plotdata and
 tree.  It then compares every output file byte for byte, except manifests,
 which are compared as JSON without their "timings_s" and "versions"
 entries, and each command's exit code, stdout and stderr.  It prints one
-line per difference and exits 1 if there is any, else 0.
+line per difference and exits 1 if there is any, else 0.  For a JSON or
+CSV file that differs, the line gives the largest relative difference
+between its paired numbers, whether a "decision" field changed, and
+whether any text, null or layout differs too.
 """
 
 from __future__ import annotations
@@ -85,6 +88,66 @@ def comparable(path: Path):
     return doc
 
 
+def _parsed(path: Path):
+    """A JSON or CSV output as nested lists and dicts, CSV fields as
+    floats where they parse; None for any other file."""
+    if path.suffix == ".json":
+        return comparable(path) if path.name.endswith(".manifest.json") \
+            else json.loads(path.read_text())
+    if path.suffix != ".csv":
+        return None
+    rows = []
+    for line in path.read_text().splitlines():
+        row = []
+        for text in line.split(","):
+            try:
+                row.append(float(text))
+            except ValueError:
+                row.append(text)
+        rows.append(row)
+    return rows
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _walk(old, new, found: dict, where: str = "") -> None:
+    """Pair the numbers of old and new, keeping in found the largest
+    relative difference and where it is, whether a "decision" changed and
+    whether anything else (text, null, layout) differs."""
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        for key in old:
+            if key == "decision" and old[key] != new[key]:
+                found["decision"] = True
+            _walk(old[key], new[key], found, f"{where}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            _walk(a, b, found, f"{where}[{i}]")
+    elif _number(old) and _number(new):
+        if old != new:
+            rel = abs(old - new) / max(abs(old), abs(new))
+            found["rel"] = max(found["rel"], (rel, where))
+    elif old != new:
+        found["other"] = True
+
+
+def describe(old: Path, new: Path) -> str:
+    """How the contents of two differing output files differ."""
+    old_doc, new_doc = _parsed(old), _parsed(new)
+    if old_doc is None:
+        return "contents differ"
+    found = {"rel": (0.0, ""), "decision": False, "other": False}
+    _walk(old_doc, new_doc, found)
+    rel, where = found["rel"]
+    parts = [f"numbers differ by at most {rel:.3g} relative (at {where})"
+             if rel else "numbers equal",
+             "decision changed" if found["decision"] else "decision unchanged"]
+    if found["other"]:
+        parts.append("text, null or layout differs")
+    return ", ".join(parts)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -111,7 +174,7 @@ def main(argv=None) -> int:
             diffs.append(f"{name}: written only by the {side} tree")
         for name in sorted(old_files & new_files):
             if comparable(old_dir / name) != comparable(new_dir / name):
-                diffs.append(f"{name}: contents differ")
+                diffs.append(f"{name}: {describe(old_dir / name, new_dir / name)}")
         checked = len(old_files & new_files)
     for line in diffs:
         print(line)

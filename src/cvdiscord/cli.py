@@ -279,10 +279,7 @@ def parse_pairs(text: str) -> list[tuple[float, float]]:
 
 
 def _pick(*values):
-    for v in values:
-        if v is not None:
-            return v
-    return None
+    return next((v for v in values if v is not None), None)
 
 
 def _noise_depths(cfg: dict) -> tuple[float, float]:

@@ -37,22 +37,44 @@ class ParseError(ValidationError):
         self.row = row
 
 
-def require_fields(doc, names, what: str) -> dict:
-    """doc, once it is a JSON object holding every field in names; else a
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_number, value))
+
+
+# the check require_fields makes for each type it can demand of a field
+FIELD_TYPES = {
+    "a number": _number,
+    "a string": lambda v: isinstance(v, str),
+    "a list": lambda v: isinstance(v, list),
+    "a [re, im] pair": _pair,
+    "a list of [re, im] pairs": lambda v: isinstance(v, list) and all(map(_pair, v)),
+}
+
+
+def require_fields(doc, fields: dict, what: str) -> dict:
+    """doc, once it is a JSON object holding every field in fields, each of
+    the type fields names for it (a key of FIELD_TYPES); else a
     ValidationError naming what is wrong."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} must be a JSON object, "
                               f"got {type(doc).__name__}")
-    for name in names:
+    for name, kind in fields.items():
         if name not in doc:
             raise ValidationError(f"{what} lacks the field {name!r}")
+        if not FIELD_TYPES[kind](doc[name]):
+            raise ValidationError(f"field {name!r} of the {what} must be {kind}, "
+                                  f"got {type(doc[name]).__name__}")
     return doc
 
 
 def kind_class(doc, table: dict, what: str):
     """The class that table holds for the "kind" field of the JSON object
     doc; an unknown kind is a ValidationError."""
-    kind = require_fields(doc, ("kind",), what)["kind"]
-    if not isinstance(kind, str) or kind not in table:
+    kind = require_fields(doc, {"kind": "a string"}, what)["kind"]
+    if kind not in table:
         raise ValidationError(f"unknown {what} kind {kind!r}")
     return table[kind]

@@ -459,7 +459,8 @@ def fock_state_from_json(text: str) -> FockDensityMatrix:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"bad state document: {exc}") from exc
-    require_fields(doc, ("dim_A", "dim_B", "v0", "entries"), "state document")
+    require_fields(doc, {"dim_A": "a number", "dim_B": "a number", "v0": "a number",
+                         "entries": "a list of [re, im] pairs"}, "state document")
     da, db = int(doc["dim_A"]), int(doc["dim_B"])
     d = da * db
     flat = np.array([complex(re, im) for re, im in doc["entries"]])

@@ -249,9 +249,9 @@ class CoherentPoint:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "CoherentPoint":
-        require_fields(doc, ("weight", "alpha"), "coherent component")
-        re, im = doc["alpha"]
-        return cls(doc["weight"], complex(re, im))
+        require_fields(doc, {"weight": "a number", "alpha": "a [re, im] pair"},
+                       "coherent component")
+        return cls(doc["weight"], complex(*doc["alpha"]))
 
 
 @dataclass(frozen=True)
@@ -281,7 +281,8 @@ class ThermalComponent:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ThermalComponent":
-        require_fields(doc, ("weight", "nbar"), "thermal component")
+        require_fields(doc, {"weight": "a number", "nbar": "a number"},
+                       "thermal component")
         return cls(doc["weight"], doc["nbar"])
 
 
@@ -335,7 +336,8 @@ class ArcsineComponent:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ArcsineComponent":
-        require_fields(doc, ("weight", "alpha0"), "arcsine component")
+        require_fields(doc, {"weight": "a number", "alpha0": "a number"},
+                       "arcsine component")
         return cls(doc["weight"], doc["alpha0"])
 
 
@@ -449,7 +451,7 @@ def mixture_from_json(text: str) -> PMixtureState:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"bad mixture document: {exc}") from exc
-    require_fields(doc, ("eta", "components"), "mixture document")
+    require_fields(doc, {"eta": "a number", "components": "a list"}, "mixture document")
     comps = tuple(kind_class(entry, COMPONENTS, "component").from_doc(entry)
                   for entry in doc["components"])
     return PMixtureState(comps, float(doc["eta"]),

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, kind_class
+from .errors import ParseError, ValidationError, kind_class, require_fields
 from .marginals import joint_marginal_form
 from .states import DEFAULT_V0, GaussianBipartiteState
 
@@ -288,12 +288,10 @@ def scheme_from_dict(doc: dict) -> ModulationScheme:
     cls = kind_class(doc, SCHEMES, "scheme")
     fields = {key: value for key, value in doc.items() if key != "kind"}
     names = {f.name for f in dataclasses.fields(cls)}
-    for key, value in fields.items():
+    for key in fields:
         if key not in names:
             raise ValidationError(f"unknown field {key!r} for a {cls.kind} scheme")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"field {key!r} of a {cls.kind} scheme must "
-                                  f"be a number, got {value!r}")
+    require_fields(fields, dict.fromkeys(fields, "a number"), f"{cls.kind} scheme")
     return cls(**fields)
 
 
@@ -369,8 +367,7 @@ def _read_csv(path: Path) -> list[np.ndarray]:
         index, col = bad
         raise ParseError(f"cannot parse {path}: row {_data_line(path, index)}: "
                          f"non-finite {COLUMNS[col]} ({data[index, col]})")
-    return [data[:, 0].copy(), data[:, 1].copy(),
-            data[:, 2].copy(), data[:, 3].copy()]
+    return [data[:, col].copy() for col in range(4)]
 
 
 def _read_npz(path: Path) -> list[np.ndarray]:

@@ -330,7 +330,7 @@ def state_from_json(text: str) -> GaussianBipartiteState:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"bad state document: {exc}") from exc
-    require_fields(doc, ("means", "cov"), "state document")
+    require_fields(doc, {"means": "a list", "cov": "a list"}, "state document")
     return GaussianBipartiteState(
         np.asarray(doc["means"], dtype=float),
         np.asarray(doc["cov"], dtype=float),

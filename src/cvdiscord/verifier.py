@@ -172,18 +172,8 @@ def split_by_threshold(rs: RecordSet, threshold: float = 0.0
     """Partition records on the A outcome: x_A >= threshold goes to the
     plus side, the rest to the minus side."""
     plus_mask, plus_b, minus_b = _sign_split(rs, threshold)
-    minus_mask = ~plus_mask
-    plus = RecordSet(rs.theta_a[plus_mask], rs.theta_b[plus_mask],
-                     rs.x_a[plus_mask], plus_b, dict(rs.meta))
-    minus = RecordSet(rs.theta_a[minus_mask], rs.theta_b[minus_mask],
-                      rs.x_a[minus_mask], minus_b, dict(rs.meta))
-    return plus, minus
-
-
-def _values(data) -> np.ndarray:
-    if isinstance(data, RecordSet):
-        return data.x_b
-    return np.asarray(data, dtype=float)
+    return tuple(RecordSet(rs.theta_a[m], rs.theta_b[m], rs.x_a[m], b, dict(rs.meta))
+                 for m, b in ((plus_mask, plus_b), (~plus_mask, minus_b)))
 
 
 def bin_count_fd(values: np.ndarray) -> int:
@@ -202,7 +192,7 @@ def estimate_density(data, bins: int | None = None,
                      edges: np.ndarray | None = None) -> Histogram:
     """Equal-width histogram spanning [min, max] padded by one bin on each
     side; bin count from the clamped Freedman-Diaconis rule unless given."""
-    values = _values(data)
+    values = data.x_b if isinstance(data, RecordSet) else np.asarray(data, dtype=float)
     if len(values) == 0:
         raise InsufficientDataError("no records to bin")
     if edges is not None:
@@ -236,87 +226,81 @@ def _bin_sides(x_b, plus_b, minus_b) -> ConditionalHistograms:
 # ---------------------------------------------------------------------------
 
 
-def _hist_moments(centers: np.ndarray, counts: np.ndarray
-                  ) -> tuple[float, float, float]:
-    total = counts.sum()
-    mean = float((centers * counts).sum() / total)
-    var = float((((centers - mean) ** 2) * counts).sum() / total)
-    sd = np.sqrt(var) if var > 0 else 0.0
-    if sd > 0:
-        skew = float(((((centers - mean) / sd) ** 3) * counts).sum() / total)
-    else:
-        skew = 0.0
-    return mean, sd, skew
+def _fit_peaks(edges: np.ndarray, counts: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Peak of every row of a (rows, bins) count matrix by the windowed
+    log-parabola fit; returns (locations, max bin on the boundary).
 
-
-def _peak_from_counts(edges: np.ndarray, counts: np.ndarray, sd: float,
-                      skew: float) -> tuple[float, bool]:
-    """Windowed log-parabola peak of one histogram; returns (location,
-    on_boundary)."""
+    The window spans PEAK_WINDOW spreads, shrunk by the skew, each side of
+    the max bin, trimmed to the outermost bins at or above max/LOBE_CUT.
+    """
+    counts = np.asarray(counts, dtype=float)
     centers = 0.5 * (edges[:-1] + edges[1:])
     width = edges[1] - edges[0]
-    i0 = int(np.argmax(counts))
-    if i0 == 0 or i0 == len(counts) - 1:
-        return float(centers[i0]), True
-    half = max(1, int(round(PEAK_WINDOW * sd / (1.0 + abs(skew)) / width)))
-    lo = max(0, i0 - half)
-    hi = min(len(counts), i0 + half + 1)
-    floor = counts[i0] / LOBE_CUT
-    while lo < i0 and counts[lo] < floor:
-        lo += 1
-    while hi - 1 > i0 and counts[hi - 1] < floor:
-        hi -= 1
-    x = centers[lo:hi]
-    c = counts[lo:hi].astype(float)
-    occupied = c > 0
-    if occupied.sum() < 3:
-        # classic three-point parabola through the max bin
-        c_l, c_0, c_r = counts[i0 - 1], counts[i0], counts[i0 + 1]
-        den = float(c_l - 2 * c_0 + c_r)
-        off = 0.5 * (c_l - c_r) / den if den != 0 else 0.0
-        return float(centers[i0] + off * width), False
-    xs = x[occupied]
-    cs = c[occupied]
-    design = np.stack([np.ones_like(xs), xs, xs * xs], axis=1)
-    weighted = design * cs[:, None]
-    try:
-        coef = np.linalg.solve(weighted.T @ design, weighted.T @ np.log(cs))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("singular system in peak fit") from exc
-    if coef[2] >= 0:
-        # no downward curvature resolved; the max bin is the best guess
-        return float(centers[i0]), False
-    vertex = -coef[1] / (2.0 * coef[2])
-    # never report a vertex outside the fitted window
-    vertex = min(max(vertex, xs[0]), xs[-1])
-    return float(vertex), False
+    rows, last = np.arange(len(counts)), counts.shape[1] - 1
+    total = counts.sum(axis=1)
+    dev = centers - ((centers * counts).sum(axis=1) / total)[:, None]
+    sd = np.sqrt((dev ** 2 * counts).sum(axis=1) / total)
+    z = np.divide(dev, sd[:, None], out=np.zeros_like(dev), where=sd[:, None] > 0)
+    skew = (z * z * z * counts).sum(axis=1) / total
+    i0 = counts.argmax(axis=1)
+    boundary = (i0 == 0) | (i0 == last)
+    half = np.maximum(1, np.rint(PEAK_WINDOW * sd / (1.0 + np.abs(skew))
+                                 / width).astype(int))
+    # each row's bins at the offsets -h..h from its max bin, h the widest half
+    h = half.max()
+    offsets = np.arange(-h, h + 1)
+    cols = i0[:, None] + offsets
+    c = np.take_along_axis(counts, np.clip(cols, 0, last), axis=1)
+    keep = ((np.abs(offsets) <= half[:, None]) & (cols >= 0) & (cols <= last)
+            & (c >= c[:, h, None] / LOBE_CUT))
+    # the window runs from the first kept bin to the last
+    occupied = (np.logical_or.accumulate(keep, axis=1) & (c > 0)
+                & np.logical_or.accumulate(keep[:, ::-1], axis=1)[:, ::-1])
+    first = cols[rows, occupied.argmax(axis=1)]
+    final = cols[rows, 2 * h - occupied[:, ::-1].argmax(axis=1)]
+    # fewer than 3 occupied window bins: the three-point parabola at the max
+    c_l, c_0, c_r = c[:, h - 1], c[:, h], c[:, h + 1]
+    den = c_l - 2 * c_0 + c_r
+    off = np.divide(0.5 * (c_l - c_r), den, out=np.zeros_like(den), where=den != 0)
+    x0 = centers[i0]
+    loc = np.where(boundary, x0, x0 + off * width)
+    fit = ~boundary & (occupied.sum(axis=1) >= 3)
+    if fit.any():
+        # count-weighted least squares on log counts, about each max bin
+        w = np.where(occupied[fit], c[fit], 0.0)
+        powers = (offsets * width)[:, None] ** np.arange(5)
+        sums = np.concatenate([w, w * np.log(np.where(w > 0, w, 1.0))]) @ powers
+        try:
+            coef = np.linalg.solve(sums[:len(w), [[0, 1, 2], [1, 2, 3], [2, 3, 4]]],
+                                   sums[len(w):, :3, None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise NumericError("singular system in peak fit") from exc
+        # no downward curvature: the max bin; else the vertex, within the window
+        curved = coef[:, 2] < 0
+        shift = -coef[:, 1] / (2.0 * np.where(curved, coef[:, 2], -1.0))
+        loc[fit] = np.where(curved, np.clip(x0[fit] + shift, centers[first[fit]],
+                                            centers[final[fit]]), x0[fit])
+    return loc, boundary
 
 
 def estimate_peak(hist: Histogram, rng=None,
                   n_boot: int = BOOTSTRAP_DEFAULT) -> PeakEstimate:
-    """Peak location of a histogram with a bootstrap standard error.
-
-    The bootstrap redraws the bin counts multinomially (equivalent to
-    resampling the records, which enter only through the counts) and
-    refits the peak per replicate.
-    """
+    """Peak location of a histogram with a bootstrap standard error: the
+    spread of n_boot >= 2 multinomial redraws of the bin counts (the
+    record bootstrap, as records enter only through the counts), located
+    with the histogram itself in one batched fit."""
+    if not isinstance(n_boot, (int, np.integer)) or n_boot < 2:
+        raise ValidationError(f"n_boot (bootstrap replicates) must be an "
+                              f"integer >= 2, got {n_boot!r}")
     if (hist.counts > 0).sum() < 3:
         raise InsufficientDataError("need at least 3 occupied bins")
-    centers = hist.centers
-    _, sd, skew = _hist_moments(centers, hist.counts)
-    loc, boundary = _peak_from_counts(hist.edges, hist.counts, sd, skew)
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0) if rng is None else rng
     total = hist.total
-    probs = hist.counts / total
-    reps = rng.multinomial(total, probs, size=n_boot)
-    locs = np.empty(n_boot)
-    for b in range(n_boot):
-        counts_b = reps[b]
-        _, sd_b, skew_b = _hist_moments(centers, counts_b)
-        locs[b], _ = _peak_from_counts(hist.edges, counts_b, sd_b, skew_b)
-    return PeakEstimate(location=loc, std_error=float(locs.std()),
-                        method="bin-parabolic", boundary=boundary)
+    reps = rng.multinomial(total, hist.counts / total, size=n_boot)
+    locs, boundary = _fit_peaks(hist.edges, np.vstack([hist.counts, reps]))
+    return PeakEstimate(location=float(locs[0]), std_error=float(locs[1:].std()),
+                        method="bin-parabolic", boundary=bool(boundary[0]))
 
 
 def separation_statistic(rs: RecordSet, threshold: float = 0.0,
@@ -463,13 +447,9 @@ def verdict_gaussian(rs: RecordSet, threshold: float = 0.0,
         for i, (ta, tb, sub) in enumerate(subsets)
     )
     discordant = any(p.k >= k_min for p in per_pair)
-    return DiscordVerdict(
-        per_pair=per_pair,
-        decision="discordant" if discordant else "not-detected",
-        k_min=k_min,
-        threshold=threshold,
-        meta=dict(rs.meta),
-    )
+    return DiscordVerdict(per_pair=per_pair, k_min=k_min, threshold=threshold,
+                          decision="discordant" if discordant else "not-detected",
+                          meta=dict(rs.meta))
 
 
 def verdict_mixture(rs: RecordSet, threshold: float,
@@ -500,15 +480,14 @@ def verdict_mixture(rs: RecordSet, threshold: float,
             mean_shift=float(side_b.mean()) - hists.mean,
             variance=variance,
         ))
-    variance_ratio = max(sides[0].variance, sides[1].variance) / min(
-        sides[0].variance, sides[1].variance)
+    variances = (hists.var_plus, hists.var_minus)
     discordant = any(s.chi2.p_value < alpha for s in sides)
     return MixtureVerdict(
         sides=tuple(sides),
         decision="discordant" if discordant else "not-detected",
         alpha=alpha,
         threshold=threshold,
-        variance_ratio=float(variance_ratio),
+        variance_ratio=float(max(variances) / min(variances)),
         meta=dict(rs.meta),
         hists=hists,
     )

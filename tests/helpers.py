@@ -245,3 +245,62 @@ def chi2_gof_2d(x1: np.ndarray, x2: np.ndarray, density, bins: int = 50,
     stat = float(np.sum((obs_k - exp_k) ** 2 / exp_k))
     dof = len(obs_k) - 1
     return float(stats.chi2.sf(stat, dof))
+
+
+# ---------------------------------------------------------------------------
+# scalar peak-fit reference
+# ---------------------------------------------------------------------------
+
+
+def reference_moments(centers: np.ndarray, counts: np.ndarray
+                      ) -> tuple[float, float, float]:
+    """Mean, sd and skew of one histogram, one bin at a time in numpy."""
+    total = counts.sum()
+    mean = float((centers * counts).sum() / total)
+    var = float((((centers - mean) ** 2) * counts).sum() / total)
+    sd = np.sqrt(var) if var > 0 else 0.0
+    if sd > 0:
+        skew = float(((((centers - mean) / sd) ** 3) * counts).sum() / total)
+    else:
+        skew = 0.0
+    return mean, sd, skew
+
+
+def reference_peak(edges: np.ndarray, counts: np.ndarray
+                   ) -> tuple[float, bool]:
+    """The windowed log-parabola peak of one histogram, fitted on its own
+    with loops and a per-histogram solve on the raw bin centres; returns
+    (location, on_boundary)."""
+    from cvdiscord.verifier import LOBE_CUT, PEAK_WINDOW
+
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    _, sd, skew = reference_moments(centers, counts)
+    width = edges[1] - edges[0]
+    i0 = int(np.argmax(counts))
+    if i0 == 0 or i0 == len(counts) - 1:
+        return float(centers[i0]), True
+    half = max(1, int(round(PEAK_WINDOW * sd / (1.0 + abs(skew)) / width)))
+    lo = max(0, i0 - half)
+    hi = min(len(counts), i0 + half + 1)
+    floor = counts[i0] / LOBE_CUT
+    while lo < i0 and counts[lo] < floor:
+        lo += 1
+    while hi - 1 > i0 and counts[hi - 1] < floor:
+        hi -= 1
+    x = centers[lo:hi]
+    c = counts[lo:hi].astype(float)
+    occupied = c > 0
+    if occupied.sum() < 3:
+        c_l, c_0, c_r = counts[i0 - 1], counts[i0], counts[i0 + 1]
+        den = float(c_l - 2 * c_0 + c_r)
+        off = 0.5 * (c_l - c_r) / den if den != 0 else 0.0
+        return float(centers[i0] + off * width), False
+    xs = x[occupied]
+    cs = c[occupied]
+    design = np.stack([np.ones_like(xs), xs, xs * xs], axis=1)
+    weighted = design * cs[:, None]
+    coef = np.linalg.solve(weighted.T @ design, weighted.T @ np.log(cs))
+    if coef[2] >= 0:
+        return float(centers[i0]), False
+    vertex = -coef[1] / (2.0 * coef[2])
+    return float(min(max(vertex, xs[0]), xs[-1])), False

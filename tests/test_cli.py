@@ -234,6 +234,23 @@ def test_empty_side_of_the_threshold_exits_1(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "v.json").exists()
 
 
+@pytest.mark.parametrize("boot", ["1", "0", "-3"])
+@pytest.mark.parametrize("mode", ["gaussian", "mixture"])
+def test_verify_needs_two_bootstrap_replicates(tmp_path, monkeypatch, capsys,
+                                               mode, boot):
+    # one replicate has no spread: sigma_delta 0 would make any pair discordant
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--depth", "0", "--n", "3000", "--pairs", "0,0",
+               "--out", "rec.npz") == 0
+    capsys.readouterr()
+    assert run("verify", "--records", "rec.npz", "--mode", mode,
+               "--pairs", "0,0", "--boot", boot, "--out", "v.json") == 1
+    assert capsys.readouterr().err == (
+        f"error: n_boot (bootstrap replicates) must be an integer >= 2, "
+        f"got {boot}\n")
+    assert not (tmp_path / "v.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

@@ -359,6 +359,23 @@ def test_fock_state_json_round_trip():
         fock_state_from_json(doc)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("entries", "x"), ("dim_A", "7"), ("v0", None)])
+def test_fock_state_from_json_rejects_a_wrong_typed_field(field, value):
+    doc = json.loads(fock_state_to_json(build_ce_zero_discord(alpha=0.8, dim_b=4)))
+    doc[field] = value
+    with pytest.raises(ValidationError, match=f"field '{field}' of the state document"):
+        fock_state_from_json(json.dumps(doc))
+
+
+def test_fock_state_from_json_rejects_an_entry_that_is_not_a_pair():
+    doc = json.loads(fock_state_to_json(build_ce_zero_discord(alpha=0.8, dim_b=4)))
+    doc["entries"][3] = [1.0]
+    with pytest.raises(ValidationError, match=r"field 'entries' of the state "
+                       r"document must be a list of \[re, im\] pairs"):
+        fock_state_from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize("field", ["dim_A", "dim_B", "v0", "entries", None])
 def test_fock_state_from_json_names_a_missing_field(field):
     doc = json.loads(fock_state_to_json(build_ce_zero_discord(alpha=0.8, dim_b=4)))

@@ -434,6 +434,22 @@ def test_mixture_from_json_names_a_missing_field(doc, named):
         mixture_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("doc, named, kind", [
+    ({"eta": "x", "components": [{"kind": "thermal", "weight": 1.0, "nbar": 0.5}]},
+     "eta", "a number"),
+    ({"eta": 0.5, "components": 5}, "components", "a list"),
+    ({"eta": 0.5, "components": [{"kind": "coherent", "weight": 1.0, "alpha": 1.0}]},
+     "alpha", r"a \[re, im\] pair"),
+    ({"eta": 0.5, "components": [{"kind": "coherent", "weight": 1.0, "alpha": [1.0]}]},
+     "alpha", r"a \[re, im\] pair"),
+    ({"eta": 0.5, "components": [{"kind": "arcsine", "weight": "1", "alpha0": 1.0}]},
+     "weight", "a number"),
+])
+def test_mixture_from_json_rejects_a_wrong_typed_field(doc, named, kind):
+    with pytest.raises(ValidationError, match=f"field '{named}' .* must be {kind}"):
+        mixture_from_json(json.dumps(doc))
+
+
 def test_density_curve_exports(tmp_path):
     x = np.linspace(-1.0, 1.0, 5)
     columns = {"uncond": np.exp(-x**2), "cond": np.exp(-((x - 0.1) ** 2))}

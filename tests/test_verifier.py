@@ -43,6 +43,7 @@ from cvdiscord.verifier import (
     ChiSquareResult,
     DiscordVerdict,
     PairStats,
+    _fit_peaks,
     bin_count_fd,
     histogram_to_csv,
     sweep_to_csv,
@@ -189,6 +190,80 @@ def test_peak_needs_three_occupied_bins():
         estimate_peak(estimate_density(np.array([1.0])))
     with pytest.raises(InsufficientDataError):
         estimate_peak(estimate_density(np.full(10, 3.25)))
+
+
+@pytest.mark.parametrize("n_boot", [1, 0, -3, 2.5])
+def test_peak_needs_two_bootstrap_replicates(n_boot):
+    hist = estimate_density(np.random.default_rng(3).normal(size=2_000))
+    with pytest.raises(ValidationError, match=f"n_boot .* got {n_boot}$"):
+        estimate_peak(hist, np.random.default_rng(0), n_boot)
+
+
+# a Gaussian profile of sd 6 bins peaked at bin 20, on 40 bins
+GAUSS_COUNTS = np.rint(1000 * np.exp(-(np.arange(40) - 20) ** 2 / 72.0)).astype(int)
+
+
+def _changed(counts, changes: dict) -> np.ndarray:
+    counts = np.array(counts, dtype=int)
+    for index, value in changes.items():
+        counts[index] = value
+    return counts
+
+
+# rows that take each branch of the peak fit, on 40 bins of width 0.5
+BRANCH_ROWS = {
+    "maximum on the left edge": np.arange(40, 0, -1),
+    "maximum on the right edge": np.arange(1, 41),
+    "fewer than 3 occupied bins": _changed(np.zeros(40), {19: 3, 20: 50, 21: 5}),
+    "2 occupied bins about an empty one": _changed(
+        np.zeros(40), {5: 5, 18: 40, 20: 50, 21: 3, 35: 5}),
+    "one occupied bin": _changed(np.zeros(40), {20: 7}),
+    "3 occupied bins": _changed(np.zeros(40), {19: 30, 20: 50, 21: 20}),
+    "shallow curvature": np.rint(
+        1000 * np.exp(-(np.arange(40) - 20.4) ** 2 / 1800.0)).astype(int),
+    "no downward curvature": _changed(GAUSS_COUNTS, {
+        16: 900, 17: 600, 18: 450, 19: 600, 21: 600, 22: 450, 23: 600, 24: 900}),
+    "vertex clamped to the window": _changed(GAUSS_COUNTS, {
+        16: 300, 17: 450, 18: 620, 19: 800, 21: 40, 22: 30, 23: 20, 24: 10,
+        25: 5}),
+    "lobes trimmed at both ends": _changed(GAUSS_COUNTS,
+                                           {15: 50, 16: 60, 24: 700, 25: 30}),
+    "empty bin inside the window": _changed(GAUSS_COUNTS, {21: 950, 22: 0}),
+    "gaussian": GAUSS_COUNTS,
+}
+BRANCH_EDGES = np.linspace(-10.0, 10.0, 41)
+
+
+def test_batched_peak_fit_matches_the_scalar_reference_on_each_branch():
+    rows = np.array(list(BRANCH_ROWS.values()))
+    ref = [H.reference_peak(BRANCH_EDGES, row) for row in rows]
+    locs, boundary = _fit_peaks(BRANCH_EDGES, rows)
+    assert np.abs(locs - [loc for loc, _ in ref]).max() <= 1e-10
+    assert boundary.tolist() == [edge for _, edge in ref]
+    assert boundary.tolist() == [name.startswith("maximum") for name in BRANCH_ROWS]
+    for row, (loc, edge) in zip(rows, ref):
+        alone, flag = _fit_peaks(BRANCH_EDGES, row[None])
+        assert abs(alone[0] - loc) <= 1e-10 and flag[0] == edge
+
+
+@pytest.mark.parametrize("n", [500, 20_000, 1_000_000])
+@pytest.mark.parametrize("depth", [0.0, 4.5])
+def test_batched_peak_fit_matches_the_scalar_reference_on_replicates(depth, n):
+    state = split_balanced(modulated_beam(0.0, depth))
+    rs = sample_gaussian(state, HALF_PI, HALF_PI, n, seed=17)
+    hist = estimate_density(split_by_threshold(rs)[0])
+    est = estimate_peak(hist, np.random.default_rng(4), 100)
+    # the bootstrap draws, as estimate_peak makes them
+    reps = np.random.default_rng(4).multinomial(
+        hist.total, hist.counts / hist.total, size=100)
+    counts = np.vstack([hist.counts, reps])
+    locs, boundary = _fit_peaks(hist.edges, counts)
+    ref = np.array([H.reference_peak(hist.edges, row) for row in counts])
+    assert np.abs(locs - ref[:, 0]).max() <= 1e-10
+    assert boundary.tolist() == ref[:, 1].astype(bool).tolist()
+    assert (est.location, est.std_error) == (locs[0], locs[1:].std())
+    assert est.boundary == boundary[0]
+    assert abs(est.std_error - ref[1:, 0].std()) <= 1e-10
 
 
 def test_peak_estimates_converge_with_sample_size():
