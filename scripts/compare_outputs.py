@@ -9,17 +9,18 @@ Each SRC is a directory that holds the ``cvdiscord`` package, e.g. the
 
 and then compared with ``python scripts/compare_outputs.py /tmp/old/src src``.
 
-For each tree the script runs the same command set (simulate for every
-scheme in both record formats and with --workers 3, verify in both modes
-with --plotdata, sweep, and counterexample with --plotdata and
---dump-state) in a fresh temporary directory, with PYTHONPATH set to that
-tree.  It then compares every output file byte for byte, except manifests,
-which are compared as JSON without their "timings_s" and "versions"
-entries, and each command's exit code, stdout and stderr.  It prints one
-line per difference and exits 1 if there is any, else 0.  For a JSON or
-CSV file that differs, the line gives the largest relative difference
-between its paired numbers, whether a "decision" field changed, and
-whether any text, null or layout differs too.
+For each tree the script writes the same config files into a fresh
+temporary directory and runs the same command set there (simulate for
+every scheme in both record formats and with --workers 3, verify in both
+modes with --plotdata, simulate and verify from a config file, sweep, and
+counterexample with --plotdata and --dump-state), with PYTHONPATH set to
+that tree.  It then compares every output file byte for byte, except
+manifests, which are compared as JSON without their "timings_s" and
+"versions" entries, and each command's exit code, stdout and stderr.  It
+prints one line per difference and exits 1 if there is any, else 0.  For a
+JSON or CSV file that differs, the line gives the largest relative
+difference between its paired numbers, whether a "decision" field changed,
+and whether any text, null or layout differs too.
 """
 
 from __future__ import annotations
@@ -61,15 +62,29 @@ COMMANDS = [
     ("verify", "--records", "phase.npz", "--mode", "mixture",
      "--threshold", "-6", "--boot", "50", "--out", "v_phase.json",
      "--plotdata", "p_phase.csv"),
+    ("simulate", "--config", "sim.json"),
+    ("verify", "--config", "verify.json", "--boot", "50"),
     ("sweep", "--depths", "0:3:4", "--n", "5000", "--out", "sweep.csv"),
     ("counterexample", "--which", "both", "--out", "ce.json",
      "--plotdata", "curves", "--dump-state", "state"),
 ]
 
+# config files the commands above read, written into each work directory
+CONFIGS = {
+    "sim.json": {"scheme": "switched-noise", "depth": 2, "duty": 0.4,
+                 "n": 20000, "seed": 5, "theta_a": 90, "theta_b": 90,
+                 "out": "cfg.npz"},
+    "verify.json": {"records": "cfg.npz", "mode": "mixture",
+                    "threshold": 0.5, "seed": 2, "out": "v_cfg.json",
+                    "plotdata": "p_cfg.csv"},
+}
+
 
 def run_tree(src: Path, workdir: Path) -> list[tuple[int, str, str]]:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     env.pop("CVDISCORD_OUTDIR", None)
+    for name, doc in CONFIGS.items():
+        (workdir / name).write_text(json.dumps(doc))
     results = []
     for argv in COMMANDS:
         proc = subprocess.run([sys.executable, "-m", "cvdiscord.cli", *argv],

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ToolkitError, ValidationError
+from .errors import ToolkitError, ValidationError, read_document
 from .fock import (build_ce_hidden_discord, build_ce_zero_discord,
                    commutator_norm, conditional_b_given_sign, default_grid,
                    fock_state_to_json, grid_moments, grid_peak,
@@ -93,7 +93,6 @@ _OPTIONS = {
                               'comma list'}),
         "n": (100000, {"type": int}),
         "seed": (0, {"type": int}),
-        "eta": (1.0 / math.sqrt(2.0), {"type": float}),
         "v0": (1.0, {"type": float}),
         "workers": (None, {"type": int, "help": "accepted; has no effect"}),
         "out": ("sweep.csv", {"type": Path}),
@@ -138,25 +137,17 @@ def _effective_config(args: argparse.Namespace) -> dict:
     options = _OPTIONS[args.command]
     eff = {key: default for key, (default, _) in options.items()}
     if args.config is not None:
-        cfg_path = Path(args.config)
-        if not cfg_path.exists():
-            raise ValidationError(f"no such config file: {cfg_path}")
-        try:
-            doc = json.loads(cfg_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad config JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ValidationError("config must be a JSON object")
-        for key, value in doc.items():
-            if key not in options:
-                raise ValidationError(
-                    f"unknown config key {key!r} for {args.command}"
-                )
-            choices = options[key][1].get("choices")
-            if choices is not None and value not in choices:
-                raise ValidationError(f"config key {key!r}: invalid choice: "
-                                      f"{value!r} (choose from {choices})")
-            eff[key] = value
+        if not args.config.exists():
+            raise ValidationError(f"no such config file: {args.config}")
+        # a config value has its flag's choices or type (a Path or untyped
+        # flag takes a string), and null leaves the option at its default
+        names = {float: "a number", int: "an integer"}
+        types = {key: kwargs.get("choices") or names.get(kwargs.get("type"), "a string")
+                 for key, (_, kwargs) in options.items()}
+        eff.update(read_document(
+            args.config.read_text(), {}, "config", types,
+            lambda pairs: {key: value for key, value in pairs
+                           if value is not None or key not in options}))
     for key in options:
         value = getattr(args, key)
         if value is not None:
@@ -388,8 +379,7 @@ def _cmd_sweep(cfg: dict) -> tuple[Path, list[Path], dict]:
     """Peak separation versus modulation depth on a balanced splitter."""
     depths = parse_depths(cfg["depths"])
     t0 = time.perf_counter()
-    rows = sweep_modulation(depths, n=cfg["n"], seed=cfg["seed"],
-                            eta=cfg["eta"], v0=cfg["v0"])
+    rows = sweep_modulation(depths, n=cfg["n"], seed=cfg["seed"], v0=cfg["v0"])
     t1 = time.perf_counter()
     out = _resolve_out(cfg["out"])
     with _atomic(out) as tmp:

@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit, and the JSON document checks."""
 
+import json
+
 
 class ToolkitError(Exception):
     """Base class for all toolkit-specific failures."""
@@ -48,6 +50,7 @@ def _pair(value) -> bool:
 # the check require_fields makes for each type it can demand of a field
 FIELD_TYPES = {
     "a number": _number,
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
     "a list": lambda v: isinstance(v, list),
     "a [re, im] pair": _pair,
@@ -55,26 +58,50 @@ FIELD_TYPES = {
 }
 
 
-def require_fields(doc, fields: dict, what: str) -> dict:
-    """doc, once it is a JSON object holding every field in fields, each of
-    the type fields names for it (a key of FIELD_TYPES); else a
-    ValidationError naming what is wrong."""
+def require_fields(doc, fields: dict, what: str,
+                   optional: dict | None = None) -> dict:
+    """doc, once it is a JSON object that holds every field in fields and
+    no field outside fields and optional, each field it holds of the type
+    named for it there; else a ValidationError naming what is wrong.  A
+    type is a key of FIELD_TYPES, or the list of values the field may take."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} must be a JSON object, "
                               f"got {type(doc).__name__}")
-    for name, kind in fields.items():
+    for name in fields:
         if name not in doc:
             raise ValidationError(f"{what} lacks the field {name!r}")
-        if not FIELD_TYPES[kind](doc[name]):
+    types = {**fields, **(optional or {})}
+    for name, value in doc.items():
+        kind = types.get(name)
+        if kind is None:
+            raise ValidationError(f"unknown {what} key {name!r}")
+        if isinstance(kind, list):
+            if value not in kind:
+                raise ValidationError(f"{what} key {name!r}: invalid choice: "
+                                      f"{value!r} (choose from {kind})")
+        elif not FIELD_TYPES[kind](value):
             raise ValidationError(f"field {name!r} of the {what} must be {kind}, "
-                                  f"got {type(doc[name]).__name__}")
+                                  f"got {type(value).__name__}")
     return doc
+
+
+def read_document(text: str, fields: dict, what: str,
+                  optional: dict | None = None, object_pairs_hook=None) -> dict:
+    """The JSON object in text, checked by require_fields; bad JSON too is
+    a ValidationError."""
+    try:
+        doc = json.loads(text, object_pairs_hook=object_pairs_hook)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"bad {what} JSON: {exc}") from exc
+    return require_fields(doc, fields, what, optional)
 
 
 def kind_class(doc, table: dict, what: str):
     """The class that table holds for the "kind" field of the JSON object
-    doc; an unknown kind is a ValidationError."""
-    kind = require_fields(doc, {"kind": "a string"}, what)["kind"]
-    if kind not in table:
-        raise ValidationError(f"unknown {what} kind {kind!r}")
+    doc, whose from_doc checks the rest of doc; anything else is a
+    ValidationError."""
+    kind = doc.get("kind") if isinstance(doc, dict) else doc
+    if not isinstance(doc, dict) or kind not in list(table):  # kind may be a list
+        raise ValidationError(f"{what} must be a JSON object whose kind is one "
+                              f"of {', '.join(table)}, got {kind!r}")
     return table[kind]

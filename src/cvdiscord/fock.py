@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .errors import DegenerateSplitError, TruncationError, ValidationError, require_fields
+from .errors import DegenerateSplitError, TruncationError, ValidationError, read_document
 
 DIM_DEFAULT = 20
 DIM_MAX = 40
@@ -455,13 +455,11 @@ def fock_state_to_json(state: FockDensityMatrix) -> str:
 
 
 def fock_state_from_json(text: str) -> FockDensityMatrix:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad state document: {exc}") from exc
-    require_fields(doc, {"dim_A": "a number", "dim_B": "a number", "v0": "a number",
-                         "entries": "a list of [re, im] pairs"}, "state document")
-    da, db = int(doc["dim_A"]), int(doc["dim_B"])
+    doc = read_document(text, {"dim_A": "an integer", "dim_B": "an integer",
+                               "v0": "a number",
+                               "entries": "a list of [re, im] pairs"},
+                        "state document")
+    da, db = doc["dim_A"], doc["dim_B"]
     d = da * db
     flat = np.array([complex(re, im) for re, im in doc["entries"]])
     if len(flat) != d * d:

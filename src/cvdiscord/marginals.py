@@ -31,7 +31,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erf, erfc
 
-from .errors import NumericError, ValidationError, kind_class, require_fields
+from .errors import (NumericError, ValidationError, kind_class, read_document,
+                     require_fields)
 from .states import DEFAULT_V0, GaussianBipartiteState, rotate_local
 
 PEAK_XTOL = 1e-10
@@ -249,8 +250,8 @@ class CoherentPoint:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "CoherentPoint":
-        require_fields(doc, {"weight": "a number", "alpha": "a [re, im] pair"},
-                       "coherent component")
+        require_fields(doc, {"kind": "a string", "weight": "a number",
+                             "alpha": "a [re, im] pair"}, "coherent component")
         return cls(doc["weight"], complex(*doc["alpha"]))
 
 
@@ -281,8 +282,8 @@ class ThermalComponent:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ThermalComponent":
-        require_fields(doc, {"weight": "a number", "nbar": "a number"},
-                       "thermal component")
+        require_fields(doc, {"kind": "a string", "weight": "a number",
+                             "nbar": "a number"}, "thermal component")
         return cls(doc["weight"], doc["nbar"])
 
 
@@ -336,8 +337,8 @@ class ArcsineComponent:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ArcsineComponent":
-        require_fields(doc, {"weight": "a number", "alpha0": "a number"},
-                       "arcsine component")
+        require_fields(doc, {"kind": "a string", "weight": "a number",
+                             "alpha0": "a number"}, "arcsine component")
         return cls(doc["weight"], doc["alpha0"])
 
 
@@ -445,17 +446,13 @@ def mixture_to_json(mixture: PMixtureState) -> str:
 
 
 def mixture_from_json(text: str) -> PMixtureState:
-    """Inverse of mixture_to_json; a missing field, a non-object document
-    or component, or an unknown kind is a ValidationError."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad mixture document: {exc}") from exc
-    require_fields(doc, {"eta": "a number", "components": "a list"}, "mixture document")
+    """Inverse of mixture_to_json; a document or component that is not a
+    JSON object of just its own fields, each well typed, is a ValidationError."""
+    doc = read_document(text, {"eta": "a number", "components": "a list"},
+                        "mixture document", {"v0": "a number"})
     comps = tuple(kind_class(entry, COMPONENTS, "component").from_doc(entry)
                   for entry in doc["components"])
-    return PMixtureState(comps, float(doc["eta"]),
-                         float(doc.get("v0", DEFAULT_V0)))
+    return PMixtureState(comps, float(doc["eta"]), doc.get("v0", DEFAULT_V0))
 
 
 def density_curve_to_csv(path, x, columns: dict) -> None:

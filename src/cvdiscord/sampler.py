@@ -286,13 +286,10 @@ def scheme_from_dict(doc: dict) -> ModulationScheme:
     """Inverse of scheme_to_dict.  A missing field takes its default; an
     unknown field or a value that is not a number is a ValidationError."""
     cls = kind_class(doc, SCHEMES, "scheme")
-    fields = {key: value for key, value in doc.items() if key != "kind"}
-    names = {f.name for f in dataclasses.fields(cls)}
-    for key in fields:
-        if key not in names:
-            raise ValidationError(f"unknown field {key!r} for a {cls.kind} scheme")
-    require_fields(fields, dict.fromkeys(fields, "a number"), f"{cls.kind} scheme")
-    return cls(**fields)
+    names = [f.name for f in dataclasses.fields(cls)]
+    require_fields(doc, {"kind": "a string"}, f"{cls.kind} scheme",
+                   dict.fromkeys(names, "a number"))
+    return cls(**{name: doc[name] for name in names if name in doc})
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +354,12 @@ def _read_csv(path: Path) -> list[np.ndarray]:
             warnings.filterwarnings("ignore", message=".*no data.*")
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
-        raise ParseError(f"cannot parse {path}: {_locate_bad_row(path, exc)}") from exc
+        for row, line in _data_lines(path):
+            try:
+                _, _, _, _ = map(float, line.split(","))  # four numbers
+            except ValueError as fault:
+                raise ParseError(f"cannot parse {path}: row {row}: {fault}") from exc
+        raise ParseError(f"cannot parse {path}: {exc}") from exc
     if data.size == 0:
         data = data.reshape(0, 4)
     if data.shape[1] != 4:
@@ -365,7 +367,8 @@ def _read_csv(path: Path) -> list[np.ndarray]:
     bad = _first_nonfinite(data.T)
     if bad is not None:
         index, col = bad
-        raise ParseError(f"cannot parse {path}: row {_data_line(path, index)}: "
+        row, _ = next(itertools.islice(_data_lines(path), index, None))
+        raise ParseError(f"cannot parse {path}: row {row}: "
                          f"non-finite {COLUMNS[col]} ({data[index, col]})")
     return [data[:, col].copy() for col in range(4)]
 
@@ -405,25 +408,13 @@ def _first_nonfinite(columns) -> tuple[int, int] | None:
     return min(bad, default=None)
 
 
-def _data_line(path: Path, index: int) -> int:
-    """File line of data row `index` (from 0), skipping what np.loadtxt
-    skips: the header, blank lines and # comments."""
-    with open(path) as fh:
-        next(fh, None)  # header
-        lines = (row for row, line in enumerate(fh, start=2)
-                 if line.split("#", 1)[0].strip())
-        return next(itertools.islice(lines, index, None))
-
-
-def _locate_bad_row(path: Path, exc: Exception) -> str:
+def _data_lines(path: Path):
+    """(file row, line) for each data line of a CSV record file, skipping
+    what np.loadtxt skips: the header, blank lines and # comments, which it
+    also strips from the line."""
     with open(path) as fh:
         next(fh, None)  # header
         for row, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != 4:
-                return f"row {row}: expected 4 fields, got {len(parts)}"
-            try:
-                [float(p) for p in parts]
-            except ValueError:
-                return f"row {row}: non-numeric field"
-    return str(exc)
+            data = line.split("#", 1)[0].strip()
+            if data:
+                yield row, data

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, require_fields
+from .errors import NumericError, ValidationError, read_document
 
 # tolerances used by the physicality checks
 SYMMETRY_TOL = 1e-12
@@ -326,13 +326,10 @@ def state_to_json(state: GaussianBipartiteState) -> str:
 
 
 def state_from_json(text: str) -> GaussianBipartiteState:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad state document: {exc}") from exc
-    require_fields(doc, {"means": "a list", "cov": "a list"}, "state document")
+    doc = read_document(text, {"means": "a list", "cov": "a list"},
+                        "state document", {"v0": "a number"})
     return GaussianBipartiteState(
         np.asarray(doc["means"], dtype=float),
         np.asarray(doc["cov"], dtype=float),
-        float(doc.get("v0", DEFAULT_V0)),
+        doc.get("v0", DEFAULT_V0),
     )

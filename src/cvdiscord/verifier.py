@@ -188,10 +188,9 @@ def bin_count_fd(values: np.ndarray) -> int:
     return min(max(k, MIN_BINS), MAX_BINS)
 
 
-def estimate_density(data, bins: int | None = None,
-                     edges: np.ndarray | None = None) -> Histogram:
+def estimate_density(data, edges: np.ndarray | None = None) -> Histogram:
     """Equal-width histogram spanning [min, max] padded by one bin on each
-    side; bin count from the clamped Freedman-Diaconis rule unless given."""
+    side, bin count from the clamped Freedman-Diaconis rule; or on edges."""
     values = data.x_b if isinstance(data, RecordSet) else np.asarray(data, dtype=float)
     if len(values) == 0:
         raise InsufficientDataError("no records to bin")
@@ -204,7 +203,7 @@ def estimate_density(data, bins: int | None = None,
         lo, hi = lo - 0.5, hi + 0.5
         k = 1
     else:
-        k = bins if bins is not None else bin_count_fd(values)
+        k = bin_count_fd(values)
         width = (hi - lo) / k
     full = np.linspace(lo - width, hi + width, k + 3)
     counts, _ = np.histogram(values, bins=full)
@@ -498,8 +497,8 @@ def verdict_mixture(rs: RecordSet, threshold: float,
 # ---------------------------------------------------------------------------
 
 
-def sweep_modulation(depths, n: int, seed: int, eta: float = 1.0 / np.sqrt(2.0),
-                     v0: float = 1.0, n_boot: int = BOOTSTRAP_DEFAULT,
+def sweep_modulation(depths, n: int, seed: int, v0: float = 1.0,
+                     n_boot: int = BOOTSTRAP_DEFAULT,
                      workers: int | None = None) -> list[dict]:
     """Simulate a phase-modulated beam split on a balanced splitter over a
     list of depths; per depth, measure the peak separation and attach the

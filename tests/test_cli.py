@@ -358,6 +358,54 @@ def test_config_values_outside_the_choices_are_rejected(command, doc, tmp_path,
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("command, doc, named", [
+    ("simulate", {"n": "100"}, "'n' of the config must be an integer, got str"),
+    ("simulate", {"seed": True}, "'seed' of the config must be an integer"),
+    ("verify", {"threshold": "0"}, "'threshold' of the config must be a number"),
+    ("verify", {"boot": 2.5}, "'boot' of the config must be an integer, got float"),
+    ("counterexample", {"out": 5}, "'out' of the config must be a string"),
+])
+def test_config_values_of_the_wrong_type_are_rejected(command, doc, named,
+                                                      tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--n", "300", "--out", "rec.npz") == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    records = ("--records", "rec.npz") if command == "verify" else ()
+    assert run(command, "--config", cfg, *records, "--out", "out.json") == 1
+    assert f"error: field {named}" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_null_config_value_takes_the_default(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": None, "depth": None, "n": 300}))
+    assert run("simulate", "--config", cfg, "--pairs", "0,0",
+               "--out", "rec.npz") == 0
+    doc = json.loads((tmp_path / "rec.manifest.json").read_text())
+    assert doc["seed"] == 0 and doc["config"]["n"] == 300
+    assert run("simulate", "--n", "300", "--pairs", "0,0",
+               "--out", "plain.npz") == 0
+    assert sha256(tmp_path / "rec.npz") == sha256(tmp_path / "plain.npz")
+
+    cfg.write_text(json.dumps({"bogus": None}))
+    assert run("simulate", "--config", cfg) == 1
+    assert "unknown config key 'bogus'" in capsys.readouterr().err
+
+
+def test_sweep_has_no_eta(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("sweep", "--depths", "1", "--n", "500", "--eta", "0.3") == 1
+    assert "--eta" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eta": 0.3}))
+    assert run("sweep", "--config", cfg, "--depths", "1", "--n", "500") == 1
+    assert "unknown config key 'eta'" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # failure modes and exit codes
 # ---------------------------------------------------------------------------

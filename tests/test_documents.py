@@ -1,0 +1,105 @@
+"""JSON documents: each one the program writes reads back through its
+reader, and each reader rejects a field it does not know, or a field of
+the wrong type, as a ValidationError naming that field."""
+
+import json
+
+import numpy as np
+import pytest
+
+from cvdiscord import (ArcsineComponent, CoherentPoint, PMixtureState,
+                       ThermalComponent, ValidationError,
+                       build_ce_zero_discord, fock_state_from_json,
+                       fock_state_to_json, mixture_from_json, mixture_to_json,
+                       modulated_beam, split_balanced, state_from_json,
+                       state_to_json)
+from cvdiscord.cli import _SCHEMES, main
+from cvdiscord.sampler import SCHEMES, scheme_from_dict, scheme_to_dict
+
+MIXTURE = PMixtureState(
+    (CoherentPoint(0.25, 1.0 - 2.0j), ThermalComponent(0.5, 0.8),
+     ArcsineComponent(0.25, 1.1)),
+    eta=0.62, v0=2.0)
+
+
+def gaussian_state():
+    return split_balanced(modulated_beam(1.5, 2.0, 2.0))
+
+
+def test_simulate_sidecar_scheme_of_every_kind_reads_back(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    kinds = set()
+    for name in _SCHEMES:
+        assert main(["simulate", "--scheme", name, "--depth", "1.5",
+                     "--n", "50", "--out", f"{name}.npz"]) == 0
+        doc = json.loads((tmp_path / f"{name}.npz.meta.json").read_text())
+        scheme = scheme_from_dict(doc["scheme"])
+        assert scheme_to_dict(scheme) == doc["scheme"]
+        kinds.add(scheme.kind)
+    assert kinds == set(SCHEMES)
+
+
+def test_every_document_writer_reads_back():
+    assert mixture_from_json(mixture_to_json(MIXTURE)) == MIXTURE
+    assert {type(c) for c in MIXTURE.components} == {
+        CoherentPoint, ThermalComponent, ArcsineComponent}
+
+    state = gaussian_state()
+    back = state_from_json(state_to_json(state))
+    assert np.array_equal(back.means, state.means)
+    assert np.array_equal(back.cov, state.cov)
+    assert back.v0 == state.v0
+
+    fock = build_ce_zero_discord(alpha=0.8, dim_b=4)
+    back = fock_state_from_json(fock_state_to_json(fock))
+    assert (back.dim_a, back.dim_b, back.v0) == (fock.dim_a, fock.dim_b,
+                                                 fock.v0)
+    assert np.array_equal(back.matrix, fock.matrix)
+
+
+def _with(text, edit):
+    doc = json.loads(text)
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("read, text", [
+    (mixture_from_json, _with(mixture_to_json(MIXTURE),
+                              lambda d: d.update(v0="x"))),
+    (state_from_json, _with(state_to_json(gaussian_state()),
+                            lambda d: d.update(v0="x"))),
+], ids=["mixture", "state"])
+def test_a_wrong_typed_v0_is_named(read, text):
+    with pytest.raises(ValidationError,
+                       match="field 'v0' of the .* must be a number, got str"):
+        read(text)
+
+
+@pytest.mark.parametrize("read, text, what", [
+    (state_from_json, _with(state_to_json(gaussian_state()),
+                            lambda d: d.update(V0=2.0)), "state document"),
+    (mixture_from_json, _with(mixture_to_json(MIXTURE),
+                              lambda d: d.update(V0=2.0)), "mixture document"),
+    (mixture_from_json, _with(mixture_to_json(MIXTURE),
+                              lambda d: d["components"][1].update(V0=2.0)),
+     "thermal component"),
+    (fock_state_from_json,
+     _with(fock_state_to_json(build_ce_zero_discord(alpha=0.8, dim_b=4)),
+           lambda d: d.update(V0=2.0)), "state document"),
+    (scheme_from_dict, {"kind": "async_sine", "depth": 1.0, "V0": 2.0},
+     "async_sine scheme"),
+], ids=["state", "mixture", "component", "fock", "scheme"])
+def test_an_unknown_field_is_named(read, text, what):
+    with pytest.raises(ValidationError, match=f"unknown {what} key 'V0'"):
+        read(text)
+
+
+def test_fock_dimensions_must_be_integers():
+    doc = json.loads(fock_state_to_json(build_ce_zero_discord(alpha=0.8,
+                                                              dim_b=4)))
+    doc["dim_B"] = 4.0
+    with pytest.raises(ValidationError,
+                       match="field 'dim_B' of the state document must be "
+                             "an integer, got float"):
+        fock_state_from_json(json.dumps(doc))

@@ -307,3 +307,11 @@ def test_npz_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
                    "--workers", workers, "--out", f"rec_{workers}.npz") == 0
     assert (tmp_path / "rec_1.npz").read_bytes() == \
         (tmp_path / "rec_4.npz").read_bytes()
+
+
+def test_malformed_csv_row_counts_file_lines(tmp_path):
+    path = tmp_path / "rec.csv"
+    path.write_text("theta_A,theta_B,x_A,x_B\n0,0,1,2\n\n# note\n"
+                    "0,0,1,2\n0,0,oops,2.0\n")
+    with pytest.raises(ParseError, match="row 6: could not convert .* .oops."):
+        read_records(path)
