@@ -12,9 +12,10 @@ and then compared with ``python scripts/compare_outputs.py /tmp/old/src src``.
 For each tree the script writes the same config files into a fresh
 temporary directory and runs the same command set there (simulate for
 every scheme in both record formats and with --workers 3, verify in both
-modes with --plotdata, simulate and verify from a config file, sweep, and
-counterexample with --plotdata and --dump-state), with PYTHONPATH set to
-that tree.  It then compares every output file byte for byte, except
+modes with --plotdata on .npz records and on the gaussian and
+switched-phase CSV records, simulate and verify from a config file, sweep,
+and counterexample with --plotdata and --dump-state), with PYTHONPATH set
+to that tree.  It then compares every output file byte for byte, except
 manifests, which are compared as JSON without their "timings_s" and
 "versions" entries, and each command's exit code, stdout and stderr.  It
 prints one line per difference and exits 1 if there is any, else 0.  For a
@@ -55,6 +56,8 @@ COMMANDS = [
     ("verify", "--records", "gauss.npz", "--boot", "50",
      "--pairs", "90,90;0,90", "--out", "v_pairs.json",
      "--plotdata", "p_pairs.csv"),
+    ("verify", "--records", "gauss.csv", "--boot", "50",
+     "--out", "v_gauss_csv.json", "--plotdata", "p_gauss_csv.csv"),
     ("verify", "--records", "noise.npz", "--mode", "mixture", "--boot", "50",
      "--out", "v_noise.json", "--plotdata", "p_noise.csv"),
     ("verify", "--records", "async.npz", "--mode", "mixture", "--boot", "50",
@@ -62,6 +65,9 @@ COMMANDS = [
     ("verify", "--records", "phase.npz", "--mode", "mixture",
      "--threshold", "-6", "--boot", "50", "--out", "v_phase.json",
      "--plotdata", "p_phase.csv"),
+    ("verify", "--records", "phase.csv", "--mode", "mixture",
+     "--threshold", "-6", "--boot", "50", "--out", "v_phase_csv.json",
+     "--plotdata", "p_phase_csv.csv"),
     ("simulate", "--config", "sim.json"),
     ("verify", "--config", "verify.json", "--boot", "50"),
     ("sweep", "--depths", "0:3:4", "--n", "5000", "--out", "sweep.csv"),

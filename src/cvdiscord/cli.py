@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ToolkitError, ValidationError, read_document
+from .errors import ValidationError, read_document
 from .fock import (build_ce_hidden_discord, build_ce_zero_discord,
                    commutator_norm, conditional_b_given_sign, default_grid,
                    fock_state_to_json, grid_moments, grid_peak,
@@ -492,15 +492,9 @@ def main(argv=None) -> int:
         for path in outputs + [manifest]:
             print(path)
         return 0
-    except ValidationError as exc:
+    except Exception as exc:  # bad input; else a runtime, I/O or numpy failure
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # I/O, numpy, anything unforeseen
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ValidationError) else 2
 
 
 if __name__ == "__main__":

@@ -43,8 +43,12 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_number, value))
+
+
 def _pair(value) -> bool:
-    return isinstance(value, list) and len(value) == 2 and all(map(_number, value))
+    return _numbers(value) and len(value) == 2
 
 
 # the check require_fields makes for each type it can demand of a field
@@ -53,6 +57,9 @@ FIELD_TYPES = {
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
     "a list": lambda v: isinstance(v, list),
+    "a list of numbers": _numbers,
+    "a matrix of numbers": lambda v: (isinstance(v, list) and all(map(_numbers, v))
+                                      and len({len(row) for row in v}) <= 1),
     "a [re, im] pair": _pair,
     "a list of [re, im] pairs": lambda v: isinstance(v, list) and all(map(_pair, v)),
 }

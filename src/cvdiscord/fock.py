@@ -126,16 +126,10 @@ def thermal_fock(nbar: float, dim: int | None = None) -> np.ndarray:
     """Truncated thermal density matrix (diagonal), renormalized."""
     if nbar < 0:
         raise ValidationError("mean photon number must be non-negative")
+    ratio = nbar / (nbar + 1.0)
     for d in _resolve_dims(dim):
-        if nbar == 0:
-            tail = 0.0
-            p = np.zeros(d)
-            p[0] = 1.0
-        else:
-            ratio = nbar / (nbar + 1.0)
-            p = ratio ** np.arange(d) / (nbar + 1.0)
-            tail = ratio ** d
-        if tail < TAIL_TOL:
+        p = ratio ** np.arange(d) / (nbar + 1.0)  # nbar 0: 0.0 ** 0 is 1
+        if ratio ** d < TAIL_TOL:
             return np.diag(p / p.sum()).astype(complex)
     raise TruncationError(f"thermal state nbar={nbar:.3g} needs dim > {DIM_MAX}")
 

@@ -69,12 +69,7 @@ class NuTable:
     nu_90_90: float
 
     def as_dict(self) -> dict:
-        return {
-            "nu_00": self.nu_00,
-            "nu_0_90": self.nu_0_90,
-            "nu_90_0": self.nu_90_0,
-            "nu_90_90": self.nu_90_90,
-        }
+        return dataclasses.asdict(self)
 
     def max_abs(self) -> float:
         return max(abs(v) for v in self.as_dict().values())
@@ -106,13 +101,9 @@ def joint_marginal_form(state: GaussianBipartiteState, theta_a: float,
 
 def nu_table(state: GaussianBipartiteState) -> NuTable:
     """nu at the four phase pairs (0,0), (0,90), (90,0), (90,90) degrees."""
-    half_pi = np.pi / 2.0
-    return NuTable(
-        nu_00=joint_marginal_form(state, 0.0, 0.0).nu,
-        nu_0_90=joint_marginal_form(state, 0.0, half_pi).nu,
-        nu_90_0=joint_marginal_form(state, half_pi, 0.0).nu,
-        nu_90_90=joint_marginal_form(state, half_pi, half_pi).nu,
-    )
+    phases = (0.0, np.pi / 2.0)
+    return NuTable(*(joint_marginal_form(state, ta, tb).nu
+                     for ta in phases for tb in phases))
 
 
 def joint_marginal_density(form: MarginalForm, x_a, x_b):

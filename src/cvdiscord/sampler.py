@@ -157,46 +157,69 @@ class SimulationConfig:
 
 @dataclass
 class RecordSet:
-    """Columnar record store plus provenance metadata."""
+    """Columnar record store plus provenance metadata: the outcome columns
+    x_a and x_b, and a run table in place of per-row phases.  Run i is a
+    maximal stretch of counts[i] consecutive rows at phases[i] = (theta_A,
+    theta_B)."""
 
-    theta_a: np.ndarray
-    theta_b: np.ndarray
     x_a: np.ndarray
     x_b: np.ndarray
+    phases: np.ndarray
+    counts: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        n = len(self.x_a)
-        for name in ("theta_a", "theta_b", "x_b"):
-            if len(getattr(self, name)) != n:
-                raise ValidationError("record columns have mismatched lengths")
+        self.phases = np.asarray(self.phases, dtype=np.float64).reshape(-1, 2)
+        self.counts = np.asarray(self.counts, dtype=np.int64).reshape(-1)
+        if (len(self.x_b) != len(self.x_a) or len(self.counts) != len(self.phases)
+                or self.counts.sum() != len(self.x_a)):
+            raise ValidationError("record columns have mismatched lengths")
+        self.phases, self.counts = _runs(*self.phases.T, self.counts)
 
     def __len__(self) -> int:
         return len(self.x_a)
 
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The four record columns in file order, phases expanded per row."""
+        return (*(np.repeat(t, self.counts) for t in self.phases.T),
+                self.x_a, self.x_b)
+
     def pair_keys(self) -> list[tuple[float, float]]:
-        pairs = np.unique(np.column_stack([self.theta_a, self.theta_b]), axis=0)
-        return [tuple(row) for row in pairs]
+        return [tuple(row) for row in np.unique(self.phases, axis=0)]
 
     def select_pair(self, theta_a: float, theta_b: float,
                     atol: float = 1e-9) -> "RecordSet":
-        mask = (np.abs(self.theta_a - theta_a) <= atol) & (
-            np.abs(self.theta_b - theta_b) <= atol
-        )
-        return RecordSet(
-            self.theta_a[mask], self.theta_b[mask],
-            self.x_a[mask], self.x_b[mask], dict(self.meta),
-        )
+        """The records of every run within atol of the phase pair, in file
+        order; views of the columns when a single run matches."""
+        match = np.flatnonzero(
+            (np.abs(self.phases - (theta_a, theta_b)) <= atol).all(axis=1))
+        counts = self.counts[match]
+        first = np.cumsum(self.counts)[match] - counts
+        rows = (slice(first[0], first[0] + counts[0]) if len(match) == 1 else
+                np.repeat(first - np.cumsum(counts) + counts, counts)
+                + np.arange(counts.sum()))
+        return RecordSet(self.x_a[rows], self.x_b[rows], self.phases[match],
+                         counts, dict(self.meta))
+
+
+def _runs(theta_a, theta_b, counts) -> tuple[np.ndarray, np.ndarray]:
+    """The run table of phase columns whose rows hold counts records each:
+    one row per maximal run of bitwise-equal phase pairs, found in one pass
+    in file order."""
+    a, b = (np.asarray(t, dtype=np.float64).view(np.int64) for t in (theta_a, theta_b))
+    starts = np.flatnonzero(np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])][:len(a)])
+    return (np.column_stack([theta_a[starts], theta_b[starts]]),
+            np.add.reduceat(counts, starts))
 
 
 def concat_records(parts: list[RecordSet], meta: dict | None = None) -> RecordSet:
     if not parts:
         raise ValidationError("nothing to concatenate")
     return RecordSet(
-        np.concatenate([p.theta_a for p in parts]),
-        np.concatenate([p.theta_b for p in parts]),
         np.concatenate([p.x_a for p in parts]),
         np.concatenate([p.x_b for p in parts]),
+        np.concatenate([p.phases for p in parts]),
+        np.concatenate([p.counts for p in parts]),
         meta if meta is not None else dict(parts[0].meta),
     )
 
@@ -236,8 +259,7 @@ def sample_gaussian(state: GaussianBipartiteState, theta_a: float, theta_b: floa
         "seed": seed,
         "v0": state.v0,
     }
-    return RecordSet(np.full(n, float(theta_a)), np.full(n, float(theta_b)),
-                     x_a, x_b, meta)
+    return RecordSet(x_a, x_b, [(theta_a, theta_b)], [n], meta)
 
 
 def sample_scheme(config: SimulationConfig, workers: int | None = None) -> RecordSet:
@@ -274,8 +296,7 @@ def sample_scheme(config: SimulationConfig, workers: int | None = None) -> Recor
         "seed": config.seed,
         "v0": config.v0,
     }
-    return RecordSet(np.full(n, float(config.theta_a)),
-                     np.full(n, float(config.theta_b)), x_a, x_b, meta)
+    return RecordSet(x_a, x_b, [(config.theta_a, config.theta_b)], [n], meta)
 
 
 def scheme_to_dict(scheme: ModulationScheme) -> dict:
@@ -306,7 +327,7 @@ def write_records(rs: RecordSet, path, sidecar: bool = True) -> None:
     significant digits, so float64 round-trips bitwise in either format.
     """
     path = Path(path)
-    columns = (rs.theta_a, rs.theta_b, rs.x_a, rs.x_b)
+    columns = rs.columns()
     if path.suffix == NPZ_SUFFIX:
         # a file handle, because given a path numpy appends .npz to any
         # name that lacks it
@@ -344,7 +365,9 @@ def read_records(path) -> RecordSet:
             meta = json.loads(meta_path.read_text())
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad sidecar {meta_path}: {exc}") from exc
-    return RecordSet(*columns, meta)
+    theta_a, theta_b, x_a, x_b = columns
+    ones = np.broadcast_to(np.int64(1), len(x_a))  # each row is one record
+    return RecordSet(x_a, x_b, *_runs(theta_a, theta_b, ones), meta)
 
 
 def _read_csv(path: Path) -> list[np.ndarray]:
@@ -370,7 +393,8 @@ def _read_csv(path: Path) -> list[np.ndarray]:
         row, _ = next(itertools.islice(_data_lines(path), index, None))
         raise ParseError(f"cannot parse {path}: row {row}: "
                          f"non-finite {COLUMNS[col]} ({data[index, col]})")
-    return [data[:, col].copy() for col in range(4)]
+    # the phase columns only feed the run table; x_a and x_b are kept
+    return [data[:, 0], data[:, 1], data[:, 2].copy(), data[:, 3].copy()]
 
 
 def _read_npz(path: Path) -> list[np.ndarray]:

@@ -117,6 +117,23 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _set_moments(state, dim: int, what: str) -> None:
+    """Freeze a state's means and covariance, once they have dim entries
+    per axis and are finite and physical; what prefixes the messages."""
+    means, cov = _freeze(state.means), _freeze(state.cov)
+    if means.shape != (dim,):
+        raise ValidationError(f"{what}means must have shape ({dim},), got {means.shape}")
+    if not np.all(np.isfinite(means)):
+        raise ValidationError("means have non-finite entries")
+    if cov.shape != (dim, dim):
+        raise ValidationError(f"covariance must have shape ({dim}, {dim}), got {cov.shape}")
+    report = validate_covariance(cov, state.v0)
+    if not report.ok:
+        raise ValidationError(f"unphysical {what}covariance: {report.failures()}")
+    object.__setattr__(state, "means", means)
+    object.__setattr__(state, "cov", cov)
+
+
 @dataclass(frozen=True)
 class SingleModeState:
     """Gaussian state of one mode: 2-vector mean, 2x2 covariance."""
@@ -126,17 +143,7 @@ class SingleModeState:
     v0: float = DEFAULT_V0
 
     def __post_init__(self):
-        means = _freeze(self.means)
-        cov = _freeze(self.cov)
-        if means.shape != (2,):
-            raise ValidationError(f"single-mode means must have shape (2,), got {means.shape}")
-        if not np.all(np.isfinite(means)):
-            raise ValidationError("means have non-finite entries")
-        report = validate_covariance(cov, self.v0)
-        if not report.ok:
-            raise ValidationError(f"unphysical single-mode covariance: {report.failures()}")
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "cov", cov)
+        _set_moments(self, 2, "single-mode ")
 
 
 @dataclass(frozen=True)
@@ -148,19 +155,7 @@ class GaussianBipartiteState:
     v0: float = DEFAULT_V0
 
     def __post_init__(self):
-        means = _freeze(self.means)
-        cov = _freeze(self.cov)
-        if means.shape != (4,):
-            raise ValidationError(f"means must have shape (4,), got {means.shape}")
-        if not np.all(np.isfinite(means)):
-            raise ValidationError("means have non-finite entries")
-        if cov.shape != (4, 4):
-            raise ValidationError(f"covariance must have shape (4, 4), got {cov.shape}")
-        report = validate_covariance(cov, self.v0)
-        if not report.ok:
-            raise ValidationError(f"unphysical covariance: {report.failures()}")
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "cov", cov)
+        _set_moments(self, 4, "")
 
     @property
     def block_a(self) -> np.ndarray:
@@ -326,10 +321,8 @@ def state_to_json(state: GaussianBipartiteState) -> str:
 
 
 def state_from_json(text: str) -> GaussianBipartiteState:
-    doc = read_document(text, {"means": "a list", "cov": "a list"},
+    doc = read_document(text, {"means": "a list of numbers",
+                                "cov": "a matrix of numbers"},
                         "state document", {"v0": "a number"})
-    return GaussianBipartiteState(
-        np.asarray(doc["means"], dtype=float),
-        np.asarray(doc["cov"], dtype=float),
-        doc.get("v0", DEFAULT_V0),
-    )
+    return GaussianBipartiteState(doc["means"], doc["cov"],
+                                  doc.get("v0", DEFAULT_V0))

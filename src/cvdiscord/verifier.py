@@ -154,26 +154,22 @@ class MixtureVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _sign_split(rs: RecordSet, threshold: float, where: str = ""):
-    """The plus-side mask x_A >= threshold and the B outcomes of each side;
-    an empty side is bad input, named by the threshold and where."""
+def split_by_threshold(rs: RecordSet, threshold: float = 0.0
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The B outcomes of each side of a split on the A outcome: x_A >=
+    threshold is the plus side, the rest the minus side.  An empty side is
+    bad input, named by the threshold and the phase pairs of rs."""
     plus_mask = rs.x_a >= threshold
     n_plus = int(plus_mask.sum())
     if n_plus == 0 or n_plus == len(rs):
+        pairs = ", ".join(dict.fromkeys(f"({ta:.6g}, {tb:.6g})"
+                                        for ta, tb in rs.phases))
         raise EmptySideError(
-            f"threshold {threshold} leaves one side empty{where} "
+            f"threshold {threshold} leaves one side empty"
+            f"{f' at phase pair {pairs}' if pairs else ''} "
             f"({n_plus} of {len(rs)} records on the plus side)"
         )
-    return plus_mask, rs.x_b[plus_mask], rs.x_b[~plus_mask]
-
-
-def split_by_threshold(rs: RecordSet, threshold: float = 0.0
-                       ) -> tuple[RecordSet, RecordSet]:
-    """Partition records on the A outcome: x_A >= threshold goes to the
-    plus side, the rest to the minus side."""
-    plus_mask, plus_b, minus_b = _sign_split(rs, threshold)
-    return tuple(RecordSet(rs.theta_a[m], rs.theta_b[m], rs.x_a[m], b, dict(rs.meta))
-                 for m, b in ((plus_mask, plus_b), (~plus_mask, minus_b)))
+    return rs.x_b[plus_mask], rs.x_b[~plus_mask]
 
 
 def bin_count_fd(values: np.ndarray) -> int:
@@ -307,22 +303,20 @@ def separation_statistic(rs: RecordSet, threshold: float = 0.0,
                          ) -> tuple[float, float, PeakEstimate, PeakEstimate]:
     """Peak separation Delta between the sign-conditioned B marginals,
     with its bootstrap standard error."""
-    ss = np.random.SeedSequence((seed, 0xB007))
-    return _separation(rs, threshold, ss, n_boot)[1]
+    return _separation(*split_by_threshold(rs, threshold),
+                       np.random.SeedSequence((seed, 0xB007)), n_boot)
 
 
-def _separation(rs: RecordSet, threshold: float, ss: np.random.SeedSequence,
-                n_boot: int, where: str = ""):
-    """Split on the A outcome and fit both B peaks, bootstrapping each side
-    with its own stream spawned from ss; returns ((plus_b, minus_b),
-    (delta, sigma, peak_plus, peak_minus))."""
-    _, plus_b, minus_b = _sign_split(rs, threshold, where)
+def _separation(plus_b: np.ndarray, minus_b: np.ndarray,
+                ss: np.random.SeedSequence, n_boot: int):
+    """Fit the B peak of each side, bootstrapping each with its own stream
+    spawned from ss; returns (delta, sigma, peak_plus, peak_minus)."""
     rng_p, rng_m = [np.random.default_rng(s) for s in ss.spawn(2)]
     peak_p = estimate_peak(estimate_density(plus_b), rng_p, n_boot)
     peak_m = estimate_peak(estimate_density(minus_b), rng_m, n_boot)
     delta = peak_p.location - peak_m.location
     sigma = float(np.hypot(peak_p.std_error, peak_m.std_error))
-    return (plus_b, minus_b), (delta, sigma, peak_p, peak_m)
+    return delta, sigma, peak_p, peak_m
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +385,8 @@ def _pair_stats(rs: RecordSet, theta_a: float, theta_b: float,
                 threshold: float, seed: int, n_boot: int,
                 pair_index: int) -> PairStats:
     ss = np.random.SeedSequence((seed, pair_index))
-    (plus_b, minus_b), (delta, sigma, _, _) = _separation(
-        rs, threshold, ss, n_boot,
-        f" at phase pair ({theta_a:.6g}, {theta_b:.6g})")
+    plus_b, minus_b = split_by_threshold(rs, threshold)
+    delta, sigma, _, _ = _separation(plus_b, minus_b, ss, n_boot)
     k = abs(delta) / sigma if sigma > 0 else np.inf
     hists = _bin_sides(rs.x_b, plus_b, minus_b)
     return PairStats(theta_a=theta_a, theta_b=theta_b, delta=delta,
@@ -459,9 +452,12 @@ def verdict_mixture(rs: RecordSet, threshold: float,
     Compares each sign-conditioned histogram of the B outcome against the
     unconditional one on a common binning; "discordant" when either side's
     p-value drops below alpha.  Peak and mean shifts per side are reported
-    as diagnostics.
+    as diagnostics.  Records at more than one phase pair are bad input.
     """
-    _, plus_b, minus_b = _sign_split(rs, threshold)
+    if len(rs) and len(rs.select_pair(*rs.phases[0])) < len(rs):
+        raise ValidationError("the mixture verdict takes records at one phase "
+                              f"pair; {_pairs_present(rs)}")
+    plus_b, minus_b = split_by_threshold(rs, threshold)
     hists = _bin_sides(rs.x_b, plus_b, minus_b)
     ss = np.random.SeedSequence((seed, 0xA11))
     rngs = [np.random.default_rng(s) for s in ss.spawn(3)]

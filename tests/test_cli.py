@@ -144,7 +144,7 @@ def _plotdata_reference(rs, threshold=0.0):
     whole = estimate_density(rs)
     x = whole.centers
     mean = float(rs.x_b.mean())
-    avg_var = 0.5 * (float(plus.x_b.var()) + float(minus.x_b.var()))
+    avg_var = 0.5 * (float(plus.var()) + float(minus.var()))
     ref = np.exp(-((x - mean) ** 2) / (2.0 * avg_var)) / math.sqrt(
         2.0 * math.pi * avg_var)
     return np.column_stack([
@@ -197,7 +197,7 @@ def test_verdict_histograms_agree_with_the_verdict():
     x_a = np.round(rng.normal(size=n), 2)  # some x_A sit on the threshold
     # x_B on a 0.05 grid, so many records share a value
     x_b = np.round(rng.normal(size=n) + 0.8 * x_a, 1) / 2.0
-    rs = RecordSet(np.zeros(n), np.zeros(n), x_a, x_b)
+    rs = RecordSet(x_a, x_b, [(0.0, 0.0)], [n])
     n_plus = int((x_a >= 0.0).sum())
     pair = verdict_gaussian(rs, n_boot=20, pairs=[(0.0, 0.0)]).per_pair[0]
     assert (pair.n_plus, pair.n_minus) == (n_plus, n - n_plus)
@@ -224,13 +224,27 @@ def test_empty_side_of_the_threshold_exits_1(tmp_path, monkeypatch, capsys):
     assert run("verify", "--records", "sp.npz", "--mode", "mixture",
                "--threshold", "-6", "--out", "v.json") == 1
     assert capsys.readouterr().err == (
-        "error: threshold -6.0 leaves one side empty "
+        "error: threshold -6.0 leaves one side empty at phase pair (0, 0) "
         "(3000 of 3000 records on the plus side)\n")
     assert run("verify", "--records", "g.npz", "--pairs", "0,0;90,90",
                "--threshold", "100", "--out", "v.json") == 1
     assert capsys.readouterr().err == (
         "error: threshold 100.0 leaves one side empty at phase pair (0, 0) "
         "(0 of 3000 records on the plus side)\n")
+    assert not (tmp_path / "v.json").exists()
+
+
+def test_mixture_verdict_takes_one_phase_pair(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--depth", "2", "--n", "5000",
+               "--out", "four.npz") == 0
+    capsys.readouterr()
+    assert run("verify", "--records", "four.npz", "--mode", "mixture",
+               "--out", "v.json") == 1
+    assert capsys.readouterr().err == (
+        "error: the mixture verdict takes records at one phase pair; the "
+        "records hold phase pairs (0, 0), (0, 1.5708), (1.5708, 0), "
+        "(1.5708, 1.5708)\n")
     assert not (tmp_path / "v.json").exists()
 
 

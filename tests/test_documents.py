@@ -64,15 +64,22 @@ def _with(text, edit):
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("read, text", [
+@pytest.mark.parametrize("read, text, fault", [
     (mixture_from_json, _with(mixture_to_json(MIXTURE),
-                              lambda d: d.update(v0="x"))),
+                              lambda d: d.update(v0="x")),
+     "'v0' of the mixture document must be a number, got str"),
     (state_from_json, _with(state_to_json(gaussian_state()),
-                            lambda d: d.update(v0="x"))),
-], ids=["mixture", "state"])
-def test_a_wrong_typed_v0_is_named(read, text):
-    with pytest.raises(ValidationError,
-                       match="field 'v0' of the .* must be a number, got str"):
+                            lambda d: d.update(v0="x")),
+     "'v0' of the state document must be a number, got str"),
+    (state_from_json, _with(state_to_json(gaussian_state()),
+                            lambda d: d.update(means=["x", 0, 0, 0])),
+     "'means' of the state document must be a list of numbers, got list"),
+    (state_from_json, _with(state_to_json(gaussian_state()),
+                            lambda d: d.update(cov=[[1, 0], [0, 1, 0]])),
+     "'cov' of the state document must be a matrix of numbers, got list"),
+], ids=["mixture", "state", "means", "cov"])
+def test_a_wrong_typed_field_is_named(read, text, fault):
+    with pytest.raises(ValidationError, match=f"field {fault}"):
         read(text)
 
 

@@ -21,9 +21,8 @@ from cvdiscord import (
     write_records,
 )
 from cvdiscord.cli import main
-from cvdiscord.sampler import COLUMNS
-
-FIELDS = ("theta_a", "theta_b", "x_a", "x_b")
+from cvdiscord.sampler import COLUMNS, CSV_HEADER
+from cvdiscord.verifier import CANONICAL_PAIRS
 
 
 def run(*argv):
@@ -36,8 +35,7 @@ def sample(n=3_000, seed=61):
 
 
 def assert_bitwise_equal(a, b):
-    for name in FIELDS:
-        got, want = getattr(a, name), getattr(b, name)
+    for name, got, want in zip(COLUMNS, a.columns(), b.columns()):
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes(), name
 
@@ -45,6 +43,11 @@ def assert_bitwise_equal(a, b):
 def savez(path, **members):
     with open(path, "wb") as fh:
         np.savez(fh, **members)
+
+
+def savecsv(path, *columns):
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=CSV_HEADER, comments="")
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +76,9 @@ def test_npz_holds_four_uncompressed_float64_columns(tmp_path):
     assert [i.filename for i in infos] == [f"{c}.npy" for c in COLUMNS]
     assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
     with np.load(path, allow_pickle=False) as npz:
-        for name, field in zip(COLUMNS, FIELDS):
+        for name, column in zip(COLUMNS, rs.columns()):
             assert npz[name].dtype == np.float64 and npz[name].ndim == 1
-            assert np.array_equal(npz[name], getattr(rs, field))
+            assert np.array_equal(npz[name], column)
 
 
 def test_npz_bytes_are_deterministic(tmp_path):
@@ -86,12 +89,13 @@ def test_npz_bytes_are_deterministic(tmp_path):
 
 
 def test_write_read_empty_records_npz(tmp_path):
-    empty = RecordSet(*(np.array([]) for _ in range(4)))
+    empty = RecordSet(np.array([]), np.array([]), [], [])
     path = tmp_path / "empty.npz"
     write_records(empty, path)
     back = read_records(path)
     assert len(back) == 0
-    assert all(getattr(back, f).dtype == np.float64 for f in FIELDS)
+    assert all(column.dtype == np.float64 for column in back.columns())
+    assert back.phases.shape == (0, 2) and back.counts.shape == (0,)
 
 
 def test_other_suffixes_are_csv(tmp_path):
@@ -132,12 +136,12 @@ def test_non_finite_csv_row_counts_file_lines(tmp_path):
 
 
 def test_first_non_finite_record_is_named(tmp_path):
-    rs = sample(n=100)
-    rs.x_b[40] = math.nan
-    rs.theta_a[70] = math.inf
-    rs.x_a[40] = math.inf
+    cols = _good_columns(n=100)
+    cols["x_B"][40] = math.nan
+    cols["theta_A"][70] = math.inf
+    cols["x_A"][40] = math.inf
     path = tmp_path / "rec.npz"
-    write_records(rs, path)
+    savez(path, **cols)
     with pytest.raises(ParseError, match="record 41: non-finite x_A"):
         read_records(path)
 
@@ -148,8 +152,7 @@ def test_first_non_finite_record_is_named(tmp_path):
 
 
 def _good_columns(n=50):
-    rs = sample(n=n)
-    return dict(zip(COLUMNS, (rs.theta_a, rs.theta_b, rs.x_a, rs.x_b)))
+    return dict(zip(COLUMNS, sample(n=n).columns()))
 
 
 def _not_a_zip(path):
@@ -237,10 +240,9 @@ def test_missing_pair_lists_pairs_and_hints_at_degrees(tmp_path, monkeypatch,
                                                        capsys):
     monkeypatch.chdir(tmp_path)
     assert run("simulate", "--n", "2000", "--out", "rad.csv") == 0
-    rs = read_records("rad.csv")
-    rs.theta_a = np.degrees(rs.theta_a)
-    rs.theta_b = np.degrees(rs.theta_b)
-    write_records(rs, tmp_path / "deg.csv")
+    theta_a, theta_b, x_a, x_b = read_records("rad.csv").columns()
+    savecsv(tmp_path / "deg.csv", np.degrees(theta_a), np.degrees(theta_b),
+            x_a, x_b)
     capsys.readouterr()
     assert run("verify", "--records", "deg.csv") == 1
     err = capsys.readouterr().err
@@ -261,6 +263,53 @@ def test_missing_pair_in_radians_gets_no_degree_hint(tmp_path, monkeypatch,
     assert "radians" not in err
 
 
+@pytest.mark.parametrize("suffix", [".npz", ".csv"])
+def test_four_pair_file_reads_four_runs_and_selects_views(tmp_path,
+                                                          monkeypatch, suffix):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--n", "1000", "--out", f"four{suffix}") == 0
+    rs = read_records(f"four{suffix}")
+    assert rs.counts.tolist() == [1000] * 4
+    assert np.array_equal(rs.phases, CANONICAL_PAIRS)
+    for theta_a, theta_b in CANONICAL_PAIRS:
+        sub = rs.select_pair(theta_a, theta_b)
+        assert len(sub) == 1000
+        assert np.shares_memory(sub.x_a, rs.x_a)
+        assert np.shares_memory(sub.x_b, rs.x_b)
+
+
+def test_phases_within_tolerance_select_as_one_pair_in_file_order(tmp_path):
+    theta_a = np.array([0.0, 0.0, 1e-12, 1e-12, 0.0, 1.0, 1e-12])
+    x = np.arange(7.0)
+    savecsv(tmp_path / "rec.csv", theta_a, np.zeros(7), x, 10.0 + x)
+    rs = read_records(tmp_path / "rec.csv")
+    assert rs.counts.tolist() == [2, 2, 1, 1, 1]
+    sub = rs.select_pair(0.0, 0.0)
+    assert sub.x_a.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 6.0]
+    assert sub.x_b.tolist() == [10.0, 11.0, 12.0, 13.0, 14.0, 16.0]
+
+
+def test_interleaved_pairs_give_the_block_ordered_verdict(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--depth", "2", "--n", "5000", "--seed", "8",
+               "--out", "rec.npz") == 0
+    block = np.column_stack(read_records("rec.npz").columns())
+    # row i of every pair in turn, so each row is a run of its own
+    mixed = block.reshape(4, 5000, 4).transpose(1, 0, 2).reshape(-1, 4)
+    savecsv("block.csv", *block.T)
+    savecsv("mixed.csv", *mixed.T)
+    assert len(read_records("mixed.csv").counts) == 20_000
+    for name in ("block", "mixed"):
+        assert run("verify", "--records", f"{name}.csv", "--boot", "50",
+                   "--out", f"v_{name}.json", "--plotdata",
+                   f"p_{name}.csv") == 0
+    for prefix in ("v_", "p_"):
+        ext = ".json" if prefix == "v_" else ".csv"
+        assert (tmp_path / f"{prefix}block{ext}").read_bytes() == \
+            (tmp_path / f"{prefix}mixed{ext}").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # the command line
 # ---------------------------------------------------------------------------
@@ -269,8 +318,10 @@ def test_missing_pair_in_radians_gets_no_degree_hint(tmp_path, monkeypatch,
 @pytest.mark.parametrize("mode", ["gaussian", "mixture"])
 def test_verdict_bytes_do_not_depend_on_format(tmp_path, monkeypatch, mode):
     monkeypatch.chdir(tmp_path)
+    # the mixture verdict takes one phase pair
+    pairs = ("--pairs", "90,90") if mode == "mixture" else ()
     assert run("simulate", "--depth", "2", "--n", "5000", "--seed", "8",
-               "--out", "rec.npz") == 0
+               *pairs, "--out", "rec.npz") == 0
     write_records(read_records("rec.npz"), tmp_path / "rec.csv")
     for suffix in ("npz", "csv"):
         assert run("verify", "--records", f"rec.{suffix}", "--mode", mode,

@@ -207,17 +207,19 @@ def test_write_read_round_trip_is_bitwise(tmp_path):
     back = read_records(path)
     assert np.array_equal(back.x_a, rs.x_a)
     assert np.array_equal(back.x_b, rs.x_b)
-    assert np.array_equal(back.theta_a, rs.theta_a)
+    assert np.array_equal(back.phases, rs.phases)
+    assert np.array_equal(back.counts, rs.counts)
     assert back.meta["scheme"]["kind"] == "switched_noise"
     assert back.meta["seed"] == 31
 
 
 def test_write_read_empty_records(tmp_path):
-    empty = RecordSet(*(np.array([]) for _ in range(4)))
+    empty = RecordSet(np.array([]), np.array([]), [], [])
     path = tmp_path / "empty.csv"
     write_records(empty, path)
     back = read_records(path)
     assert len(back) == 0
+    assert back.phases.shape == (0, 2) and back.counts.shape == (0,)
 
 
 def test_read_rejects_malformed_rows(tmp_path):

@@ -71,22 +71,20 @@ def test_split_sides_are_balanced_and_exhaustive():
     plus, minus = split_by_threshold(rs)
     assert len(plus) + len(minus) == n
     assert abs(len(plus) - n / 2) < 3.0 * np.sqrt(n) / 2.0
-    assert np.all(plus.x_a >= 0.0)
-    assert np.all(minus.x_a < 0.0)
-    rebuilt = np.sort(np.concatenate([plus.x_b, minus.x_b]))
-    assert np.array_equal(rebuilt, np.sort(rs.x_b))
+    assert np.array_equal(plus, rs.x_b[rs.x_a >= 0.0])
+    assert np.array_equal(minus, rs.x_b[rs.x_a < 0.0])
 
 
 def test_split_ties_go_to_the_plus_side():
-    rs = RecordSet(np.zeros(4), np.zeros(4),
-                   np.array([-1.0, 0.0, 0.0, 2.0]), np.arange(4.0))
+    rs = RecordSet(np.array([-1.0, 0.0, 0.0, 2.0]), np.arange(4.0),
+                   [(0.0, 0.0)], [4])
     plus, minus = split_by_threshold(rs, 0.0)
-    assert len(plus) == 3 and len(minus) == 1
+    assert plus.tolist() == [1.0, 2.0, 3.0] and minus.tolist() == [0.0]
 
 
 def test_split_degenerates_when_one_side_is_empty():
-    rs = RecordSet(np.zeros(3), np.zeros(3), np.ones(3), np.ones(3))
-    with pytest.raises(DegenerateSplitError):
+    rs = RecordSet(np.ones(3), np.ones(3), [(0.0, 0.0)], [3])
+    with pytest.raises(DegenerateSplitError, match="at phase pair .0, 0. "):
         split_by_threshold(rs, 100.0)
 
 
