@@ -21,7 +21,11 @@ manifests, which are compared as JSON without their "timings_s" and
 prints one line per difference and exits 1 if there is any, else 0.  For a
 JSON or CSV file that differs, the line gives the largest relative
 difference between its paired numbers, whether a "decision" field changed,
-and whether any text, null or layout differs too.
+and whether any text, null or layout differs too.  For a .npz record file
+that differs, it loads both files with numpy, expands a run table into the
+four per-row columns, and says whether the records are equal bit for bit
+("layout differs, records equal") or not ("records differ"); either way
+the difference counts.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SIM = ("simulate", "--n", "20000")
 COMMANDS = [
@@ -153,8 +159,22 @@ def _walk(old, new, found: dict, where: str = "") -> None:
         found["other"] = True
 
 
+def _records(path: Path) -> dict:
+    """The per-row columns of a .npz record file, as dtype and bytes; a run
+    table (phases, counts) is expanded into theta_A and theta_B."""
+    with np.load(path, allow_pickle=False) as npz:
+        members = {name: npz[name] for name in npz.files}
+    if "counts" in members:
+        theta = np.repeat(members.pop("phases"), members.pop("counts"), axis=0)
+        members.update(theta_A=theta[:, 0], theta_B=theta[:, 1])
+    return {name: (col.dtype, col.tobytes()) for name, col in members.items()}
+
+
 def describe(old: Path, new: Path) -> str:
     """How the contents of two differing output files differ."""
+    if old.suffix == ".npz":
+        return ("layout differs, records equal"
+                if _records(old) == _records(new) else "records differ")
     old_doc, new_doc = _parsed(old), _parsed(new)
     if old_doc is None:
         return "contents differ"

@@ -9,7 +9,7 @@ sampler, the statistical verdicts, and truncated Fock-space numerics for
 the non-Gaussian edge cases where peak separation and discord part ways.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (DegenerateSplitError, EmptySideError,
                      InsufficientDataError, NumericError, ParseError,

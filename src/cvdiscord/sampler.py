@@ -1,7 +1,9 @@
-"""Simulated homodyne records.
+"""Simulated homodyne records and record files.
 
-Records are rows (theta_A, theta_B, x_A, x_B): the local-oscillator phases
-and the two quadrature outcomes of one joint measurement.  Sampling is
+A record is (theta_A, theta_B, x_A, x_B): the local-oscillator phases and
+the two quadrature outcomes of one joint measurement.  Records are held,
+and stored in a .npz file, as the x_A and x_B columns plus a run table of
+phase pairs; a CSV file holds the four columns per row.  Sampling is
 serial and chunked, with one RNG substream per fixed-size chunk derived
 from (seed, chunk index); the samplers accept a workers keyword, which
 has no effect.
@@ -32,10 +34,15 @@ from .states import DEFAULT_V0, GaussianBipartiteState
 CHUNK = 1 << 16
 
 CSV_HEADER = "theta_A,theta_B,x_A,x_B"
-# record columns in file order, also the member names of a .npz record file
+# record columns in CSV file order
 COLUMNS = tuple(CSV_HEADER.split(","))
 # record files with this suffix are binary .npz; any other suffix is CSV
 NPZ_SUFFIX = ".npz"
+# .npz record layouts, each member's form in file order: the run table that
+# write_records writes, and the per-row columns that earlier versions wrote
+NPZ_LAYOUTS = ({"x_A": "1-D float64", "x_B": "1-D float64",
+                "phases": "(runs, 2) float64", "counts": "1-D int64"},
+               dict.fromkeys(COLUMNS, "1-D float64"))
 
 # default signed displacement of the switched-phase scheme, chosen so the
 # measured-mode peak of the displaced component sits at -12 vacuum units
@@ -169,11 +176,18 @@ class RecordSet:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.x_a, self.x_b = (np.asarray(x, dtype=np.float64) for x in (self.x_a, self.x_b))
         self.phases = np.asarray(self.phases, dtype=np.float64).reshape(-1, 2)
         self.counts = np.asarray(self.counts, dtype=np.int64).reshape(-1)
-        if (len(self.x_b) != len(self.x_a) or len(self.counts) != len(self.phases)
-                or self.counts.sum() != len(self.x_a)):
+        if len(self.x_b) != len(self.x_a) or len(self.counts) != len(self.phases):
             raise ValidationError("record columns have mismatched lengths")
+        if (low := np.flatnonzero(self.counts < 1)).size:
+            raise ValidationError(f"run {low[0] + 1} has count "
+                                  f"{self.counts[low[0]]}, expected at least 1")
+        # a float sum, because an int64 sum of huge counts can wrap around
+        if (total := self.counts.sum(dtype=np.float64)) != len(self.x_a):
+            raise ValidationError(f"run counts sum to {total:.0f}, expected "
+                                  f"{len(self.x_a)} records")
         self.phases, self.counts = _runs(*self.phases.T, self.counts)
 
     def __len__(self) -> int:
@@ -202,34 +216,35 @@ class RecordSet:
                          counts, dict(self.meta))
 
 
-def _runs(theta_a, theta_b, counts) -> tuple[np.ndarray, np.ndarray]:
-    """The run table of phase columns whose rows hold counts records each:
-    one row per maximal run of bitwise-equal phase pairs, found in one pass
-    in file order."""
+def _runs(theta_a, theta_b, counts=None) -> tuple[np.ndarray, np.ndarray]:
+    """The run table of phase columns whose rows hold counts records each,
+    or one each when counts is None: one row per maximal run of
+    bitwise-equal phase pairs, found in one pass in file order."""
     a, b = (np.asarray(t, dtype=np.float64).view(np.int64) for t in (theta_a, theta_b))
     starts = np.flatnonzero(np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])][:len(a)])
     return (np.column_stack([theta_a[starts], theta_b[starts]]),
-            np.add.reduceat(counts, starts))
+            np.diff(starts, append=len(a)) if counts is None
+            else np.add.reduceat(counts, starts))
 
 
 def concat_records(parts: list[RecordSet], meta: dict | None = None) -> RecordSet:
     if not parts:
         raise ValidationError("nothing to concatenate")
-    return RecordSet(
-        np.concatenate([p.x_a for p in parts]),
-        np.concatenate([p.x_b for p in parts]),
-        np.concatenate([p.phases for p in parts]),
-        np.concatenate([p.counts for p in parts]),
-        meta if meta is not None else dict(parts[0].meta),
-    )
+    columns = zip(*((p.x_a, p.x_b, p.phases, p.counts) for p in parts))
+    return RecordSet(*map(np.concatenate, columns),
+                     meta if meta is not None else dict(parts[0].meta))
 
 
-def _chunks(n: int, seed):
-    """(rng, start, stop) for each fixed-size chunk of n records, the rng a
-    substream derived from (seed, chunk index)."""
+def _draw(n: int, seed, chunk) -> tuple[np.ndarray, np.ndarray]:
+    """The x_A and x_B columns of n records, filled in fixed-size chunks:
+    chunk(rng, m) gives both columns of m records, the rng a substream
+    derived from (seed, chunk index)."""
+    x_a, x_b = np.empty(n), np.empty(n)
     for idx, start in enumerate(range(0, n, CHUNK)):
         rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
-        yield rng, start, min(start + CHUNK, n)
+        stop = min(start + CHUNK, n)
+        x_a[start:stop], x_b[start:stop] = chunk(rng, stop - start)
+    return x_a, x_b
 
 
 def sample_gaussian(state: GaussianBipartiteState, theta_a: float, theta_b: float,
@@ -242,15 +257,8 @@ def sample_gaussian(state: GaussianBipartiteState, theta_a: float, theta_b: floa
     cov = np.array([[form.mu, form.nu], [form.nu, form.lam]]) / (2.0 * det)
     chol = np.linalg.cholesky(cov)
     mean = np.array([form.mean_a, form.mean_b])
-
-    x_a = np.empty(n)
-    x_b = np.empty(n)
-    for rng, start, stop in _chunks(n, seed):
-        z = rng.standard_normal((stop - start, 2))
-        xy = z @ chol.T + mean
-        x_a[start:stop] = xy[:, 0]
-        x_b[start:stop] = xy[:, 1]
-
+    x_a, x_b = _draw(n, seed, lambda rng, m:
+                     (rng.standard_normal((m, 2)) @ chol.T + mean).T)
     meta = {
         "kind": "gaussian_state",
         "theta_a": theta_a,
@@ -276,16 +284,13 @@ def sample_scheme(config: SimulationConfig, workers: int | None = None) -> Recor
     proj_b = np.array([np.cos(config.theta_b), np.sin(config.theta_b)])
     root = np.sqrt(config.v0)
 
-    x_a = np.empty(n)
-    x_b = np.empty(n)
-    for rng, start, stop in _chunks(n, config.seed):
-        m = stop - start
+    def chunk(rng, m):
         d = np.zeros((m, 2))
         config.scheme.displace(rng, d, root)
         noise = rng.standard_normal((m, 2)) * root
-        x_a[start:stop] = eta * (d @ proj_a) + noise[:, 0]
-        x_b[start:stop] = eta_t * (d @ proj_b) + noise[:, 1]
+        return eta * (d @ proj_a) + noise[:, 0], eta_t * (d @ proj_b) + noise[:, 1]
 
+    x_a, x_b = _draw(n, config.seed, chunk)
     meta = {
         "kind": "scheme",
         "scheme": scheme_to_dict(config.scheme),
@@ -322,22 +327,20 @@ def write_records(rs: RecordSet, path, sidecar: bool = True) -> None:
     """Write records in the format named by the file suffix, plus an
     optional JSON provenance sidecar ``<file>.meta.json``.
 
-    A ``.npz`` file holds one uncompressed 1-D float64 member per column,
-    named as in the CSV header.  Any other suffix gets CSV with 17
-    significant digits, so float64 round-trips bitwise in either format.
+    A ``.npz`` file holds the records as a RecordSet does, in the
+    uncompressed members of NPZ_LAYOUTS[0]; any other suffix gets the four
+    CSV columns per row with 17 significant digits.  Either format
+    round-trips float64 bitwise.
     """
     path = Path(path)
-    columns = rs.columns()
     if path.suffix == NPZ_SUFFIX:
         # a file handle, because given a path numpy appends .npz to any
         # name that lacks it
         with open(path, "wb") as fh:
-            np.savez(fh, **{name: np.asarray(col, dtype=np.float64)
-                            for name, col in zip(COLUMNS, columns)})
+            np.savez(fh, x_A=rs.x_a, x_B=rs.x_b, phases=rs.phases, counts=rs.counts)
     else:
-        data = np.column_stack(columns)
-        np.savetxt(path, data, fmt="%.17g", delimiter=",", header=CSV_HEADER,
-                   comments="")
+        np.savetxt(path, np.column_stack(rs.columns()), fmt="%.17g",
+                   delimiter=",", header=CSV_HEADER, comments="")
     if sidecar and rs.meta:
         path.with_suffix(path.suffix + ".meta.json").write_text(
             json.dumps(rs.meta, indent=2, sort_keys=True) + "\n"
@@ -346,7 +349,8 @@ def write_records(rs: RecordSet, path, sidecar: bool = True) -> None:
 
 def read_records(path) -> RecordSet:
     """Read a record file written by write_records, in the format named by
-    its suffix; a CSV may be any file with the same four-column layout.
+    its suffix; a CSV may be any file with the same four-column layout, and
+    a .npz may also hold the four per-row columns of earlier versions.
 
     Malformed content and non-finite values raise ParseError naming the
     first bad file row (CSV) or record and column (.npz).
@@ -354,23 +358,26 @@ def read_records(path) -> RecordSet:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"no such record file: {path}")
-    if path.suffix == NPZ_SUFFIX:
-        columns = _read_npz(path)
-    else:
-        columns = _read_csv(path)
+    npz = path.suffix == NPZ_SUFFIX
+    rs = _read_npz(path) if npz else _read_csv(path)
+    if not all(np.isfinite(col).all() for col in (rs.phases, rs.x_a, rs.x_b)):
+        columns = rs.columns()
+        index, col = min((int(np.argmin(ok)), col) for col, ok in
+                         enumerate(map(np.isfinite, columns)) if not ok.all())
+        where = (f"record {index + 1}" if npz else
+                 f"row {next(itertools.islice(_data_lines(path), index, None))[0]}")
+        raise ParseError(f"cannot parse {path}: {where}: "
+                         f"non-finite {COLUMNS[col]} ({columns[col][index]})")
     meta_path = path.with_suffix(path.suffix + ".meta.json")
-    meta = {}
     if meta_path.exists():
         try:
-            meta = json.loads(meta_path.read_text())
+            rs.meta = json.loads(meta_path.read_text())
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad sidecar {meta_path}: {exc}") from exc
-    theta_a, theta_b, x_a, x_b = columns
-    ones = np.broadcast_to(np.int64(1), len(x_a))  # each row is one record
-    return RecordSet(x_a, x_b, *_runs(theta_a, theta_b, ones), meta)
+    return rs
 
 
-def _read_csv(path: Path) -> list[np.ndarray]:
+def _read_csv(path: Path) -> RecordSet:
     try:
         with warnings.catch_warnings():
             # header-only files are a legal empty record set, not a warning
@@ -387,49 +394,41 @@ def _read_csv(path: Path) -> list[np.ndarray]:
         data = data.reshape(0, 4)
     if data.shape[1] != 4:
         raise ParseError(f"{path} has {data.shape[1]} columns, expected 4")
-    bad = _first_nonfinite(data.T)
-    if bad is not None:
-        index, col = bad
-        row, _ = next(itertools.islice(_data_lines(path), index, None))
-        raise ParseError(f"cannot parse {path}: row {row}: "
-                         f"non-finite {COLUMNS[col]} ({data[index, col]})")
     # the phase columns only feed the run table; x_a and x_b are kept
-    return [data[:, 0], data[:, 1], data[:, 2].copy(), data[:, 3].copy()]
+    return RecordSet(data[:, 2].copy(), data[:, 3].copy(), *_runs(data[:, 0], data[:, 1]))
 
 
-def _read_npz(path: Path) -> list[np.ndarray]:
+def _read_npz(path: Path) -> RecordSet:
     if not zipfile.is_zipfile(path):
         raise ParseError(f"cannot parse {path}: not a .npz (zip) archive")
     try:
         with np.load(path, allow_pickle=False) as npz:
             members = npz.files
-            columns = [npz[name] for name in COLUMNS if name in members]
+            layout = next((layout for layout in NPZ_LAYOUTS
+                           if sorted(layout) == sorted(members)), {})
+            columns = {name: npz[name] for name in layout}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ParseError(f"cannot parse {path}: {exc}") from exc
-    if sorted(members) != sorted(COLUMNS):
-        raise ParseError(f"cannot parse {path}: members {members}, "
-                         f"expected {list(COLUMNS)}")
-    for name, col in zip(COLUMNS, columns):
-        if col.ndim != 1 or col.dtype != np.float64:
-            raise ParseError(f"cannot parse {path}: member {name} is "
-                             f"{col.ndim}-D {col.dtype}, expected 1-D float64")
-    lengths = [len(col) for col in columns]
-    if len(set(lengths)) > 1:
-        raise ParseError(f"cannot parse {path}: member lengths "
-                         f"{dict(zip(COLUMNS, lengths))} differ")
-    bad = _first_nonfinite(columns)
-    if bad is not None:
-        index, col = bad
-        raise ParseError(f"cannot parse {path}: record {index + 1}: "
-                         f"non-finite {COLUMNS[col]} ({columns[col][index]})")
-    return columns
-
-
-def _first_nonfinite(columns) -> tuple[int, int] | None:
-    """(record index, column index) of the first non-finite value."""
-    bad = [(int(np.argmin(ok)), col)
-           for col, ok in enumerate(map(np.isfinite, columns)) if not ok.all()]
-    return min(bad, default=None)
+    if not layout:
+        raise ParseError(f"cannot parse {path}: members {members}, expected "
+                         + " or ".join(str(list(layout)) for layout in NPZ_LAYOUTS))
+    for name, col in columns.items():
+        dims = (f"(runs, {col.shape[1]})" if name == "phases" and col.ndim == 2
+                else f"{col.ndim}-D")
+        if f"{dims} {col.dtype}" != layout[name]:
+            raise ParseError(f"cannot parse {path}: member {name} is {dims} "
+                             f"{col.dtype}, expected {layout[name]}")
+    for group in (COLUMNS, ("phases", "counts")):  # per record, per run
+        lengths = {name: len(columns[name]) for name in group if name in columns}
+        if len(set(lengths.values())) > 1:
+            raise ParseError(f"cannot parse {path}: member lengths {lengths} differ")
+    if "theta_A" in columns:
+        columns.update(zip(("phases", "counts"),
+                           _runs(columns.pop("theta_A"), columns.pop("theta_B"))))
+    try:
+        return RecordSet(*(columns[name] for name in NPZ_LAYOUTS[0]))
+    except ValidationError as exc:  # the run counts
+        raise ParseError(f"cannot parse {path}: {exc}") from exc
 
 
 def _data_lines(path: Path):

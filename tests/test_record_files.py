@@ -21,7 +21,7 @@ from cvdiscord import (
     write_records,
 )
 from cvdiscord.cli import main
-from cvdiscord.sampler import COLUMNS, CSV_HEADER
+from cvdiscord.sampler import COLUMNS, CSV_HEADER, NPZ_LAYOUTS
 from cvdiscord.verifier import CANONICAL_PAIRS
 
 
@@ -67,18 +67,47 @@ def test_csv_and_npz_read_back_bitwise_equal(tmp_path):
     assert (tmp_path / "rec.npz.meta.json").exists()
 
 
-def test_npz_holds_four_uncompressed_float64_columns(tmp_path):
+def test_npz_holds_x_columns_and_the_run_table(tmp_path):
     rs = sample()
+    rs = RecordSet(rs.x_a, rs.x_b, CANONICAL_PAIRS[:3], [1_000, 1_200, 800])
     path = tmp_path / "rec.npz"
     write_records(rs, path)
     with zipfile.ZipFile(path) as zf:
         infos = zf.infolist()
-    assert [i.filename for i in infos] == [f"{c}.npy" for c in COLUMNS]
+    assert [i.filename for i in infos] == [f"{m}.npy" for m in NPZ_LAYOUTS[0]]
     assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
     with np.load(path, allow_pickle=False) as npz:
-        for name, column in zip(COLUMNS, rs.columns()):
-            assert npz[name].dtype == np.float64 and npz[name].ndim == 1
-            assert np.array_equal(npz[name], column)
+        members = {name: npz[name] for name in npz.files}
+    forms = {name: (col.dtype, col.shape) for name, col in members.items()}
+    assert forms == {"x_A": (np.float64, (3_000,)), "x_B": (np.float64, (3_000,)),
+                     "phases": (np.float64, (3, 2)), "counts": (np.int64, (3,))}
+    theta = np.repeat(members["phases"], members["counts"], axis=0)
+    expanded = (theta[:, 0], theta[:, 1], members["x_A"], members["x_B"])
+    for name, got, want in zip(COLUMNS, expanded, rs.columns()):
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("mode", ["gaussian", "mixture"])
+def test_four_column_npz_still_reads(tmp_path, monkeypatch, mode):
+    monkeypatch.chdir(tmp_path)
+    pairs = ("--pairs", "90,90") if mode == "mixture" else ()
+    assert run("simulate", "--depth", "2", "--n", "5000", "--seed", "8",
+               *pairs, "--out", "new.npz") == 0
+    rs = read_records("new.npz")
+    # the layout of versions before the run table
+    savez(tmp_path / "old.npz", **dict(zip(COLUMNS, rs.columns())))
+    (tmp_path / "old.npz.meta.json").write_bytes(
+        (tmp_path / "new.npz.meta.json").read_bytes())
+    old = read_records("old.npz")
+    assert_bitwise_equal(old, rs)
+    assert old.phases.tobytes() == rs.phases.tobytes()
+    assert old.counts.tobytes() == rs.counts.tobytes()
+    assert old.meta == rs.meta
+    for name in ("new", "old"):
+        assert run("verify", "--records", f"{name}.npz", "--mode", mode,
+                   "--boot", "50", "--out", f"verdict_{name}.json") == 0
+    assert (tmp_path / "verdict_old.json").read_bytes() == \
+        (tmp_path / "verdict_new.json").read_bytes()
 
 
 def test_npz_bytes_are_deterministic(tmp_path):
@@ -224,6 +253,49 @@ def _uneven_members(path):
 def test_malformed_npz_exits_1(tmp_path, monkeypatch, capsys, make, fault):
     monkeypatch.chdir(tmp_path)
     make(tmp_path / "bad.npz")
+    with pytest.raises(ParseError, match="bad.npz"):
+        read_records(tmp_path / "bad.npz")
+    assert run("verify", "--records", "bad.npz") == 1
+    err = capsys.readouterr().err
+    assert "bad.npz" in err and fault in err
+
+
+def _run_table():
+    """The members of a good run-table .npz: 50 records in four runs."""
+    rs = sample(n=50)
+    return {"x_A": rs.x_a, "x_B": rs.x_b, "phases": np.array(CANONICAL_PAIRS),
+            "counts": np.array([10, 15, 12, 13])}
+
+
+@pytest.mark.parametrize("change, fault", [
+    ({"counts": None}, "members"),
+    ({"counts": np.array([10.0, 15.0, 12.0, 13.0])},
+     "counts is 1-D float64, expected 1-D int64"),
+    ({"phases": np.zeros(4)},
+     "phases is 1-D float64, expected (runs, 2) float64"),
+    ({"phases": np.zeros((4, 3))},
+     "phases is (runs, 3) float64, expected (runs, 2) float64"),
+    ({"counts": np.array([10, 15, 25])}, "lengths"),
+    ({"counts": np.array([10, 0, 27, 13])},
+     "run 2 has count 0, expected at least 1"),
+    ({"counts": np.array([10, 15, 12, 12])},
+     "run counts sum to 49, expected 50 records"),
+    ({"counts": np.array([10, 15, 12, 14])},
+     "run counts sum to 51, expected 50 records"),
+    # an int64 sum of these wraps around to 50
+    ({"counts": np.array([2**62, 2**62, 2**62, 2**62 + 50])},
+     "run counts sum to 18446744073709551616, expected 50 records"),
+    ({"phases": np.array([[0, 0], [0, np.nan], [1, 0], [1, 1]])},
+     "record 11: non-finite theta_B (nan)"),
+], ids=["no counts", "float counts", "1-D phases", "3 phase columns",
+        "uneven runs", "zero count", "sum short", "sum over", "sum wraps",
+        "nan phase"])
+def test_malformed_run_table_exits_1(tmp_path, monkeypatch, capsys, change,
+                                     fault):
+    monkeypatch.chdir(tmp_path)
+    members = {**_run_table(), **change}
+    savez(tmp_path / "bad.npz",
+          **{name: col for name, col in members.items() if col is not None})
     with pytest.raises(ParseError, match="bad.npz"):
         read_records(tmp_path / "bad.npz")
     assert run("verify", "--records", "bad.npz") == 1

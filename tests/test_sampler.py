@@ -240,6 +240,13 @@ def test_read_rejects_malformed_rows(tmp_path):
         read_records(tmp_path / "no-such-file.csv")
 
 
+@pytest.mark.parametrize("counts", [[3, -1], [2, 0]])
+def test_run_counts_below_one_are_rejected(counts):
+    with pytest.raises(ValidationError,
+                       match=f"run 2 has count {counts[1]}, expected at least 1"):
+        RecordSet(np.arange(2.0), np.arange(2.0), [(0, 0), (1, 1)], counts)
+
+
 def test_concat_and_pair_selection():
     state = H.measured_state()
     parts = [sample_gaussian(state, ta, tb, 1_000, seed=40 + i)
