@@ -13,11 +13,16 @@ For each tree the script writes the same config files into a fresh
 temporary directory and runs the same command set there (simulate for
 every scheme in both record formats and with --workers 3, verify in both
 modes with --plotdata on .npz records and on the gaussian and
-switched-phase CSV records, simulate and verify from a config file, sweep,
+switched-phase CSV records, simulate and verify from a config file, a
+record file run.npz and its verdict run.json, which share a stem, sweep,
 and counterexample with --plotdata and --dump-state), with PYTHONPATH set
 to that tree.  It then compares every output file byte for byte, except
 manifests, which are compared as JSON without their "timings_s" and
-"versions" entries, and each command's exit code, stdout and stderr.  It
+"versions" entries, and each command's exit code, stdout and stderr.
+Each manifest is named after its command's primary output
+(gauss.npz.manifest.json), so no command overwrites another's manifest and
+all of them are compared; a tree that names manifests otherwise shows as
+files written by one tree only.  It
 prints one line per difference and exits 1 if there is any, else 0.  For a
 JSON or CSV file that differs, the line gives the largest relative
 difference between its paired numbers, whether a "decision" field changed,
@@ -57,6 +62,8 @@ COMMANDS = [
      "--out", "async.npz"),
     (*SIM, "--scheme", "async", "--depth", "2", "--seed", "6",
      "--out", "async.csv"),
+    (*SIM, "--depth", "2", "--seed", "8", "--out", "run.npz"),
+    ("verify", "--records", "run.npz", "--boot", "50", "--out", "run.json"),
     ("verify", "--records", "gauss.npz", "--boot", "50",
      "--out", "v_gauss.json", "--plotdata", "p_gauss.csv"),
     ("verify", "--records", "gauss.npz", "--boot", "50",

@@ -4,10 +4,10 @@ Four commands: simulate (draw homodyne records for a modulation scheme),
 verify (run a discord verdict over a record file), sweep (peak separation
 versus modulation depth), counterexample (build and certify the Fock-space
 edge cases).  Options come from flags, falling back to a JSON config file
-(--config), falling back to defaults.  Every run writes a manifest next to
-the primary output with the effective config, library versions, wall-clock
-timings and a sha256 of each output file.  Outputs are written atomically;
-timings live only in the manifest so the data files are byte-reproducible.
+(--config), falling back to defaults.  main writes every output atomically,
+then a manifest <primary output>.manifest.json with the effective config,
+library versions, wall-clock timings and a sha256 of each output file.
+Timings live only in the manifest so the data files are byte-reproducible.
 
 Exit codes: 0 success (whatever the verdict says), 1 bad input or config,
 2 runtime or numeric failure.
@@ -16,17 +16,18 @@ Exit codes: 0 success (whatever the verdict says), 1 bad input or config,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import ValidationError, read_document
 from .fock import (build_ce_hidden_discord, build_ce_zero_discord,
                    commutator_norm, conditional_b_given_sign, default_grid,
@@ -34,10 +35,10 @@ from .fock import (build_ce_hidden_discord, build_ce_zero_discord,
                    homodyne_marginal_fock, squeezed_vacuum_fock,
                    superposition_basis, thermal_fock, verify_classical_on_b)
 from .marginals import density_curve_to_csv
-from .sampler import (SWITCHED_PHASE_AMPLITUDE, AsyncSine, GaussianModulation,
-                      SimulationConfig, SwitchedNoise, SwitchedPhase,
-                      concat_records, read_records, sample_scheme,
-                      scheme_to_dict, write_records)
+from .sampler import (META_SUFFIX, SWITCHED_PHASE_AMPLITUDE, AsyncSine,
+                      GaussianModulation, SimulationConfig, SwitchedNoise,
+                      SwitchedPhase, concat_records, read_records,
+                      sample_scheme, scheme_to_dict, write_records)
 from .verifier import (CANONICAL_PAIRS, ConditionalHistograms,
                        sweep_modulation, sweep_to_csv, verdict_gaussian,
                        verdict_mixture, mixture_verdict_to_json,
@@ -155,33 +156,37 @@ def _effective_config(args: argparse.Namespace) -> dict:
     return eff
 
 
-def _resolve_out(path) -> Path:
-    path = Path(path)
-    outdir = os.environ.get("CVDISCORD_OUTDIR")
-    if outdir and not path.is_absolute():
-        path = Path(outdir) / path
-    if path.parent != Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
+def _resolve_out(name) -> Path:
+    # joining keeps an absolute name and puts a relative one under the
+    # directory CVDISCORD_OUTDIR names, if it is set and not empty
+    path = Path(os.environ.get("CVDISCORD_OUTDIR", "")) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
-@contextmanager
-def _atomic(path: Path):
-    """Yield a temp path in the same directory; replace on success.  The
-    temp name keeps the destination's suffix (records.tmp.npz), because
-    write_records picks the file format from the suffix."""
+def _write(name, write) -> Path:
+    """Resolve an output name, fill a temp file in the same directory with
+    write(tmp), and replace the destination with it.  The temp name keeps
+    the suffix (records.tmp.npz), because write_records picks the file
+    format from the suffix."""
+    path = _resolve_out(name)
     tmp = path.with_name(f"{path.stem}.tmp{path.suffix}")
     try:
-        yield tmp
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return path
 
 
-def _atomic_text(path: Path, text: str) -> None:
-    with _atomic(path) as tmp:
-        tmp.write_text(text)
+def _text(text: str):
+    """A writer that fills its path with text."""
+    return functools.partial(Path.write_text, data=text)
+
+
+def _json(doc: dict, **kwargs) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, **kwargs) + "\n"
 
 
 def _sha256(path: Path) -> str:
@@ -192,36 +197,23 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("cvdiscord")
-    except Exception:
-        return "unknown"
-
-
-def _write_manifest(primary_out: Path, command: str, config: dict,
-                    outputs: list[Path], timings: dict) -> Path:
+def _manifest(command: str, config: dict, paths: list[Path],
+              timings: dict) -> str:
     import scipy
-    manifest_path = primary_out.with_suffix(".manifest.json")
-    jsonable = {
-        k: (str(v) if isinstance(v, Path) else v) for k, v in config.items()
-    }
-    doc = {
+    # default=str writes the Path values of the config as strings
+    return _json({
         "command": command,
-        "config": jsonable,
-        "seed": jsonable.get("seed"),
+        "config": config,
+        "seed": config.get("seed"),
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "cvdiscord": _package_version(),
+            "cvdiscord": __version__,
         },
         "timings_s": timings,
-        "outputs": {str(p): _sha256(p) for p in outputs},
-    }
-    _atomic_text(manifest_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return manifest_path
+        "outputs": {str(p): _sha256(p) for p in paths},
+    }, default=str)
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +288,15 @@ def emit_plotdata(hists: ConditionalHistograms, path: Path) -> None:
               "conditional_plus": hists.plus.density(),
               "conditional_minus": hists.minus.density(),
               "gaussian_reference": ref}
-    with _atomic(path) as tmp:
-        density_curve_to_csv(tmp, x, curves)
+    density_curve_to_csv(path, x, curves)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands, each returning [(output name, write(path)), ...], primary first
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(cfg: dict) -> tuple[Path, list[Path], dict]:
+def _cmd_simulate(cfg: dict) -> list:
     """Draw homodyne records.  The gaussian scheme simulates all four
     canonical phase pairs by default (n records each, per-pair seeds seed,
     seed+1, ...); other schemes use a single pair."""
@@ -316,7 +307,6 @@ def _cmd_simulate(cfg: dict) -> tuple[Path, list[Path], dict]:
         pairs = parse_pairs("all")
     else:
         pairs = [(math.radians(cfg["theta_a"]), math.radians(cfg["theta_b"]))]
-    t0 = time.perf_counter()
     parts = []
     for i, (ta, tb) in enumerate(pairs):
         sim = SimulationConfig(scheme=scheme, n_samples=cfg["n"],
@@ -332,22 +322,14 @@ def _cmd_simulate(cfg: dict) -> tuple[Path, list[Path], dict]:
         "seed": cfg["seed"],
         "v0": cfg["v0"],
     })
-    t1 = time.perf_counter()
-    out = _resolve_out(cfg["out"])
-    with _atomic(out) as tmp:
-        write_records(rs, tmp, sidecar=False)
-    sidecar = out.with_suffix(out.suffix + ".meta.json")
-    _atomic_text(sidecar, json.dumps(rs.meta, indent=2, sort_keys=True) + "\n")
-    t2 = time.perf_counter()
-    timings = {"sample_s": t1 - t0, "write_s": t2 - t1, "total_s": t2 - t0}
-    return out, [out, sidecar], timings
+    return [(cfg["out"], functools.partial(write_records, rs, sidecar=False)),
+            (f"{cfg['out']}{META_SUFFIX}", _text(_json(rs.meta)))]
 
 
-def _cmd_verify(cfg: dict) -> tuple[Path, list[Path], dict]:
+def _cmd_verify(cfg: dict) -> list:
     """Run a discord verdict over a record file."""
     if cfg["records"] is None:
         raise ValidationError("verify needs --records")
-    t0 = time.perf_counter()
     rs = read_records(cfg["records"])
     if cfg["mode"] == "gaussian":
         pairs = parse_pairs(cfg["pairs"])
@@ -362,31 +344,17 @@ def _cmd_verify(cfg: dict) -> tuple[Path, list[Path], dict]:
                                   n_boot=cfg["boot"])
         hists = verdict.hists
         text = mixture_verdict_to_json(verdict)
-    t1 = time.perf_counter()
-    out = _resolve_out(cfg["out"])
-    _atomic_text(out, text + "\n")
-    outputs = [out]
+    outputs = [(cfg["out"], _text(text + "\n"))]
     if cfg["plotdata"] is not None:
-        plot_path = _resolve_out(cfg["plotdata"])
-        emit_plotdata(hists, plot_path)
-        outputs.append(plot_path)
-    t2 = time.perf_counter()
-    timings = {"verify_s": t1 - t0, "write_s": t2 - t1, "total_s": t2 - t0}
-    return out, outputs, timings
+        outputs.append((cfg["plotdata"], functools.partial(emit_plotdata, hists)))
+    return outputs
 
 
-def _cmd_sweep(cfg: dict) -> tuple[Path, list[Path], dict]:
+def _cmd_sweep(cfg: dict) -> list:
     """Peak separation versus modulation depth on a balanced splitter."""
     depths = parse_depths(cfg["depths"])
-    t0 = time.perf_counter()
     rows = sweep_modulation(depths, n=cfg["n"], seed=cfg["seed"], v0=cfg["v0"])
-    t1 = time.perf_counter()
-    out = _resolve_out(cfg["out"])
-    with _atomic(out) as tmp:
-        sweep_to_csv(rows, tmp)
-    t2 = time.perf_counter()
-    timings = {"sweep_s": t1 - t0, "write_s": t2 - t1, "total_s": t2 - t0}
-    return out, [out], timings
+    return [(cfg["out"], functools.partial(sweep_to_csv, rows))]
 
 
 def _sign_report(state) -> tuple:
@@ -442,36 +410,27 @@ def _certify_hidden(cfg: dict) -> tuple:
     return report, state, grid, curves
 
 
-def _cmd_counterexample(cfg: dict) -> tuple[Path, list[Path], dict]:
+def _cmd_counterexample(cfg: dict) -> list:
     """Build and certify the Fock-space edge cases."""
-    t0 = time.perf_counter()
     cases = {}
     if cfg["which"] in ("zero", "both"):
         cases["zero"] = _certify_zero(cfg)
     if cfg["which"] in ("hidden", "both"):
         cases["hidden"] = _certify_hidden(cfg)
     report = {f"{name}_discord": case[0] for name, case in cases.items()}
-    t1 = time.perf_counter()
-    out = _resolve_out(cfg["out"])
-    _atomic_text(out, json.dumps(report, indent=2, sort_keys=True,
-                                 allow_nan=False) + "\n")
-    outputs = [out]
+    outputs = [(cfg["out"], _text(_json(report, allow_nan=False)))]
     if cfg["plotdata"] is not None:
-        prefix = _resolve_out(cfg["plotdata"])
+        prefix = Path(cfg["plotdata"])
         for name, (_, _, grid, curves) in cases.items():
-            path = prefix.with_name(f"{prefix.name}_{name}.csv")
-            with _atomic(path) as tmp:
-                density_curve_to_csv(tmp, grid.points, curves)
-            outputs.append(path)
+            outputs.append((prefix.with_name(f"{prefix.name}_{name}.csv"),
+                            functools.partial(density_curve_to_csv,
+                                              x=grid.points, columns=curves)))
     if cfg["dump_state"] is not None:
-        prefix = _resolve_out(cfg["dump_state"])
+        prefix = Path(cfg["dump_state"])
         for name, (_, state, _, _) in cases.items():
-            path = prefix.with_name(f"{prefix.name}_{name}.json")
-            _atomic_text(path, fock_state_to_json(state) + "\n")
-            outputs.append(path)
-    t2 = time.perf_counter()
-    timings = {"build_s": t1 - t0, "write_s": t2 - t1, "total_s": t2 - t0}
-    return out, outputs, timings
+            outputs.append((prefix.with_name(f"{prefix.name}_{name}.json"),
+                            _text(fock_state_to_json(state) + "\n")))
+    return outputs
 
 
 _COMMANDS = {
@@ -486,10 +445,15 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _effective_config(args)
-        primary, outputs, timings = _COMMANDS[args.command](cfg)
-        manifest = _write_manifest(primary, args.command, cfg, outputs,
-                                   timings)
-        for path in outputs + [manifest]:
+        t0 = time.perf_counter()
+        outputs = _COMMANDS[args.command](cfg)
+        t1 = time.perf_counter()
+        paths = [_write(name, write) for name, write in outputs]
+        t2 = time.perf_counter()
+        timings = {"compute_s": t1 - t0, "write_s": t2 - t1, "total_s": t2 - t0}
+        manifest = _manifest(args.command, cfg, paths, timings)
+        paths.append(_write(f"{outputs[0][0]}.manifest.json", _text(manifest)))
+        for path in paths:
             print(path)
         return 0
     except Exception as exc:  # bad input; else a runtime, I/O or numpy failure

@@ -32,11 +32,7 @@ class TruncationError(ToolkitError):
 
 
 class ParseError(ValidationError):
-    """A record file could not be parsed; carries the offending row."""
-
-    def __init__(self, message, row=None):
-        super().__init__(message if row is None else f"{message} (row {row})")
-        self.row = row
+    """A record file could not be parsed."""
 
 
 def _number(value) -> bool:

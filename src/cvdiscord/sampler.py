@@ -38,6 +38,8 @@ CSV_HEADER = "theta_A,theta_B,x_A,x_B"
 COLUMNS = tuple(CSV_HEADER.split(","))
 # record files with this suffix are binary .npz; any other suffix is CSV
 NPZ_SUFFIX = ".npz"
+# a record file's JSON provenance sidecar is <file><META_SUFFIX>
+META_SUFFIX = ".meta.json"
 # .npz record layouts, each member's form in file order: the run table that
 # write_records writes, and the per-row columns that earlier versions wrote
 NPZ_LAYOUTS = ({"x_A": "1-D float64", "x_B": "1-D float64",
@@ -325,7 +327,7 @@ def scheme_from_dict(doc: dict) -> ModulationScheme:
 
 def write_records(rs: RecordSet, path, sidecar: bool = True) -> None:
     """Write records in the format named by the file suffix, plus an
-    optional JSON provenance sidecar ``<file>.meta.json``.
+    optional JSON provenance sidecar ``<file><META_SUFFIX>``.
 
     A ``.npz`` file holds the records as a RecordSet does, in the
     uncompressed members of NPZ_LAYOUTS[0]; any other suffix gets the four
@@ -342,7 +344,7 @@ def write_records(rs: RecordSet, path, sidecar: bool = True) -> None:
         np.savetxt(path, np.column_stack(rs.columns()), fmt="%.17g",
                    delimiter=",", header=CSV_HEADER, comments="")
     if sidecar and rs.meta:
-        path.with_suffix(path.suffix + ".meta.json").write_text(
+        path.with_name(path.name + META_SUFFIX).write_text(
             json.dumps(rs.meta, indent=2, sort_keys=True) + "\n"
         )
 
@@ -368,7 +370,7 @@ def read_records(path) -> RecordSet:
                  f"row {next(itertools.islice(_data_lines(path), index, None))[0]}")
         raise ParseError(f"cannot parse {path}: {where}: "
                          f"non-finite {COLUMNS[col]} ({columns[col][index]})")
-    meta_path = path.with_suffix(path.suffix + ".meta.json")
+    meta_path = path.with_name(path.name + META_SUFFIX)
     if meta_path.exists():
         try:
             rs.meta = json.loads(meta_path.read_text())

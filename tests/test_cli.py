@@ -6,10 +6,12 @@ import math
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvdiscord
 from cvdiscord import cli
 from cvdiscord.cli import main, parse_depths, parse_pairs
 from cvdiscord.errors import ValidationError
@@ -82,7 +84,7 @@ def test_simulate_writes_records_sidecar_manifest(tmp_path, monkeypatch,
     assert code == 0
     rec = tmp_path / "rec.csv"
     sidecar = tmp_path / "rec.csv.meta.json"
-    manifest = tmp_path / "rec.manifest.json"
+    manifest = tmp_path / "rec.csv.manifest.json"
     assert rec.exists() and sidecar.exists() and manifest.exists()
 
     doc = json.loads(manifest.read_text())
@@ -104,7 +106,42 @@ def test_simulate_writes_records_sidecar_manifest(tmp_path, monkeypatch,
     # every produced file is announced on stdout, manifest last
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3
-    assert lines[-1].endswith("rec.manifest.json")
+    assert lines[-1].endswith("rec.csv.manifest.json")
+
+
+def test_simulate_and_verify_keep_their_own_manifests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--n", "5000", "--out", "run.npz") == 0
+    assert run("verify", "--records", "run.npz", "--boot", "20",
+               "--out", "run.json") == 0
+    assert sorted(p.name for p in tmp_path.glob("*.manifest.json")) == [
+        "run.json.manifest.json", "run.npz.manifest.json"]
+    sim = json.loads((tmp_path / "run.npz.manifest.json").read_text())
+    assert sim["command"] == "simulate"
+    assert sim["outputs"] == {name: sha256(tmp_path / name)
+                              for name in ("run.npz", "run.npz.meta.json")}
+    ver = json.loads((tmp_path / "run.json.manifest.json").read_text())
+    assert ver["command"] == "verify"
+    assert ver["outputs"] == {"run.json": sha256(tmp_path / "run.json")}
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--n", "500", "--pairs", "0,0", "--out", "rec.npz"),
+    ("sweep", "--depths", "0.5", "--n", "1000", "--out", "sweep.csv"),
+    ("counterexample", "--which", "zero", "--out", "ce.json"),
+], ids=lambda argv: argv[0])
+def test_manifest_records_the_version_and_one_timing_layout(
+        tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 0
+    manifest = capsys.readouterr().out.splitlines()[-1]
+    assert manifest == f"{argv[-1]}.manifest.json"
+    doc = json.loads((tmp_path / manifest).read_text())
+    assert doc["versions"]["cvdiscord"] == cvdiscord.__version__
+    timings = doc["timings_s"]
+    assert set(timings) == {"compute_s", "write_s", "total_s"}
+    assert timings["total_s"] == pytest.approx(
+        timings["compute_s"] + timings["write_s"])
 
 
 def test_simulate_gaussian_defaults_to_all_pairs(tmp_path, monkeypatch):
@@ -298,7 +335,7 @@ def test_config_file_applies_and_flags_win(tmp_path, monkeypatch):
     cfg.write_text(json.dumps({"n": 600, "seed": 3, "depth": 1.0}))
     assert run("simulate", "--config", cfg, "--n", "400",
                "--pairs", "0,0", "--out", "rec.csv") == 0
-    doc = json.loads((tmp_path / "rec.manifest.json").read_text())
+    doc = json.loads((tmp_path / "rec.csv.manifest.json").read_text())
     assert doc["config"]["n"] == 400      # flag beats file
     assert doc["config"]["seed"] == 3     # file beats default
     meta = json.loads((tmp_path / "rec.csv.meta.json").read_text())
@@ -398,7 +435,7 @@ def test_null_config_value_takes_the_default(tmp_path, monkeypatch, capsys):
     cfg.write_text(json.dumps({"seed": None, "depth": None, "n": 300}))
     assert run("simulate", "--config", cfg, "--pairs", "0,0",
                "--out", "rec.npz") == 0
-    doc = json.loads((tmp_path / "rec.manifest.json").read_text())
+    doc = json.loads((tmp_path / "rec.npz.manifest.json").read_text())
     assert doc["seed"] == 0 and doc["config"]["n"] == 300
     assert run("simulate", "--n", "300", "--pairs", "0,0",
                "--out", "plain.npz") == 0
@@ -473,7 +510,7 @@ def test_sweep_writes_expected_rows(tmp_path, monkeypatch):
     assert rows.shape == (3, 5)
     assert np.allclose(rows[:, 0], [0.0, 1.0, 2.0])
     assert np.all(np.diff(rows[:, 3]) > 0)
-    assert (tmp_path / "sweep.manifest.json").exists()
+    assert (tmp_path / "sweep.csv.manifest.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -521,18 +558,34 @@ def test_counterexample_both_reports_hidden_limits(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_outdir_env_redirects_relative_outputs(tmp_path, monkeypatch):
+@pytest.mark.parametrize("relative", [False, True],
+                         ids=["absolute", "relative"])
+def test_outdir_env_redirects_relative_outputs(tmp_path, monkeypatch, capsys,
+                                               relative):
     workdir = tmp_path / "work"
     outdir = tmp_path / "results"
     workdir.mkdir()
     outdir.mkdir()
-    monkeypatch.chdir(workdir)
-    monkeypatch.setenv("CVDISCORD_OUTDIR", str(outdir))
+    # a relative outdir is taken from the working directory, its parent
+    env = "results" if relative else str(outdir)
+    monkeypatch.chdir(tmp_path if relative else workdir)
+    monkeypatch.setenv("CVDISCORD_OUTDIR", env)
     assert run("simulate", "--n", "500", "--pairs", "0,0",
                "--out", "rec.csv") == 0
-    assert (outdir / "rec.csv").exists()
-    assert (outdir / "rec.manifest.json").exists()
-    assert not (workdir / "rec.csv").exists()
+    assert run("counterexample", "--which", "zero", "--out", "ce.json",
+               "--plotdata", "curves", "--dump-state", "state") == 0
+    names = ["rec.csv", "rec.csv.meta.json", "rec.csv.manifest.json",
+             "ce.json", "curves_zero.csv", "state_zero.json",
+             "ce.json.manifest.json"]
+    # each output and its manifest land once, directly under the outdir
+    assert capsys.readouterr().out.splitlines() == [str(Path(env) / n)
+                                                    for n in names]
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(names)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results", "work"]
+    assert list(workdir.iterdir()) == []
+    manifest = json.loads((outdir / "rec.csv.manifest.json").read_text())
+    assert manifest["outputs"] == {str(Path(env) / n): sha256(outdir / n)
+                                   for n in names[:2]}
 
 
 def test_module_entry_point(tmp_path):

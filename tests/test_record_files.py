@@ -409,11 +409,11 @@ def test_simulate_defaults_to_npz(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CVDISCORD_OUTDIR", str(outdir))
     assert run("simulate", "--n", "1000", "--pairs", "0,0") == 0
     printed = capsys.readouterr().out.splitlines()
-    names = ["records.npz", "records.npz.meta.json", "records.manifest.json"]
+    names = ["records.npz", "records.npz.meta.json", "records.npz.manifest.json"]
     assert printed == [str(outdir / n) for n in names]
     assert sorted(p.name for p in outdir.iterdir()) == sorted(names)
     assert list(workdir.iterdir()) == []
-    manifest = json.loads((outdir / "records.manifest.json").read_text())
+    manifest = json.loads((outdir / "records.npz.manifest.json").read_text())
     assert manifest["config"]["out"] == "records.npz"
     assert manifest["outputs"] == {
         str(outdir / n): hashlib.sha256((outdir / n).read_bytes()).hexdigest()
