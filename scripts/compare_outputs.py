@@ -14,9 +14,10 @@ temporary directory and runs the same command set there (simulate for
 every scheme in both record formats and with --workers 3, verify in both
 modes with --plotdata on .npz records and on the gaussian and
 switched-phase CSV records, simulate and verify from a config file, a
-record file run.npz and its verdict run.json, which share a stem, sweep,
-and counterexample with --plotdata and --dump-state), with PYTHONPATH set
-to that tree.  It then compares every output file byte for byte, except
+record file run.npz and its verdict run.json, which share a stem, a
+simulate and verify at 140,000 records per pair, three sampling chunks
+per pair with the last one partial, sweep, and counterexample with
+--plotdata and --dump-state), with PYTHONPATH set to that tree.  It then compares every output file byte for byte, except
 manifests, which are compared as JSON without their "timings_s" and
 "versions" entries, and each command's exit code, stdout and stderr.
 Each manifest is named after its command's primary output
@@ -82,6 +83,11 @@ COMMANDS = [
      "--threshold", "-6", "--boot", "50", "--out", "v_phase_csv.json",
      "--plotdata", "p_phase_csv.csv"),
     ("simulate", "--config", "sim.json"),
+    # 140000 = 2 * 65536 + 8928: chunk boundaries inside and between pairs
+    ("simulate", "--n", "140000", "--depth", "1.5", "--seed", "11",
+     "--out", "chunks.npz"),
+    ("verify", "--records", "chunks.npz", "--boot", "50",
+     "--out", "v_chunks.json"),
     ("verify", "--config", "verify.json", "--boot", "50"),
     ("sweep", "--depths", "0:3:4", "--n", "5000", "--out", "sweep.csv"),
     ("counterexample", "--which", "both", "--out", "ce.json",

@@ -37,8 +37,8 @@ from .fock import (build_ce_hidden_discord, build_ce_zero_discord,
 from .marginals import density_curve_to_csv
 from .sampler import (META_SUFFIX, SWITCHED_PHASE_AMPLITUDE, AsyncSine,
                       GaussianModulation, SimulationConfig, SwitchedNoise,
-                      SwitchedPhase, concat_records, read_records,
-                      sample_scheme, scheme_to_dict, write_records)
+                      SwitchedPhase, read_records, sample_scheme,
+                      scheme_to_dict, write_records)
 from .verifier import (CANONICAL_PAIRS, ConditionalHistograms,
                        sweep_modulation, sweep_to_csv, verdict_gaussian,
                        verdict_mixture, mixture_verdict_to_json,
@@ -252,10 +252,12 @@ def parse_pairs(text: str) -> list[tuple[float, float]]:
         if len(parts) != 2:
             raise ValidationError(f"bad phase pair {chunk!r}, want ta,tb")
         try:
-            pairs.append((math.radians(float(parts[0])),
-                          math.radians(float(parts[1]))))
+            pair = tuple(map(float, parts))
         except ValueError as exc:
             raise ValidationError(f"bad phase pair {chunk!r}") from exc
+        if not all(map(math.isfinite, pair)):
+            raise ValidationError(f"bad phase pair {chunk!r}: phases must be finite")
+        pairs.append(tuple(map(math.radians, pair)))
     if not pairs:
         raise ValidationError("no phase pairs given")
     return pairs
@@ -307,13 +309,10 @@ def _cmd_simulate(cfg: dict) -> list:
         pairs = parse_pairs("all")
     else:
         pairs = [(math.radians(cfg["theta_a"]), math.radians(cfg["theta_b"]))]
-    parts = []
-    for i, (ta, tb) in enumerate(pairs):
-        sim = SimulationConfig(scheme=scheme, n_samples=cfg["n"],
-                               seed=cfg["seed"] + i, eta=cfg["eta"],
-                               theta_a=ta, theta_b=tb, v0=cfg["v0"])
-        parts.append(sample_scheme(sim))
-    rs = concat_records(parts, meta={
+    rs = sample_scheme([SimulationConfig(
+        scheme=scheme, n_samples=cfg["n"], seed=cfg["seed"] + i, eta=cfg["eta"],
+        theta_a=ta, theta_b=tb, v0=cfg["v0"]) for i, (ta, tb) in enumerate(pairs)])
+    rs.meta = {
         "kind": "scheme",
         "scheme": scheme_to_dict(scheme),
         "eta": cfg["eta"],
@@ -321,7 +320,7 @@ def _cmd_simulate(cfg: dict) -> list:
         "n_per_pair": cfg["n"],
         "seed": cfg["seed"],
         "v0": cfg["v0"],
-    })
+    }
     return [(cfg["out"], functools.partial(write_records, rs, sidecar=False)),
             (f"{cfg['out']}{META_SUFFIX}", _text(_json(rs.meta)))]
 

@@ -1,6 +1,7 @@
 """Exception types shared across the toolkit, and the JSON document checks."""
 
 import json
+import math
 
 
 class ToolkitError(Exception):
@@ -33,6 +34,15 @@ class TruncationError(ToolkitError):
 
 class ParseError(ValidationError):
     """A record file could not be parsed."""
+
+
+def require_finite(obj, *names: str, low: float = -math.inf) -> None:
+    """A ValidationError naming the first attribute in names of obj that is
+    not a finite number of at least low."""
+    for name in names:
+        if not (math.isfinite(value := getattr(obj, name)) and value >= low):
+            bound = f" >= {low:g}" if low > -math.inf else ""
+            raise ValidationError(f"{name} must be a finite number{bound}, got {value}")
 
 
 def _number(value) -> bool:

@@ -32,7 +32,7 @@ from scipy.optimize import brentq
 from scipy.special import erf, erfc
 
 from .errors import (NumericError, ValidationError, kind_class, read_document,
-                     require_fields)
+                     require_fields, require_finite)
 from .states import DEFAULT_V0, GaussianBipartiteState, rotate_local
 
 PEAK_XTOL = 1e-10
@@ -257,8 +257,7 @@ class ThermalComponent:
     kind = "thermal"
 
     def __post_init__(self):
-        if self.nbar < 0:
-            raise ValidationError("thermal occupation must be >= 0")
+        require_finite(self, "nbar", low=0.0)
 
     def d1(self, u):
         var = (2.0 * self.nbar + 1.0) / 2.0

@@ -3,10 +3,10 @@
 A record is (theta_A, theta_B, x_A, x_B): the local-oscillator phases and
 the two quadrature outcomes of one joint measurement.  Records are held,
 and stored in a .npz file, as the x_A and x_B columns plus a run table of
-phase pairs; a CSV file holds the four columns per row.  Sampling is
-serial and chunked, with one RNG substream per fixed-size chunk derived
-from (seed, chunk index); the samplers accept a workers keyword, which
-has no effect.
+phase pairs; a CSV file holds the four columns per row.  Each fixed-size
+chunk of records has its own RNG substream derived from (seed, chunk
+index), so the chunks are filled on all the process's CPUs in any order;
+the samplers accept a workers keyword, which has no effect.
 
 The modulation schemes draw a per-sample classical displacement for the
 pre-splitter beam, mix it through the splitter (vacuum on the idle port)
@@ -20,18 +20,27 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import os
 import warnings
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, kind_class, require_fields
+from .errors import (ParseError, ValidationError, kind_class, require_fields,
+                     require_finite)
 from .marginals import joint_marginal_form
 from .states import DEFAULT_V0, GaussianBipartiteState
 
 CHUNK = 1 << 16
+
+# a worker thread for each CPU this process may run on but one, the one
+# that the calling thread of _starmap runs on
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+_POOL = ThreadPoolExecutor(_CPUS - 1, "cvdiscord") if _CPUS > 1 else None
 
 CSV_HEADER = "theta_A,theta_B,x_A,x_B"
 # record columns in CSV file order
@@ -63,8 +72,7 @@ class GaussianModulation:
     kind = "gaussian"
 
     def __post_init__(self):
-        if self.depth_x < 0 or self.depth_p < 0:
-            raise ValidationError("modulation depths must be non-negative")
+        require_finite(self, "depth_x", "depth_p", low=0.0)
 
     def displace(self, rng, d: np.ndarray, root: float) -> None:
         d[:, 0] = self.depth_x * root * rng.standard_normal(len(d))
@@ -82,8 +90,7 @@ class SwitchedNoise:
     kind = "switched_noise"
 
     def __post_init__(self):
-        if self.depth_x < 0 or self.depth_p < 0:
-            raise ValidationError("modulation depths must be non-negative")
+        require_finite(self, "depth_x", "depth_p", low=0.0)
         _check_duty(self.duty)
 
     def displace(self, rng, d: np.ndarray, root: float) -> None:
@@ -108,6 +115,7 @@ class SwitchedPhase:
     kind = "switched_phase"
 
     def __post_init__(self):
+        require_finite(self, "amplitude", "threshold_hint")
         _check_duty(self.duty)
 
     def displace(self, rng, d: np.ndarray, root: float) -> None:
@@ -125,8 +133,7 @@ class AsyncSine:
     kind = "async_sine"
 
     def __post_init__(self):
-        if self.depth < 0:
-            raise ValidationError("modulation depth must be non-negative")
+        require_finite(self, "depth", low=0.0)
 
     def displace(self, rng, d: np.ndarray, root: float) -> None:
         phi = rng.uniform(0.0, 2.0 * np.pi, len(d))
@@ -160,8 +167,22 @@ class SimulationConfig:
             raise ValidationError("n_samples must be positive")
         if not 0.0 <= self.eta <= 1.0:
             raise ValidationError(f"transmissivity must lie in [0, 1], got {self.eta}")
+        require_finite(self, "theta_a", "theta_b", "v0")
         if self.v0 <= 0:
             raise ValidationError("vacuum variance must be positive")
+
+    def draw(self, rng, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The x_A and x_B columns of m records drawn from rng.  Per sample:
+        draw the latent gate/phase, form the displacement, send it through
+        the splitter (mode A keeps eta of it, mode B sqrt(1-eta^2)), project
+        onto the measured quadratures and add independent vacuum noise."""
+        eta, root = self.eta, np.sqrt(self.v0)
+        d = np.zeros((m, 2))
+        self.scheme.displace(rng, d, root)
+        noise = rng.standard_normal((m, 2)) * root
+        return (eta * (d @ [np.cos(self.theta_a), np.sin(self.theta_a)]) + noise[:, 0],
+                np.sqrt(1.0 - eta * eta)
+                * (d @ [np.cos(self.theta_b), np.sin(self.theta_b)]) + noise[:, 1])
 
 
 @dataclass
@@ -237,15 +258,40 @@ def concat_records(parts: list[RecordSet], meta: dict | None = None) -> RecordSe
                      meta if meta is not None else dict(parts[0].meta))
 
 
-def _draw(n: int, seed, chunk) -> tuple[np.ndarray, np.ndarray]:
-    """The x_A and x_B columns of n records, filled in fixed-size chunks:
-    chunk(rng, m) gives both columns of m records, the rng a substream
-    derived from (seed, chunk index)."""
-    x_a, x_b = np.empty(n), np.empty(n)
-    for idx, start in enumerate(range(0, n, CHUNK)):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
-        stop = min(start + CHUNK, n)
-        x_a[start:stop], x_b[start:stop] = chunk(rng, stop - start)
+def _starmap(fn, args, pool: bool = True) -> list:
+    """[fn(*a) for a in args] on the calling thread and, with pool and two
+    or more calls, the pool.  The pool takes calls from the last; the
+    caller runs each call in order that the pool has not started, else
+    waits for it, so the first failed call in order raises, once none
+    runs.  Only started calls are waited for, so fn may call _starmap in
+    turn."""
+    args = list(args)
+    if _POOL is None or not pool or len(args) < 2:
+        return [fn(*a) for a in args]
+    futures = [_POOL.submit(fn, *a) for a in reversed(args)][::-1]
+    try:
+        return [fn(*a) if f.cancel() else f.result() for f, a in zip(futures, args)]
+    finally:
+        for f in futures:
+            if not f.cancel():
+                f.exception()  # waits for a call that the pool started
+
+
+def _draw(parts) -> tuple[np.ndarray, np.ndarray]:
+    """The x_A and x_B columns of the records of each (n, seed, chunk) part
+    in turn, filled in fixed-size chunks on the pool: chunk(rng, m) gives
+    both columns of m records, the rng a substream derived from (the
+    part's seed, chunk index within the part)."""
+    ends = np.cumsum([n for n, _, _ in parts])
+    x_a, x_b = np.empty(ends[-1]), np.empty(ends[-1])
+
+    def fill(end, n, seed, chunk, start):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, start // CHUNK)))
+        rows = slice(end - n + start, end - n + min(start + CHUNK, n))
+        x_a[rows], x_b[rows] = chunk(rng, rows.stop - rows.start)
+
+    _starmap(fill, [(end, *part, start) for end, part in zip(ends, parts)
+                    for start in range(0, part[0], CHUNK)])
     return x_a, x_b
 
 
@@ -259,8 +305,8 @@ def sample_gaussian(state: GaussianBipartiteState, theta_a: float, theta_b: floa
     cov = np.array([[form.mu, form.nu], [form.nu, form.lam]]) / (2.0 * det)
     chol = np.linalg.cholesky(cov)
     mean = np.array([form.mean_a, form.mean_b])
-    x_a, x_b = _draw(n, seed, lambda rng, m:
-                     (rng.standard_normal((m, 2)) @ chol.T + mean).T)
+    x_a, x_b = _draw([(n, seed, lambda rng, m:
+                       (rng.standard_normal((m, 2)) @ chol.T + mean).T)])
     meta = {
         "kind": "gaussian_state",
         "theta_a": theta_a,
@@ -272,38 +318,26 @@ def sample_gaussian(state: GaussianBipartiteState, theta_a: float, theta_b: floa
     return RecordSet(x_a, x_b, [(theta_a, theta_b)], [n], meta)
 
 
-def sample_scheme(config: SimulationConfig, workers: int | None = None) -> RecordSet:
-    """Draw homodyne records for a modulation scheme.
-
-    Per sample: draw the latent gate/phase, form the displacement, send it
-    through the splitter (mode A keeps eta of it, mode B sqrt(1-eta^2)),
-    project onto the measured quadratures and add independent vacuum noise.
-    """
-    n = config.n_samples
-    eta = config.eta
-    eta_t = np.sqrt(1.0 - eta * eta)
-    proj_a = np.array([np.cos(config.theta_a), np.sin(config.theta_a)])
-    proj_b = np.array([np.cos(config.theta_b), np.sin(config.theta_b)])
-    root = np.sqrt(config.v0)
-
-    def chunk(rng, m):
-        d = np.zeros((m, 2))
-        config.scheme.displace(rng, d, root)
-        noise = rng.standard_normal((m, 2)) * root
-        return eta * (d @ proj_a) + noise[:, 0], eta_t * (d @ proj_b) + noise[:, 1]
-
-    x_a, x_b = _draw(n, config.seed, chunk)
+def sample_scheme(configs: SimulationConfig | list[SimulationConfig],
+                  workers: int | None = None) -> RecordSet:
+    """Draw homodyne records for a modulation scheme: for one config, or
+    for several in turn into one pair of columns, which gives the records
+    and the meta of concat_records over the configs one by one."""
+    configs = [configs] if isinstance(configs, SimulationConfig) else configs
+    x_a, x_b = _draw([(c.n_samples, c.seed, c.draw) for c in configs])
+    config = configs[0]
     meta = {
         "kind": "scheme",
         "scheme": scheme_to_dict(config.scheme),
-        "eta": eta,
+        "eta": config.eta,
         "theta_a": config.theta_a,
         "theta_b": config.theta_b,
-        "n": n,
+        "n": config.n_samples,
         "seed": config.seed,
         "v0": config.v0,
     }
-    return RecordSet(x_a, x_b, [(config.theta_a, config.theta_b)], [n], meta)
+    return RecordSet(x_a, x_b, [(c.theta_a, c.theta_b) for c in configs],
+                     [c.n_samples for c in configs], meta)
 
 
 def scheme_to_dict(scheme: ModulationScheme) -> dict:

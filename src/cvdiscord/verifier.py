@@ -28,7 +28,7 @@ from scipy import stats
 from .errors import (EmptySideError, InsufficientDataError, NumericError,
                      ValidationError)
 from .marginals import analytic_peak_separation, joint_marginal_form
-from .sampler import RecordSet, sample_gaussian
+from .sampler import CHUNK, RecordSet, _starmap, sample_gaussian
 
 MIN_BINS = 50
 MAX_BINS = 400
@@ -327,27 +327,18 @@ def _separation(plus_b: np.ndarray, minus_b: np.ndarray,
 def _merge_bins(r: np.ndarray, s: np.ndarray, min_expected: float
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge adjacent bins until each merged bin's expected count is at
-    least min_expected in both samples."""
-    n_r, n_s = r.sum(), s.sum()
-    total = n_r + n_s
-    out_r, out_s = [], []
-    acc_r = acc_s = 0
-    for cr, cs in zip(r, s):
-        acc_r += cr
-        acc_s += cs
-        pooled = acc_r + acc_s
-        if pooled > 0 and min(n_r, n_s) * pooled / total >= min_expected:
-            out_r.append(acc_r)
-            out_s.append(acc_s)
-            acc_r = acc_s = 0
-    if acc_r or acc_s:
-        if out_r:
-            out_r[-1] += acc_r
-            out_s[-1] += acc_s
-        else:
-            out_r.append(acc_r)
-            out_s.append(acc_s)
-    return np.array(out_r, dtype=float), np.array(out_s, dtype=float)
+    least min_expected in both samples; a short tail joins the last."""
+    n_min, total = min(r.sum(), s.sum()), r.sum() + s.sum()
+    starts, acc = [0], 0
+    for i, pooled in enumerate(r + s):
+        acc += pooled
+        if acc > 0 and n_min * acc / total >= min_expected:
+            starts.append(i + 1)
+            acc = 0
+    # the last start opens the tail, or lies past the end
+    starts = starts[:-1] or [0]
+    return (np.add.reduceat(r, starts).astype(float),
+            np.add.reduceat(s, starts).astype(float))
 
 
 def chi_square_two_sample(hist_r: Histogram, hist_s: Histogram,
@@ -418,7 +409,11 @@ def verdict_gaussian(rs: RecordSet, threshold: float = 0.0,
     Requires records for every requested pair with sample sizes matching
     within 10%.  Decides "discordant" when any pair's separation is at
     least k_min bootstrap standard errors; the per-pair chi-square between
-    the two conditional histograms is reported as a diagnostic.
+    the two conditional histograms is reported as a diagnostic.  Each pair
+    has its own seed stream; pairs of at least CHUNK records run on the
+    process's CPUs, smaller ones on the calling thread, as a second thread
+    saves them little time and makes that time vary with the load on the
+    other CPU.  Results and the first error come back in pair order.
     """
     subsets = []
     for theta_a, theta_b in pairs:
@@ -434,10 +429,9 @@ def verdict_gaussian(rs: RecordSet, threshold: float = 0.0,
         raise ValidationError(
             f"pair sample sizes differ by more than 10%: {sizes.astype(int).tolist()}"
         )
-    per_pair = tuple(
-        _pair_stats(sub, ta, tb, threshold, seed, n_boot, i)
-        for i, (ta, tb, sub) in enumerate(subsets)
-    )
+    per_pair = tuple(_starmap(_pair_stats, [
+        (sub, ta, tb, threshold, seed, n_boot, i)
+        for i, (ta, tb, sub) in enumerate(subsets)], pool=sizes.min() >= CHUNK))
     discordant = any(p.k >= k_min for p in per_pair)
     return DiscordVerdict(per_pair=per_pair, k_min=k_min, threshold=threshold,
                           decision="discordant" if discordant else "not-detected",
@@ -506,8 +500,9 @@ def sweep_modulation(depths, n: int, seed: int, v0: float = 1.0,
     from .states import modulated_beam, split_balanced
 
     depths = np.asarray(list(depths), dtype=float)
-    if np.any(depths < 0):
-        raise ValidationError("depths must be non-negative")
+    if not np.all(np.isfinite(depths) & (depths >= 0)):
+        raise ValidationError(f"depths must be finite and non-negative, "
+                              f"got {depths.tolist()}")
     half_pi = np.pi / 2.0
     rows = []
     for i, depth in enumerate(depths):

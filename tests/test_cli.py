@@ -6,6 +6,7 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,12 @@ def test_parse_pairs_rejects_malformed(text):
         parse_pairs(text)
 
 
+@pytest.mark.parametrize("text", ["nan,0", "0,0;90,inf", "-inf,-inf"])
+def test_parse_pairs_rejects_non_finite_phases(text):
+    with pytest.raises(ValidationError, match="phases must be finite"):
+        parse_pairs(text)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -107,6 +114,29 @@ def test_simulate_writes_records_sidecar_manifest(tmp_path, monkeypatch,
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3
     assert lines[-1].endswith("rec.csv.manifest.json")
+
+
+@pytest.mark.parametrize("flags, name", [
+    (("--depth", "nan"), "depth_x"),
+    (("--depth", "inf"), "depth_x"),
+    (("--depth-p", "nan"), "depth_p"),
+    (("--scheme", "async", "--depth", "inf"), "depth"),
+    (("--scheme", "switched-phase", "--amplitude", "nan"), "amplitude"),
+    (("--v0", "nan"), "v0"),
+    (("--v0", "inf"), "v0"),
+    (("--scheme", "async", "--theta-a", "nan"), "theta_a"),
+    (("--scheme", "async", "--theta-b=-inf"), "theta_b"),
+    (("--pairs", "nan,0"), "phase pair"),
+])
+def test_simulate_rejects_non_finite_parameters(tmp_path, monkeypatch, capsys,
+                                                flags, name):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way out
+        assert run("simulate", "--n", "1000", *flags, "--out", "rec.npz") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_and_verify_keep_their_own_manifests(tmp_path, monkeypatch):

@@ -6,6 +6,10 @@ fit at significance 1e-3.  The mixtures are independent oracles: they come
 from the closed-form densities, not from the sampling code.
 """
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -35,10 +39,13 @@ from cvdiscord import (
     write_records,
 )
 from cvdiscord.sampler import (
+    CHUNK,
     SWITCHED_PHASE_AMPLITUDE,
     SWITCHED_PHASE_THRESHOLD,
     scheme_from_dict,
     scheme_to_dict,
+    _draw,
+    _starmap,
 )
 
 HALF_PI = np.pi / 2.0
@@ -75,6 +82,66 @@ def test_worker_count_does_not_change_the_stream():
     cfg = SimulationConfig(SwitchedNoise(2.0, 2.0, 0.3), 50_001, seed=9)
     assert np.array_equal(sample_scheme(cfg, workers=1).x_b,
                           sample_scheme(cfg, workers=8).x_b)
+
+
+def test_several_configs_fill_one_pair_of_columns_as_their_concatenation():
+    # chunk boundaries fall inside each pair and between pairs
+    n = 2 * CHUNK + 1
+    configs = [SimulationConfig(SwitchedNoise(2.0, 1.0, 0.3), n, seed=9 + i,
+                                theta_a=ta, theta_b=tb)
+               for i, (ta, tb) in enumerate([(0.0, 0.0), (0.0, HALF_PI),
+                                             (HALF_PI, HALF_PI)])]
+    together = sample_scheme(configs)
+    apart = concat_records([sample_scheme(c) for c in configs])
+    for name in ("x_a", "x_b", "phases", "counts"):
+        assert np.array_equal(getattr(together, name), getattr(apart, name))
+    assert together.meta == apart.meta
+    assert np.array_equal(together.x_b[:n], sample_scheme(configs[0]).x_b)
+
+
+def test_a_failing_chunk_raises_the_first_error_in_order():
+    def chunk(rng, m):
+        if m < CHUNK:
+            # the first short chunk fails last on two or more threads
+            time.sleep(0.3 if m == 5 else 0.0)
+            raise ValueError(f"short chunk of {m}")
+        return np.zeros(m), np.ones(m)
+
+    with pytest.raises(ValueError, match="short chunk of 5"):
+        _draw([(5, 1, chunk), (7, 2, chunk), (CHUNK + 9, 3, chunk)])
+    x_a, x_b = _draw([(CHUNK, 1, chunk), (2 * CHUNK, 2, chunk)])
+    assert len(x_a) == 3 * CHUNK and (x_b == 1.0).all()
+
+
+def test_concurrent_and_nested_starmaps_return_every_result_in_order():
+    # a lost or misplaced result, or a wait on a call that no thread runs,
+    # fails here; a short switch interval interleaves the threads densely
+    def nested(k):
+        return _starmap(lambda i: 100 * k + i, [(i,) for i in range(20)])
+
+    def caller(t):
+        results[t] = _starmap(nested, [(k,) for k in range(10)])
+
+    results, old = {}, sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(t,), daemon=True)
+                   for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(old)
+    expected = [[100 * k + i for i in range(20)] for k in range(10)]
+    assert results == dict.fromkeys(range(4), expected)
+
+
+def test_a_single_call_or_pool_false_runs_on_the_calling_thread():
+    me = threading.get_ident()
+    assert _starmap(threading.get_ident, [()]) == [me]
+    assert _starmap(threading.get_ident, [()] * 8, pool=False) == [me] * 8
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +344,21 @@ def test_scheme_validation():
         SimulationConfig(AsyncSine(1.0), 0, seed=1)
     with pytest.raises(ValidationError):
         SimulationConfig(AsyncSine(1.0), 10, seed=1, eta=1.3)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda bad: GaussianModulation(bad, 0.0), "depth_x"),
+    (lambda bad: SwitchedNoise(1.0, bad), "depth_p"),
+    (lambda bad: SwitchedPhase(amplitude=bad), "amplitude"),
+    (lambda bad: AsyncSine(bad), "depth"),
+    (lambda bad: SimulationConfig(AsyncSine(1.0), 10, 1, theta_a=bad), "theta_a"),
+    (lambda bad: SimulationConfig(AsyncSine(1.0), 10, 1, theta_b=bad), "theta_b"),
+    (lambda bad: SimulationConfig(AsyncSine(1.0), 10, 1, v0=bad), "v0"),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameters_are_rejected_by_name(build, name, bad):
+    with pytest.raises(ValidationError, match=f"^{name} must be a finite number"):
+        build(bad)
 
 
 def test_scheme_dict_round_trip():

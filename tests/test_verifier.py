@@ -38,12 +38,15 @@ from cvdiscord import (
     verdict_gaussian,
     verdict_mixture,
 )
+from cvdiscord import sampler
+from cvdiscord.sampler import CHUNK
 from cvdiscord.verifier import (
     CANONICAL_PAIRS,
     ChiSquareResult,
     DiscordVerdict,
     PairStats,
     _fit_peaks,
+    _pair_stats,
     bin_count_fd,
     histogram_to_csv,
     sweep_to_csv,
@@ -408,6 +411,41 @@ def test_verdict_requires_complete_balanced_pairs():
         verdict_gaussian(lopsided, seed=53)
 
 
+def test_pair_stats_on_the_pool_match_serial_calls():
+    state = H.measured_state()
+    rs = _records_for_pairs(state, CHUNK, seed=60)
+    verdict = verdict_gaussian(rs, seed=61, n_boot=50)
+    serial = tuple(_pair_stats(rs.select_pair(ta, tb), ta, tb, 0.0, 61, 50, i)
+                   for i, (ta, tb) in enumerate(CANONICAL_PAIRS))
+    assert verdict.per_pair == serial
+    for ours, theirs in zip(verdict.per_pair, serial):
+        assert np.array_equal(ours.hists.whole.counts, theirs.hists.whole.counts)
+
+
+@pytest.mark.parametrize("n", [2_000, CHUNK])
+def test_empty_side_error_names_the_first_pair_in_order(n):
+    # pairs 1 and 3 of four have every x_A below the threshold; pairs of
+    # CHUNK records run on the pool, smaller ones serially
+    x_a = np.tile(np.linspace(-1.0, 1.0, n), 4)
+    x_a[n:2 * n] -= 10.0
+    x_a[3 * n:] -= 10.0
+    rs = RecordSet(x_a, np.sin(np.arange(4 * n)), CANONICAL_PAIRS, [n] * 4)
+    with pytest.raises(DegenerateSplitError,
+                       match=rf"at phase pair \(0, 1\.5708\) \(0 of {n}"):
+        verdict_gaussian(rs, n_boot=20)
+
+
+def test_pairs_under_one_chunk_stay_on_the_calling_thread(monkeypatch):
+    class NoPool:
+        def submit(self, *args):
+            raise AssertionError("a pair under CHUNK records went to the pool")
+
+    rs = _records_for_pairs(H.measured_state(), CHUNK - 1, seed=62)
+    serial = verdict_gaussian(rs, seed=63, n_boot=20)
+    monkeypatch.setattr(sampler, "_POOL", NoPool())
+    assert verdict_gaussian(rs, seed=63, n_boot=20).per_pair == serial.per_pair
+
+
 def test_false_positive_rate_on_product_states():
     rng = np.random.default_rng(54)
     detected = 0
@@ -474,8 +512,9 @@ def test_sweep_rows_track_the_analytic_curve():
     for row, frozen in ((rows[1], H.SWEEP_FROZEN[1.0]), (rows[2], H.SWEEP_FROZEN[4.5])):
         assert row["delta_analytic"] == pytest.approx(frozen, abs=5e-6)
         assert abs(row["delta"] - row["delta_analytic"]) < 4.0 * row["sigma_delta"]
-    with pytest.raises(ValidationError):
-        sweep_modulation([-1.0], n=100, seed=0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            sweep_modulation([0.5, bad], n=100, seed=0)
 
 
 def test_verdict_json_and_csv_outputs(tmp_path):
