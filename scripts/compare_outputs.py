@@ -17,9 +17,11 @@ switched-phase CSV records, simulate and verify from a config file, a
 record file run.npz and its verdict run.json, which share a stem, a
 simulate and verify at 140,000 records per pair, three sampling chunks
 per pair with the last one partial, sweep, and counterexample with
---plotdata and --dump-state), with PYTHONPATH set to that tree.  It then compares every output file byte for byte, except
-manifests, which are compared as JSON without their "timings_s" and
-"versions" entries, and each command's exit code, stdout and stderr.
+--plotdata and --dump-state), with PYTHONPATH set to that tree.  It then
+compares every output file byte for byte, and each command's exit code,
+stdout and stderr.  In a manifest every value inside its "timings_s" and
+"versions" objects reads null before the comparison, as those vary from
+run to run; the rest of the manifest, its layout included, must match.
 Each manifest is named after its command's primary output
 (gauss.npz.manifest.json), so no command overwrites another's manifest and
 all of them are compared; a tree that names manifests otherwise shows as
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -119,21 +122,25 @@ def run_tree(src: Path, workdir: Path) -> list[tuple[int, str, str]]:
     return results
 
 
-def comparable(path: Path):
+# a manifest's "timings_s" or "versions" object, up to its closing brace
+VOLATILE = re.compile(rb'("(?:timings_s|versions)": \{)([^}]*)')
+
+
+def comparable(path: Path) -> bytes:
+    """The bytes of an output file, with the values in a manifest's
+    "timings_s" and "versions" objects replaced by null."""
+    data = path.read_bytes()
     if not path.name.endswith(".manifest.json"):
-        return path.read_bytes()
-    doc = json.loads(path.read_text())
-    doc.pop("timings_s", None)
-    doc.pop("versions", None)
-    return doc
+        return data
+    return VOLATILE.sub(lambda m: m[1] + re.sub(rb'": [^,\n]*', b'": null', m[2]),
+                        data)
 
 
 def _parsed(path: Path):
     """A JSON or CSV output as nested lists and dicts, CSV fields as
     floats where they parse; None for any other file."""
     if path.suffix == ".json":
-        return comparable(path) if path.name.endswith(".manifest.json") \
-            else json.loads(path.read_text())
+        return json.loads(comparable(path))
     if path.suffix != ".csv":
         return None
     rows = []

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import math
 import os
 import sys
@@ -28,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ValidationError, read_document
+from .errors import ValidationError, dump_document, read_document
 from .fock import (build_ce_hidden_discord, build_ce_zero_discord,
                    commutator_norm, conditional_b_given_sign, default_grid,
                    fock_state_to_json, grid_moments, grid_peak,
@@ -185,10 +184,6 @@ def _text(text: str):
     return functools.partial(Path.write_text, data=text)
 
 
-def _json(doc: dict, **kwargs) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, **kwargs) + "\n"
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -201,7 +196,7 @@ def _manifest(command: str, config: dict, paths: list[Path],
               timings: dict) -> str:
     import scipy
     # default=str writes the Path values of the config as strings
-    return _json({
+    return dump_document({
         "command": command,
         "config": config,
         "seed": config.get("seed"),
@@ -322,7 +317,7 @@ def _cmd_simulate(cfg: dict) -> list:
         "v0": cfg["v0"],
     }
     return [(cfg["out"], functools.partial(write_records, rs, sidecar=False)),
-            (f"{cfg['out']}{META_SUFFIX}", _text(_json(rs.meta)))]
+            (f"{cfg['out']}{META_SUFFIX}", _text(dump_document(rs.meta)))]
 
 
 def _cmd_verify(cfg: dict) -> list:
@@ -343,7 +338,7 @@ def _cmd_verify(cfg: dict) -> list:
                                   n_boot=cfg["boot"])
         hists = verdict.hists
         text = mixture_verdict_to_json(verdict)
-    outputs = [(cfg["out"], _text(text + "\n"))]
+    outputs = [(cfg["out"], _text(text))]
     if cfg["plotdata"] is not None:
         outputs.append((cfg["plotdata"], functools.partial(emit_plotdata, hists)))
     return outputs
@@ -417,7 +412,7 @@ def _cmd_counterexample(cfg: dict) -> list:
     if cfg["which"] in ("hidden", "both"):
         cases["hidden"] = _certify_hidden(cfg)
     report = {f"{name}_discord": case[0] for name, case in cases.items()}
-    outputs = [(cfg["out"], _text(_json(report, allow_nan=False)))]
+    outputs = [(cfg["out"], _text(dump_document(report, allow_nan=False)))]
     if cfg["plotdata"] is not None:
         prefix = Path(cfg["plotdata"])
         for name, (_, _, grid, curves) in cases.items():

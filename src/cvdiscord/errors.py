@@ -1,7 +1,11 @@
-"""Exception types shared across the toolkit, and the JSON document checks."""
+"""Exception types shared across the toolkit, the JSON document checks, and
+the output formats: CSV tables, JSON documents, kind-tagged dataclasses."""
 
+import dataclasses
 import json
 import math
+
+import numpy as np
 
 
 class ToolkitError(Exception):
@@ -37,10 +41,11 @@ class ParseError(ValidationError):
 
 
 def require_finite(obj, *names: str, low: float = -math.inf) -> None:
-    """A ValidationError naming the first attribute in names of obj that is
-    not a finite number of at least low."""
+    """A ValidationError naming the first of names, attributes of obj or keys
+    of a dict obj like locals(), that is not a finite number of at least low."""
     for name in names:
-        if not (math.isfinite(value := getattr(obj, name)) and value >= low):
+        value = obj[name] if isinstance(obj, dict) else getattr(obj, name)
+        if not (math.isfinite(value) and value >= low):
             bound = f" >= {low:g}" if low > -math.inf else ""
             raise ValidationError(f"{name} must be a finite number{bound}, got {value}")
 
@@ -109,12 +114,49 @@ def read_document(text: str, fields: dict, what: str,
     return require_fields(doc, fields, what, optional)
 
 
-def kind_class(doc, table: dict, what: str):
-    """The class that table holds for the "kind" field of the JSON object
-    doc, whose from_doc checks the rest of doc; anything else is a
-    ValidationError."""
+def dump_document(doc, **kwargs) -> str:
+    """doc as JSON indented by 2 with sorted keys and a trailing newline,
+    the layout of the JSON outputs; kwargs go to json.dumps."""
+    return json.dumps(doc, indent=2, sort_keys=True, **kwargs) + "\n"
+
+
+def write_table(path, columns: dict) -> None:
+    """Write columns of numbers as CSV under a header of their names, each
+    value with 17 significant digits, which round-trips float64 bitwise."""
+    data = np.column_stack([np.asarray(c, dtype=float) for c in columns.values()])
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(columns),
+               comments="")
+
+
+_PAIR = "a [re, im] pair"
+# a complex field's type, or its name under postponed annotations
+_COMPLEX = (complex, "complex")
+
+
+def kind_to_doc(obj) -> dict:
+    """The JSON object of a kind-tagged dataclass: "kind", then each field
+    in order, a complex field as an [re, im] pair."""
+    doc = {"kind": obj.kind}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        doc[f.name] = [value.real, value.imag] if f.type in _COMPLEX else value
+    return doc
+
+
+def kind_from_doc(doc, table: dict, what: str):
+    """Inverse of kind_to_doc for the classes in table, keyed by kind.  A
+    field without a default must be present, one with a default may be
+    missing; a kind not in table, an unknown field or a value of the wrong
+    type is a ValidationError naming it, and what names the document."""
     kind = doc.get("kind") if isinstance(doc, dict) else doc
     if not isinstance(doc, dict) or kind not in list(table):  # kind may be a list
         raise ValidationError(f"{what} must be a JSON object whose kind is one "
                               f"of {', '.join(table)}, got {kind!r}")
-    return table[kind]
+    cls = table[kind]
+    fields = dataclasses.fields(cls)
+    types = {f.name: _PAIR if f.type in _COMPLEX else "a number" for f in fields}
+    required = {f.name: types[f.name] for f in fields
+                if f.default is dataclasses.MISSING}
+    require_fields(doc, {"kind": "a string", **required}, f"{kind} {what}", types)
+    return cls(**{name: complex(*doc[name]) if type_ == _PAIR else doc[name]
+                  for name, type_ in types.items() if name in doc})

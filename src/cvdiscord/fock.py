@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .errors import DegenerateSplitError, TruncationError, ValidationError, read_document
+from .errors import (DegenerateSplitError, TruncationError, ValidationError,
+                     read_document, require_finite)
 
 DIM_DEFAULT = 20
 DIM_MAX = 40
@@ -98,8 +99,14 @@ def oscillator_eigenfunctions(dim: int, xs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _resolve_dims(dim: int | None):
-    return (dim,) if dim is not None else (DIM_DEFAULT, DIM_MAX)
+def _truncate(build, dim: int | None, what: str) -> np.ndarray:
+    """The amplitudes of (amplitudes, tail mass) = build(d) at the first
+    size d, dim or else the default then DIM_MAX, whose tail is below TAIL_TOL."""
+    for d in (dim,) if dim is not None else (DIM_DEFAULT, DIM_MAX):
+        amplitudes, tail = build(d)
+        if tail < TAIL_TOL:
+            return amplitudes
+    raise TruncationError(f"{what} needs dim > {DIM_MAX}")
 
 
 def coherent_fock(alpha: complex, dim: int | None = None) -> np.ndarray:
@@ -108,30 +115,29 @@ def coherent_fock(alpha: complex, dim: int | None = None) -> np.ndarray:
     Truncation must leave tail mass below TAIL_TOL; with dim unset the
     size escalates from the default before giving up.
     """
-    for d in _resolve_dims(dim):
+    if not np.isfinite(alpha):
+        raise ValidationError(f"alpha must be a finite number, got {alpha}")
+
+    def build(d):
         c = np.empty(d, dtype=complex)
         c[0] = 1.0
         for n in range(1, d):
             c[n] = c[n - 1] * alpha / math.sqrt(n)
         c *= math.exp(-0.5 * abs(alpha) ** 2)
-        tail = 1.0 - float(np.vdot(c, c).real)
-        if tail < TAIL_TOL:
-            return c / math.sqrt(np.vdot(c, c).real)
-    raise TruncationError(
-        f"coherent state |alpha|={abs(alpha):.3g} needs dim > {DIM_MAX}"
-    )
+        return c, 1.0 - float(np.vdot(c, c).real)
+
+    c = _truncate(build, dim, f"coherent state |alpha|={abs(alpha):.3g}")
+    return c / math.sqrt(np.vdot(c, c).real)
 
 
 def thermal_fock(nbar: float, dim: int | None = None) -> np.ndarray:
     """Truncated thermal density matrix (diagonal), renormalized."""
-    if nbar < 0:
-        raise ValidationError("mean photon number must be non-negative")
+    require_finite(locals(), "nbar", low=0.0)
     ratio = nbar / (nbar + 1.0)
-    for d in _resolve_dims(dim):
-        p = ratio ** np.arange(d) / (nbar + 1.0)  # nbar 0: 0.0 ** 0 is 1
-        if ratio ** d < TAIL_TOL:
-            return np.diag(p / p.sum()).astype(complex)
-    raise TruncationError(f"thermal state nbar={nbar:.3g} needs dim > {DIM_MAX}")
+    # nbar 0: 0.0 ** 0 is 1
+    p = _truncate(lambda d: (ratio ** np.arange(d) / (nbar + 1.0), ratio ** d),
+                  dim, f"thermal state nbar={nbar:.3g}")
+    return np.diag(p / p.sum()).astype(complex)
 
 
 def squeezed_vacuum_fock(r: float, dim: int | None = None) -> np.ndarray:
@@ -140,17 +146,19 @@ def squeezed_vacuum_fock(r: float, dim: int | None = None) -> np.ndarray:
     Positive r squeezes the x quadrature: the marginal variance is
     v0 * exp(-2r).
     """
-    for d in _resolve_dims(dim):
+    require_finite(locals(), "r")
+
+    def build(d):
         c = np.zeros(d, dtype=complex)
         c[0] = 1.0 / math.sqrt(math.cosh(r))
         amp = c[0]
         for m in range(0, (d - 1) // 2):
             amp = amp * (-math.tanh(r)) * math.sqrt((2 * m + 1) / (2 * m + 2.0))
             c[2 * m + 2] = amp
-        tail = 1.0 - float(np.vdot(c, c).real)
-        if tail < TAIL_TOL:
-            return c / math.sqrt(np.vdot(c, c).real)
-    raise TruncationError(f"squeezed vacuum r={r:.3g} needs dim > {DIM_MAX}")
+        return c, 1.0 - float(np.vdot(c, c).real)
+
+    c = _truncate(build, dim, f"squeezed vacuum r={r:.3g}")
+    return c / math.sqrt(np.vdot(c, c).real)
 
 
 def density_from_vector(vec: np.ndarray) -> np.ndarray:
@@ -186,6 +194,8 @@ class FockDensityMatrix:
     v0: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.v0) and self.v0 > 0):
+            raise ValidationError(f"v0 must be a finite positive number, got {self.v0}")
         m = np.asarray(self.matrix, dtype=complex)
         d = self.dim_a * self.dim_b
         if m.shape != (d, d):
@@ -250,10 +260,14 @@ def sign_projectors(dim: int, v0: float = 1.0,
     parity = (-1.0) ** (np.arange(dim)[:, None] + np.arange(dim)[None, :])
     minus = parity * plus
     if theta != 0.0:
-        phases = np.exp(1j * theta * np.arange(dim))
-        plus = phases[:, None] * plus * phases[None, :].conj()
-        minus = phases[:, None] * minus * phases[None, :].conj()
+        plus, minus = _rotate(plus, theta), _rotate(minus, theta)
     return plus, minus
+
+
+def _rotate(op: np.ndarray, theta: float) -> np.ndarray:
+    """U op U^dagger for the number-basis phase U = diag(exp(i theta n))."""
+    phases = np.exp(1j * theta * np.arange(len(op)))
+    return phases[:, None] * op * phases[None, :].conj()
 
 
 def conditional_b_given_sign(state: FockDensityMatrix, sign: int,
@@ -283,11 +297,9 @@ def homodyne_marginal_fock(rho_b: np.ndarray, grid: QuadratureGrid,
                            theta: float = 0.0) -> np.ndarray:
     """Quadrature density of a single-mode state on the grid points."""
     rho_b = np.asarray(rho_b, dtype=complex)
-    dim = rho_b.shape[0]
     if theta != 0.0:
-        phases = np.exp(-1j * theta * np.arange(dim))
-        rho_b = phases[:, None] * rho_b * phases[None, :].conj()
-    psi = oscillator_eigenfunctions(dim, grid.points, grid.v0)
+        rho_b = _rotate(rho_b, -theta)
+    psi = oscillator_eigenfunctions(len(rho_b), grid.points, grid.v0)
     return np.einsum("mx,mn,nx->x", psi, rho_b, psi, optimize=True).real
 
 

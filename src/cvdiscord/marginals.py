@@ -31,8 +31,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erf, erfc
 
-from .errors import (NumericError, ValidationError, kind_class, read_document,
-                     require_fields, require_finite)
+from .errors import (NumericError, ValidationError, kind_from_doc, kind_to_doc,
+                     read_document, require_finite, write_table)
 from .states import DEFAULT_V0, GaussianBipartiteState, rotate_local
 
 PEAK_XTOL = 1e-10
@@ -55,8 +55,13 @@ class MarginalForm:
     def __post_init__(self):
         if self.lam <= 0 or self.mu <= 0:
             raise ValidationError("diagonal exponent coefficients must be positive")
-        if self.lam * self.mu - self.nu**2 <= 0:
+        if self.det <= 0:
             raise ValidationError("non-integrable exponent: lam*mu - nu^2 <= 0")
+
+    @property
+    def det(self) -> float:
+        """lam*mu - nu^2, the determinant of the exponent's quadratic form."""
+        return self.lam * self.mu - self.nu**2
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,7 @@ def joint_marginal_density(form: MarginalForm, x_a, x_b):
     """Normalized joint density of the two measured outcomes."""
     x_a = np.asarray(x_a, dtype=float) - form.mean_a
     x_b = np.asarray(x_b, dtype=float) - form.mean_b
-    norm = np.sqrt(form.lam * form.mu - form.nu**2) / np.pi
+    norm = np.sqrt(form.det) / np.pi
     val = norm * np.exp(
         -form.lam * x_a**2 - form.mu * x_b**2 + 2.0 * form.nu * x_a * x_b
     )
@@ -120,7 +125,7 @@ def joint_marginal_density(form: MarginalForm, x_a, x_b):
 def marginal_b_density(form: MarginalForm, x_b):
     """Unconditional density of the B outcome."""
     x_b = np.asarray(x_b, dtype=float) - form.mean_b
-    s2 = (form.lam * form.mu - form.nu**2) / form.lam
+    s2 = form.det / form.lam
     val = np.sqrt(s2 / np.pi) * np.exp(-s2 * x_b**2)
     return val if val.ndim else float(val)
 
@@ -128,7 +133,7 @@ def marginal_b_density(form: MarginalForm, x_b):
 def side_probability(form: MarginalForm, sign: int, threshold: float = 0.0) -> float:
     """Probability that the A outcome lands on the requested side of the
     threshold."""
-    var_a = form.mu / (2.0 * (form.lam * form.mu - form.nu**2))
+    var_a = form.mu / (2.0 * form.det)
     z = (threshold - form.mean_a) / np.sqrt(2.0 * var_a)
     p_plus = 0.5 * erfc(z)
     return float(p_plus if sign > 0 else 1.0 - p_plus)
@@ -151,19 +156,16 @@ def conditional_marginal_density(form: MarginalForm, x_b, sign: int,
     if sign == 0:
         raise ValidationError("sign must be nonzero")
     sgn = 1 if sign > 0 else -1
-    x = np.asarray(x_b, dtype=float)
-    xb = x - form.mean_b
+    xb = np.asarray(x_b, dtype=float) - form.mean_b
     t = threshold - form.mean_a
-    lam, mu, nu = form.lam, form.mu, form.nu
-    s2 = (lam * mu - nu**2) / lam
-    gauss = np.sqrt(s2 / np.pi) * np.exp(-s2 * xb**2)
+    lam, nu = form.lam, form.nu
     # tail weight of the A-side Gaussian at fixed x_B
     arg = (lam * t - nu * xb) / np.sqrt(lam)
     half_tail = 0.5 * (erfc(arg) if sgn > 0 else erfc(-arg))
     prob = side_probability(form, sgn, threshold)
     if prob <= 0:
         raise NumericError("conditioning side has zero probability")
-    val = gauss * half_tail / prob
+    val = marginal_b_density(form, x_b) * half_tail / prob
     return val if val.ndim else float(val)
 
 
@@ -172,7 +174,7 @@ def _plus_peak(form: MarginalForm) -> float:
     lam, mu, nu = form.lam, form.mu, form.nu
     if nu == 0.0:
         return 0.0
-    s2 = (lam * mu - nu**2) / lam
+    s2 = form.det / lam
     c = nu / np.sqrt(lam)
 
     def dlog(x):
@@ -184,7 +186,7 @@ def _plus_peak(form: MarginalForm) -> float:
     # the derivative is positive at 0 (toward the correlation sign) and
     # eventually negative; bracket outward then bisect
     direction = 1.0 if nu > 0 else -1.0
-    sigma_b = np.sqrt(mu / (2.0 * (lam * mu - nu**2)))
+    sigma_b = np.sqrt(mu / (2.0 * form.det))
     hi = direction * 10.0 * sigma_b
     if dlog(hi) * direction > 0:
         raise NumericError("failed to bracket the conditional mode")
@@ -235,16 +237,6 @@ class CoherentPoint:
         mu, mw = self.alpha.real, self.alpha.imag
         return np.exp(-((u - mu) ** 2) - (w - mw) ** 2) / np.pi
 
-    def to_doc(self) -> dict:
-        return {"kind": self.kind, "weight": self.weight,
-                "alpha": [self.alpha.real, self.alpha.imag]}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "CoherentPoint":
-        require_fields(doc, {"kind": "a string", "weight": "a number",
-                             "alpha": "a [re, im] pair"}, "coherent component")
-        return cls(doc["weight"], complex(*doc["alpha"]))
-
 
 @dataclass(frozen=True)
 class ThermalComponent:
@@ -266,15 +258,6 @@ class ThermalComponent:
     def wigner(self, u, w):
         var = (2.0 * self.nbar + 1.0) / 2.0
         return np.exp(-(u**2 + w**2) / (2.0 * var)) / (2.0 * np.pi * var)
-
-    def to_doc(self) -> dict:
-        return {"kind": self.kind, **dataclasses.asdict(self)}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "ThermalComponent":
-        require_fields(doc, {"kind": "a string", "weight": "a number",
-                             "nbar": "a number"}, "thermal component")
-        return cls(doc["weight"], doc["nbar"])
 
 
 @dataclass(frozen=True)
@@ -322,19 +305,10 @@ class ArcsineComponent:
     def wigner(self, u, w):
         return self.d1(u) * np.exp(-(w**2)) / np.sqrt(np.pi)
 
-    def to_doc(self) -> dict:
-        return {"kind": self.kind, **dataclasses.asdict(self)}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "ArcsineComponent":
-        require_fields(doc, {"kind": "a string", "weight": "a number",
-                             "alpha0": "a number"}, "arcsine component")
-        return cls(doc["weight"], doc["alpha0"])
-
 
 # component.d1(u) and component.wigner(u, w) are its measured-quadrature
 # marginal and phase-space density in natural units (vacuum:
-# exp(-u^2)/sqrt(pi) and exp(-u^2 - w^2)/pi); to_doc/from_doc its JSON form
+# exp(-u^2)/sqrt(pi) and exp(-u^2 - w^2)/pi); kind_to_doc gives its JSON form
 Component = CoherentPoint | ThermalComponent | ArcsineComponent
 COMPONENTS = {cls.kind: cls for cls in
               (CoherentPoint, ThermalComponent, ArcsineComponent)}
@@ -430,7 +404,7 @@ def output_wigner_from_P(mixture: PMixtureState, point):
 
 
 def mixture_to_json(mixture: PMixtureState) -> str:
-    comps = [c.to_doc() for c in mixture.components]
+    comps = [kind_to_doc(c) for c in mixture.components]
     return json.dumps({"eta": mixture.eta, "v0": mixture.v0, "components": comps},
                       indent=2)
 
@@ -440,18 +414,14 @@ def mixture_from_json(text: str) -> PMixtureState:
     JSON object of just its own fields, each well typed, is a ValidationError."""
     doc = read_document(text, {"eta": "a number", "components": "a list"},
                         "mixture document", {"v0": "a number"})
-    comps = tuple(kind_class(entry, COMPONENTS, "component").from_doc(entry)
+    comps = tuple(kind_from_doc(entry, COMPONENTS, "component")
                   for entry in doc["components"])
     return PMixtureState(comps, float(doc["eta"]), doc.get("v0", DEFAULT_V0))
 
 
 def density_curve_to_csv(path, x, columns: dict) -> None:
     """Write aligned density curves as CSV with an x column."""
-    names = ["x"] + list(columns.keys())
-    data = np.column_stack([np.asarray(x, dtype=float)]
-                           + [np.asarray(v, dtype=float) for v in columns.values()])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",",
-               header=",".join(names), comments="")
+    write_table(path, {"x": x, **columns})
 
 
 def density_curve_to_json(x, columns: dict) -> str:

@@ -5,8 +5,7 @@ the two quadrature outcomes of one joint measurement.  Records are held,
 and stored in a .npz file, as the x_A and x_B columns plus a run table of
 phase pairs; a CSV file holds the four columns per row.  Each fixed-size
 chunk of records has its own RNG substream derived from (seed, chunk
-index), so the chunks are filled on all the process's CPUs in any order;
-the samplers accept a workers keyword, which has no effect.
+index), so the chunks are filled on all the process's CPUs in any order.
 
 The modulation schemes draw a per-sample classical displacement for the
 pre-splitter beam, mix it through the splitter (vacuum on the idle port)
@@ -17,7 +16,7 @@ records match the analytic output densities.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -29,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ParseError, ValidationError, kind_class, require_fields,
-                     require_finite)
+from .errors import (ParseError, ValidationError, dump_document, kind_from_doc,
+                     kind_to_doc, require_finite, write_table)
 from .marginals import joint_marginal_form
 from .states import DEFAULT_V0, GaussianBipartiteState
 
@@ -296,13 +295,12 @@ def _draw(parts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_gaussian(state: GaussianBipartiteState, theta_a: float, theta_b: float,
-                    n: int, seed: int, workers: int | None = None) -> RecordSet:
+                    n: int, seed: int) -> RecordSet:
     """Draw n joint outcomes from a Gaussian state at fixed phases."""
     if n <= 0:
         raise ValidationError("n must be positive")
     form = joint_marginal_form(state, theta_a, theta_b)
-    det = form.lam * form.mu - form.nu**2
-    cov = np.array([[form.mu, form.nu], [form.nu, form.lam]]) / (2.0 * det)
+    cov = np.array([[form.mu, form.nu], [form.nu, form.lam]]) / (2.0 * form.det)
     chol = np.linalg.cholesky(cov)
     mean = np.array([form.mean_a, form.mean_b])
     x_a, x_b = _draw([(n, seed, lambda rng, m:
@@ -318,8 +316,7 @@ def sample_gaussian(state: GaussianBipartiteState, theta_a: float, theta_b: floa
     return RecordSet(x_a, x_b, [(theta_a, theta_b)], [n], meta)
 
 
-def sample_scheme(configs: SimulationConfig | list[SimulationConfig],
-                  workers: int | None = None) -> RecordSet:
+def sample_scheme(configs: SimulationConfig | list[SimulationConfig]) -> RecordSet:
     """Draw homodyne records for a modulation scheme: for one config, or
     for several in turn into one pair of columns, which gives the records
     and the meta of concat_records over the configs one by one."""
@@ -340,18 +337,9 @@ def sample_scheme(configs: SimulationConfig | list[SimulationConfig],
                      [c.n_samples for c in configs], meta)
 
 
-def scheme_to_dict(scheme: ModulationScheme) -> dict:
-    return {"kind": scheme.kind, **dataclasses.asdict(scheme)}
-
-
-def scheme_from_dict(doc: dict) -> ModulationScheme:
-    """Inverse of scheme_to_dict.  A missing field takes its default; an
-    unknown field or a value that is not a number is a ValidationError."""
-    cls = kind_class(doc, SCHEMES, "scheme")
-    names = [f.name for f in dataclasses.fields(cls)]
-    require_fields(doc, {"kind": "a string"}, f"{cls.kind} scheme",
-                   dict.fromkeys(names, "a number"))
-    return cls(**{name: doc[name] for name in names if name in doc})
+# a scheme's JSON object and back; a missing field takes its default
+scheme_to_dict = kind_to_doc
+scheme_from_dict = functools.partial(kind_from_doc, table=SCHEMES, what="scheme")
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +363,9 @@ def write_records(rs: RecordSet, path, sidecar: bool = True) -> None:
         with open(path, "wb") as fh:
             np.savez(fh, x_A=rs.x_a, x_B=rs.x_b, phases=rs.phases, counts=rs.counts)
     else:
-        np.savetxt(path, np.column_stack(rs.columns()), fmt="%.17g",
-                   delimiter=",", header=CSV_HEADER, comments="")
+        write_table(path, dict(zip(COLUMNS, rs.columns())))
     if sidecar and rs.meta:
-        path.with_name(path.name + META_SUFFIX).write_text(
-            json.dumps(rs.meta, indent=2, sort_keys=True) + "\n"
-        )
+        path.with_name(path.name + META_SUFFIX).write_text(dump_document(rs.meta))
 
 
 def read_records(path) -> RecordSet:

@@ -19,14 +19,13 @@ conditional against unconditional histograms is the decision statistic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
 
 from .errors import (EmptySideError, InsufficientDataError, NumericError,
-                     ValidationError)
+                     ValidationError, dump_document, require_finite, write_table)
 from .marginals import analytic_peak_separation, joint_marginal_form
 from .sampler import CHUNK, RecordSet, _starmap, sample_gaussian
 
@@ -415,6 +414,7 @@ def verdict_gaussian(rs: RecordSet, threshold: float = 0.0,
     saves them little time and makes that time vary with the load on the
     other CPU.  Results and the first error come back in pair order.
     """
+    require_finite(locals(), "k_min")
     subsets = []
     for theta_a, theta_b in pairs:
         sub = rs.select_pair(theta_a, theta_b)
@@ -448,6 +448,8 @@ def verdict_mixture(rs: RecordSet, threshold: float,
     p-value drops below alpha.  Peak and mean shifts per side are reported
     as diagnostics.  Records at more than one phase pair are bad input.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     if len(rs) and len(rs.select_pair(*rs.phases[0])) < len(rs):
         raise ValidationError("the mixture verdict takes records at one phase "
                               f"pair; {_pairs_present(rs)}")
@@ -488,8 +490,7 @@ def verdict_mixture(rs: RecordSet, threshold: float,
 
 
 def sweep_modulation(depths, n: int, seed: int, v0: float = 1.0,
-                     n_boot: int = BOOTSTRAP_DEFAULT,
-                     workers: int | None = None) -> list[dict]:
+                     n_boot: int = BOOTSTRAP_DEFAULT) -> list[dict]:
     """Simulate a phase-modulated beam split on a balanced splitter over a
     list of depths; per depth, measure the peak separation and attach the
     analytic value.
@@ -500,6 +501,8 @@ def sweep_modulation(depths, n: int, seed: int, v0: float = 1.0,
     from .states import modulated_beam, split_balanced
 
     depths = np.asarray(list(depths), dtype=float)
+    if depths.size == 0:
+        raise ValidationError("depths must hold at least one depth, got none")
     if not np.all(np.isfinite(depths) & (depths >= 0)):
         raise ValidationError(f"depths must be finite and non-negative, "
                               f"got {depths.tolist()}")
@@ -545,7 +548,7 @@ def verdict_to_json(verdict: DiscordVerdict) -> str:
         ],
         "meta": verdict.meta,
     }
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    return dump_document(doc, allow_nan=False)
 
 
 def mixture_verdict_to_json(verdict: MixtureVerdict) -> str:
@@ -568,19 +571,14 @@ def mixture_verdict_to_json(verdict: MixtureVerdict) -> str:
         ],
         "meta": verdict.meta,
     }
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    return dump_document(doc, allow_nan=False)
 
 
 def histogram_to_csv(hist: Histogram, path) -> None:
-    data = np.column_stack([hist.edges[:-1], hist.edges[1:], hist.counts])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",",
-               header="left_edge,right_edge,count", comments="")
+    write_table(path, {"left_edge": hist.edges[:-1], "right_edge": hist.edges[1:],
+                       "count": hist.counts})
 
 
 def sweep_to_csv(rows: list[dict], path) -> None:
-    data = np.array([
-        [r["depth"], r["delta"], r["sigma_delta"], r["delta_analytic"], r["n"]]
-        for r in rows
-    ])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",",
-               header="depth,delta,sigma_delta,delta_analytic,n", comments="")
+    write_table(path, {name: [r[name] for r in rows] for name in
+                       ("depth", "delta", "sigma_delta", "delta_analytic", "n")})

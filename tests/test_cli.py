@@ -139,6 +139,35 @@ def test_simulate_rejects_non_finite_parameters(tmp_path, monkeypatch, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("verify", "--records", "rec.npz", "--k-min", "nan"), "k_min"),
+    (("verify", "--records", "rec.npz", "--mode", "mixture", "--alpha", "nan"),
+     "alpha"),
+    (("verify", "--records", "rec.npz", "--mode", "mixture", "--alpha", "5"),
+     "alpha"),
+    (("counterexample", "--alpha", "nan"), "alpha"),
+    (("counterexample", "--nbar", "nan"), "nbar"),
+    (("counterexample", "--r", "nan"), "r"),
+    (("counterexample", "--r", "inf"), "r"),
+    (("counterexample", "--v0", "nan"), "v0"),
+    (("counterexample", "--v0", "0"), "v0"),
+    (("counterexample", "--v0", "-1"), "v0"),
+    (("sweep", "--depths", ","), "depths"),
+])
+def test_bad_numbers_exit_1_naming_the_parameter(tmp_path, monkeypatch, capsys,
+                                                 argv, name):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--n", "2000", "--pairs", "0,0",
+               "--out", "rec.npz") == 0
+    inputs = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any computation
+        assert run(*argv, "--out", "out.json") == 1
+    assert capsys.readouterr().err.startswith(f"error: {name} must ")
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
 def test_simulate_and_verify_keep_their_own_manifests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run("simulate", "--n", "5000", "--out", "run.npz") == 0

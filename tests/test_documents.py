@@ -14,7 +14,9 @@ from cvdiscord import (ArcsineComponent, CoherentPoint, PMixtureState,
                        modulated_beam, split_balanced, state_from_json,
                        state_to_json)
 from cvdiscord.cli import _SCHEMES, main
-from cvdiscord.sampler import SCHEMES, scheme_from_dict, scheme_to_dict
+from cvdiscord.sampler import (SCHEMES, RecordSet, scheme_from_dict,
+                               scheme_to_dict, write_records)
+from cvdiscord.verifier import Histogram, histogram_to_csv, sweep_to_csv
 
 MIXTURE = PMixtureState(
     (CoherentPoint(0.25, 1.0 - 2.0j), ThermalComponent(0.5, 0.8),
@@ -56,6 +58,31 @@ def test_every_document_writer_reads_back():
     assert (back.dim_a, back.dim_b, back.v0) == (fock.dim_a, fock.dim_b,
                                                  fock.v0)
     assert np.array_equal(back.matrix, fock.matrix)
+
+
+def test_tables_and_the_sidecar_keep_their_bytes(tmp_path):
+    # outputs no command writes, pinned as version 0.2.0 wrote them
+    histogram_to_csv(Histogram([-1.5, -0.25, 0.5, 2.0], [3, 0, 12]),
+                     tmp_path / "hist.csv")
+    assert (tmp_path / "hist.csv").read_text() == (
+        "left_edge,right_edge,count\n-1.5,-0.25,3\n-0.25,0.5,0\n0.5,2,12\n")
+    sweep_to_csv([{"depth": 1.5, "delta": 0.123456789012345678,
+                   "sigma_delta": 1e-3 / 3, "delta_analytic": 0.12,
+                   "n": 20000}], tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_text() == (
+        "depth,delta,sigma_delta,delta_analytic,n\n"
+        "1.5,0.12345678901234568,0.00033333333333333332,0.12,20000\n")
+    meta = {"kind": "scheme", "scheme": {"kind": "async_sine", "depth": 2.0},
+            "n": 2, "seed": 7, "eta": 1 / np.sqrt(2), "v0": 1.0}
+    write_records(RecordSet([0.5, -1.25], [2.0, 1 / 3], [(0.0, np.pi / 2)],
+                            [2], meta), tmp_path / "rec.csv", sidecar=True)
+    assert (tmp_path / "rec.csv.meta.json").read_text() == (
+        '{\n  "eta": 0.7071067811865475,\n  "kind": "scheme",\n  "n": 2,\n'
+        '  "scheme": {\n    "depth": 2.0,\n    "kind": "async_sine"\n  },\n'
+        '  "seed": 7,\n  "v0": 1.0\n}\n')
+    assert (tmp_path / "rec.csv").read_text() == (
+        "theta_A,theta_B,x_A,x_B\n0,1.5707963267948966,0.5,2\n"
+        "0,1.5707963267948966,-1.25,0.33333333333333331\n")
 
 
 def _with(text, edit):

@@ -38,6 +38,7 @@ from cvdiscord import (
     split_balanced,
     write_records,
 )
+from cvdiscord import sampler
 from cvdiscord.sampler import (
     CHUNK,
     SWITCHED_PHASE_AMPLITUDE,
@@ -72,16 +73,21 @@ def test_same_seed_reproduces_bitwise():
     assert not np.array_equal(one.x_a, other.x_a)
 
 
-def test_worker_count_does_not_change_the_stream():
+def test_worker_count_does_not_change_the_stream(monkeypatch):
+    # three chunks, the last one partial, so the pool fills two of them
+    n = 2 * CHUNK + 1
     state = split_balanced(modulated_beam(1.0, 3.0))
-    serial = sample_gaussian(state, HALF_PI, HALF_PI, 50_001, seed=7, workers=1)
-    threaded = sample_gaussian(state, HALF_PI, HALF_PI, 50_001, seed=7, workers=4)
-    assert np.array_equal(serial.x_a, threaded.x_a)
-    assert np.array_equal(serial.x_b, threaded.x_b)
+    cfg = SimulationConfig(SwitchedNoise(2.0, 2.0, 0.3), n, seed=9)
 
-    cfg = SimulationConfig(SwitchedNoise(2.0, 2.0, 0.3), 50_001, seed=9)
-    assert np.array_equal(sample_scheme(cfg, workers=1).x_b,
-                          sample_scheme(cfg, workers=8).x_b)
+    def draw():
+        return (sample_gaussian(state, HALF_PI, HALF_PI, n, seed=7),
+                sample_scheme(cfg))
+
+    pooled = draw()
+    monkeypatch.setattr(sampler, "_POOL", None)
+    for threaded, serial in zip(pooled, draw()):
+        assert np.array_equal(threaded.x_a, serial.x_a)
+        assert np.array_equal(threaded.x_b, serial.x_b)
 
 
 def test_several_configs_fill_one_pair_of_columns_as_their_concatenation():
