@@ -16,8 +16,9 @@ modes with --plotdata on .npz records and on the gaussian and
 switched-phase CSV records, simulate and verify from a config file, a
 record file run.npz and its verdict run.json, which share a stem, a
 simulate and verify at 140,000 records per pair, three sampling chunks
-per pair with the last one partial, sweep, and counterexample with
---plotdata and --dump-state), with PYTHONPATH set to that tree.  It then
+per pair with the last one partial, sweep at 5,000 records per depth,
+under one sampling chunk, and at 70,000, over one, and counterexample
+with --plotdata and --dump-state), with PYTHONPATH set to that tree.  It then
 compares every output file byte for byte, and each command's exit code,
 stdout and stderr.  In a manifest every value inside its "timings_s" and
 "versions" objects reads null before the comparison, as those vary from
@@ -93,6 +94,9 @@ COMMANDS = [
      "--out", "v_chunks.json"),
     ("verify", "--config", "verify.json", "--boot", "50"),
     ("sweep", "--depths", "0:3:4", "--n", "5000", "--out", "sweep.csv"),
+    # at least one sampling chunk per depth: pooled depths that draw their
+    # chunks on the pool in turn
+    ("sweep", "--depths", "0:3:5", "--n", "70000", "--out", "sweep_chunks.csv"),
     ("counterexample", "--which", "both", "--out", "ce.json",
      "--plotdata", "curves", "--dump-state", "state"),
 ]

@@ -36,9 +36,9 @@ from .fock import (build_ce_hidden_discord, build_ce_zero_discord,
 from .marginals import density_curve_to_csv
 from .sampler import (META_SUFFIX, SWITCHED_PHASE_AMPLITUDE, AsyncSine,
                       GaussianModulation, SimulationConfig, SwitchedNoise,
-                      SwitchedPhase, read_records, sample_scheme,
+                      SwitchedPhase, _check_duty, read_records, sample_scheme,
                       scheme_to_dict, write_records)
-from .verifier import (CANONICAL_PAIRS, ConditionalHistograms,
+from .verifier import (CANONICAL_PAIRS, ConditionalHistograms, _check_settings,
                        sweep_modulation, sweep_to_csv, verdict_gaussian,
                        verdict_mixture, mixture_verdict_to_json,
                        verdict_to_json)
@@ -82,8 +82,10 @@ _OPTIONS = {
         "threshold": (0.0, {"type": float}),
         "k_min": (3.0, {"type": float}),
         "alpha": (0.05, {"type": float, "help": "mixture-mode significance level"}),
-        "seed": (0, {"type": int, "help": "bootstrap seed"}),
-        "boot": (200, {"type": int, "help": "bootstrap replicates"}),
+        "seed": (0, {"type": int, "help": "bootstrap seed (gaussian mode; a "
+                     "mixture verdict does not depend on it)"}),
+        "boot": (200, {"type": int, "help": "bootstrap replicates, at least 2 "
+                       "(gaussian mode; a mixture verdict does not depend on it)"}),
         "pairs": ("all", {"help": '"all" or "ta,tb;..." in degrees (gaussian mode)'}),
         "out": ("verdict.json", {"type": Path}),
         "plotdata": (None, {"type": Path, "help": "write aligned density curves here"}),
@@ -296,7 +298,9 @@ def emit_plotdata(hists: ConditionalHistograms, path: Path) -> None:
 def _cmd_simulate(cfg: dict) -> list:
     """Draw homodyne records.  The gaussian scheme simulates all four
     canonical phase pairs by default (n records each, per-pair seeds seed,
-    seed+1, ...); other schemes use a single pair."""
+    seed+1, ...); other schemes use a single pair.  --duty is checked for
+    every scheme, as the manifest records it whether the scheme uses it."""
+    _check_duty(cfg["duty"])
     scheme = _SCHEMES[cfg["scheme"]](cfg)
     if cfg["pairs"] is not None:
         pairs = parse_pairs(cfg["pairs"])
@@ -321,9 +325,11 @@ def _cmd_simulate(cfg: dict) -> list:
 
 
 def _cmd_verify(cfg: dict) -> list:
-    """Run a discord verdict over a record file."""
+    """Run a discord verdict over a record file.  --k-min, --alpha and
+    --boot are checked in both modes, as the manifest records them all."""
     if cfg["records"] is None:
         raise ValidationError("verify needs --records")
+    _check_settings(cfg["k_min"], cfg["alpha"], cfg["boot"])
     rs = read_records(cfg["records"])
     if cfg["mode"] == "gaussian":
         pairs = parse_pairs(cfg["pairs"])

@@ -263,17 +263,26 @@ def _starmap(fn, args, pool: bool = True) -> list:
     caller runs each call in order that the pool has not started, else
     waits for it, so the first failed call in order raises, once none
     runs.  Only started calls are waited for, so fn may call _starmap in
-    turn."""
+    turn.  A cancelled call stays queued until a pool thread gets to it,
+    so the queue holds each call in a cell that is emptied on return, and
+    fn and its arguments are freed then."""
     args = list(args)
     if _POOL is None or not pool or len(args) < 2:
         return [fn(*a) for a in args]
-    futures = [_POOL.submit(fn, *a) for a in reversed(args)][::-1]
+    cells = [[fn, a] for a in args]
+    futures = [_POOL.submit(_call, cell) for cell in reversed(cells)][::-1]
     try:
         return [fn(*a) if f.cancel() else f.result() for f, a in zip(futures, args)]
     finally:
-        for f in futures:
+        for f, cell in zip(futures, cells):
             if not f.cancel():
                 f.exception()  # waits for a call that the pool started
+            cell.clear()
+
+
+def _call(cell):
+    fn, a = cell
+    return fn(*a)
 
 
 def _draw(parts) -> tuple[np.ndarray, np.ndarray]:

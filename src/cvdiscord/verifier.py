@@ -19,6 +19,7 @@ conditional against unconditional histograms is the decision statistic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (EmptySideError, InsufficientDataError, NumericError,
                      ValidationError, dump_document, require_finite, write_table)
 from .marginals import analytic_peak_separation, joint_marginal_form
 from .sampler import CHUNK, RecordSet, _starmap, sample_gaussian
+from .states import modulated_beam, split_balanced
 
 MIN_BINS = 50
 MAX_BINS = 400
@@ -156,8 +158,10 @@ class MixtureVerdict:
 def split_by_threshold(rs: RecordSet, threshold: float = 0.0
                        ) -> tuple[np.ndarray, np.ndarray]:
     """The B outcomes of each side of a split on the A outcome: x_A >=
-    threshold is the plus side, the rest the minus side.  An empty side is
-    bad input, named by the threshold and the phase pairs of rs."""
+    threshold is the plus side, the rest the minus side.  A threshold that
+    is not finite, or one that leaves a side empty, is bad input; the
+    empty-side error names the threshold and the phase pairs of rs."""
+    require_finite(locals(), "threshold")
     plus_mask = rs.x_a >= threshold
     n_plus = int(plus_mask.sum())
     if n_plus == 0 or n_plus == len(rs):
@@ -171,11 +175,26 @@ def split_by_threshold(rs: RecordSet, threshold: float = 0.0
     return rs.x_b[plus_mask], rs.x_b[~plus_mask]
 
 
-def bin_count_fd(values: np.ndarray) -> int:
-    """Freedman-Diaconis bin count clamped to [MIN_BINS, MAX_BINS]."""
-    span = float(values.max() - values.min())
-    q75, q25 = np.percentile(values, [75.0, 25.0])
-    iqr = q75 - q25
+def _percentile(ordered: np.ndarray, q: float) -> float:
+    """np.percentile(values, 100 q) bit for bit from the ascending copy of
+    values: numpy's linear rule blends the order statistics a and b around
+    the virtual index (n - 1) q by its fraction t, as b - (b - a)(1 - t)
+    when t >= 0.5, else a + (b - a) t."""
+    last = len(ordered) - 1
+    v = last * q
+    i = int(v)
+    if i >= last:  # a single value, which numpy returns as it is
+        return ordered[last]
+    a, b, t = ordered[i], ordered[i + 1], v - i
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
+def bin_count_fd(values: np.ndarray, presorted: bool = False) -> int:
+    """Freedman-Diaconis bin count clamped to [MIN_BINS, MAX_BINS]; with
+    presorted, values are in ascending order and are not sorted again."""
+    ordered = values if presorted else np.sort(values)
+    span = float(ordered[-1] - ordered[0])
+    iqr = _percentile(ordered, 0.75) - _percentile(ordered, 0.25)
     if span <= 0 or iqr <= 0:
         return MIN_BINS
     width = 2.0 * iqr / len(values) ** (1.0 / 3.0)
@@ -183,33 +202,40 @@ def bin_count_fd(values: np.ndarray) -> int:
     return min(max(k, MIN_BINS), MAX_BINS)
 
 
-def estimate_density(data, edges: np.ndarray | None = None) -> Histogram:
+def estimate_density(data, edges: np.ndarray | None = None,
+                     presorted: bool = False) -> Histogram:
     """Equal-width histogram spanning [min, max] padded by one bin on each
-    side, bin count from the clamped Freedman-Diaconis rule; or on edges."""
+    side, bin count from the clamped Freedman-Diaconis rule; or on edges.
+    All of it comes from one ascending copy of the values (or the values,
+    presorted): the range from its ends, the quartiles from its order
+    statistics, and np.histogram's counts from bisecting it at the edges."""
     values = data.x_b if isinstance(data, RecordSet) else np.asarray(data, dtype=float)
     if len(values) == 0:
         raise InsufficientDataError("no records to bin")
-    if edges is not None:
-        counts, _ = np.histogram(values, bins=edges)
-        return Histogram(np.asarray(edges, dtype=float), counts)
-    lo, hi = float(values.min()), float(values.max())
-    if hi <= lo:
-        width = 1.0
-        lo, hi = lo - 0.5, hi + 0.5
-        k = 1
-    else:
-        k = bin_count_fd(values)
-        width = (hi - lo) / k
-    full = np.linspace(lo - width, hi + width, k + 3)
-    counts, _ = np.histogram(values, bins=full)
-    return Histogram(full, counts)
+    ordered = values if presorted else np.sort(values)
+    if edges is None:
+        lo, hi = float(ordered[0]), float(ordered[-1])
+        if hi <= lo:
+            width = 1.0
+            lo, hi = lo - 0.5, hi + 0.5
+            k = 1
+        else:
+            k = bin_count_fd(ordered, presorted=True)
+            width = (hi - lo) / k
+        edges = np.linspace(lo - width, hi + width, k + 3)
+    edges = np.asarray(edges, dtype=float)
+    ends = np.concatenate([ordered.searchsorted(edges[:-1], "left"),
+                           ordered.searchsorted(edges[-1:], "right")])
+    return Histogram(edges, np.diff(ends))
 
 
-def _bin_sides(x_b, plus_b, minus_b) -> ConditionalHistograms:
-    """Bin x_b whole by the Freedman-Diaconis rule and the plus side on its
-    edges; minus = whole - plus is exact, as the range holds every value."""
+def _bin_sides(x_b, plus_b, minus_b, plus_sorted) -> ConditionalHistograms:
+    """Bin x_b whole by the Freedman-Diaconis rule and the plus side, given
+    also in ascending order, on its edges; minus = whole - plus is exact,
+    as the range holds every value.  The moments come from the unsorted
+    arrays, as the order of summation sets their last bits."""
     whole = estimate_density(x_b)
-    plus = estimate_density(plus_b, edges=whole.edges)
+    plus = estimate_density(plus_sorted, edges=whole.edges, presorted=True)
     return ConditionalHistograms(
         whole, plus, Histogram(whole.edges, whole.counts - plus.counts),
         float(x_b.mean()), float(plus_b.var()), float(minus_b.var()))
@@ -284,11 +310,8 @@ def estimate_peak(hist: Histogram, rng=None,
     spread of n_boot >= 2 multinomial redraws of the bin counts (the
     record bootstrap, as records enter only through the counts), located
     with the histogram itself in one batched fit."""
-    if not isinstance(n_boot, (int, np.integer)) or n_boot < 2:
-        raise ValidationError(f"n_boot (bootstrap replicates) must be an "
-                              f"integer >= 2, got {n_boot!r}")
-    if (hist.counts > 0).sum() < 3:
-        raise InsufficientDataError("need at least 3 occupied bins")
+    _check_settings(n_boot=n_boot)
+    _check_peaked(hist)
     rng = np.random.default_rng(0) if rng is None else rng
     total = hist.total
     reps = rng.multinomial(total, hist.counts / total, size=n_boot)
@@ -297,22 +320,28 @@ def estimate_peak(hist: Histogram, rng=None,
                         method="bin-parabolic", boundary=bool(boundary[0]))
 
 
+def _check_peaked(hist: Histogram) -> None:
+    if (hist.counts > 0).sum() < 3:
+        raise InsufficientDataError("need at least 3 occupied bins")
+
+
 def separation_statistic(rs: RecordSet, threshold: float = 0.0,
                          seed: int = 0, n_boot: int = BOOTSTRAP_DEFAULT
                          ) -> tuple[float, float, PeakEstimate, PeakEstimate]:
     """Peak separation Delta between the sign-conditioned B marginals,
     with its bootstrap standard error."""
-    return _separation(*split_by_threshold(rs, threshold),
+    return _separation(*map(np.sort, split_by_threshold(rs, threshold)),
                        np.random.SeedSequence((seed, 0xB007)), n_boot)
 
 
-def _separation(plus_b: np.ndarray, minus_b: np.ndarray,
+def _separation(plus_sorted: np.ndarray, minus_sorted: np.ndarray,
                 ss: np.random.SeedSequence, n_boot: int):
-    """Fit the B peak of each side, bootstrapping each with its own stream
-    spawned from ss; returns (delta, sigma, peak_plus, peak_minus)."""
-    rng_p, rng_m = [np.random.default_rng(s) for s in ss.spawn(2)]
-    peak_p = estimate_peak(estimate_density(plus_b), rng_p, n_boot)
-    peak_m = estimate_peak(estimate_density(minus_b), rng_m, n_boot)
+    """Fit the B peak of each side, given in ascending order, bootstrapping
+    each with its own stream spawned from ss; returns (delta, sigma,
+    peak_plus, peak_minus)."""
+    peak_p, peak_m = (estimate_peak(estimate_density(side, presorted=True),
+                                    np.random.default_rng(s), n_boot)
+                      for side, s in zip((plus_sorted, minus_sorted), ss.spawn(2)))
     delta = peak_p.location - peak_m.location
     sigma = float(np.hypot(peak_p.std_error, peak_m.std_error))
     return delta, sigma, peak_p, peak_m
@@ -371,14 +400,29 @@ def chi_square_two_sample(hist_r: Histogram, hist_s: Histogram,
 # ---------------------------------------------------------------------------
 
 
+def _check_settings(k_min: float = K_MIN_DEFAULT, alpha: float = CHI2_ALPHA,
+                    n_boot: int = BOOTSTRAP_DEFAULT) -> None:
+    """A ValidationError naming the first bad setting of a verdict: k_min
+    must be a finite number > 0, alpha lie in (0, 1) and n_boot be an
+    integer >= 2."""
+    if not (math.isfinite(k_min) and k_min > 0):
+        raise ValidationError(f"k_min must be a finite number > 0, got {k_min}")
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    if not isinstance(n_boot, (int, np.integer)) or n_boot < 2:
+        raise ValidationError(f"n_boot (bootstrap replicates) must be an "
+                              f"integer >= 2, got {n_boot!r}")
+
+
 def _pair_stats(rs: RecordSet, theta_a: float, theta_b: float,
                 threshold: float, seed: int, n_boot: int,
                 pair_index: int) -> PairStats:
     ss = np.random.SeedSequence((seed, pair_index))
     plus_b, minus_b = split_by_threshold(rs, threshold)
-    delta, sigma, _, _ = _separation(plus_b, minus_b, ss, n_boot)
+    plus_sorted = np.sort(plus_b)
+    delta, sigma, _, _ = _separation(plus_sorted, np.sort(minus_b), ss, n_boot)
     k = abs(delta) / sigma if sigma > 0 else np.inf
-    hists = _bin_sides(rs.x_b, plus_b, minus_b)
+    hists = _bin_sides(rs.x_b, plus_b, minus_b, plus_sorted)
     return PairStats(theta_a=theta_a, theta_b=theta_b, delta=delta,
                      sigma_delta=sigma, k=float(k),
                      chi2=chi_square_two_sample(hists.plus, hists.minus),
@@ -414,7 +458,7 @@ def verdict_gaussian(rs: RecordSet, threshold: float = 0.0,
     saves them little time and makes that time vary with the load on the
     other CPU.  Results and the first error come back in pair order.
     """
-    require_finite(locals(), "k_min")
+    _check_settings(k_min=k_min, n_boot=n_boot)
     subsets = []
     for theta_a, theta_b in pairs:
         sub = rs.select_pair(theta_a, theta_b)
@@ -446,35 +490,32 @@ def verdict_mixture(rs: RecordSet, threshold: float,
     Compares each sign-conditioned histogram of the B outcome against the
     unconditional one on a common binning; "discordant" when either side's
     p-value drops below alpha.  Peak and mean shifts per side are reported
-    as diagnostics.  Records at more than one phase pair are bad input.
+    as diagnostics; the peaks are located without a bootstrap, so seed and
+    n_boot (still checked, >= 2) do not change the verdict.  Records at
+    more than one phase pair are bad input.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_settings(alpha=alpha, n_boot=n_boot)
     if len(rs) and len(rs.select_pair(*rs.phases[0])) < len(rs):
         raise ValidationError("the mixture verdict takes records at one phase "
                               f"pair; {_pairs_present(rs)}")
     plus_b, minus_b = split_by_threshold(rs, threshold)
-    hists = _bin_sides(rs.x_b, plus_b, minus_b)
-    ss = np.random.SeedSequence((seed, 0xA11))
-    rngs = [np.random.default_rng(s) for s in ss.spawn(3)]
-    peak_all = estimate_peak(hists.whole, rngs[0], n_boot)
-    sides = []
-    for sign, hist_side, side_b, variance, rng in (
-            (1, hists.plus, plus_b, hists.var_plus, rngs[1]),
-            (-1, hists.minus, minus_b, hists.var_minus, rngs[2])):
-        chi2 = chi_square_two_sample(hist_side, hists.whole)
-        peak_side = estimate_peak(hist_side, rng, n_boot)
-        sides.append(SideReport(
-            sign=sign,
-            chi2=chi2,
-            peak_shift=peak_side.location - peak_all.location,
-            mean_shift=float(side_b.mean()) - hists.mean,
-            variance=variance,
-        ))
+    hists = _bin_sides(rs.x_b, plus_b, minus_b, np.sort(plus_b))
+    _check_peaked(hists.whole)
+    chi2s = []
+    for hist_side in (hists.plus, hists.minus):
+        chi2s.append(chi_square_two_sample(hist_side, hists.whole))
+        _check_peaked(hist_side)
+    # the peaks of the whole histogram and of each side, one fitted row each
+    locs = _fit_peaks(hists.whole.edges, np.vstack(
+        [hists.whole.counts, hists.plus.counts, hists.minus.counts]))[0]
     variances = (hists.var_plus, hists.var_minus)
+    sides = tuple(SideReport(sign, chi2, float(loc) - float(locs[0]),
+                             float(side_b.mean()) - hists.mean, variance)
+                  for sign, chi2, loc, side_b, variance in zip(
+                      (1, -1), chi2s, locs[1:], (plus_b, minus_b), variances))
     discordant = any(s.chi2.p_value < alpha for s in sides)
     return MixtureVerdict(
-        sides=tuple(sides),
+        sides=sides,
         decision="discordant" if discordant else "not-detected",
         alpha=alpha,
         threshold=threshold,
@@ -496,32 +537,35 @@ def sweep_modulation(depths, n: int, seed: int, v0: float = 1.0,
     analytic value.
 
     Modulation rides on the p quadrature and both stations measure it
-    (theta = pi/2), matching the locked-quadrature protocol.
+    (theta = pi/2), matching the locked-quadrature protocol.  Depth i
+    draws and bootstraps from seed + i.  As in verdict_gaussian, depths
+    of at least CHUNK records run on the process's CPUs, smaller ones on
+    the calling thread; rows and the first error come back in depth order.
     """
-    from .states import modulated_beam, split_balanced
-
     depths = np.asarray(list(depths), dtype=float)
     if depths.size == 0:
         raise ValidationError("depths must hold at least one depth, got none")
     if not np.all(np.isfinite(depths) & (depths >= 0)):
         raise ValidationError(f"depths must be finite and non-negative, "
                               f"got {depths.tolist()}")
+    return _starmap(_sweep_row, [(depth, n, int(seed + i), v0, n_boot)
+                                 for i, depth in enumerate(depths)],
+                    pool=n >= CHUNK)
+
+
+def _sweep_row(depth: float, n: int, seed: int, v0: float, n_boot: int) -> dict:
     half_pi = np.pi / 2.0
-    rows = []
-    for i, depth in enumerate(depths):
-        state = split_balanced(modulated_beam(0.0, depth, v0))
-        form = joint_marginal_form(state, half_pi, half_pi)
-        rs = sample_gaussian(state, half_pi, half_pi, n, seed=int(seed + i))
-        delta, sigma, _, _ = separation_statistic(rs, 0.0, seed=int(seed + i),
-                                                  n_boot=n_boot)
-        rows.append({
-            "depth": float(depth),
-            "delta": float(delta),
-            "sigma_delta": float(sigma),
-            "delta_analytic": float(analytic_peak_separation(form)),
-            "n": int(n),
-        })
-    return rows
+    state = split_balanced(modulated_beam(0.0, depth, v0))
+    form = joint_marginal_form(state, half_pi, half_pi)
+    rs = sample_gaussian(state, half_pi, half_pi, n, seed=seed)
+    delta, sigma, _, _ = separation_statistic(rs, 0.0, seed=seed, n_boot=n_boot)
+    return {
+        "depth": float(depth),
+        "delta": float(delta),
+        "sigma_delta": float(sigma),
+        "delta_analytic": float(analytic_peak_separation(form)),
+        "n": int(n),
+    }
 
 
 # ---------------------------------------------------------------------------

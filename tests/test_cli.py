@@ -153,6 +153,16 @@ def test_simulate_rejects_non_finite_parameters(tmp_path, monkeypatch, capsys,
     (("counterexample", "--v0", "0"), "v0"),
     (("counterexample", "--v0", "-1"), "v0"),
     (("sweep", "--depths", ","), "depths"),
+    (("verify", "--records", "rec.npz", "--k-min", "-1"), "k_min"),
+    (("verify", "--records", "rec.npz", "--k-min", "0"), "k_min"),
+    # gaussian mode does not use alpha, but the manifest records it
+    (("verify", "--records", "rec.npz", "--alpha", "nan"), "alpha"),
+    (("simulate", "--n", "100", "--duty", "nan"), "duty"),
+    (("simulate", "--n", "100", "--scheme", "async", "--duty", "0"), "duty"),
+    (("verify", "--records", "rec.npz", "--pairs", "0,0", "--threshold", "nan"),
+     "threshold"),
+    (("verify", "--records", "rec.npz", "--mode", "mixture", "--threshold", "inf"),
+     "threshold"),
 ])
 def test_bad_numbers_exit_1_naming_the_parameter(tmp_path, monkeypatch, capsys,
                                                  argv, name):

@@ -6,9 +6,12 @@ fit at significance 1e-3.  The mixtures are independent oracles: they come
 from the closed-form densities, not from the sampling code.
 """
 
+import gc
 import sys
 import threading
 import time
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -142,6 +145,35 @@ def test_concurrent_and_nested_starmaps_return_every_result_in_order():
         sys.setswitchinterval(old)
     expected = [[100 * k + i for i in range(20)] for k in range(10)]
     assert results == dict.fromkeys(range(4), expected)
+
+
+def test_starmap_frees_its_arguments_when_it_returns(monkeypatch):
+    # the one pool thread is busy, so every call, the nested ones too, is
+    # cancelled and run by its caller while its queue entry stays behind
+    pool, release = ThreadPoolExecutor(1), threading.Event()
+    pool.submit(release.wait, 60)
+    monkeypatch.setattr(sampler, "_POOL", pool)
+
+    class Column:
+        pass
+
+    def outer(column, k):
+        # nested calls hold the column through fn, as _draw's fill does,
+        # and through their arguments
+        held = _starmap(lambda i: (column, i)[1], [(i,) for i in range(3)])
+        given = _starmap(lambda c, i: i, [(column, i) for i in range(3)])
+        return sum(held + given) + k
+
+    try:
+        columns = [Column() for _ in range(4)]
+        refs = [weakref.ref(c) for c in columns]
+        assert _starmap(outer, [(c, k) for k, c in enumerate(columns)]) == [6, 7, 8, 9]
+        del columns
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 4
+    finally:
+        release.set()
+        pool.shutdown()
 
 
 def test_a_single_call_or_pool_false_runs_on_the_calling_thread():

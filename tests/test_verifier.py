@@ -7,6 +7,7 @@ here is reproducible.
 """
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -47,8 +48,10 @@ from cvdiscord.verifier import (
     PairStats,
     _fit_peaks,
     _pair_stats,
+    _percentile,
     bin_count_fd,
     histogram_to_csv,
+    mixture_verdict_to_json,
     sweep_to_csv,
     verdict_to_json,
 )
@@ -121,6 +124,40 @@ def test_density_respects_explicit_edges():
     assert np.array_equal(hist.counts, [1, 0, 1, 0, 1])
     with pytest.raises(InsufficientDataError):
         estimate_density(np.array([]))
+
+
+def _exactness_cases():
+    # every n mod 4, small and large, as numpy's quartile index (n - 1) q
+    # has a different fraction for each
+    rng = np.random.default_rng(8)
+    large = int(rng.integers(1_000, 200_000)) // 4 * 4
+    for n in [1, 2, 3, 4, 5, 6, 7] + [large + r for r in range(4)]:
+        x = rng.normal(size=n) * 3.0
+        yield pytest.param(x, id=f"normal-{n}")
+        yield pytest.param(np.round(x, 1), id=f"rounded-{n}")  # ties
+    for value in (2.5, 0.0, -0.0, -7.0):
+        for n in (1, 2, 5, 1000):
+            yield pytest.param(np.full(n, value), id=f"constant-{value}-{n}")
+
+
+@pytest.mark.parametrize("values", _exactness_cases())
+def test_binning_from_one_sort_matches_numpy_bit_for_bit(values):
+    ordered = np.sort(values)
+    quartiles = np.array([_percentile(ordered, 0.75), _percentile(ordered, 0.25)])
+    assert quartiles.tobytes() == np.percentile(values, [75.0, 25.0]).tobytes()
+    hist = estimate_density(values)
+    counts, _ = np.histogram(values, bins=hist.edges)
+    assert hist.counts.dtype == counts.dtype and np.array_equal(hist.counts, counts)
+    presorted = estimate_density(ordered, presorted=True)
+    assert np.array_equal(presorted.edges, hist.edges)
+    assert np.array_equal(presorted.counts, hist.counts)
+    assert bin_count_fd(ordered, presorted=True) == bin_count_fd(values)
+    # given edges that leave values outside, on both ends, and on an edge
+    mid = float(np.median(values))
+    for edges in (np.linspace(mid - 1.0, mid + 1.0, 7), [mid, mid + 0.5],
+                  [ordered[0] - 1.0, ordered[-1]]):
+        counts, _ = np.histogram(values, bins=edges)
+        assert np.array_equal(estimate_density(values, edges=edges).counts, counts)
 
 
 def test_bin_count_clamps():
@@ -492,6 +529,16 @@ def test_mixture_verdict_passes_an_unmodulated_control():
     assert verdict.variance_ratio < 1.02
 
 
+def test_mixture_verdict_does_not_depend_on_seed_or_boot():
+    # the peaks of a mixture verdict are located without a bootstrap
+    rs = sample_scheme(SimulationConfig(SwitchedNoise(3.0, 3.0, 0.4), 20_000, seed=5))
+    texts = {mixture_verdict_to_json(verdict_mixture(rs, 0.0, seed=seed, n_boot=n_boot))
+             for seed, n_boot in ((0, 200), (7, 200), (0, 2))}
+    assert len(texts) == 1
+    with pytest.raises(ValidationError, match="n_boot .* got 1$"):
+        verdict_mixture(rs, 0.0, n_boot=1)
+
+
 def test_mixture_verdict_degenerate_threshold():
     cfg = SimulationConfig(GaussianModulation(0.0, 0.0), 1_000, seed=58)
     rs = sample_scheme(cfg)
@@ -515,6 +562,30 @@ def test_sweep_rows_track_the_analytic_curve():
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(ValidationError, match="finite and non-negative"):
             sweep_modulation([0.5, bad], n=100, seed=0)
+
+
+def test_sweep_rows_on_the_pool_match_serial_ones(monkeypatch):
+    # depths of CHUNK records go to the pool and draw their chunks there too;
+    # a dedicated one-thread pool makes that so on any machine
+    depths = [0.0, 2.0, 4.0]
+    monkeypatch.setattr(sampler, "_POOL", None)
+    serial = sweep_modulation(depths, n=CHUNK, seed=3, n_boot=20)
+    pool = ThreadPoolExecutor(1)
+    monkeypatch.setattr(sampler, "_POOL", pool)
+    try:
+        assert sweep_modulation(depths, n=CHUNK, seed=3, n_boot=20) == serial
+    finally:
+        pool.shutdown()
+
+
+def test_sweep_depths_under_one_chunk_stay_on_the_calling_thread(monkeypatch):
+    class NoPool:
+        def submit(self, *args):
+            raise AssertionError("a depth under CHUNK records went to the pool")
+
+    serial = sweep_modulation([0.0, 2.0], n=CHUNK - 1, seed=4, n_boot=20)
+    monkeypatch.setattr(sampler, "_POOL", NoPool())
+    assert sweep_modulation([0.0, 2.0], n=CHUNK - 1, seed=4, n_boot=20) == serial
 
 
 def test_verdict_json_and_csv_outputs(tmp_path):
