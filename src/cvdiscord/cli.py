@@ -340,8 +340,7 @@ def _cmd_verify(cfg: dict) -> list:
         text = verdict_to_json(verdict)
     else:
         verdict = verdict_mixture(rs, threshold=cfg["threshold"],
-                                  alpha=cfg["alpha"], seed=cfg["seed"],
-                                  n_boot=cfg["boot"])
+                                  alpha=cfg["alpha"])
         hists = verdict.hists
         text = mixture_verdict_to_json(verdict)
     outputs = [(cfg["out"], _text(text))]

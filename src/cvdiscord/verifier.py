@@ -189,10 +189,15 @@ def _percentile(ordered: np.ndarray, q: float) -> float:
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
-def bin_count_fd(values: np.ndarray, presorted: bool = False) -> int:
-    """Freedman-Diaconis bin count clamped to [MIN_BINS, MAX_BINS]; with
-    presorted, values are in ascending order and are not sorted again."""
-    ordered = values if presorted else np.sort(values)
+def _ascending(values: np.ndarray) -> np.ndarray:
+    """values when they are already in ascending order, else a sorted copy;
+    the one pass of comparisons costs far less than the sort it saves."""
+    return values if (values[:-1] <= values[1:]).all() else np.sort(values)
+
+
+def bin_count_fd(values: np.ndarray) -> int:
+    """Freedman-Diaconis bin count clamped to [MIN_BINS, MAX_BINS]."""
+    ordered = _ascending(values)
     span = float(ordered[-1] - ordered[0])
     iqr = _percentile(ordered, 0.75) - _percentile(ordered, 0.25)
     if span <= 0 or iqr <= 0:
@@ -202,17 +207,16 @@ def bin_count_fd(values: np.ndarray, presorted: bool = False) -> int:
     return min(max(k, MIN_BINS), MAX_BINS)
 
 
-def estimate_density(data, edges: np.ndarray | None = None,
-                     presorted: bool = False) -> Histogram:
+def estimate_density(data, edges: np.ndarray | None = None) -> Histogram:
     """Equal-width histogram spanning [min, max] padded by one bin on each
     side, bin count from the clamped Freedman-Diaconis rule; or on edges.
-    All of it comes from one ascending copy of the values (or the values,
-    presorted): the range from its ends, the quartiles from its order
-    statistics, and np.histogram's counts from bisecting it at the edges."""
+    All of it comes from the values in ascending order, sorted unless they
+    already are: the range from the ends, the quartiles from the order
+    statistics, and np.histogram's counts from bisecting at the edges."""
     values = data.x_b if isinstance(data, RecordSet) else np.asarray(data, dtype=float)
     if len(values) == 0:
         raise InsufficientDataError("no records to bin")
-    ordered = values if presorted else np.sort(values)
+    ordered = _ascending(values)
     if edges is None:
         lo, hi = float(ordered[0]), float(ordered[-1])
         if hi <= lo:
@@ -220,7 +224,7 @@ def estimate_density(data, edges: np.ndarray | None = None,
             lo, hi = lo - 0.5, hi + 0.5
             k = 1
         else:
-            k = bin_count_fd(ordered, presorted=True)
+            k = bin_count_fd(ordered)
             width = (hi - lo) / k
         edges = np.linspace(lo - width, hi + width, k + 3)
     edges = np.asarray(edges, dtype=float)
@@ -235,7 +239,7 @@ def _bin_sides(x_b, plus_b, minus_b, plus_sorted) -> ConditionalHistograms:
     as the range holds every value.  The moments come from the unsorted
     arrays, as the order of summation sets their last bits."""
     whole = estimate_density(x_b)
-    plus = estimate_density(plus_sorted, edges=whole.edges, presorted=True)
+    plus = estimate_density(plus_sorted, edges=whole.edges)
     return ConditionalHistograms(
         whole, plus, Histogram(whole.edges, whole.counts - plus.counts),
         float(x_b.mean()), float(plus_b.var()), float(minus_b.var()))
@@ -339,7 +343,7 @@ def _separation(plus_sorted: np.ndarray, minus_sorted: np.ndarray,
     """Fit the B peak of each side, given in ascending order, bootstrapping
     each with its own stream spawned from ss; returns (delta, sigma,
     peak_plus, peak_minus)."""
-    peak_p, peak_m = (estimate_peak(estimate_density(side, presorted=True),
+    peak_p, peak_m = (estimate_peak(estimate_density(side),
                                     np.random.default_rng(s), n_boot)
                       for side, s in zip((plus_sorted, minus_sorted), ss.spawn(2)))
     delta = peak_p.location - peak_m.location
@@ -483,18 +487,16 @@ def verdict_gaussian(rs: RecordSet, threshold: float = 0.0,
 
 
 def verdict_mixture(rs: RecordSet, threshold: float,
-                    alpha: float = CHI2_ALPHA, seed: int = 0,
-                    n_boot: int = BOOTSTRAP_DEFAULT) -> MixtureVerdict:
+                    alpha: float = CHI2_ALPHA) -> MixtureVerdict:
     """Chi-square verdict for non-Gaussian mixtures at one phase pair.
 
     Compares each sign-conditioned histogram of the B outcome against the
     unconditional one on a common binning; "discordant" when either side's
     p-value drops below alpha.  Peak and mean shifts per side are reported
-    as diagnostics; the peaks are located without a bootstrap, so seed and
-    n_boot (still checked, >= 2) do not change the verdict.  Records at
+    as diagnostics; the peaks are located without a bootstrap.  Records at
     more than one phase pair are bad input.
     """
-    _check_settings(alpha=alpha, n_boot=n_boot)
+    _check_settings(alpha=alpha)
     if len(rs) and len(rs.select_pair(*rs.phases[0])) < len(rs):
         raise ValidationError("the mixture verdict takes records at one phase "
                               f"pair; {_pairs_present(rs)}")
@@ -538,9 +540,8 @@ def sweep_modulation(depths, n: int, seed: int, v0: float = 1.0,
 
     Modulation rides on the p quadrature and both stations measure it
     (theta = pi/2), matching the locked-quadrature protocol.  Depth i
-    draws and bootstraps from seed + i.  As in verdict_gaussian, depths
-    of at least CHUNK records run on the process's CPUs, smaller ones on
-    the calling thread; rows and the first error come back in depth order.
+    draws and bootstraps from seed + i.  Depths run on the process's CPUs;
+    rows and the first error come back in depth order.
     """
     depths = np.asarray(list(depths), dtype=float)
     if depths.size == 0:
@@ -549,8 +550,7 @@ def sweep_modulation(depths, n: int, seed: int, v0: float = 1.0,
         raise ValidationError(f"depths must be finite and non-negative, "
                               f"got {depths.tolist()}")
     return _starmap(_sweep_row, [(depth, n, int(seed + i), v0, n_boot)
-                                 for i, depth in enumerate(depths)],
-                    pool=n >= CHUNK)
+                                 for i, depth in enumerate(depths)])
 
 
 def _sweep_row(depth: float, n: int, seed: int, v0: float, n_boot: int) -> dict:

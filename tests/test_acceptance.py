@@ -215,7 +215,7 @@ def test_acceptance_06_non_gaussian_verdicts():
         cfg = SimulationConfig(scheme=scheme, n_samples=1_000_000,
                                seed=600 + i, theta_a=ta, theta_b=tb)
         rs = sample_scheme(cfg)
-        verdict = verdict_mixture(rs, threshold=threshold, seed=6, n_boot=40)
+        verdict = verdict_mixture(rs, threshold=threshold)
         assert verdict.decision == "discordant", name
         p = min(s.chi2.p_value for s in verdict.sides)
         assert p < 1e-6, name
@@ -223,7 +223,7 @@ def test_acceptance_06_non_gaussian_verdicts():
 
     control = sample_scheme(SimulationConfig(scheme=GaussianModulation(0, 0),
                                              n_samples=1_000_000, seed=699))
-    verdict = verdict_mixture(control, threshold=0.0, seed=6, n_boot=40)
+    verdict = verdict_mixture(control, threshold=0.0)
     assert verdict.decision == "not-detected"
     print(f"ACCEPTANCE 06 non-Gaussian verdicts: PASS "
           f"(worst chi2 p={worst_p:.1e}, control clean)")

@@ -307,7 +307,7 @@ def test_verdict_histograms_agree_with_the_verdict():
     n_plus = int((x_a >= 0.0).sum())
     pair = verdict_gaussian(rs, n_boot=20, pairs=[(0.0, 0.0)]).per_pair[0]
     assert (pair.n_plus, pair.n_minus) == (n_plus, n - n_plus)
-    for hists in (pair.hists, verdict_mixture(rs, 0.0, n_boot=20).hists):
+    for hists in (pair.hists, verdict_mixture(rs, 0.0).hists):
         assert (hists.plus.total, hists.minus.total) == (n_plus, n - n_plus)
         assert hists.whole.total == n
         assert np.array_equal(hists.plus.edges, hists.whole.edges)
