@@ -51,7 +51,6 @@ from cvdiscord.verifier import (
     _percentile,
     bin_count_fd,
     histogram_to_csv,
-    mixture_verdict_to_json,
     sweep_to_csv,
     verdict_to_json,
 )
