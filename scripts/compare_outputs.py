@@ -1,6 +1,8 @@
-"""Compare the command line outputs of two cvdiscord source trees.
+"""Compare the command line outputs of two cvdiscord source trees, or
+list the exported functions that no command reaches in one tree.
 
     python scripts/compare_outputs.py OLD_SRC NEW_SRC
+    python scripts/compare_outputs.py --trace SRC
 
 Each SRC is a directory that holds the ``cvdiscord`` package, e.g. the
 ``src`` of a checkout.  A tree of the previous commit can be made with
@@ -35,6 +37,15 @@ that differs, it loads both files with numpy, expands a run table into the
 four per-row columns, and says whether the records are equal bit for bit
 ("layout differs, records equal") or not ("records differ"); either way
 the difference counts.
+
+With --trace it runs the same command set in one tree, each command under
+the standard library's ``python -m trace --listfuncs --module
+cvdiscord.cli``, which follows the pool threads too.  It then prints each
+function in that tree's ``cvdiscord.__all__`` that no command called, one
+per line, and a count.  A command that writes to stderr is named too, as
+what it did not reach would show as unreached.  The trace runs the
+commands many times slower than plain runs; it is not part of the test
+suite.
 """
 
 from __future__ import annotations
@@ -112,18 +123,58 @@ CONFIGS = {
 }
 
 
-def run_tree(src: Path, workdir: Path) -> list[tuple[int, str, str]]:
+# how the commands run: as a module, or as a module under the trace
+PLAIN = ("-m", "cvdiscord.cli")
+TRACE = ("-m", "trace", "--listfuncs", "--module", "cvdiscord.cli")
+# a function in the list that --listfuncs prints after the command's output
+CALLED = re.compile(r"^filename: (.*), modulename: .*, funcname: (.*)$", re.M)
+# prints the functions of cvdiscord.__all__ as [name, file, code name]
+EXPORTED = """
+import cvdiscord, inspect, json
+print(json.dumps([(name, fn.__code__.co_filename, fn.__code__.co_name)
+                  for name in cvdiscord.__all__
+                  if inspect.isfunction(fn := getattr(cvdiscord, name))]))
+"""
+
+
+def tree_env(src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     env.pop("CVDISCORD_OUTDIR", None)
+    return env
+
+
+def run_tree(src: Path, workdir: Path,
+             how: tuple = PLAIN) -> list[tuple[int, str, str]]:
+    env = tree_env(src)
     for name, doc in CONFIGS.items():
         (workdir / name).write_text(json.dumps(doc))
     results = []
     for argv in COMMANDS:
-        proc = subprocess.run([sys.executable, "-m", "cvdiscord.cli", *argv],
+        proc = subprocess.run([sys.executable, *how, *argv],
                               cwd=workdir, env=env, capture_output=True,
                               text=True)
         results.append((proc.returncode, proc.stdout, proc.stderr))
     return results
+
+
+def unreached(src: Path) -> int:
+    """Print each function of cvdiscord.__all__ in the tree at src that no
+    command calls, and each command that wrote to stderr; returns 0."""
+    exported = json.loads(subprocess.run(
+        [sys.executable, "-c", EXPORTED], env=tree_env(src),
+        capture_output=True, text=True, check=True).stdout)
+    with tempfile.TemporaryDirectory() as workdir:
+        runs = run_tree(src, Path(workdir), TRACE)
+    called = {pair for _, out, _ in runs for pair in CALLED.findall(out)}
+    for argv, (_, _, err) in zip(COMMANDS, runs):
+        if err:
+            print(f"stderr of {' '.join(argv)}: {err.strip()}")
+    missed = [name for name, *code in exported if tuple(code) not in called]
+    for name in missed:
+        print(name)
+    print(f"{len(missed)} of {len(exported)} functions in cvdiscord.__all__ "
+          f"called by none of {len(COMMANDS)} commands")
+    return 0
 
 
 # a manifest's "timings_s" or "versions" object, up to its closing brace
@@ -215,6 +266,8 @@ def describe(old: Path, new: Path) -> str:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 2 and argv[0] == "--trace":
+        return unreached(Path(argv[1]))
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2

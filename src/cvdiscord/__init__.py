@@ -9,6 +9,8 @@ sampler, the statistical verdicts, and truncated Fock-space numerics for
 the non-Gaussian edge cases where peak separation and discord part ways.
 """
 
+from types import ModuleType as _Module
+
 __version__ = "0.2.0"
 
 from .errors import (DegenerateSplitError, EmptySideError,
@@ -18,22 +20,19 @@ from .states import (GaussianBipartiteState, SingleModeState,
                      ValidationReport, apply_beam_splitter,
                      beam_splitter_matrix, c_block_is_zero, modulated_beam,
                      rotate_local, rotation_matrix, split_balanced,
-                     state_from_json, state_to_json, symplectic_form, tensor,
-                     vacuum_bipartite, vacuum_single, validate_covariance,
-                     wigner_density)
+                     symplectic_form, tensor, vacuum_bipartite, vacuum_single,
+                     validate_covariance, wigner_density)
 from .marginals import (ArcsineComponent, CoherentPoint, MarginalForm,
                         NuTable, PMixtureState, ThermalComponent,
                         analytic_peak_separation,
-                        conditional_marginal_density, density_curve_to_csv,
-                        density_curve_to_json, input_marginal_D1,
+                        conditional_marginal_density, input_marginal_D1,
                         joint_marginal_density, joint_marginal_form,
-                        marginal_b_density, mixture_from_json,
-                        mixture_to_json, nu_table, output_joint_density,
-                        output_wigner_from_P, side_probability)
+                        marginal_b_density, nu_table, output_joint_density,
+                        side_probability)
 from .sampler import (AsyncSine, GaussianModulation, RecordSet,
                       SimulationConfig, SwitchedNoise, SwitchedPhase,
-                      concat_records, read_records, sample_gaussian,
-                      sample_scheme, write_records)
+                      read_records, sample_gaussian, sample_scheme,
+                      write_records)
 from .verifier import (ChiSquareResult, DiscordVerdict, Histogram,
                        MixtureVerdict, PeakEstimate, chi_square_two_sample,
                        estimate_density, estimate_peak, separation_statistic,
@@ -49,4 +48,7 @@ from .fock import (FockDensityMatrix, QuadratureGrid, bipartite_from_parts,
                    squeezed_vacuum_fock, superposition_basis, thermal_fock,
                    verify_classical_on_b)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules, which importing them binds here
+# too, are not part of it
+__all__ = [name for name, value in globals().items()
+           if not (name.startswith("_") or isinstance(value, _Module))]

@@ -27,13 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ValidationError, dump_document, read_document
+from .errors import ValidationError, dump_document, read_document, write_table
 from .fock import (build_ce_hidden_discord, build_ce_zero_discord,
                    commutator_norm, conditional_b_given_sign, default_grid,
                    fock_state_to_json, grid_moments, grid_peak,
                    homodyne_marginal_fock, squeezed_vacuum_fock,
                    superposition_basis, thermal_fock, verify_classical_on_b)
-from .marginals import density_curve_to_csv
 from .sampler import (META_SUFFIX, SWITCHED_PHASE_AMPLITUDE, AsyncSine,
                       GaussianModulation, SimulationConfig, SwitchedNoise,
                       SwitchedPhase, _check_duty, read_records, sample_scheme,
@@ -283,11 +282,10 @@ def emit_plotdata(hists: ConditionalHistograms, path: Path) -> None:
     avg_var = 0.5 * (hists.var_plus + hists.var_minus)
     ref = np.exp(-((x - hists.mean) ** 2) / (2.0 * avg_var)) / math.sqrt(
         2.0 * math.pi * avg_var)
-    curves = {"unconditional": hists.whole.density(),
-              "conditional_plus": hists.plus.density(),
-              "conditional_minus": hists.minus.density(),
-              "gaussian_reference": ref}
-    density_curve_to_csv(path, x, curves)
+    write_table(path, {"x": x, "unconditional": hists.whole.density(),
+                       "conditional_plus": hists.plus.density(),
+                       "conditional_minus": hists.minus.density(),
+                       "gaussian_reference": ref})
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +420,8 @@ def _cmd_counterexample(cfg: dict) -> list:
         prefix = Path(cfg["plotdata"])
         for name, (_, _, grid, curves) in cases.items():
             outputs.append((prefix.with_name(f"{prefix.name}_{name}.csv"),
-                            functools.partial(density_curve_to_csv,
-                                              x=grid.points, columns=curves)))
+                            functools.partial(write_table, columns={
+                                "x": grid.points, **curves})))
     if cfg["dump_state"] is not None:
         prefix = Path(cfg["dump_state"])
         for name, (_, state, _, _) in cases.items():

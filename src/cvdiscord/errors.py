@@ -54,12 +54,8 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _numbers(value) -> bool:
-    return isinstance(value, list) and all(map(_number, value))
-
-
 def _pair(value) -> bool:
-    return _numbers(value) and len(value) == 2
+    return isinstance(value, list) and len(value) == 2 and all(map(_number, value))
 
 
 # the check require_fields makes for each type it can demand of a field
@@ -67,11 +63,6 @@ FIELD_TYPES = {
     "a number": _number,
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
-    "a list": lambda v: isinstance(v, list),
-    "a list of numbers": _numbers,
-    "a matrix of numbers": lambda v: (isinstance(v, list) and all(map(_numbers, v))
-                                      and len({len(row) for row in v}) <= 1),
-    "a [re, im] pair": _pair,
     "a list of [re, im] pairs": lambda v: isinstance(v, list) and all(map(_pair, v)),
 }
 
@@ -128,19 +119,10 @@ def write_table(path, columns: dict) -> None:
                comments="")
 
 
-_PAIR = "a [re, im] pair"
-# a complex field's type, or its name under postponed annotations
-_COMPLEX = (complex, "complex")
-
-
 def kind_to_doc(obj) -> dict:
-    """The JSON object of a kind-tagged dataclass: "kind", then each field
-    in order, a complex field as an [re, im] pair."""
-    doc = {"kind": obj.kind}
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        doc[f.name] = [value.real, value.imag] if f.type in _COMPLEX else value
-    return doc
+    """The JSON object of a kind-tagged dataclass of numbers: "kind", then
+    each field in order."""
+    return {"kind": obj.kind, **dataclasses.asdict(obj)}
 
 
 def kind_from_doc(doc, table: dict, what: str):
@@ -154,9 +136,8 @@ def kind_from_doc(doc, table: dict, what: str):
                               f"of {', '.join(table)}, got {kind!r}")
     cls = table[kind]
     fields = dataclasses.fields(cls)
-    types = {f.name: _PAIR if f.type in _COMPLEX else "a number" for f in fields}
-    required = {f.name: types[f.name] for f in fields
+    required = {f.name: "a number" for f in fields
                 if f.default is dataclasses.MISSING}
-    require_fields(doc, {"kind": "a string", **required}, f"{kind} {what}", types)
-    return cls(**{name: complex(*doc[name]) if type_ == _PAIR else doc[name]
-                  for name, type_ in types.items() if name in doc})
+    require_fields(doc, {"kind": "a string", **required}, f"{kind} {what}",
+                   {f.name: "a number" for f in fields})
+    return cls(**{name: value for name, value in doc.items() if name != "kind"})

@@ -270,13 +270,12 @@ def _rotate(op: np.ndarray, theta: float) -> np.ndarray:
     return phases[:, None] * op * phases[None, :].conj()
 
 
-def conditional_b_given_sign(state: FockDensityMatrix, sign: int,
-                             theta_a: float = 0.0
+def conditional_b_given_sign(state: FockDensityMatrix, sign: int
                              ) -> tuple[np.ndarray, float]:
     """Reduced B state conditioned on sign(x_A - 0), with its probability."""
     if sign not in (1, -1):
         raise ValidationError("sign must be +1 or -1")
-    plus, minus = sign_projectors(state.dim_a, state.v0, theta_a)
+    plus, minus = sign_projectors(state.dim_a, state.v0)
     proj = plus if sign == 1 else minus
     raw = np.einsum("ajbk,ba->jk", state.tensor, proj)
     prob = float(raw.trace().real)
@@ -339,8 +338,7 @@ def _superposition_01(dim: int, sign: int) -> np.ndarray:
     return vec
 
 
-def build_ce_zero_discord(alpha: complex = 1.0, dim_a: int | None = None,
-                          dim_b: int = DIM_DEFAULT,
+def build_ce_zero_discord(alpha: complex = 1.0, dim_b: int = DIM_DEFAULT,
                           v0: float = 1.0) -> FockDensityMatrix:
     """Equal mixture of |alpha><alpha| x |+><+| and |-alpha><-alpha| x |-><-|
     with |+-> = (|0> +- |1>)/sqrt(2).
@@ -349,8 +347,8 @@ def build_ce_zero_discord(alpha: complex = 1.0, dim_a: int | None = None,
     measurements, yet sign-conditioning on A separates the B marginal
     peaks.
     """
-    plus_a = coherent_fock(alpha, dim_a)
-    minus_a = coherent_fock(-alpha, dim_a)
+    plus_a = coherent_fock(alpha)
+    minus_a = coherent_fock(-alpha)
     da = len(plus_a)
     parts = [
         (0.5, density_from_vector(plus_a),
@@ -362,34 +360,25 @@ def build_ce_zero_discord(alpha: complex = 1.0, dim_a: int | None = None,
 
 
 def build_ce_hidden_discord(nbar: float = 1.0, r: float = 0.5,
-                            dim_a: int = 2, dim_b: int | None = None,
-                            rho_a1: np.ndarray | None = None,
-                            rho_a2: np.ndarray | None = None,
+                            dim_b: int | None = None,
                             v0: float = 1.0) -> FockDensityMatrix:
-    """Equal mixture of rho_A1 x thermal(nbar) and rho_A2 x squeezed(r).
+    """Equal mixture of |+><+| x thermal(nbar) and |-><-| x squeezed(r)
+    with |+-> = (|0> +- |1>)/sqrt(2) on A.
 
     The two B components do not commute, so the state carries discord,
     but both are zero-mean with symmetric marginals: the conditional
-    peaks coincide at the origin and only the widths differ.  The default
-    A components are the distinguishable (|0> +- |1>)/sqrt(2) pair, so
-    that sign-conditioning on A actually selects between the B
-    components.
+    peaks coincide at the origin and only the widths differ.  The two A
+    components are distinguishable, so that sign-conditioning on A
+    actually selects between the B components.
     """
     th = thermal_fock(nbar, dim_b)
     sq = density_from_vector(squeezed_vacuum_fock(r, dim_b))
     db = max(th.shape[0], sq.shape[0])
     th = _pad_density(th, db)
     sq = _pad_density(sq, db)
-    if rho_a1 is None:
-        rho_a1 = density_from_vector(_superposition_01(dim_a, +1))
-    if rho_a2 is None:
-        rho_a2 = density_from_vector(_superposition_01(dim_a, -1))
-    rho_a1 = np.asarray(rho_a1, dtype=complex)
-    rho_a2 = np.asarray(rho_a2, dtype=complex)
-    if rho_a1.shape != rho_a2.shape or rho_a1.shape[0] != dim_a:
-        raise ValidationError("A components must be dim_a x dim_a")
-    parts = [(0.5, rho_a1, th), (0.5, rho_a2, sq)]
-    return bipartite_from_parts(parts, dim_a, db, v0)
+    parts = [(0.5, density_from_vector(_superposition_01(2, +1)), th),
+             (0.5, density_from_vector(_superposition_01(2, -1)), sq)]
+    return bipartite_from_parts(parts, 2, db, v0)
 
 
 def _pad_density(rho: np.ndarray, dim: int) -> np.ndarray:

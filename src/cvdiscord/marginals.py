@@ -24,15 +24,13 @@ module converts to the configured v0 units at the boundary
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erf, erfc
 
-from .errors import (NumericError, ValidationError, kind_from_doc, kind_to_doc,
-                     read_document, require_finite, write_table)
+from .errors import NumericError, ValidationError, require_finite
 from .states import DEFAULT_V0, GaussianBipartiteState, rotate_local
 
 PEAK_XTOL = 1e-10
@@ -228,14 +226,8 @@ class CoherentPoint:
     weight: float
     alpha: complex
 
-    kind = "coherent"
-
     def d1(self, u):
         return np.exp(-((u - self.alpha.real) ** 2)) / np.sqrt(np.pi)
-
-    def wigner(self, u, w):
-        mu, mw = self.alpha.real, self.alpha.imag
-        return np.exp(-((u - mu) ** 2) - (w - mw) ** 2) / np.pi
 
 
 @dataclass(frozen=True)
@@ -246,18 +238,12 @@ class ThermalComponent:
     weight: float
     nbar: float
 
-    kind = "thermal"
-
     def __post_init__(self):
         require_finite(self, "nbar", low=0.0)
 
     def d1(self, u):
         var = (2.0 * self.nbar + 1.0) / 2.0
         return np.exp(-(u**2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
-
-    def wigner(self, u, w):
-        var = (2.0 * self.nbar + 1.0) / 2.0
-        return np.exp(-(u**2 + w**2) / (2.0 * var)) / (2.0 * np.pi * var)
 
 
 @dataclass(frozen=True)
@@ -268,8 +254,6 @@ class ArcsineComponent:
 
     weight: float
     alpha0: float
-
-    kind = "arcsine"
 
     def d1(self, u) -> np.ndarray:
         """The phase average mean_phi exp(-(u - alpha0 cos phi)^2)/sqrt(pi),
@@ -302,16 +286,10 @@ class ArcsineComponent:
             out[start:start + ARCSINE_BLOCK] = fine
         return out.reshape(np.shape(u))
 
-    def wigner(self, u, w):
-        return self.d1(u) * np.exp(-(w**2)) / np.sqrt(np.pi)
 
-
-# component.d1(u) and component.wigner(u, w) are its measured-quadrature
-# marginal and phase-space density in natural units (vacuum:
-# exp(-u^2)/sqrt(pi) and exp(-u^2 - w^2)/pi); kind_to_doc gives its JSON form
+# component.d1(u) is its measured-quadrature marginal in natural units
+# (vacuum: exp(-u^2)/sqrt(pi))
 Component = CoherentPoint | ThermalComponent | ArcsineComponent
-COMPONENTS = {cls.kind: cls for cls in
-              (CoherentPoint, ThermalComponent, ArcsineComponent)}
 
 
 @dataclass(frozen=True)
@@ -371,61 +349,3 @@ def output_joint_density(mixture: PMixtureState, x1, x2):
     d1 = sum(c.weight * c.d1(along) for c in mixture.components)
     val = d1 * np.exp(-(across**2)) / np.sqrt(np.pi) / scale**2
     return val if np.ndim(val) else float(val)
-
-
-def output_wigner_from_P(mixture: PMixtureState, point):
-    """Two-mode phase-space density of the splitter output at a 4-vector
-    point (x1, p1, x2, p2) in v0 units.
-
-    Each component's input density W_1 is carried onto the transmitted
-    combination while the reflected combination picks up a vacuum factor:
-
-        W_out = W_1(eta x1 + etat x2, eta p1 + etat p2)
-                * exp(-(eta x2 - etat x1)^2 - (eta p2 - etat p1)^2) / pi.
-    """
-    point = np.asarray(point, dtype=float)
-    if point.shape != (4,):
-        raise ValidationError(f"point must have shape (4,), got {point.shape}")
-    scale = np.sqrt(2.0 * mixture.v0)
-    u1, w1, u2, w2 = point / scale
-    eta, eta_t = mixture.eta, mixture.eta_tilde
-    along_u = eta * u1 + eta_t * u2
-    along_w = eta * w1 + eta_t * w2
-    across_u = eta * u2 - eta_t * u1
-    across_w = eta * w2 - eta_t * w1
-    w_in = sum(c.weight * c.wigner(along_u, along_w) for c in mixture.components)
-    vac = np.exp(-(across_u**2) - across_w**2) / np.pi
-    return float(w_in * vac / scale**4)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def mixture_to_json(mixture: PMixtureState) -> str:
-    comps = [kind_to_doc(c) for c in mixture.components]
-    return json.dumps({"eta": mixture.eta, "v0": mixture.v0, "components": comps},
-                      indent=2)
-
-
-def mixture_from_json(text: str) -> PMixtureState:
-    """Inverse of mixture_to_json; a document or component that is not a
-    JSON object of just its own fields, each well typed, is a ValidationError."""
-    doc = read_document(text, {"eta": "a number", "components": "a list"},
-                        "mixture document", {"v0": "a number"})
-    comps = tuple(kind_from_doc(entry, COMPONENTS, "component")
-                  for entry in doc["components"])
-    return PMixtureState(comps, float(doc["eta"]), doc.get("v0", DEFAULT_V0))
-
-
-def density_curve_to_csv(path, x, columns: dict) -> None:
-    """Write aligned density curves as CSV with an x column."""
-    write_table(path, {"x": x, **columns})
-
-
-def density_curve_to_json(x, columns: dict) -> str:
-    doc = {"x": np.asarray(x, dtype=float).tolist()}
-    for name, vals in columns.items():
-        doc[name] = np.asarray(vals, dtype=float).tolist()
-    return json.dumps(doc)

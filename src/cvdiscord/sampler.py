@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import os
 import warnings
 import zipfile
@@ -249,14 +250,6 @@ def _runs(theta_a, theta_b, counts=None) -> tuple[np.ndarray, np.ndarray]:
             else np.add.reduceat(counts, starts))
 
 
-def concat_records(parts: list[RecordSet], meta: dict | None = None) -> RecordSet:
-    if not parts:
-        raise ValidationError("nothing to concatenate")
-    columns = zip(*((p.x_a, p.x_b, p.phases, p.counts) for p in parts))
-    return RecordSet(*map(np.concatenate, columns),
-                     meta if meta is not None else dict(parts[0].meta))
-
-
 def _starmap(fn, args, pool: bool = True) -> list:
     """[fn(*a) for a in args] on the calling thread and, with pool and two
     or more calls, the pool.  The pool takes calls from the last; the
@@ -327,8 +320,9 @@ def sample_gaussian(state: GaussianBipartiteState, theta_a: float, theta_b: floa
 
 def sample_scheme(configs: SimulationConfig | list[SimulationConfig]) -> RecordSet:
     """Draw homodyne records for a modulation scheme: for one config, or
-    for several in turn into one pair of columns, which gives the records
-    and the meta of concat_records over the configs one by one."""
+    for several in turn into one pair of columns, with a run per config and
+    the meta of the first.  The records equal those of each config drawn
+    alone and joined end to end."""
     configs = [configs] if isinstance(configs, SimulationConfig) else configs
     x_a, x_b = _draw([(c.n_samples, c.seed, c.draw) for c in configs])
     config = configs[0]
@@ -383,7 +377,8 @@ def read_records(path) -> RecordSet:
     a .npz may also hold the four per-row columns of earlier versions.
 
     Malformed content and non-finite values raise ParseError naming the
-    first bad file row (CSV) or record and column (.npz).
+    first bad file row (CSV) or record and column (.npz); a malformed
+    sidecar raises ParseError naming the sidecar.
     """
     path = Path(path)
     if not path.exists():
@@ -400,11 +395,29 @@ def read_records(path) -> RecordSet:
                          f"non-finite {COLUMNS[col]} ({columns[col][index]})")
     meta_path = path.with_name(path.name + META_SUFFIX)
     if meta_path.exists():
-        try:
-            rs.meta = json.loads(meta_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad sidecar {meta_path}: {exc}") from exc
+        rs.meta = _read_sidecar(meta_path)
     return rs
+
+
+def _read_sidecar(path: Path) -> dict:
+    """The JSON object of a sidecar.  Bad JSON, any other JSON value, and
+    a number that is not finite (NaN, Infinity, 1e999), which a verdict
+    cannot copy into its strict JSON, are a ParseError naming the file."""
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite number {text}")
+        return value
+
+    try:
+        meta = json.loads(path.read_text(), parse_float=finite,
+                          parse_constant=finite)
+    except ValueError as exc:  # bad JSON, a bad number or bad UTF-8
+        raise ParseError(f"bad sidecar {path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ParseError(f"bad sidecar {path}: must be a JSON object, "
+                         f"got {type(meta).__name__}")
+    return meta
 
 
 def _read_csv(path: Path) -> RecordSet:

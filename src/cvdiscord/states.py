@@ -13,12 +13,11 @@ when C = 0, so every nonzero C block is a detection target.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, read_document
+from .errors import NumericError, ValidationError
 
 # tolerances used by the physicality checks
 SYMMETRY_TOL = 1e-12
@@ -309,20 +308,3 @@ def wigner_density(state: GaussianBipartiteState, point):
         raise NumericError("singular covariance in density evaluation") from exc
     val = np.exp(-0.5 * np.sum(d * sol, axis=-1)) / (4.0 * np.pi**2 * np.sqrt(det))
     return val if val.ndim else float(val)
-
-
-def state_to_json(state: GaussianBipartiteState) -> str:
-    doc = {
-        "means": state.means.tolist(),
-        "cov": state.cov.tolist(),
-        "v0": state.v0,
-    }
-    return json.dumps(doc, indent=2)
-
-
-def state_from_json(text: str) -> GaussianBipartiteState:
-    doc = read_document(text, {"means": "a list of numbers",
-                                "cov": "a matrix of numbers"},
-                        "state document", {"v0": "a number"})
-    return GaussianBipartiteState(doc["means"], doc["cov"],
-                                  doc.get("v0", DEFAULT_V0))

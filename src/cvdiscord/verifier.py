@@ -618,11 +618,6 @@ def mixture_verdict_to_json(verdict: MixtureVerdict) -> str:
     return dump_document(doc, allow_nan=False)
 
 
-def histogram_to_csv(hist: Histogram, path) -> None:
-    write_table(path, {"left_edge": hist.edges[:-1], "right_edge": hist.edges[1:],
-                       "count": hist.counts})
-
-
 def sweep_to_csv(rows: list[dict], path) -> None:
     write_table(path, {name: [r[name] for r in rows] for name in
                        ("depth", "delta", "sigma_delta", "delta_analytic", "n")})

@@ -17,6 +17,7 @@ from scipy import stats
 
 from cvdiscord import (
     GaussianBipartiteState,
+    RecordSet,
     beam_splitter_matrix,
     rotation_matrix,
 )
@@ -139,6 +140,18 @@ def random_cross_only_state(rng, v0: float = 1.0,
         except ValidationError:
             continue
     raise AssertionError("no physical cross-only state found")
+
+
+# ---------------------------------------------------------------------------
+# record sets
+# ---------------------------------------------------------------------------
+
+
+def concat_records(parts: list[RecordSet], meta: dict | None = None) -> RecordSet:
+    """The records of parts end to end, with meta, else the first part's."""
+    columns = zip(*((p.x_a, p.x_b, p.phases, p.counts) for p in parts))
+    return RecordSet(*map(np.concatenate, columns),
+                     meta if meta is not None else dict(parts[0].meta))
 
 
 # ---------------------------------------------------------------------------

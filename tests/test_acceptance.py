@@ -29,14 +29,14 @@ from cvdiscord.marginals import (ArcsineComponent, CoherentPoint,
                                  nu_table, output_joint_density)
 from cvdiscord.sampler import (AsyncSine, GaussianModulation,
                                SimulationConfig, SwitchedNoise, SwitchedPhase,
-                               SWITCHED_PHASE_THRESHOLD, concat_records,
-                               sample_gaussian, sample_scheme)
+                               SWITCHED_PHASE_THRESHOLD, sample_gaussian,
+                               sample_scheme)
 from cvdiscord.states import c_block_is_zero, modulated_beam, split_balanced
 from cvdiscord.verifier import (CANONICAL_PAIRS, separation_statistic,
                                 sweep_modulation, verdict_gaussian,
                                 verdict_mixture)
 
-from helpers import (MEASURED_NU_00, MEASURED_NU_90_90,
+from helpers import (MEASURED_NU_00, MEASURED_NU_90_90, concat_records,
                      integrate_marginal_from_wigner, integrate_wigner_4d,
                      measured_state, nu_forms_from_blocks,
                      random_bipartite_state, random_diag_block_state,

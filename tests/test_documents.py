@@ -1,31 +1,25 @@
-"""JSON documents: each one the program writes reads back through its
-reader, and each reader rejects a field it does not know, or a field of
-the wrong type, as a ValidationError naming that field."""
+"""JSON documents: the two kinds the program writes, a modulation scheme
+in a record file's sidecar and a Fock state from counterexample
+--dump-state, read back through their readers, and each reader rejects a
+field it does not know, or a field of the wrong type, as a
+ValidationError naming that field."""
 
 import json
 
 import numpy as np
 import pytest
 
-from cvdiscord import (ArcsineComponent, CoherentPoint, PMixtureState,
-                       ThermalComponent, ValidationError,
+from cvdiscord import (ValidationError, build_ce_hidden_discord,
                        build_ce_zero_discord, fock_state_from_json,
-                       fock_state_to_json, mixture_from_json, mixture_to_json,
-                       modulated_beam, split_balanced, state_from_json,
-                       state_to_json)
+                       fock_state_to_json)
 from cvdiscord.cli import _SCHEMES, main
 from cvdiscord.sampler import (SCHEMES, RecordSet, scheme_from_dict,
                                scheme_to_dict, write_records)
-from cvdiscord.verifier import Histogram, histogram_to_csv, sweep_to_csv
-
-MIXTURE = PMixtureState(
-    (CoherentPoint(0.25, 1.0 - 2.0j), ThermalComponent(0.5, 0.8),
-     ArcsineComponent(0.25, 1.1)),
-    eta=0.62, v0=2.0)
+from cvdiscord.verifier import sweep_to_csv
 
 
-def gaussian_state():
-    return split_balanced(modulated_beam(1.5, 2.0, 2.0))
+def fock_document():
+    return fock_state_to_json(build_ce_zero_discord(alpha=0.8, dim_b=4))
 
 
 def test_simulate_sidecar_scheme_of_every_kind_reads_back(tmp_path,
@@ -42,30 +36,20 @@ def test_simulate_sidecar_scheme_of_every_kind_reads_back(tmp_path,
     assert kinds == set(SCHEMES)
 
 
-def test_every_document_writer_reads_back():
-    assert mixture_from_json(mixture_to_json(MIXTURE)) == MIXTURE
-    assert {type(c) for c in MIXTURE.components} == {
-        CoherentPoint, ThermalComponent, ArcsineComponent}
-
-    state = gaussian_state()
-    back = state_from_json(state_to_json(state))
-    assert np.array_equal(back.means, state.means)
-    assert np.array_equal(back.cov, state.cov)
-    assert back.v0 == state.v0
-
-    fock = build_ce_zero_discord(alpha=0.8, dim_b=4)
-    back = fock_state_from_json(fock_state_to_json(fock))
-    assert (back.dim_a, back.dim_b, back.v0) == (fock.dim_a, fock.dim_b,
-                                                 fock.v0)
-    assert np.array_equal(back.matrix, fock.matrix)
+def test_every_document_writer_reads_back(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["counterexample", "--which", "both", "--alpha", "0.8",
+                 "--dump-state", "state"]) == 0
+    for name, state in (("zero", build_ce_zero_discord(alpha=0.8)),
+                        ("hidden", build_ce_hidden_discord())):
+        back = fock_state_from_json((tmp_path / f"state_{name}.json").read_text())
+        assert (back.dim_a, back.dim_b, back.v0) == (state.dim_a, state.dim_b,
+                                                     state.v0)
+        assert np.array_equal(back.matrix, state.matrix)
 
 
 def test_tables_and_the_sidecar_keep_their_bytes(tmp_path):
-    # outputs no command writes, pinned as version 0.2.0 wrote them
-    histogram_to_csv(Histogram([-1.5, -0.25, 0.5, 2.0], [3, 0, 12]),
-                     tmp_path / "hist.csv")
-    assert (tmp_path / "hist.csv").read_text() == (
-        "left_edge,right_edge,count\n-1.5,-0.25,3\n-0.25,0.5,0\n0.5,2,12\n")
+    # pinned as version 0.2.0 wrote them
     sweep_to_csv([{"depth": 1.5, "delta": 0.123456789012345678,
                    "sigma_delta": 1e-3 / 3, "delta_analytic": 0.12,
                    "n": 20000}], tmp_path / "sweep.csv")
@@ -92,46 +76,29 @@ def _with(text, edit):
 
 
 @pytest.mark.parametrize("read, text, fault", [
-    (mixture_from_json, _with(mixture_to_json(MIXTURE),
-                              lambda d: d.update(v0="x")),
-     "'v0' of the mixture document must be a number, got str"),
-    (state_from_json, _with(state_to_json(gaussian_state()),
-                            lambda d: d.update(v0="x")),
+    (scheme_from_dict, {"kind": "switched_noise", "depth_x": 1.0, "duty": "x"},
+     "'duty' of the switched_noise scheme must be a number, got str"),
+    (fock_state_from_json, _with(fock_document(), lambda d: d.update(v0="x")),
      "'v0' of the state document must be a number, got str"),
-    (state_from_json, _with(state_to_json(gaussian_state()),
-                            lambda d: d.update(means=["x", 0, 0, 0])),
-     "'means' of the state document must be a list of numbers, got list"),
-    (state_from_json, _with(state_to_json(gaussian_state()),
-                            lambda d: d.update(cov=[[1, 0], [0, 1, 0]])),
-     "'cov' of the state document must be a matrix of numbers, got list"),
-], ids=["mixture", "state", "means", "cov"])
+], ids=["scheme-duty", "fock-v0"])
 def test_a_wrong_typed_field_is_named(read, text, fault):
     with pytest.raises(ValidationError, match=f"field {fault}"):
         read(text)
 
 
 @pytest.mark.parametrize("read, text, what", [
-    (state_from_json, _with(state_to_json(gaussian_state()),
-                            lambda d: d.update(V0=2.0)), "state document"),
-    (mixture_from_json, _with(mixture_to_json(MIXTURE),
-                              lambda d: d.update(V0=2.0)), "mixture document"),
-    (mixture_from_json, _with(mixture_to_json(MIXTURE),
-                              lambda d: d["components"][1].update(V0=2.0)),
-     "thermal component"),
-    (fock_state_from_json,
-     _with(fock_state_to_json(build_ce_zero_discord(alpha=0.8, dim_b=4)),
-           lambda d: d.update(V0=2.0)), "state document"),
+    (fock_state_from_json, _with(fock_document(), lambda d: d.update(V0=2.0)),
+     "state document"),
     (scheme_from_dict, {"kind": "async_sine", "depth": 1.0, "V0": 2.0},
      "async_sine scheme"),
-], ids=["state", "mixture", "component", "fock", "scheme"])
+], ids=["fock", "scheme"])
 def test_an_unknown_field_is_named(read, text, what):
     with pytest.raises(ValidationError, match=f"unknown {what} key 'V0'"):
         read(text)
 
 
 def test_fock_dimensions_must_be_integers():
-    doc = json.loads(fock_state_to_json(build_ce_zero_discord(alpha=0.8,
-                                                              dim_b=4)))
+    doc = json.loads(fock_document())
     doc["dim_B"] = 4.0
     with pytest.raises(ValidationError,
                        match="field 'dim_B' of the state document must be "

@@ -1,7 +1,5 @@
 """Measured-quadrature marginals, conditional splits and mixture densities."""
 
-import json
-
 import numpy as np
 import pytest
 from scipy import integrate
@@ -17,18 +15,13 @@ from cvdiscord import (
     ValidationError,
     analytic_peak_separation,
     conditional_marginal_density,
-    density_curve_to_csv,
-    density_curve_to_json,
     input_marginal_D1,
     joint_marginal_density,
     joint_marginal_form,
     marginal_b_density,
-    mixture_from_json,
-    mixture_to_json,
     modulated_beam,
     nu_table,
     output_joint_density,
-    output_wigner_from_P,
     side_probability,
     split_balanced,
 )
@@ -340,45 +333,6 @@ def test_output_joint_normalizes_for_every_component_kind():
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
-def test_output_wigner_reduces_to_joint_density():
-    p = np.linspace(-9.0, 9.0, 161)
-    for mix in (
-        PMixtureState((ThermalComponent(0.7, 1.2), CoherentPoint(0.3, 0.8)),
-                      eta=0.55),
-        PMixtureState((ArcsineComponent(0.6, 2.1), CoherentPoint(0.4, 0.5 - 0.3j)),
-                      eta=0.55),
-    ):
-        for x1, x2 in ((0.0, 0.0), (1.1, -0.6)):
-            sheet = np.array([
-                [output_wigner_from_P(mix, (x1, p1, x2, p2)) for p2 in p]
-                for p1 in p
-            ])
-            brute = np.trapezoid(np.trapezoid(sheet, p, axis=1), p, axis=0)
-            assert output_joint_density(mix, x1, x2) == pytest.approx(brute,
-                                                                      rel=1e-6)
-
-
-def test_arcsine_wigner_is_marginal_times_vacuum_momentum():
-    # at eta = 1 the output Wigner density at (x, p, 0, 0) is the input one
-    # times the idle vacuum's 1/pi; v0 = 1/2 keeps natural units
-    mix = PMixtureState((ArcsineComponent(1.0, 2.7),), eta=1.0, v0=0.5)
-    for x in np.linspace(-6.0, 6.0, 25):
-        d1 = input_marginal_D1(mix, x)
-        for p in (-2.5, -0.4, 0.0, 1.3):
-            want = d1 * np.exp(-p * p) / np.sqrt(np.pi) / np.pi
-            assert output_wigner_from_P(mix, (x, p, 0.0, 0.0)) == pytest.approx(
-                want, rel=1e-13, abs=1e-300)
-
-
-def test_output_wigner_vacuum_input_is_two_mode_vacuum():
-    mix = PMixtureState((CoherentPoint(1.0, 0.0),), eta=0.83)
-    want = 1.0 / (4.0 * np.pi**2)
-    assert output_wigner_from_P(mix, (0.0, 0.0, 0.0, 0.0)) == pytest.approx(
-        want, rel=1e-12)
-    val = output_wigner_from_P(mix, (1.0, 0.0, 0.0, 0.0))
-    assert val == pytest.approx(want * np.exp(-0.5), rel=1e-12)
-
-
 def test_mixture_validation():
     with pytest.raises(ValidationError):
         PMixtureState((), eta=0.5)
@@ -390,78 +344,3 @@ def test_mixture_validation():
         PMixtureState((CoherentPoint(1.5, 0.0), CoherentPoint(-0.5, 1.0)), eta=0.5)
     with pytest.raises(ValidationError):
         ThermalComponent(1.0, -0.2)
-
-
-def test_mixture_json_round_trip():
-    mix = PMixtureState(
-        (CoherentPoint(0.25, 1.0 - 2.0j), ThermalComponent(0.5, 0.8),
-         ArcsineComponent(0.25, 1.1)),
-        eta=0.62, v0=2.0)
-    back = mixture_from_json(mixture_to_json(mix))
-    assert back == mix
-    with pytest.raises(ValidationError):
-        mixture_from_json("[")
-    with pytest.raises(ValidationError):
-        mixture_from_json(json.dumps(
-            {"eta": 0.5, "components": [{"kind": "unknown", "weight": 1.0}]}))
-
-
-def test_mixture_json_layout_is_pinned():
-    mix = PMixtureState(
-        (CoherentPoint(0.25, 1.0 - 2.0j), ThermalComponent(0.5, 0.8),
-         ArcsineComponent(0.25, 1.1)),
-        eta=0.62, v0=2.0)
-    assert mixture_to_json(mix) == (
-        '{\n  "eta": 0.62,\n  "v0": 2.0,\n  "components": [\n    {\n'
-        '      "kind": "coherent",\n      "weight": 0.25,\n      "alpha": [\n'
-        '        1.0,\n        -2.0\n      ]\n    },\n    {\n'
-        '      "kind": "thermal",\n      "weight": 0.5,\n      "nbar": 0.8\n'
-        '    },\n    {\n      "kind": "arcsine",\n      "weight": 0.25,\n'
-        '      "alpha0": 1.1\n    }\n  ]\n}')
-
-
-@pytest.mark.parametrize("doc, named", [
-    ({"components": [{"kind": "thermal", "weight": 1.0, "nbar": 0.5}]}, "eta"),
-    ({"eta": 0.5}, "components"),
-    ({"eta": 0.5, "components": [{"kind": "thermal", "nbar": 0.5}]}, "weight"),
-    ({"eta": 0.5, "components": [{"kind": "coherent", "weight": 1.0}]}, "alpha"),
-    ({"eta": 0.5, "components": [{"kind": "arcsine", "weight": 1.0}]}, "alpha0"),
-    ({"eta": 0.5, "components": [0.5]}, "JSON object"),
-    ([0.5], "JSON object"),
-])
-def test_mixture_from_json_names_a_missing_field(doc, named):
-    with pytest.raises(ValidationError, match=named):
-        mixture_from_json(json.dumps(doc))
-
-
-@pytest.mark.parametrize("doc, named, kind", [
-    ({"eta": "x", "components": [{"kind": "thermal", "weight": 1.0, "nbar": 0.5}]},
-     "eta", "a number"),
-    ({"eta": 0.5, "components": 5}, "components", "a list"),
-    ({"eta": 0.5, "components": [{"kind": "coherent", "weight": 1.0, "alpha": 1.0}]},
-     "alpha", r"a \[re, im\] pair"),
-    ({"eta": 0.5, "components": [{"kind": "coherent", "weight": 1.0, "alpha": [1.0]}]},
-     "alpha", r"a \[re, im\] pair"),
-    ({"eta": 0.5, "components": [{"kind": "arcsine", "weight": "1", "alpha0": 1.0}]},
-     "weight", "a number"),
-])
-def test_mixture_from_json_rejects_a_wrong_typed_field(doc, named, kind):
-    with pytest.raises(ValidationError, match=f"field '{named}' .* must be {kind}"):
-        mixture_from_json(json.dumps(doc))
-
-
-def test_density_curve_exports(tmp_path):
-    x = np.linspace(-1.0, 1.0, 5)
-    columns = {"uncond": np.exp(-x**2), "cond": np.exp(-((x - 0.1) ** 2))}
-    path = tmp_path / "curves.csv"
-    density_curve_to_csv(path, x, columns)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0].split(",") == ["x", "uncond", "cond"]
-    assert len(rows) == 6
-    back = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.allclose(back[:, 0], x)
-    assert np.allclose(back[:, 1], columns["uncond"])
-
-    doc = json.loads(density_curve_to_json(x, columns))
-    assert np.allclose(doc["x"], x)
-    assert np.allclose(doc["uncond"], columns["uncond"])

@@ -156,6 +156,23 @@ def test_non_finite_record_exits_1_naming_it(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "verdict.json").exists()
 
 
+@pytest.mark.parametrize("text", ['[1]', '"x"', '{"eta": NaN}',
+                                  '{"eta": Infinity}', '{"eta": 1e999}'])
+@pytest.mark.parametrize("mode", ["gaussian", "mixture"])
+def test_malformed_sidecar_exits_1_naming_it(tmp_path, monkeypatch, capsys,
+                                             text, mode):
+    monkeypatch.chdir(tmp_path)
+    pairs = ("--pairs", "90,90") if mode == "mixture" else ()
+    assert run("simulate", "--n", "2000", *pairs, "--out", "rec.npz") == 0
+    (tmp_path / "rec.npz.meta.json").write_text(text)
+    with pytest.raises(ParseError, match="bad sidecar .*rec.npz.meta.json"):
+        read_records(tmp_path / "rec.npz")
+    capsys.readouterr()
+    assert run("verify", "--records", "rec.npz", "--mode", mode) == 1
+    assert "bad sidecar rec.npz.meta.json" in capsys.readouterr().err
+    assert not (tmp_path / "verdict.json").exists()
+
+
 def test_non_finite_csv_row_counts_file_lines(tmp_path):
     path = tmp_path / "rec.csv"
     path.write_text("theta_A,theta_B,x_A,x_B\n0,0,1,2\n\n# note\n"

@@ -30,7 +30,6 @@ from cvdiscord import (
     SwitchedPhase,
     ThermalComponent,
     ValidationError,
-    concat_records,
     joint_marginal_density,
     joint_marginal_form,
     modulated_beam,
@@ -101,7 +100,7 @@ def test_several_configs_fill_one_pair_of_columns_as_their_concatenation():
                for i, (ta, tb) in enumerate([(0.0, 0.0), (0.0, HALF_PI),
                                              (HALF_PI, HALF_PI)])]
     together = sample_scheme(configs)
-    apart = concat_records([sample_scheme(c) for c in configs])
+    apart = H.concat_records([sample_scheme(c) for c in configs])
     for name in ("x_a", "x_b", "phases", "counts"):
         assert np.array_equal(getattr(together, name), getattr(apart, name))
     assert together.meta == apart.meta
@@ -356,7 +355,7 @@ def test_concat_and_pair_selection():
     state = H.measured_state()
     parts = [sample_gaussian(state, ta, tb, 1_000, seed=40 + i)
              for i, (ta, tb) in enumerate([(0.0, 0.0), (HALF_PI, HALF_PI)])]
-    rs = concat_records(parts, meta={"combined": True})
+    rs = H.concat_records(parts, meta={"combined": True})
     assert len(rs) == 2_000
     assert len(rs.pair_keys()) == 2
     sub = rs.select_pair(0.0, 0.0)

@@ -16,8 +16,6 @@ from cvdiscord import (
     rotate_local,
     rotation_matrix,
     split_balanced,
-    state_from_json,
-    state_to_json,
     symplectic_form,
     tensor,
     vacuum_bipartite,
@@ -200,15 +198,3 @@ def test_states_are_frozen():
         state.cov[0, 0] = 5.0
     with pytest.raises(Exception):
         state.means = np.ones(4)
-
-
-def test_json_round_trip():
-    state = H.measured_state(v0=1.0)
-    back = state_from_json(state_to_json(state))
-    assert np.array_equal(back.cov, state.cov)
-    assert np.array_equal(back.means, state.means)
-    assert back.v0 == state.v0
-    with pytest.raises(ValidationError):
-        state_from_json("{not json")
-    with pytest.raises(ValidationError):
-        state_from_json("{}")

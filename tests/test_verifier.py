@@ -25,7 +25,6 @@ from cvdiscord import (
     ValidationError,
     analytic_peak_separation,
     chi_square_two_sample,
-    concat_records,
     estimate_density,
     estimate_peak,
     joint_marginal_form,
@@ -50,7 +49,6 @@ from cvdiscord.verifier import (
     _pair_stats,
     _percentile,
     bin_count_fd,
-    histogram_to_csv,
     sweep_to_csv,
     verdict_to_json,
 )
@@ -61,7 +59,7 @@ HALF_PI = np.pi / 2.0
 def _records_for_pairs(state, n_per_pair, seed, pairs=CANONICAL_PAIRS):
     parts = [sample_gaussian(state, ta, tb, n_per_pair, seed=seed + i)
              for i, (ta, tb) in enumerate(pairs)]
-    return concat_records(parts)
+    return H.concat_records(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +440,7 @@ def test_verdict_requires_complete_balanced_pairs():
     with pytest.raises(ValidationError, match="missing records"):
         verdict_gaussian(rs, seed=52)
 
-    lopsided = concat_records([
+    lopsided = H.concat_records([
         sample_gaussian(state, ta, tb, 5_000 if i else 20_000, seed=53 + i)
         for i, (ta, tb) in enumerate(CANONICAL_PAIRS)
     ])
@@ -582,13 +580,6 @@ def test_verdict_json_and_csv_outputs(tmp_path):
     for entry in parsed["pairs"]:
         assert set(entry) >= {"theta_A", "theta_B", "delta", "sigma_delta",
                               "k", "chi2_p"}
-
-    hist = estimate_density(rs.select_pair(0.0, 0.0))
-    path = tmp_path / "hist.csv"
-    histogram_to_csv(hist, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "left_edge,right_edge,count"
-    assert len(lines) == len(hist.counts) + 1
 
     sweep_path = tmp_path / "sweep.csv"
     rows = [{"depth": 0.0, "delta": 0.0, "sigma_delta": 1.0,
