@@ -19,8 +19,10 @@ switched-phase CSV records, simulate and verify from a config file, a
 record file run.npz and its verdict run.json, which share a stem, a
 simulate and verify at 140,000 records per pair, three sampling chunks
 per pair with the last one partial, sweep at 5,000 records per depth,
-under one sampling chunk, and at 70,000, over one, and counterexample
-with --plotdata and --dump-state), with PYTHONPATH set to that tree.  It then
+under one sampling chunk, and at 70,000, over one, counterexample
+with --plotdata and --dump-state, and verify in both modes on a record CSV
+that has no sidecar, which the script writes itself), with PYTHONPATH set
+to that tree.  It then
 compares every output file byte for byte, and each command's exit code,
 stdout and stderr.  In a manifest every value inside its "timings_s" and
 "versions" objects reads null before the comparison, as those vary from
@@ -110,6 +112,11 @@ COMMANDS = [
     ("sweep", "--depths", "0:3:5", "--n", "70000", "--out", "sweep_chunks.csv"),
     ("counterexample", "--which", "both", "--out", "ce.json",
      "--plotdata", "curves", "--dump-state", "state"),
+    # records without a sidecar: the verdicts hold an empty "meta"
+    ("verify", "--records", "bare.csv", "--pairs", "0,0", "--boot", "50",
+     "--out", "v_bare.json"),
+    ("verify", "--records", "bare.csv", "--mode", "mixture",
+     "--out", "v_bare_mix.json"),
 ]
 
 # config files the commands above read, written into each work directory
@@ -121,6 +128,18 @@ CONFIGS = {
                     "threshold": 0.5, "seed": 2, "out": "v_cfg.json",
                     "plotdata": "p_cfg.csv"},
 }
+
+
+def _bare_records(n: int = 20000, seed: int = 17) -> str:
+    """The text of a record CSV at phase pair (0, 0) whose x_B is
+    correlated with x_A, written by this script and not by the program."""
+    x_a, noise = np.random.default_rng(seed).standard_normal((2, n))
+    rows = (f"0,0,{a:.17g},{0.6 * a + 0.8 * b:.17g}" for a, b in zip(x_a, noise))
+    return "\n".join(["theta_A,theta_B,x_A,x_B", *rows]) + "\n"
+
+
+# record files the commands above read, written into each work directory
+RECORDS = {"bare.csv": _bare_records()}
 
 
 # how the commands run: as a module, or as a module under the trace
@@ -148,6 +167,8 @@ def run_tree(src: Path, workdir: Path,
     env = tree_env(src)
     for name, doc in CONFIGS.items():
         (workdir / name).write_text(json.dumps(doc))
+    for name, text in RECORDS.items():
+        (workdir / name).write_text(text)
     results = []
     for argv in COMMANDS:
         proc = subprocess.run([sys.executable, *how, *argv],

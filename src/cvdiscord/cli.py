@@ -8,6 +8,8 @@ edge cases).  Options come from flags, falling back to a JSON config file
 then a manifest <primary output>.manifest.json with the effective config,
 library versions, wall-clock timings and a sha256 of each output file.
 Timings live only in the manifest so the data files are byte-reproducible.
+A record file's provenance is this module's alone: simulate writes it to a
+sidecar <records>.meta.json, and verify copies it into the verdict.
 
 Exit codes: 0 success (whatever the verdict says), 1 bad input or config,
 2 runtime or numeric failure.
@@ -16,8 +18,10 @@ Exit codes: 0 success (whatever the verdict says), 1 bad input or config,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
+import json
 import math
 import os
 import sys
@@ -27,16 +31,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ValidationError, dump_document, read_document, write_table
+from .errors import (ParseError, ValidationError, dump_document, read_document,
+                     write_table)
 from .fock import (build_ce_hidden_discord, build_ce_zero_discord,
                    commutator_norm, conditional_b_given_sign, default_grid,
                    fock_state_to_json, grid_moments, grid_peak,
                    homodyne_marginal_fock, squeezed_vacuum_fock,
                    superposition_basis, thermal_fock, verify_classical_on_b)
-from .sampler import (META_SUFFIX, SWITCHED_PHASE_AMPLITUDE, AsyncSine,
-                      GaussianModulation, SimulationConfig, SwitchedNoise,
-                      SwitchedPhase, _check_duty, read_records, sample_scheme,
-                      scheme_to_dict, write_records)
+from .sampler import (SWITCHED_PHASE_AMPLITUDE, AsyncSine, GaussianModulation,
+                      SimulationConfig, SwitchedNoise, SwitchedPhase,
+                      _check_duty, read_records, sample_scheme, write_records)
 from .verifier import (CANONICAL_PAIRS, ConditionalHistograms, _check_settings,
                        sweep_modulation, sweep_to_csv, verdict_gaussian,
                        verdict_mixture, mixture_verdict_to_json,
@@ -50,6 +54,9 @@ _SCHEMES = {
         _pick(cfg["amplitude"], SWITCHED_PHASE_AMPLITUDE), cfg["duty"]),
     "async": lambda cfg: AsyncSine(_pick(cfg["depth"], 1.0)),
 }
+
+# a record file's JSON provenance sidecar is <file><META_SUFFIX>
+META_SUFFIX = ".meta.json"
 
 # command -> option -> (default, argparse keywords).  Each option is both
 # the flag --<option, with - for _> and the config-file key <option>.
@@ -138,15 +145,18 @@ def _effective_config(args: argparse.Namespace) -> dict:
     options = _OPTIONS[args.command]
     eff = {key: default for key, (default, _) in options.items()}
     if args.config is not None:
-        if not args.config.exists():
-            raise ValidationError(f"no such config file: {args.config}")
+        try:
+            text = args.config.read_text()
+        except (OSError, ValueError) as exc:  # missing, a directory, bad UTF-8
+            raise ValidationError(f"cannot read config file {args.config}: "
+                                  f"{exc}") from exc
         # a config value has its flag's choices or type (a Path or untyped
         # flag takes a string), and null leaves the option at its default
         names = {float: "a number", int: "an integer"}
         types = {key: kwargs.get("choices") or names.get(kwargs.get("type"), "a string")
                  for key, (_, kwargs) in options.items()}
         eff.update(read_document(
-            args.config.read_text(), {}, "config", types,
+            text, {}, "config", types,
             lambda pairs: {key: value for key, value in pairs
                            if value is not None or key not in options}))
     for key in options:
@@ -309,17 +319,43 @@ def _cmd_simulate(cfg: dict) -> list:
     rs = sample_scheme([SimulationConfig(
         scheme=scheme, n_samples=cfg["n"], seed=cfg["seed"] + i, eta=cfg["eta"],
         theta_a=ta, theta_b=tb, v0=cfg["v0"]) for i, (ta, tb) in enumerate(pairs)])
-    rs.meta = {
+    meta = {
         "kind": "scheme",
-        "scheme": scheme_to_dict(scheme),
+        "scheme": {"kind": scheme.kind, **dataclasses.asdict(scheme)},
         "eta": cfg["eta"],
         "pairs": [[ta, tb] for ta, tb in pairs],
         "n_per_pair": cfg["n"],
         "seed": cfg["seed"],
         "v0": cfg["v0"],
     }
-    return [(cfg["out"], functools.partial(write_records, rs, sidecar=False)),
-            (f"{cfg['out']}{META_SUFFIX}", _text(dump_document(rs.meta)))]
+    return [(cfg["out"], functools.partial(write_records, rs)),
+            (f"{cfg['out']}{META_SUFFIX}", _text(dump_document(meta)))]
+
+
+def _read_sidecar(records: Path) -> dict:
+    """The JSON object in the sidecar of a record file, or {} if it has
+    none.  A sidecar that cannot be read, bad JSON, any other JSON value,
+    and a number that is not finite (NaN, Infinity, 1e999), which a verdict
+    cannot copy into its strict JSON, are a ParseError naming the file."""
+    path = records.with_name(records.name + META_SUFFIX)
+    if not path.exists():
+        return {}
+
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite number {text}")
+        return value
+
+    try:
+        meta = json.loads(path.read_text(), parse_float=finite,
+                          parse_constant=finite)
+    except (OSError, ValueError) as exc:  # a directory, bad JSON or UTF-8
+        raise ParseError(f"bad sidecar {path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ParseError(f"bad sidecar {path}: must be a JSON object, "
+                         f"got {type(meta).__name__}")
+    return meta
 
 
 def _cmd_verify(cfg: dict) -> list:
@@ -329,18 +365,19 @@ def _cmd_verify(cfg: dict) -> list:
         raise ValidationError("verify needs --records")
     _check_settings(cfg["k_min"], cfg["alpha"], cfg["boot"])
     rs = read_records(cfg["records"])
+    meta = _read_sidecar(Path(cfg["records"]))
     if cfg["mode"] == "gaussian":
         pairs = parse_pairs(cfg["pairs"])
         verdict = verdict_gaussian(rs, threshold=cfg["threshold"],
                                    k_min=cfg["k_min"], seed=cfg["seed"],
                                    n_boot=cfg["boot"], pairs=pairs)
         hists = verdict.per_pair[0].hists
-        text = verdict_to_json(verdict)
+        text = verdict_to_json(verdict, meta)
     else:
         verdict = verdict_mixture(rs, threshold=cfg["threshold"],
                                   alpha=cfg["alpha"])
         hists = verdict.hists
-        text = mixture_verdict_to_json(verdict)
+        text = mixture_verdict_to_json(verdict, meta)
     outputs = [(cfg["out"], _text(text))]
     if cfg["plotdata"] is not None:
         outputs.append((cfg["plotdata"], functools.partial(emit_plotdata, hists)))

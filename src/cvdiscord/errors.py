@@ -1,7 +1,6 @@
 """Exception types shared across the toolkit, the JSON document checks, and
-the output formats: CSV tables, JSON documents, kind-tagged dataclasses."""
+the output formats: CSV tables and JSON documents."""
 
-import dataclasses
 import json
 import math
 
@@ -58,7 +57,7 @@ def _pair(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(map(_number, value))
 
 
-# the check require_fields makes for each type it can demand of a field
+# the check read_document makes for each type it can demand of a field
 FIELD_TYPES = {
     "a number": _number,
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
@@ -67,12 +66,17 @@ FIELD_TYPES = {
 }
 
 
-def require_fields(doc, fields: dict, what: str,
-                   optional: dict | None = None) -> dict:
-    """doc, once it is a JSON object that holds every field in fields and
-    no field outside fields and optional, each field it holds of the type
-    named for it there; else a ValidationError naming what is wrong.  A
-    type is a key of FIELD_TYPES, or the list of values the field may take."""
+def read_document(text: str, fields: dict, what: str,
+                  optional: dict | None = None, object_pairs_hook=None) -> dict:
+    """The JSON object in text, once it holds every field in fields and no
+    field outside fields and optional, each field it holds of the type
+    named for it there; else, bad JSON included, a ValidationError naming
+    what is wrong.  A type is a key of FIELD_TYPES, or the list of values
+    the field may take."""
+    try:
+        doc = json.loads(text, object_pairs_hook=object_pairs_hook)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"bad {what} JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} must be a JSON object, "
                               f"got {type(doc).__name__}")
@@ -94,17 +98,6 @@ def require_fields(doc, fields: dict, what: str,
     return doc
 
 
-def read_document(text: str, fields: dict, what: str,
-                  optional: dict | None = None, object_pairs_hook=None) -> dict:
-    """The JSON object in text, checked by require_fields; bad JSON too is
-    a ValidationError."""
-    try:
-        doc = json.loads(text, object_pairs_hook=object_pairs_hook)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad {what} JSON: {exc}") from exc
-    return require_fields(doc, fields, what, optional)
-
-
 def dump_document(doc, **kwargs) -> str:
     """doc as JSON indented by 2 with sorted keys and a trailing newline,
     the layout of the JSON outputs; kwargs go to json.dumps."""
@@ -117,27 +110,3 @@ def write_table(path, columns: dict) -> None:
     data = np.column_stack([np.asarray(c, dtype=float) for c in columns.values()])
     np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(columns),
                comments="")
-
-
-def kind_to_doc(obj) -> dict:
-    """The JSON object of a kind-tagged dataclass of numbers: "kind", then
-    each field in order."""
-    return {"kind": obj.kind, **dataclasses.asdict(obj)}
-
-
-def kind_from_doc(doc, table: dict, what: str):
-    """Inverse of kind_to_doc for the classes in table, keyed by kind.  A
-    field without a default must be present, one with a default may be
-    missing; a kind not in table, an unknown field or a value of the wrong
-    type is a ValidationError naming it, and what names the document."""
-    kind = doc.get("kind") if isinstance(doc, dict) else doc
-    if not isinstance(doc, dict) or kind not in list(table):  # kind may be a list
-        raise ValidationError(f"{what} must be a JSON object whose kind is one "
-                              f"of {', '.join(table)}, got {kind!r}")
-    cls = table[kind]
-    fields = dataclasses.fields(cls)
-    required = {f.name: "a number" for f in fields
-                if f.default is dataclasses.MISSING}
-    require_fields(doc, {"kind": "a string", **required}, f"{kind} {what}",
-                   {f.name: "a number" for f in fields})
-    return cls(**{name: value for name, value in doc.items() if name != "kind"})

@@ -240,9 +240,8 @@ def bipartite_from_parts(parts, dim_a: int, dim_b: int,
 # ---------------------------------------------------------------------------
 
 
-def sign_projectors(dim: int, v0: float = 1.0,
-                    theta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Number-basis projectors onto x_theta >= 0 and x_theta < 0.
+def sign_projectors(dim: int, v0: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Number-basis projectors onto x >= 0 and x < 0.
 
     The positive-side matrix elements are Simpson integrals of
     eigenfunction products over [0, L]; the negative side follows from
@@ -258,10 +257,7 @@ def sign_projectors(dim: int, v0: float = 1.0,
     plus = simpson(psi[:, None, :] * psi[None, :, :], x=xs, axis=-1)
     plus = 0.5 * (plus + plus.T)
     parity = (-1.0) ** (np.arange(dim)[:, None] + np.arange(dim)[None, :])
-    minus = parity * plus
-    if theta != 0.0:
-        plus, minus = _rotate(plus, theta), _rotate(minus, theta)
-    return plus, minus
+    return plus, parity * plus
 
 
 def _rotate(op: np.ndarray, theta: float) -> np.ndarray:
@@ -360,7 +356,6 @@ def build_ce_zero_discord(alpha: complex = 1.0, dim_b: int = DIM_DEFAULT,
 
 
 def build_ce_hidden_discord(nbar: float = 1.0, r: float = 0.5,
-                            dim_b: int | None = None,
                             v0: float = 1.0) -> FockDensityMatrix:
     """Equal mixture of |+><+| x thermal(nbar) and |-><-| x squeezed(r)
     with |+-> = (|0> +- |1>)/sqrt(2) on A.
@@ -371,8 +366,8 @@ def build_ce_hidden_discord(nbar: float = 1.0, r: float = 0.5,
     components are distinguishable, so that sign-conditioning on A
     actually selects between the B components.
     """
-    th = thermal_fock(nbar, dim_b)
-    sq = density_from_vector(squeezed_vacuum_fock(r, dim_b))
+    th = thermal_fock(nbar)
+    sq = density_from_vector(squeezed_vacuum_fock(r))
     db = max(th.shape[0], sq.shape[0])
     th = _pad_density(th, db)
     sq = _pad_density(sq, db)

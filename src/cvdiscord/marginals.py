@@ -220,14 +220,20 @@ ARCSINE_BLOCK = 2048
 
 @dataclass(frozen=True)
 class CoherentPoint:
-    """Single coherent component at complex amplitude alpha: a Gaussian
-    marginal of vacuum width centered at Re alpha."""
+    """Single coherent component displaced by a real alpha along x: a
+    Gaussian marginal of vacuum width centered at alpha."""
 
     weight: float
-    alpha: complex
+    alpha: float
+
+    def __post_init__(self):
+        if isinstance(self.alpha, complex):
+            raise ValidationError(f"alpha must be a real displacement, "
+                                  f"got {self.alpha}")
+        require_finite(self, "alpha")
 
     def d1(self, u):
-        return np.exp(-((u - self.alpha.real) ** 2)) / np.sqrt(np.pi)
+        return np.exp(-((u - self.alpha) ** 2)) / np.sqrt(np.pi)
 
 
 @dataclass(frozen=True)

@@ -16,21 +16,17 @@ records match the analytic output densities.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import json
-import math
 import os
 import warnings
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (ParseError, ValidationError, dump_document, kind_from_doc,
-                     kind_to_doc, require_finite, write_table)
+from .errors import ParseError, ValidationError, require_finite, write_table
 from .marginals import joint_marginal_form
 from .states import DEFAULT_V0, GaussianBipartiteState
 
@@ -47,8 +43,6 @@ CSV_HEADER = "theta_A,theta_B,x_A,x_B"
 COLUMNS = tuple(CSV_HEADER.split(","))
 # record files with this suffix are binary .npz; any other suffix is CSV
 NPZ_SUFFIX = ".npz"
-# a record file's JSON provenance sidecar is <file><META_SUFFIX>
-META_SUFFIX = ".meta.json"
 # .npz record layouts, each member's form in file order: the run table that
 # write_records writes, and the per-row columns that earlier versions wrote
 NPZ_LAYOUTS = ({"x_A": "1-D float64", "x_B": "1-D float64",
@@ -143,8 +137,6 @@ class AsyncSine:
 # scheme.displace(rng, d, root) fills the zeroed per-sample pre-splitter
 # displacement d, shape (m, 2), in absolute units (root = sqrt(v0))
 ModulationScheme = GaussianModulation | SwitchedNoise | SwitchedPhase | AsyncSine
-SCHEMES = {cls.kind: cls for cls in
-           (GaussianModulation, SwitchedNoise, SwitchedPhase, AsyncSine)}
 
 
 def _check_duty(duty: float) -> None:
@@ -187,16 +179,14 @@ class SimulationConfig:
 
 @dataclass
 class RecordSet:
-    """Columnar record store plus provenance metadata: the outcome columns
-    x_a and x_b, and a run table in place of per-row phases.  Run i is a
-    maximal stretch of counts[i] consecutive rows at phases[i] = (theta_A,
-    theta_B)."""
+    """Columnar record store: the outcome columns x_a and x_b, and a run
+    table in place of per-row phases.  Run i is a maximal stretch of
+    counts[i] consecutive rows at phases[i] = (theta_A, theta_B)."""
 
     x_a: np.ndarray
     x_b: np.ndarray
     phases: np.ndarray
     counts: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.x_a, self.x_b = (np.asarray(x, dtype=np.float64) for x in (self.x_a, self.x_b))
@@ -235,8 +225,7 @@ class RecordSet:
         rows = (slice(first[0], first[0] + counts[0]) if len(match) == 1 else
                 np.repeat(first - np.cumsum(counts) + counts, counts)
                 + np.arange(counts.sum()))
-        return RecordSet(self.x_a[rows], self.x_b[rows], self.phases[match],
-                         counts, dict(self.meta))
+        return RecordSet(self.x_a[rows], self.x_b[rows], self.phases[match], counts)
 
 
 def _runs(theta_a, theta_b, counts=None) -> tuple[np.ndarray, np.ndarray]:
@@ -307,42 +296,18 @@ def sample_gaussian(state: GaussianBipartiteState, theta_a: float, theta_b: floa
     mean = np.array([form.mean_a, form.mean_b])
     x_a, x_b = _draw([(n, seed, lambda rng, m:
                        (rng.standard_normal((m, 2)) @ chol.T + mean).T)])
-    meta = {
-        "kind": "gaussian_state",
-        "theta_a": theta_a,
-        "theta_b": theta_b,
-        "n": n,
-        "seed": seed,
-        "v0": state.v0,
-    }
-    return RecordSet(x_a, x_b, [(theta_a, theta_b)], [n], meta)
+    return RecordSet(x_a, x_b, [(theta_a, theta_b)], [n])
 
 
 def sample_scheme(configs: SimulationConfig | list[SimulationConfig]) -> RecordSet:
     """Draw homodyne records for a modulation scheme: for one config, or
-    for several in turn into one pair of columns, with a run per config and
-    the meta of the first.  The records equal those of each config drawn
-    alone and joined end to end."""
+    for several in turn into one pair of columns, with a run per config.
+    The records equal those of each config drawn alone and joined end to
+    end."""
     configs = [configs] if isinstance(configs, SimulationConfig) else configs
     x_a, x_b = _draw([(c.n_samples, c.seed, c.draw) for c in configs])
-    config = configs[0]
-    meta = {
-        "kind": "scheme",
-        "scheme": scheme_to_dict(config.scheme),
-        "eta": config.eta,
-        "theta_a": config.theta_a,
-        "theta_b": config.theta_b,
-        "n": config.n_samples,
-        "seed": config.seed,
-        "v0": config.v0,
-    }
     return RecordSet(x_a, x_b, [(c.theta_a, c.theta_b) for c in configs],
-                     [c.n_samples for c in configs], meta)
-
-
-# a scheme's JSON object and back; a missing field takes its default
-scheme_to_dict = kind_to_doc
-scheme_from_dict = functools.partial(kind_from_doc, table=SCHEMES, what="scheme")
+                     [c.n_samples for c in configs])
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +315,8 @@ scheme_from_dict = functools.partial(kind_from_doc, table=SCHEMES, what="scheme"
 # ---------------------------------------------------------------------------
 
 
-def write_records(rs: RecordSet, path, sidecar: bool = True) -> None:
-    """Write records in the format named by the file suffix, plus an
-    optional JSON provenance sidecar ``<file><META_SUFFIX>``.
+def write_records(rs: RecordSet, path) -> None:
+    """Write records in the format named by the file suffix.
 
     A ``.npz`` file holds the records as a RecordSet does, in the
     uncompressed members of NPZ_LAYOUTS[0]; any other suffix gets the four
@@ -367,8 +331,6 @@ def write_records(rs: RecordSet, path, sidecar: bool = True) -> None:
             np.savez(fh, x_A=rs.x_a, x_B=rs.x_b, phases=rs.phases, counts=rs.counts)
     else:
         write_table(path, dict(zip(COLUMNS, rs.columns())))
-    if sidecar and rs.meta:
-        path.with_name(path.name + META_SUFFIX).write_text(dump_document(rs.meta))
 
 
 def read_records(path) -> RecordSet:
@@ -376,13 +338,15 @@ def read_records(path) -> RecordSet:
     its suffix; a CSV may be any file with the same four-column layout, and
     a .npz may also hold the four per-row columns of earlier versions.
 
-    Malformed content and non-finite values raise ParseError naming the
-    first bad file row (CSV) or record and column (.npz); a malformed
-    sidecar raises ParseError naming the sidecar.
+    A path that is not a file raises ValidationError; malformed content,
+    bytes that are not UTF-8 text in a CSV and non-finite values raise
+    ParseError naming the first bad file row (CSV) or record and column
+    (.npz).
     """
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"no such record file: {path}")
+    if not path.is_file():
+        raise ValidationError(f"not a record file: {path}" if path.exists()
+                              else f"no such record file: {path}")
     npz = path.suffix == NPZ_SUFFIX
     rs = _read_npz(path) if npz else _read_csv(path)
     if not all(np.isfinite(col).all() for col in (rs.phases, rs.x_a, rs.x_b)):
@@ -393,31 +357,7 @@ def read_records(path) -> RecordSet:
                  f"row {next(itertools.islice(_data_lines(path), index, None))[0]}")
         raise ParseError(f"cannot parse {path}: {where}: "
                          f"non-finite {COLUMNS[col]} ({columns[col][index]})")
-    meta_path = path.with_name(path.name + META_SUFFIX)
-    if meta_path.exists():
-        rs.meta = _read_sidecar(meta_path)
     return rs
-
-
-def _read_sidecar(path: Path) -> dict:
-    """The JSON object of a sidecar.  Bad JSON, any other JSON value, and
-    a number that is not finite (NaN, Infinity, 1e999), which a verdict
-    cannot copy into its strict JSON, are a ParseError naming the file."""
-    def finite(text):
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite number {text}")
-        return value
-
-    try:
-        meta = json.loads(path.read_text(), parse_float=finite,
-                          parse_constant=finite)
-    except ValueError as exc:  # bad JSON, a bad number or bad UTF-8
-        raise ParseError(f"bad sidecar {path}: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise ParseError(f"bad sidecar {path}: must be a JSON object, "
-                         f"got {type(meta).__name__}")
-    return meta
 
 
 def _read_csv(path: Path) -> RecordSet:
@@ -477,8 +417,9 @@ def _read_npz(path: Path) -> RecordSet:
 def _data_lines(path: Path):
     """(file row, line) for each data line of a CSV record file, skipping
     what np.loadtxt skips: the header, blank lines and # comments, which it
-    also strips from the line."""
-    with open(path) as fh:
+    also strips from the line.  A byte that does not decode reads as
+    U+FFFD, so a line that holds one is not a number."""
+    with open(path, errors="replace") as fh:
         next(fh, None)  # header
         for row, line in enumerate(fh, start=2):
             data = line.split("#", 1)[0].strip()

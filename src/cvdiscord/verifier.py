@@ -127,7 +127,6 @@ class DiscordVerdict:
     decision: str  # "discordant" | "not-detected"
     k_min: float
     threshold: float
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,6 @@ class MixtureVerdict:
     alpha: float
     threshold: float
     variance_ratio: float
-    meta: dict = field(default_factory=dict)
     hists: ConditionalHistograms | None = field(default=None, compare=False)
 
 
@@ -482,8 +480,7 @@ def verdict_gaussian(rs: RecordSet, threshold: float = 0.0,
         for i, (ta, tb, sub) in enumerate(subsets)], pool=sizes.min() >= CHUNK))
     discordant = any(p.k >= k_min for p in per_pair)
     return DiscordVerdict(per_pair=per_pair, k_min=k_min, threshold=threshold,
-                          decision="discordant" if discordant else "not-detected",
-                          meta=dict(rs.meta))
+                          decision="discordant" if discordant else "not-detected")
 
 
 def verdict_mixture(rs: RecordSet, threshold: float,
@@ -522,7 +519,6 @@ def verdict_mixture(rs: RecordSet, threshold: float,
         alpha=alpha,
         threshold=threshold,
         variance_ratio=float(max(variances) / min(variances)),
-        meta=dict(rs.meta),
         hists=hists,
     )
 
@@ -573,8 +569,9 @@ def _sweep_row(depth: float, n: int, seed: int, v0: float, n_boot: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def verdict_to_json(verdict: DiscordVerdict) -> str:
-    """Strict JSON; a pair's "k" is null exactly when its sigma_delta is 0."""
+def verdict_to_json(verdict: DiscordVerdict, provenance: dict) -> str:
+    """Strict JSON, with the record file's provenance under "meta"; a
+    pair's "k" is null exactly when its sigma_delta is 0."""
     doc = {
         "decision": verdict.decision,
         "k_min": verdict.k_min,
@@ -590,12 +587,13 @@ def verdict_to_json(verdict: DiscordVerdict) -> str:
             }
             for p in verdict.per_pair
         ],
-        "meta": verdict.meta,
+        "meta": provenance,
     }
     return dump_document(doc, allow_nan=False)
 
 
-def mixture_verdict_to_json(verdict: MixtureVerdict) -> str:
+def mixture_verdict_to_json(verdict: MixtureVerdict, provenance: dict) -> str:
+    """Strict JSON, with the record file's provenance under "meta"."""
     doc = {
         "decision": verdict.decision,
         "alpha": verdict.alpha,
@@ -613,7 +611,7 @@ def mixture_verdict_to_json(verdict: MixtureVerdict) -> str:
             }
             for s in verdict.sides
         ],
-        "meta": verdict.meta,
+        "meta": provenance,
     }
     return dump_document(doc, allow_nan=False)
 

@@ -147,11 +147,10 @@ def random_cross_only_state(rng, v0: float = 1.0,
 # ---------------------------------------------------------------------------
 
 
-def concat_records(parts: list[RecordSet], meta: dict | None = None) -> RecordSet:
-    """The records of parts end to end, with meta, else the first part's."""
+def concat_records(parts: list[RecordSet]) -> RecordSet:
+    """The records of parts end to end."""
     columns = zip(*((p.x_a, p.x_b, p.phases, p.counts) for p in parts))
-    return RecordSet(*map(np.concatenate, columns),
-                     meta if meta is not None else dict(parts[0].meta))
+    return RecordSet(*map(np.concatenate, columns))
 
 
 # ---------------------------------------------------------------------------

@@ -186,7 +186,7 @@ def test_acceptance_05_normalization_suite():
                    + conditional_marginal_density(form, xb, -1, 0.0))
     assert np.max(np.abs(blend - marginal_b_density(form, xb))) <= 1e-9
 
-    mix = PMixtureState((CoherentPoint(0.35, 1.2 + 0.4j),
+    mix = PMixtureState((CoherentPoint(0.35, 1.2),
                          ThermalComponent(0.45, 0.8),
                          ArcsineComponent(0.20, 1.5)),
                         eta=1.0 / math.sqrt(2.0))

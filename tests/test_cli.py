@@ -1,5 +1,6 @@
 """Command line driver: argument handling, file outputs, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,8 +18,7 @@ from cvdiscord import cli
 from cvdiscord.cli import main, parse_depths, parse_pairs
 from cvdiscord.errors import ValidationError
 from cvdiscord.fock import fock_state_from_json
-from cvdiscord.sampler import (RecordSet, read_records, scheme_from_dict,
-                               scheme_to_dict)
+from cvdiscord.sampler import RecordSet, read_records
 from cvdiscord.verifier import (estimate_density, split_by_threshold,
                                 verdict_gaussian, verdict_mixture)
 
@@ -425,6 +425,13 @@ def test_bad_config_json_is_rejected(tmp_path, monkeypatch, capsys):
     cfg.write_text("{not json")
     assert run("simulate", "--config", cfg) == 1
     assert "bad config JSON" in capsys.readouterr().err
+    # a directory, and a file that is not UTF-8 text
+    (tmp_path / "dir.json").mkdir()
+    cfg.write_bytes(b'{"n": 10\xff}')
+    for name in ("dir.json", "cfg.json"):
+        assert run("simulate", "--config", name) == 1
+        assert f"cannot read config file {name}" in capsys.readouterr().err
+    assert not (tmp_path / "records.npz").exists()
 
 
 def _subparsers():
@@ -459,7 +466,8 @@ def test_scheme_choices_are_the_builder_table():
         cfg = cli._effective_config(cli._build_parser().parse_args(
             ["simulate", "--scheme", name, "--depth", "1.5"]))
         scheme = cli._SCHEMES[name](cfg)
-        assert scheme_from_dict(scheme_to_dict(scheme)) == scheme
+        # the fields that the sidecar holds rebuild the scheme
+        assert type(scheme)(**dataclasses.asdict(scheme)) == scheme
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -535,6 +543,10 @@ def test_missing_records_file_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run("verify", "--records", "nope.csv") == 1
     assert "error:" in capsys.readouterr().err
+    # a directory with a record file's name
+    (tmp_path / "dir.csv").mkdir()
+    assert run("verify", "--records", "dir.csv") == 1
+    assert "not a record file: dir.csv" in capsys.readouterr().err
 
 
 def test_verify_without_records_flag_exits_1(tmp_path, monkeypatch):
@@ -556,6 +568,14 @@ def test_malformed_records_exit_1_and_no_partial_output(tmp_path,
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "verdict.json").exists()
     assert list(tmp_path.glob("*.tmp")) == []
+    # a byte that is not UTF-8 text, in a data row and in the header
+    for data, where in ((b"x_a,x_b\n0,0,1.0,2.0\n0,0,1.0,\xff2.0\n", "row 3"),
+                        (b"x_\xff,x_b\n0,0,1.0,2.0\n", "'utf-8' codec")):
+        bad.write_bytes(b"theta_a,theta_b," + data)
+        assert run("verify", "--records", "bad.csv",
+                   "--out", "verdict.json") == 1
+        assert f"cannot parse bad.csv: {where}" in capsys.readouterr().err
+        assert not (tmp_path / "verdict.json").exists()
 
 
 def test_main_returns_int(tmp_path, monkeypatch):

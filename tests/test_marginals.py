@@ -220,7 +220,7 @@ def test_separation_grows_with_modulation():
 def test_input_marginal_component_shapes():
     x = np.linspace(-16.0, 20.0, 3601)
 
-    coherent = PMixtureState((CoherentPoint(1.0, 1.5 + 0.4j),), eta=0.7)
+    coherent = PMixtureState((CoherentPoint(1.0, 1.5),), eta=0.7)
     dens = input_marginal_D1(coherent, x)
     mean = np.trapezoid(x * dens, x)
     var = np.trapezoid((x - mean) ** 2 * dens, x)
@@ -317,6 +317,10 @@ def test_output_joint_for_coherent_input_is_product():
     # transmitted means: eta and eta-tilde shares of the displacement
     mean1 = np.trapezoid(x1 * m1, x1)
     assert mean1 == pytest.approx(0.6 * np.sqrt(2.0) * 0.9, abs=1e-8)
+    # the displacement is real and finite
+    for bad in (0.9 - 2.0j, complex(0.9), np.complex128(0.9), np.nan, np.inf):
+        with pytest.raises(ValidationError, match="^alpha must be"):
+            CoherentPoint(1.0, bad)
 
 
 def test_output_joint_normalizes_for_every_component_kind():
@@ -324,7 +328,7 @@ def test_output_joint_normalizes_for_every_component_kind():
     x2 = np.linspace(-14.0, 14.0, 243)
     for mix in (
         PMixtureState((ThermalComponent(1.0, 2.5),), eta=1 / np.sqrt(2)),
-        PMixtureState((CoherentPoint(0.4, -2.0), CoherentPoint(0.6, 1.0 + 1.0j)),
+        PMixtureState((CoherentPoint(0.4, -2.0), CoherentPoint(0.6, 1.0)),
                       eta=0.45),
         PMixtureState((ArcsineComponent(1.0, 2.0),), eta=1 / np.sqrt(2)),
     ):

@@ -20,7 +20,7 @@ from cvdiscord import (
     sample_scheme,
     write_records,
 )
-from cvdiscord.cli import main
+from cvdiscord.cli import _read_sidecar, main
 from cvdiscord.sampler import COLUMNS, CSV_HEADER, NPZ_LAYOUTS
 from cvdiscord.verifier import CANONICAL_PAIRS
 
@@ -63,8 +63,6 @@ def test_csv_and_npz_read_back_bitwise_equal(tmp_path):
     from_npz = read_records(tmp_path / "rec.npz")
     assert_bitwise_equal(from_csv, rs)
     assert_bitwise_equal(from_npz, from_csv)
-    assert from_npz.meta == from_csv.meta == rs.meta
-    assert (tmp_path / "rec.npz.meta.json").exists()
 
 
 def test_npz_holds_x_columns_and_the_run_table(tmp_path):
@@ -102,7 +100,6 @@ def test_four_column_npz_still_reads(tmp_path, monkeypatch, mode):
     assert_bitwise_equal(old, rs)
     assert old.phases.tobytes() == rs.phases.tobytes()
     assert old.counts.tobytes() == rs.counts.tobytes()
-    assert old.meta == rs.meta
     for name in ("new", "old"):
         assert run("verify", "--records", f"{name}.npz", "--mode", mode,
                    "--boot", "50", "--out", f"verdict_{name}.json") == 0
@@ -157,16 +154,22 @@ def test_non_finite_record_exits_1_naming_it(tmp_path, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("text", ['[1]', '"x"', '{"eta": NaN}',
-                                  '{"eta": Infinity}', '{"eta": 1e999}'])
+                                  '{"eta": Infinity}', '{"eta": 1e999}',
+                                  pytest.param(None, id="directory")])
 @pytest.mark.parametrize("mode", ["gaussian", "mixture"])
 def test_malformed_sidecar_exits_1_naming_it(tmp_path, monkeypatch, capsys,
                                              text, mode):
     monkeypatch.chdir(tmp_path)
     pairs = ("--pairs", "90,90") if mode == "mixture" else ()
     assert run("simulate", "--n", "2000", *pairs, "--out", "rec.npz") == 0
-    (tmp_path / "rec.npz.meta.json").write_text(text)
+    sidecar = tmp_path / "rec.npz.meta.json"
+    if text is None:
+        sidecar.unlink()
+        sidecar.mkdir()
+    else:
+        sidecar.write_text(text)
     with pytest.raises(ParseError, match="bad sidecar .*rec.npz.meta.json"):
-        read_records(tmp_path / "rec.npz")
+        _read_sidecar(tmp_path / "rec.npz")
     capsys.readouterr()
     assert run("verify", "--records", "rec.npz", "--mode", mode) == 1
     assert "bad sidecar rec.npz.meta.json" in capsys.readouterr().err
@@ -412,6 +415,8 @@ def test_verdict_bytes_do_not_depend_on_format(tmp_path, monkeypatch, mode):
     assert run("simulate", "--depth", "2", "--n", "5000", "--seed", "8",
                *pairs, "--out", "rec.npz") == 0
     write_records(read_records("rec.npz"), tmp_path / "rec.csv")
+    (tmp_path / "rec.csv.meta.json").write_bytes(
+        (tmp_path / "rec.npz.meta.json").read_bytes())
     for suffix in ("npz", "csv"):
         assert run("verify", "--records", f"rec.{suffix}", "--mode", mode,
                    "--boot", "50", "--out", f"verdict_{suffix}.json") == 0

@@ -571,7 +571,7 @@ def test_sweep_rows_on_the_pool_match_serial_ones(monkeypatch):
 def test_verdict_json_and_csv_outputs(tmp_path):
     rs = _records_for_pairs(H.measured_state(), 20_000, seed=60)
     verdict = verdict_gaussian(rs, seed=60, n_boot=40)
-    doc = verdict_to_json(verdict)
+    doc = verdict_to_json(verdict, {})
     import json
 
     parsed = json.loads(doc)
@@ -604,8 +604,8 @@ def test_verdict_json_is_strict_with_null_k_for_zero_sigma():
                   k=0.1 / 0.03, chi2=chi2, n_plus=10, n_minus=10),
     )
     verdict = DiscordVerdict(per_pair=pairs, decision="discordant", k_min=3.0,
-                             threshold=0.0, meta={"seed": 1})
-    text = verdict_to_json(verdict)
+                             threshold=0.0)
+    text = verdict_to_json(verdict, {"seed": 1})
     assert "Infinity" not in text
     parsed = _strict_json(text)
     assert parsed["pairs"][0]["k"] is None
