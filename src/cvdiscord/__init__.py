@@ -17,9 +17,8 @@ from .errors import (DegenerateSplitError, EmptySideError,
                      InsufficientDataError, NumericError, ParseError,
                      ToolkitError, TruncationError, ValidationError)
 from .states import (GaussianBipartiteState, SingleModeState,
-                     ValidationReport, apply_beam_splitter,
-                     beam_splitter_matrix, c_block_is_zero, modulated_beam,
-                     rotate_local, rotation_matrix, split_balanced,
+                     apply_beam_splitter, beam_splitter_matrix,
+                     c_block_is_zero, modulated_beam, rotate_local, rotation_matrix, split_balanced,
                      symplectic_form, tensor, vacuum_bipartite, vacuum_single,
                      validate_covariance, wigner_density)
 from .marginals import (ArcsineComponent, CoherentPoint, MarginalForm,
@@ -41,9 +40,8 @@ from .verifier import (ChiSquareResult, DiscordVerdict, Histogram,
 from .fock import (FockDensityMatrix, QuadratureGrid, bipartite_from_parts,
                    build_ce_hidden_discord, build_ce_zero_discord,
                    coherent_fock, commutator_norm, conditional_b_given_sign,
-                   default_grid, density_from_vector, fock_state_from_json,
-                   fock_state_to_json, grid_moments, grid_peak,
-                   homodyne_marginal_fock, number_mean,
+                   default_grid, density_from_vector, fock_state_to_json,
+                   grid_moments, grid_peak, homodyne_marginal_fock, number_mean,
                    oscillator_eigenfunctions, sign_projectors,
                    squeezed_vacuum_fock, superposition_basis, thermal_fock,
                    verify_classical_on_b)

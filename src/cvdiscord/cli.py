@@ -4,9 +4,12 @@ Four commands: simulate (draw homodyne records for a modulation scheme),
 verify (run a discord verdict over a record file), sweep (peak separation
 versus modulation depth), counterexample (build and certify the Fock-space
 edge cases).  Options come from flags, falling back to a JSON config file
-(--config), falling back to defaults.  main writes every output atomically,
-then a manifest <primary output>.manifest.json with the effective config,
-library versions, wall-clock timings and a sha256 of each output file.
+(--config), falling back to defaults.  Before anything is computed, main
+checks that each output is a file name of its own that names no input.
+It writes every output and a manifest <primary output>.manifest.json,
+with the effective config, library versions, wall-clock timings and a
+sha256 of each output file, to temp files, and puts them all in place
+once all of them are written, so a command that fails leaves no output.
 Timings live only in the manifest so the data files are byte-reproducible.
 A record file's provenance is this module's alone: simulate writes it to a
 sidecar <records>.meta.json, and verify copies it into the verdict.
@@ -21,6 +24,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -156,7 +160,7 @@ def _effective_config(args: argparse.Namespace) -> dict:
         types = {key: kwargs.get("choices") or names.get(kwargs.get("type"), "a string")
                  for key, (_, kwargs) in options.items()}
         eff.update(read_document(
-            text, {}, "config", types,
+            text, "config", types,
             lambda pairs: {key: value for key, value in pairs
                            if value is not None or key not in options}))
     for key in options:
@@ -166,28 +170,67 @@ def _effective_config(args: argparse.Namespace) -> dict:
     return eff
 
 
-def _resolve_out(name) -> Path:
-    # joining keeps an absolute name and puts a relative one under the
-    # directory CVDISCORD_OUTDIR names, if it is set and not empty
-    path = Path(os.environ.get("CVDISCORD_OUTDIR", "")) / name
+def _output_names(command: str, cfg: dict) -> list[tuple[str, object]]:
+    """(option, name) of each output of a command, in the order its writers
+    come, and last the manifest <primary output>.manifest.json."""
+    out = cfg["out"]
+    names = [("out", out)]
+    if command == "simulate":
+        names.append(("out", f"{out}{META_SUFFIX}"))
+    elif command == "verify" and cfg["plotdata"] is not None:
+        names.append(("plotdata", cfg["plotdata"]))
+    elif command == "counterexample":
+        for option, suffix in (("plotdata", ".csv"), ("dump_state", ".json")):
+            if cfg[option] is not None:
+                names += [(option, f"{Path(cfg[option])}_{case}{suffix}")
+                          for case in _cases(cfg)]
+    return names + [("out", f"{out}.manifest.json")]
+
+
+def _output_paths(args: argparse.Namespace, cfg: dict) -> list[Path]:
+    """The paths of the outputs that _output_names gives, each joined to
+    the directory CVDISCORD_OUTDIR names, if it is set and not empty
+    (which keeps an absolute name).  An output that is not a file name,
+    is a directory or lies under a file, or is the same file as an earlier
+    output or an input (the --config file, the --records file or its
+    sidecar) is a ValidationError naming its flag.  Files are compared by
+    their resolved paths, as the inputs are not under CVDISCORD_OUTDIR."""
+    inputs = [("the --config file", args.config)]
+    if cfg.get("records") is not None:
+        records = Path(cfg["records"])
+        inputs += [("the --records file", records),
+                   ("the --records sidecar", Path(f"{records}{META_SUFFIX}"))]
+    seen = {path.resolve(): what for what, path in inputs if path is not None}
+    paths = []
+    for option, name in _output_names(args.command, cfg):
+        flag = "--" + option.replace("_", "-")
+        if not Path(name).name:
+            raise ValidationError(f"{flag} {str(name)!r} is not a file name")
+        path = Path(os.environ.get("CVDISCORD_OUTDIR", "")) / name
+        if path.is_dir():
+            raise ValidationError(f"{flag} {path} is a directory")
+        folder = next(p for p in path.parents if p.exists())
+        if not folder.is_dir():
+            raise ValidationError(f"{flag} {path}: {folder} is not a directory")
+        if (key := path.resolve()) in seen:
+            raise ValidationError(f"{flag} {path} is also {seen[key]}")
+        seen[key] = f"the {flag} output"
+        paths.append(path)
+    return paths
+
+
+def _temp(path: Path) -> Path:
+    """A temp file name beside path, creating its directory: the first of
+    records.tmp.npz, records.tmp1.npz, ... that names no file, so no file
+    there, an input included, is written over or removed.  It keeps the
+    suffix, because write_records picks the file format from it.  The
+    file is left to its writer, as ext4 starts writing back a file that
+    was truncated on open, even an empty one, when it is closed."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write(name, write) -> Path:
-    """Resolve an output name, fill a temp file in the same directory with
-    write(tmp), and replace the destination with it.  The temp name keeps
-    the suffix (records.tmp.npz), because write_records picks the file
-    format from the suffix."""
-    path = _resolve_out(name)
-    tmp = path.with_name(f"{path.stem}.tmp{path.suffix}")
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
+    for i in itertools.count():
+        tmp = path.with_name(f"{path.stem}.tmp{i or ''}{path.suffix}")
+        if not os.path.lexists(tmp):
+            return tmp
 
 
 def _text(text: str):
@@ -203,7 +246,7 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _manifest(command: str, config: dict, paths: list[Path],
+def _manifest(command: str, config: dict, hashes: dict,
               timings: dict) -> str:
     import scipy
     # default=str writes the Path values of the config as strings
@@ -218,7 +261,7 @@ def _manifest(command: str, config: dict, paths: list[Path],
             "cvdiscord": __version__,
         },
         "timings_s": timings,
-        "outputs": {str(p): _sha256(p) for p in paths},
+        "outputs": hashes,
     }, default=str)
 
 
@@ -299,7 +342,8 @@ def emit_plotdata(hists: ConditionalHistograms, path: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands, each returning [(output name, write(path)), ...], primary first
+# commands, each returning write(path) for each output _output_names gives
+# but the manifest, in that order
 # ---------------------------------------------------------------------------
 
 
@@ -328,8 +372,7 @@ def _cmd_simulate(cfg: dict) -> list:
         "seed": cfg["seed"],
         "v0": cfg["v0"],
     }
-    return [(cfg["out"], functools.partial(write_records, rs)),
-            (f"{cfg['out']}{META_SUFFIX}", _text(dump_document(meta)))]
+    return [functools.partial(write_records, rs), _text(dump_document(meta))]
 
 
 def _read_sidecar(records: Path) -> dict:
@@ -337,7 +380,7 @@ def _read_sidecar(records: Path) -> dict:
     none.  A sidecar that cannot be read, bad JSON, any other JSON value,
     and a number that is not finite (NaN, Infinity, 1e999), which a verdict
     cannot copy into its strict JSON, are a ParseError naming the file."""
-    path = records.with_name(records.name + META_SUFFIX)
+    path = Path(f"{records}{META_SUFFIX}")
     if not path.exists():
         return {}
 
@@ -378,9 +421,9 @@ def _cmd_verify(cfg: dict) -> list:
                                   alpha=cfg["alpha"])
         hists = verdict.hists
         text = mixture_verdict_to_json(verdict, meta)
-    outputs = [(cfg["out"], _text(text))]
+    outputs = [_text(text)]
     if cfg["plotdata"] is not None:
-        outputs.append((cfg["plotdata"], functools.partial(emit_plotdata, hists)))
+        outputs.append(functools.partial(emit_plotdata, hists))
     return outputs
 
 
@@ -388,7 +431,7 @@ def _cmd_sweep(cfg: dict) -> list:
     """Peak separation versus modulation depth on a balanced splitter."""
     depths = parse_depths(cfg["depths"])
     rows = sweep_modulation(depths, n=cfg["n"], seed=cfg["seed"], v0=cfg["v0"])
-    return [(cfg["out"], functools.partial(sweep_to_csv, rows))]
+    return [functools.partial(sweep_to_csv, rows)]
 
 
 def _sign_report(state) -> tuple:
@@ -444,26 +487,24 @@ def _certify_hidden(cfg: dict) -> tuple:
     return report, state, grid, curves
 
 
+def _cases(cfg: dict) -> list[str]:
+    """The edge cases that --which names, in output order."""
+    return [case for case in ("zero", "hidden") if cfg["which"] in (case, "both")]
+
+
 def _cmd_counterexample(cfg: dict) -> list:
     """Build and certify the Fock-space edge cases."""
-    cases = {}
-    if cfg["which"] in ("zero", "both"):
-        cases["zero"] = _certify_zero(cfg)
-    if cfg["which"] in ("hidden", "both"):
-        cases["hidden"] = _certify_hidden(cfg)
-    report = {f"{name}_discord": case[0] for name, case in cases.items()}
-    outputs = [(cfg["out"], _text(dump_document(report, allow_nan=False)))]
+    certify = {"zero": _certify_zero, "hidden": _certify_hidden}
+    cases = {case: certify[case](cfg) for case in _cases(cfg)}
+    report = {f"{case}_discord": result[0] for case, result in cases.items()}
+    outputs = [_text(dump_document(report, allow_nan=False))]
     if cfg["plotdata"] is not None:
-        prefix = Path(cfg["plotdata"])
-        for name, (_, _, grid, curves) in cases.items():
-            outputs.append((prefix.with_name(f"{prefix.name}_{name}.csv"),
-                            functools.partial(write_table, columns={
-                                "x": grid.points, **curves})))
+        outputs += [functools.partial(write_table, columns={"x": grid.points,
+                                                            **curves})
+                    for _, _, grid, curves in cases.values()]
     if cfg["dump_state"] is not None:
-        prefix = Path(cfg["dump_state"])
-        for name, (_, state, _, _) in cases.items():
-            outputs.append((prefix.with_name(f"{prefix.name}_{name}.json"),
-                            _text(fock_state_to_json(state) + "\n")))
+        outputs += [_text(fock_state_to_json(state) + "\n")
+                    for _, state, _, _ in cases.values()]
     return outputs
 
 
@@ -479,14 +520,27 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _effective_config(args)
+        *outputs, manifest = paths = _output_paths(args, cfg)
         t0 = time.perf_counter()
-        outputs = _COMMANDS[args.command](cfg)
+        writers = _COMMANDS[args.command](cfg)
         t1 = time.perf_counter()
-        paths = [_write(name, write) for name, write in outputs]
-        t2 = time.perf_counter()
-        timings = {"compute_s": t1 - t0, "write_s": t2 - t1, "total_s": t2 - t0}
-        manifest = _manifest(args.command, cfg, paths, timings)
-        paths.append(_write(f"{outputs[0][0]}.manifest.json", _text(manifest)))
+        temps = []
+        try:
+            # every output and the manifest go to temp files first, and
+            # replace their destinations only once all of them are written
+            for path, write in zip(outputs, writers):
+                temps.append(_temp(path))
+                write(temps[-1])
+            t2 = time.perf_counter()
+            timings = {"compute_s": t1 - t0, "write_s": t2 - t1, "total_s": t2 - t0}
+            hashes = {str(path): _sha256(tmp) for path, tmp in zip(outputs, temps)}
+            temps.append(_temp(manifest))
+            temps[-1].write_text(_manifest(args.command, cfg, hashes, timings))
+            for path in paths:
+                os.replace(temps.pop(0), path)
+        finally:
+            for tmp in temps:
+                tmp.unlink(missing_ok=True)
         for path in paths:
             print(path)
         return 0

@@ -53,26 +53,20 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _pair(value) -> bool:
-    return isinstance(value, list) and len(value) == 2 and all(map(_number, value))
-
-
 # the check read_document makes for each type it can demand of a field
 FIELD_TYPES = {
     "a number": _number,
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
-    "a list of [re, im] pairs": lambda v: isinstance(v, list) and all(map(_pair, v)),
 }
 
 
-def read_document(text: str, fields: dict, what: str,
-                  optional: dict | None = None, object_pairs_hook=None) -> dict:
-    """The JSON object in text, once it holds every field in fields and no
-    field outside fields and optional, each field it holds of the type
-    named for it there; else, bad JSON included, a ValidationError naming
-    what is wrong.  A type is a key of FIELD_TYPES, or the list of values
-    the field may take."""
+def read_document(text: str, what: str, types: dict,
+                  object_pairs_hook=None) -> dict:
+    """The JSON object in text, once each field it holds is named in types
+    and of the type named for it there; else, bad JSON included, a
+    ValidationError naming what is wrong.  A type is a key of FIELD_TYPES,
+    or the list of values the field may take."""
     try:
         doc = json.loads(text, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
@@ -80,10 +74,6 @@ def read_document(text: str, fields: dict, what: str,
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} must be a JSON object, "
                               f"got {type(doc).__name__}")
-    for name in fields:
-        if name not in doc:
-            raise ValidationError(f"{what} lacks the field {name!r}")
-    types = {**fields, **(optional or {})}
     for name, value in doc.items():
         kind = types.get(name)
         if kind is None:

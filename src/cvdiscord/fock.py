@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .errors import (DegenerateSplitError, TruncationError, ValidationError,
-                     read_document, require_finite)
+                     require_finite)
 
 DIM_DEFAULT = 20
 DIM_MAX = 40
@@ -64,11 +64,10 @@ def _grid_halfwidth(dim: int, v0: float) -> float:
     return (math.sqrt(2.0 * dim + 1.0) + 5.0) * math.sqrt(2.0 * v0)
 
 
-def default_grid(dim: int, v0: float = 1.0,
-                 spacing: float = GRID_SPACING) -> QuadratureGrid:
+def default_grid(dim: int, v0: float = 1.0) -> QuadratureGrid:
     """Symmetric uniform grid covering every number state up to dim."""
     half = _grid_halfwidth(dim, v0)
-    step = spacing * math.sqrt(v0)
+    step = GRID_SPACING * math.sqrt(v0)
     n_half = int(math.ceil(half / step))
     pts = np.arange(-n_half, n_half + 1) * step
     return QuadratureGrid(pts, v0)
@@ -443,15 +442,3 @@ def fock_state_to_json(state: FockDensityMatrix) -> str:
         "entries": entries,
     }, sort_keys=True)
 
-
-def fock_state_from_json(text: str) -> FockDensityMatrix:
-    doc = read_document(text, {"dim_A": "an integer", "dim_B": "an integer",
-                               "v0": "a number",
-                               "entries": "a list of [re, im] pairs"},
-                        "state document")
-    da, db = doc["dim_A"], doc["dim_B"]
-    d = da * db
-    flat = np.array([complex(re, im) for re, im in doc["entries"]])
-    if len(flat) != d * d:
-        raise ValidationError("entry count does not match dims")
-    return FockDensityMatrix(da, db, flat.reshape(d, d), float(doc["v0"]))

@@ -43,11 +43,11 @@ CSV_HEADER = "theta_A,theta_B,x_A,x_B"
 COLUMNS = tuple(CSV_HEADER.split(","))
 # record files with this suffix are binary .npz; any other suffix is CSV
 NPZ_SUFFIX = ".npz"
-# .npz record layouts, each member's form in file order: the run table that
-# write_records writes, and the per-row columns that earlier versions wrote
-NPZ_LAYOUTS = ({"x_A": "1-D float64", "x_B": "1-D float64",
-                "phases": "(runs, 2) float64", "counts": "1-D int64"},
-               dict.fromkeys(COLUMNS, "1-D float64"))
+# the members of a .npz record file, each with its form, in file order
+NPZ_LAYOUT = {"x_A": "1-D float64", "x_B": "1-D float64",
+              "phases": "(runs, 2) float64", "counts": "1-D int64"}
+# largest phase difference, in radians, at which select_pair matches a run
+PAIR_ATOL = 1e-9
 
 # default signed displacement of the switched-phase scheme, chosen so the
 # measured-mode peak of the displaced component sits at -12 vacuum units
@@ -214,12 +214,11 @@ class RecordSet:
     def pair_keys(self) -> list[tuple[float, float]]:
         return [tuple(row) for row in np.unique(self.phases, axis=0)]
 
-    def select_pair(self, theta_a: float, theta_b: float,
-                    atol: float = 1e-9) -> "RecordSet":
-        """The records of every run within atol of the phase pair, in file
-        order; views of the columns when a single run matches."""
+    def select_pair(self, theta_a: float, theta_b: float) -> "RecordSet":
+        """The records of every run within PAIR_ATOL of the phase pair, in
+        file order; views of the columns when a single run matches."""
         match = np.flatnonzero(
-            (np.abs(self.phases - (theta_a, theta_b)) <= atol).all(axis=1))
+            (np.abs(self.phases - (theta_a, theta_b)) <= PAIR_ATOL).all(axis=1))
         counts = self.counts[match]
         first = np.cumsum(self.counts)[match] - counts
         rows = (slice(first[0], first[0] + counts[0]) if len(match) == 1 else
@@ -319,7 +318,7 @@ def write_records(rs: RecordSet, path) -> None:
     """Write records in the format named by the file suffix.
 
     A ``.npz`` file holds the records as a RecordSet does, in the
-    uncompressed members of NPZ_LAYOUTS[0]; any other suffix gets the four
+    uncompressed members of NPZ_LAYOUT; any other suffix gets the four
     CSV columns per row with 17 significant digits.  Either format
     round-trips float64 bitwise.
     """
@@ -335,8 +334,7 @@ def write_records(rs: RecordSet, path) -> None:
 
 def read_records(path) -> RecordSet:
     """Read a record file written by write_records, in the format named by
-    its suffix; a CSV may be any file with the same four-column layout, and
-    a .npz may also hold the four per-row columns of earlier versions.
+    its suffix; a CSV may be any file with the same four-column layout.
 
     A path that is not a file raises ValidationError; malformed content,
     bytes that are not UTF-8 text in a CSV and non-finite values raise
@@ -387,30 +385,22 @@ def _read_npz(path: Path) -> RecordSet:
     try:
         with np.load(path, allow_pickle=False) as npz:
             members = npz.files
-            layout = next((layout for layout in NPZ_LAYOUTS
-                           if sorted(layout) == sorted(members)), {})
-            columns = {name: npz[name] for name in layout}
+            columns = ({name: npz[name] for name in NPZ_LAYOUT}
+                       if sorted(members) == sorted(NPZ_LAYOUT) else None)
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ParseError(f"cannot parse {path}: {exc}") from exc
-    if not layout:
-        raise ParseError(f"cannot parse {path}: members {members}, expected "
-                         + " or ".join(str(list(layout)) for layout in NPZ_LAYOUTS))
+    if columns is None:
+        raise ParseError(f"cannot parse {path}: members {members}, "
+                         f"expected {list(NPZ_LAYOUT)}")
     for name, col in columns.items():
         dims = (f"(runs, {col.shape[1]})" if name == "phases" and col.ndim == 2
                 else f"{col.ndim}-D")
-        if f"{dims} {col.dtype}" != layout[name]:
+        if f"{dims} {col.dtype}" != NPZ_LAYOUT[name]:
             raise ParseError(f"cannot parse {path}: member {name} is {dims} "
-                             f"{col.dtype}, expected {layout[name]}")
-    for group in (COLUMNS, ("phases", "counts")):  # per record, per run
-        lengths = {name: len(columns[name]) for name in group if name in columns}
-        if len(set(lengths.values())) > 1:
-            raise ParseError(f"cannot parse {path}: member lengths {lengths} differ")
-    if "theta_A" in columns:
-        columns.update(zip(("phases", "counts"),
-                           _runs(columns.pop("theta_A"), columns.pop("theta_B"))))
+                             f"{col.dtype}, expected {NPZ_LAYOUT[name]}")
     try:
-        return RecordSet(*(columns[name] for name in NPZ_LAYOUTS[0]))
-    except ValidationError as exc:  # the run counts
+        return RecordSet(*columns.values())
+    except ValidationError as exc:  # the lengths and the run counts
         raise ParseError(f"cannot parse {path}: {exc}") from exc
 
 

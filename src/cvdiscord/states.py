@@ -35,26 +35,7 @@ def symplectic_form() -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    margin: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[str]:
-        return [c.name for c in self.checks if not c.passed]
-
-
-def validate_covariance(cov, v0: float = DEFAULT_V0) -> ValidationReport:
+def validate_covariance(cov, v0: float = DEFAULT_V0) -> list[str]:
     """Check a candidate covariance matrix for symmetry, positivity and the
     uncertainty bound.
 
@@ -67,10 +48,11 @@ def validate_covariance(cov, v0: float = DEFAULT_V0) -> ValidationReport:
 
     Returns
     -------
-    ValidationReport
-        One entry per check; ``report.ok`` is the combined verdict.
-        The uncertainty check requires the smallest eigenvalue of
-        ``cov + i*v0*Omega`` to stay above -1e-9.
+    list of str
+        The names of the failed checks among symmetric,
+        positive_definite and uncertainty_bound, in that order; empty for
+        a physical covariance.  The uncertainty check requires the
+        smallest eigenvalue of ``cov + i*v0*Omega`` to stay above -1e-9.
 
     Raises
     ------
@@ -87,27 +69,16 @@ def validate_covariance(cov, v0: float = DEFAULT_V0) -> ValidationReport:
         raise ValidationError(f"vacuum variance must be positive, got {v0}")
 
     n_modes = cov.shape[0] // 2
-    asym = float(np.abs(cov - cov.T).max())
-    sym_ok = asym <= SYMMETRY_TOL
-
     sym_part = 0.5 * (cov + cov.T)
-    eigs = np.linalg.eigvalsh(sym_part)
-    pd_margin = float(eigs.min())
-    pd_ok = pd_margin > 0
-
     w = np.array([[0.0, 1.0], [-1.0, 0.0]])
     omega = np.kron(np.eye(n_modes), w)
     phys = np.linalg.eigvalsh(sym_part + 1j * v0 * omega)
-    phys_margin = float(phys.min())
-    phys_ok = phys_margin >= PHYSICALITY_TOL
-
-    return ValidationReport(
-        checks=(
-            CheckResult("symmetric", sym_ok, asym),
-            CheckResult("positive_definite", pd_ok, pd_margin),
-            CheckResult("uncertainty_bound", phys_ok, phys_margin),
-        )
-    )
+    checks = {
+        "symmetric": np.abs(cov - cov.T).max() <= SYMMETRY_TOL,
+        "positive_definite": np.linalg.eigvalsh(sym_part).min() > 0,
+        "uncertainty_bound": phys.min() >= PHYSICALITY_TOL,
+    }
+    return [name for name, passed in checks.items() if not passed]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -126,9 +97,9 @@ def _set_moments(state, dim: int, what: str) -> None:
         raise ValidationError("means have non-finite entries")
     if cov.shape != (dim, dim):
         raise ValidationError(f"covariance must have shape ({dim}, {dim}), got {cov.shape}")
-    report = validate_covariance(cov, state.v0)
-    if not report.ok:
-        raise ValidationError(f"unphysical {what}covariance: {report.failures()}")
+    failures = validate_covariance(cov, state.v0)
+    if failures:
+        raise ValidationError(f"unphysical {what}covariance: {failures}")
     object.__setattr__(state, "means", means)
     object.__setattr__(state, "cov", cov)
 

@@ -36,6 +36,8 @@ MAX_BINS = 400
 BOOTSTRAP_DEFAULT = 200
 K_MIN_DEFAULT = 3.0
 CHI2_ALPHA = 0.05
+# the two-sample chi-square merges bins until each expects this many counts
+CHI2_MIN_EXPECTED = 5.0
 # window half-width of the peak fit, in units of the side's spread
 PEAK_WINDOW = 0.65
 # bins below max/LOBE_CUT are excluded so the fit stays on the main lobe
@@ -96,7 +98,6 @@ class ConditionalHistograms:
 class PeakEstimate:
     location: float
     std_error: float
-    method: str
     boundary: bool = False
 
 
@@ -205,13 +206,13 @@ def bin_count_fd(values: np.ndarray) -> int:
     return min(max(k, MIN_BINS), MAX_BINS)
 
 
-def estimate_density(data, edges: np.ndarray | None = None) -> Histogram:
+def estimate_density(values, edges: np.ndarray | None = None) -> Histogram:
     """Equal-width histogram spanning [min, max] padded by one bin on each
     side, bin count from the clamped Freedman-Diaconis rule; or on edges.
     All of it comes from the values in ascending order, sorted unless they
     already are: the range from the ends, the quartiles from the order
     statistics, and np.histogram's counts from bisecting at the edges."""
-    values = data.x_b if isinstance(data, RecordSet) else np.asarray(data, dtype=float)
+    values = np.asarray(values, dtype=float)
     if len(values) == 0:
         raise InsufficientDataError("no records to bin")
     ordered = _ascending(values)
@@ -319,7 +320,7 @@ def estimate_peak(hist: Histogram, rng=None,
     reps = rng.multinomial(total, hist.counts / total, size=n_boot)
     locs, boundary = _fit_peaks(hist.edges, np.vstack([hist.counts, reps]))
     return PeakEstimate(location=float(locs[0]), std_error=float(locs[1:].std()),
-                        method="bin-parabolic", boundary=bool(boundary[0]))
+                        boundary=bool(boundary[0]))
 
 
 def _check_peaked(hist: Histogram) -> None:
@@ -354,15 +355,14 @@ def _separation(plus_sorted: np.ndarray, minus_sorted: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _merge_bins(r: np.ndarray, s: np.ndarray, min_expected: float
-                ) -> tuple[np.ndarray, np.ndarray]:
+def _merge_bins(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merge adjacent bins until each merged bin's expected count is at
-    least min_expected in both samples; a short tail joins the last."""
+    least CHI2_MIN_EXPECTED in both samples; a short tail joins the last."""
     n_min, total = min(r.sum(), s.sum()), r.sum() + s.sum()
     starts, acc = [0], 0
     for i, pooled in enumerate(r + s):
         acc += pooled
-        if acc > 0 and n_min * acc / total >= min_expected:
+        if acc > 0 and n_min * acc / total >= CHI2_MIN_EXPECTED:
             starts.append(i + 1)
             acc = 0
     # the last start opens the tail, or lies past the end
@@ -371,17 +371,16 @@ def _merge_bins(r: np.ndarray, s: np.ndarray, min_expected: float
             np.add.reduceat(s, starts).astype(float))
 
 
-def chi_square_two_sample(hist_r: Histogram, hist_s: Histogram,
-                          min_expected: float = 5.0) -> ChiSquareResult:
+def chi_square_two_sample(hist_r: Histogram, hist_s: Histogram) -> ChiSquareResult:
     """Two-sample chi-square on a common binning.
 
     Counts are scaled for unequal totals; tail bins are merged until every
-    merged bin has expected count >= min_expected; dof = merged bins - 1.
+    merged bin has expected count >= CHI2_MIN_EXPECTED; dof = merged bins - 1.
     """
     if len(hist_r.counts) != len(hist_s.counts) or not np.allclose(
             hist_r.edges, hist_s.edges):
         raise ValidationError("histograms must share their binning")
-    r, s = _merge_bins(hist_r.counts, hist_s.counts, min_expected)
+    r, s = _merge_bins(hist_r.counts, hist_s.counts)
     if len(r) < 2:
         raise InsufficientDataError("fewer than 2 merged bins")
     n_r, n_s = r.sum(), s.sum()

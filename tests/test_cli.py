@@ -17,7 +17,7 @@ import cvdiscord
 from cvdiscord import cli
 from cvdiscord.cli import main, parse_depths, parse_pairs
 from cvdiscord.errors import ValidationError
-from cvdiscord.fock import fock_state_from_json
+from cvdiscord.fock import build_ce_zero_discord
 from cvdiscord.sampler import RecordSet, read_records
 from cvdiscord.verifier import (estimate_density, split_by_threshold,
                                 verdict_gaussian, verdict_mixture)
@@ -247,7 +247,7 @@ def test_round_trip_gaussian_verdict(tmp_path, monkeypatch):
 def _plotdata_reference(rs, threshold=0.0):
     """The five --plotdata columns rebuilt from the public API."""
     plus, minus = split_by_threshold(rs, threshold)
-    whole = estimate_density(rs)
+    whole = estimate_density(rs.x_b)
     x = whole.centers
     mean = float(rs.x_b.mean())
     avg_var = 0.5 * (float(plus.var()) + float(minus.var()))
@@ -626,8 +626,11 @@ def test_counterexample_zero_report_curves_and_state(tmp_path, monkeypatch):
     assert np.trapezoid(cols[:, 1], cols[:, 0]) == pytest.approx(1.0,
                                                                  abs=1e-6)
 
-    state = fock_state_from_json((tmp_path / "state_zero.json").read_text())
-    assert state.dim_a == rep["dim_A"] and state.dim_b == rep["dim_B"]
+    state = json.loads((tmp_path / "state_zero.json").read_text())
+    assert state["dim_A"] == rep["dim_A"] and state["dim_B"] == rep["dim_B"]
+    matrix = build_ce_zero_discord(alpha=1.0).matrix
+    assert np.array(state["entries"]).tobytes() == np.column_stack(
+        [matrix.real.ravel(), matrix.imag.ravel()]).tobytes()
 
 
 def test_counterexample_both_reports_hidden_limits(tmp_path, monkeypatch):
@@ -675,6 +678,108 @@ def test_outdir_env_redirects_relative_outputs(tmp_path, monkeypatch, capsys,
     manifest = json.loads((outdir / "rec.csv.manifest.json").read_text())
     assert manifest["outputs"] == {str(Path(env) / n): sha256(outdir / n)
                                    for n in names[:2]}
+
+
+def _snapshot(root):
+    """Every path under root, with the bytes of each file."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("argv, fault", [
+    (["simulate", "--out", ""], "--out '.' is not a file name"),
+    (["sweep", "--depths", "1", "--out", "."], "--out '.' is not a file name"),
+    (["verify", "--records", "r.npz", "--out", "outdir.json"],
+     "--out outdir.json is a directory"),
+    (["verify", "--records", "r.npz", "--plotdata", "r.npz/sub/p.csv"],
+     "--plotdata r.npz/sub/p.csv: r.npz is not a directory"),
+    (["verify", "--records", "r.npz", "--out", "sub/v.json",
+      "--plotdata", "sub/../sub/v.json"],
+     "--plotdata sub/../sub/v.json is also the --out output"),
+    (["verify", "--records", "r.npz", "--out", "r.npz"],
+     "--out r.npz is also the --records file"),
+    (["verify", "--records", "r.npz", "--out", "r.npz.meta.json"],
+     "--out r.npz.meta.json is also the --records sidecar"),
+    (["verify", "--records", "r.npz", "--out", "v.json",
+      "--plotdata", "v.json.manifest.json"],
+     "--out v.json.manifest.json is also the --plotdata output"),
+    (["simulate", "--config", "c.json"], "--out c.json is also the --config file"),
+    (["counterexample", "--which", "zero", "--out", "state_zero.json",
+      "--dump-state", "state"],
+     "--dump-state state_zero.json is also the --out output"),
+], ids=["empty", "dot", "directory", "under-a-file", "plotdata-is-out", "out-is-records",
+        "out-is-sidecar", "manifest-is-plotdata", "out-is-config",
+        "dump-is-out"])
+def test_bad_output_names_exit_1_and_change_no_file(tmp_path, monkeypatch,
+                                                    capsys, argv, fault):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--n", "2000", "--out", "r.npz") == 0
+    (tmp_path / "outdir.json").mkdir()
+    (tmp_path / "c.json").write_text('{"out": "c.json"}')
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {fault}\n"
+    assert _snapshot(tmp_path) == before
+
+
+def test_outputs_and_inputs_compare_as_resolved_paths(tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CVDISCORD_OUTDIR", "results")
+    assert run("simulate", "--n", "2000", "--pairs", "0,0",
+               "--out", "r.npz") == 0
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    # the input results/r.npz is the output r.npz under the outdir
+    assert run("verify", "--records", "results/r.npz", "--out", "r.npz") == 1
+    assert capsys.readouterr().err == (
+        "error: --out results/r.npz is also the --records file\n")
+    assert run("verify", "--records", tmp_path / "results" / "r.npz",
+               "--out", "../results/r.npz.meta.json") == 1
+    assert capsys.readouterr().err == ("error: --out results/../results/"
+                                       "r.npz.meta.json is also the "
+                                       "--records sidecar\n")
+    assert _snapshot(tmp_path) == before
+    assert run("verify", "--records", "results/r.npz", "--pairs", "0,0",
+               "--out", "v.json") == 0
+    assert (tmp_path / "results" / "v.json").is_file()
+
+
+def test_a_failed_write_leaves_every_file_as_it_was(tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--n", "2000", "--pairs", "0,0",
+               "--out", "r.npz") == 0
+    (tmp_path / "v.json").write_text("an earlier verdict")
+    before = _snapshot(tmp_path)
+
+    def emit_plotdata(hists, path):
+        path.write_text("half a table")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "emit_plotdata", emit_plotdata)
+    capsys.readouterr()
+    assert run("verify", "--records", "r.npz", "--pairs", "0,0",
+               "--out", "v.json", "--plotdata", "p.csv") == 2
+    assert capsys.readouterr().err == "error: disk full\n"
+    # neither the verdict, nor its manifest, nor a temp file
+    assert _snapshot(tmp_path) == before
+
+
+def test_a_temp_file_name_never_takes_an_existing_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # v.tmp.csv is the first temp name of the verdict v.csv
+    assert run("simulate", "--n", "2000", "--pairs", "0,0",
+               "--out", "v.tmp.csv") == 0
+    records = (tmp_path / "v.tmp.csv").read_bytes()
+    assert run("verify", "--records", "v.tmp.csv", "--pairs", "0,0",
+               "--out", "v.csv") == 0
+    assert (tmp_path / "v.tmp.csv").read_bytes() == records
+    assert json.loads((tmp_path / "v.csv").read_text())["pairs"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "v.csv", "v.csv.manifest.json", "v.tmp.csv", "v.tmp.csv.manifest.json",
+        "v.tmp.csv.meta.json"]
 
 
 def test_module_entry_point(tmp_path):

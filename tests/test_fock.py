@@ -25,7 +25,6 @@ from cvdiscord import (
     conditional_b_given_sign,
     default_grid,
     density_from_vector,
-    fock_state_from_json,
     fock_state_to_json,
     grid_moments,
     grid_peak,
@@ -347,41 +346,9 @@ def test_grid_peak_boundary_and_flat_guards():
 
 def test_fock_state_json_round_trip():
     state = build_ce_zero_discord(alpha=0.8, dim_b=6)
-    back = fock_state_from_json(fock_state_to_json(state))
-    assert back.dim_a == state.dim_a
-    assert back.dim_b == state.dim_b
-    assert back.v0 == state.v0
-    assert np.abs(back.matrix - state.matrix).max() < 1e-15
-    with pytest.raises(ValidationError):
-        fock_state_from_json("{oops")
-    doc = fock_state_to_json(state).replace('"dim_A": 20', '"dim_A": 7')
-    with pytest.raises(ValidationError):
-        fock_state_from_json(doc)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("entries", "x"), ("dim_A", "7"), ("v0", None)])
-def test_fock_state_from_json_rejects_a_wrong_typed_field(field, value):
-    doc = json.loads(fock_state_to_json(build_ce_zero_discord(alpha=0.8, dim_b=4)))
-    doc[field] = value
-    with pytest.raises(ValidationError, match=f"field '{field}' of the state document"):
-        fock_state_from_json(json.dumps(doc))
-
-
-def test_fock_state_from_json_rejects_an_entry_that_is_not_a_pair():
-    doc = json.loads(fock_state_to_json(build_ce_zero_discord(alpha=0.8, dim_b=4)))
-    doc["entries"][3] = [1.0]
-    with pytest.raises(ValidationError, match=r"field 'entries' of the state "
-                       r"document must be a list of \[re, im\] pairs"):
-        fock_state_from_json(json.dumps(doc))
-
-
-@pytest.mark.parametrize("field", ["dim_A", "dim_B", "v0", "entries", None])
-def test_fock_state_from_json_names_a_missing_field(field):
-    doc = json.loads(fock_state_to_json(build_ce_zero_discord(alpha=0.8, dim_b=4)))
-    if field is None:
-        doc, field = [doc], "JSON object"
-    else:
-        del doc[field]
-    with pytest.raises(ValidationError, match=field):
-        fock_state_from_json(json.dumps(doc))
+    doc = json.loads(fock_state_to_json(state))
+    assert sorted(doc) == ["dim_A", "dim_B", "entries", "v0"]
+    assert (doc["dim_A"], doc["dim_B"], doc["v0"]) == (state.dim_a, state.dim_b,
+                                                       state.v0)
+    assert np.array(doc["entries"]).tobytes() == np.column_stack(
+        [state.matrix.real.ravel(), state.matrix.imag.ravel()]).tobytes()

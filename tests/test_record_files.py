@@ -21,7 +21,7 @@ from cvdiscord import (
     write_records,
 )
 from cvdiscord.cli import _read_sidecar, main
-from cvdiscord.sampler import COLUMNS, CSV_HEADER, NPZ_LAYOUTS
+from cvdiscord.sampler import COLUMNS, CSV_HEADER, NPZ_LAYOUT
 from cvdiscord.verifier import CANONICAL_PAIRS
 
 
@@ -72,7 +72,7 @@ def test_npz_holds_x_columns_and_the_run_table(tmp_path):
     write_records(rs, path)
     with zipfile.ZipFile(path) as zf:
         infos = zf.infolist()
-    assert [i.filename for i in infos] == [f"{m}.npy" for m in NPZ_LAYOUTS[0]]
+    assert [i.filename for i in infos] == [f"{m}.npy" for m in NPZ_LAYOUT]
     assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
     with np.load(path, allow_pickle=False) as npz:
         members = {name: npz[name] for name in npz.files}
@@ -83,28 +83,6 @@ def test_npz_holds_x_columns_and_the_run_table(tmp_path):
     expanded = (theta[:, 0], theta[:, 1], members["x_A"], members["x_B"])
     for name, got, want in zip(COLUMNS, expanded, rs.columns()):
         assert got.tobytes() == want.tobytes(), name
-
-
-@pytest.mark.parametrize("mode", ["gaussian", "mixture"])
-def test_four_column_npz_still_reads(tmp_path, monkeypatch, mode):
-    monkeypatch.chdir(tmp_path)
-    pairs = ("--pairs", "90,90") if mode == "mixture" else ()
-    assert run("simulate", "--depth", "2", "--n", "5000", "--seed", "8",
-               *pairs, "--out", "new.npz") == 0
-    rs = read_records("new.npz")
-    # the layout of versions before the run table
-    savez(tmp_path / "old.npz", **dict(zip(COLUMNS, rs.columns())))
-    (tmp_path / "old.npz.meta.json").write_bytes(
-        (tmp_path / "new.npz.meta.json").read_bytes())
-    old = read_records("old.npz")
-    assert_bitwise_equal(old, rs)
-    assert old.phases.tobytes() == rs.phases.tobytes()
-    assert old.counts.tobytes() == rs.counts.tobytes()
-    for name in ("new", "old"):
-        assert run("verify", "--records", f"{name}.npz", "--mode", mode,
-                   "--boot", "50", "--out", f"verdict_{name}.json") == 0
-    assert (tmp_path / "verdict_old.json").read_bytes() == \
-        (tmp_path / "verdict_new.json").read_bytes()
 
 
 def test_npz_bytes_are_deterministic(tmp_path):
@@ -185,12 +163,14 @@ def test_non_finite_csv_row_counts_file_lines(tmp_path):
 
 
 def test_first_non_finite_record_is_named(tmp_path):
-    cols = _good_columns(n=100)
-    cols["x_B"][40] = math.nan
-    cols["theta_A"][70] = math.inf
-    cols["x_A"][40] = math.inf
+    rs = sample(n=100)
+    rs.x_b[40] = math.nan
+    rs.x_a[40] = math.inf
     path = tmp_path / "rec.npz"
-    savez(path, **cols)
+    # theta_A is infinite from record 71 on
+    savez(path, x_A=rs.x_a, x_B=rs.x_b,
+          phases=np.array([(0.0, 0.0), (0.0, 1.0), (math.inf, 0.0)]),
+          counts=np.array([40, 30, 30]))
     with pytest.raises(ParseError, match="record 41: non-finite x_A"):
         read_records(path)
 
@@ -200,8 +180,11 @@ def test_first_non_finite_record_is_named(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _good_columns(n=50):
-    return dict(zip(COLUMNS, sample(n=n).columns()))
+def _run_table():
+    """The members of a good run-table .npz: 50 records in four runs."""
+    rs = sample(n=50)
+    return {"x_A": rs.x_a, "x_B": rs.x_b, "phases": np.array(CANONICAL_PAIRS),
+            "counts": np.array([10, 15, 12, 13])}
 
 
 def _not_a_zip(path):
@@ -218,42 +201,47 @@ def _npy_file(path):
 
 
 def _truncated(path):
-    savez(path, **_good_columns())
+    savez(path, **_run_table())
     path.write_bytes(path.read_bytes()[:600])
 
 
 def _missing_member(path):
-    cols = _good_columns()
+    cols = _run_table()
     del cols["x_B"]
     savez(path, **cols)
 
 
 def _misnamed_member(path):
-    cols = _good_columns()
+    cols = _run_table()
     cols["x_b"] = cols.pop("x_B")
     savez(path, **cols)
 
 
+def _per_row_layout(path):
+    # the four per-row columns that cvdiscord 0.1.0 wrote
+    savez(path, **dict(zip(COLUMNS, sample(n=50).columns())))
+
+
 def _two_d_member(path):
-    cols = _good_columns()
+    cols = _run_table()
     cols["x_B"] = cols["x_B"].reshape(-1, 1)
     savez(path, **cols)
 
 
 def _int_member(path):
-    cols = _good_columns()
+    cols = _run_table()
     cols["x_A"] = np.arange(50)
     savez(path, **cols)
 
 
 def _object_member(path):
-    cols = _good_columns()
-    cols["theta_A"] = np.array([None] * 50, dtype=object)
+    cols = _run_table()
+    cols["phases"] = np.array([None] * 4, dtype=object)
     savez(path, **cols)
 
 
 def _uneven_members(path):
-    cols = _good_columns()
+    cols = _run_table()
     cols["x_B"] = cols["x_B"][:-1]
     savez(path, **cols)
 
@@ -265,6 +253,8 @@ def _uneven_members(path):
     (_truncated, "not a .npz"),
     (_missing_member, "members"),
     (_misnamed_member, "members"),
+    (_per_row_layout, "members ['theta_A', 'theta_B', 'x_A', 'x_B'], "
+                      "expected ['x_A', 'x_B', 'phases', 'counts']"),
     (_two_d_member, "x_B is 2-D float64, expected 1-D float64"),
     (_int_member, "x_A is 1-D int64, expected 1-D float64"),
     (_object_member, "allow_pickle"),
@@ -278,13 +268,6 @@ def test_malformed_npz_exits_1(tmp_path, monkeypatch, capsys, make, fault):
     assert run("verify", "--records", "bad.npz") == 1
     err = capsys.readouterr().err
     assert "bad.npz" in err and fault in err
-
-
-def _run_table():
-    """The members of a good run-table .npz: 50 records in four runs."""
-    rs = sample(n=50)
-    return {"x_A": rs.x_a, "x_B": rs.x_b, "phases": np.array(CANONICAL_PAIRS),
-            "counts": np.array([10, 15, 12, 13])}
 
 
 @pytest.mark.parametrize("change, fault", [

@@ -96,7 +96,7 @@ def test_beam_splitter_preserves_physicality():
         st = H.random_bipartite_state(rng)
         eta = rng.uniform(0.0, 1.0)
         out = apply_beam_splitter(st, eta)
-        assert validate_covariance(out.cov, out.v0).ok
+        assert validate_covariance(out.cov, out.v0) == []
 
 
 def test_beam_splitter_matrix_is_symplectic_orthogonal():
@@ -184,12 +184,12 @@ def test_state_validation_rejects_bad_inputs():
 
 
 def test_validation_report_names_failed_checks():
-    report = validate_covariance(np.diag([0.2, 0.2, 1.0, 1.0]))
-    assert not report.ok
-    assert any("uncertainty" in name or "physical" in name
-               for name in report.failures())
-    good = validate_covariance(np.eye(4))
-    assert good.ok and good.failures() == []
+    assert validate_covariance(np.diag([0.2, 0.2, 1.0, 1.0])) == [
+        "uncertainty_bound"]
+    assert validate_covariance(np.diag([-1.0, 1.0])) == [
+        "positive_definite", "uncertainty_bound"]
+    assert validate_covariance([[2.0, 1e-6], [0.0, 2.0]]) == ["symmetric"]
+    assert validate_covariance(np.eye(4)) == []
 
 
 def test_states_are_frozen():

@@ -189,7 +189,6 @@ def test_peak_location_on_a_known_gaussian():
     values = rng.normal(2.0, 1.0, size=1_000_000)
     est = estimate_peak(estimate_density(values), np.random.default_rng(0), 200)
     assert not est.boundary
-    assert est.method == "bin-parabolic"
     assert est.std_error > 0.0
     assert abs(est.location - 2.0) < 3.0 * est.std_error
     assert abs(est.location - 2.0) < 0.02
