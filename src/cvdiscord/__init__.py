@@ -39,7 +39,7 @@ from .verifier import (ChiSquareResult, DiscordVerdict, Histogram,
                        verdict_mixture)
 from .fock import (FockDensityMatrix, QuadratureGrid, bipartite_from_parts,
                    build_ce_hidden_discord, build_ce_zero_discord,
-                   coherent_fock, commutator_norm, conditional_b_given_sign,
+                   coherent_fock, commutator_norm, condition_b_on_sign,
                    default_grid, density_from_vector, fock_state_to_json,
                    grid_moments, grid_peak, homodyne_marginal_fock, number_mean,
                    oscillator_eigenfunctions, sign_projectors,

@@ -8,8 +8,9 @@ edge cases).  Options come from flags, falling back to a JSON config file
 checks that each output is a file name of its own that names no input.
 It writes every output and a manifest <primary output>.manifest.json,
 with the effective config, library versions, wall-clock timings and a
-sha256 of each output file, to temp files, and puts them all in place
-once all of them are written, so a command that fails leaves no output.
+sha256 of each output file, to temp files, and makes missing directories
+and puts the outputs in place once all are written, so a command that
+fails leaves no output and no directory.
 Timings live only in the manifest so the data files are byte-reproducible.
 A record file's provenance is this module's alone: simulate writes it to a
 sidecar <records>.meta.json, and verify copies it into the verdict.
@@ -38,7 +39,7 @@ from . import __version__
 from .errors import (ParseError, ValidationError, dump_document, read_document,
                      write_table)
 from .fock import (build_ce_hidden_discord, build_ce_zero_discord,
-                   commutator_norm, conditional_b_given_sign, default_grid,
+                   commutator_norm, condition_b_on_sign, default_grid,
                    fock_state_to_json, grid_moments, grid_peak,
                    homodyne_marginal_fock, squeezed_vacuum_fock,
                    superposition_basis, thermal_fock, verify_classical_on_b)
@@ -219,17 +220,18 @@ def _output_paths(args: argparse.Namespace, cfg: dict) -> list[Path]:
     return paths
 
 
-def _temp(path: Path) -> Path:
-    """A temp file name beside path, creating its directory: the first of
-    records.tmp.npz, records.tmp1.npz, ... that names no file, so no file
-    there, an input included, is written over or removed.  It keeps the
-    suffix, because write_records picks the file format from it.  The
-    file is left to its writer, as ext4 starts writing back a file that
-    was truncated on open, even an empty one, when it is closed."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _temp(path: Path, outputs: list[Path]) -> Path:
+    """A temp file name in the deepest existing directory above path (main
+    makes missing ones only as it puts the outputs in place): the first of
+    records.tmp.npz, records.tmp1.npz, ... that names no file and no output,
+    so no file there, an input included, is written over or removed.  It
+    keeps the suffix, because write_records picks the file format from it.
+    The file is left to its writer, as ext4 starts writing back a file
+    that was truncated on open, even an empty one, when it is closed."""
+    folder = next(p for p in path.parents if p.exists())
     for i in itertools.count():
-        tmp = path.with_name(f"{path.stem}.tmp{i or ''}{path.suffix}")
-        if not os.path.lexists(tmp):
+        tmp = folder / f"{path.stem}.tmp{i or ''}{path.suffix}"
+        if not (os.path.lexists(tmp) or tmp.resolve() in outputs):
             return tmp
 
 
@@ -349,8 +351,8 @@ def emit_plotdata(hists: ConditionalHistograms, path: Path) -> None:
 
 def _cmd_simulate(cfg: dict) -> list:
     """Draw homodyne records.  The gaussian scheme simulates all four
-    canonical phase pairs by default (n records each, per-pair seeds seed,
-    seed+1, ...); other schemes use a single pair.  --duty is checked for
+    canonical phase pairs by default (n records each, pair i drawn as item
+    i of --seed); other schemes use a single pair.  --duty is checked for
     every scheme, as the manifest records it whether the scheme uses it."""
     _check_duty(cfg["duty"])
     scheme = _SCHEMES[cfg["scheme"]](cfg)
@@ -361,8 +363,8 @@ def _cmd_simulate(cfg: dict) -> list:
     else:
         pairs = [(math.radians(cfg["theta_a"]), math.radians(cfg["theta_b"]))]
     rs = sample_scheme([SimulationConfig(
-        scheme=scheme, n_samples=cfg["n"], seed=cfg["seed"] + i, eta=cfg["eta"],
-        theta_a=ta, theta_b=tb, v0=cfg["v0"]) for i, (ta, tb) in enumerate(pairs)])
+        scheme=scheme, n_samples=cfg["n"], eta=cfg["eta"], theta_a=ta,
+        theta_b=tb, v0=cfg["v0"]) for ta, tb in pairs], cfg["seed"])
     meta = {
         "kind": "scheme",
         "scheme": {"kind": scheme.kind, **dataclasses.asdict(scheme)},
@@ -438,13 +440,10 @@ def _sign_report(state) -> tuple:
     """Condition B on the sign of A's x outcome and locate the peaks of the
     two conditional homodyne marginals of B on the default grid; returns
     the report, the grid and the marginals in plot-file column order."""
-    rho_p, p_plus = conditional_b_given_sign(state, +1)
-    rho_m, p_minus = conditional_b_given_sign(state, -1)
+    (rho_p, p_plus), (rho_m, p_minus) = condition_b_on_sign(state)
     grid = default_grid(state.dim_b, state.v0)
-    dens_p = homodyne_marginal_fock(rho_p, grid)
-    dens_m = homodyne_marginal_fock(rho_m, grid)
-    peak_p = grid_peak(grid, dens_p)
-    peak_m = grid_peak(grid, dens_m)
+    dens_p, dens_m = (homodyne_marginal_fock(rho, grid) for rho in (rho_p, rho_m))
+    peak_p, peak_m = (grid_peak(grid, dens) for dens in (dens_p, dens_m))
     report = {
         "dim_A": state.dim_a,
         "dim_B": state.dim_b,
@@ -524,19 +523,20 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         writers = _COMMANDS[args.command](cfg)
         t1 = time.perf_counter()
-        temps = []
+        temps, resolved = [], [path.resolve() for path in paths]
         try:
             # every output and the manifest go to temp files first, and
             # replace their destinations only once all of them are written
             for path, write in zip(outputs, writers):
-                temps.append(_temp(path))
+                temps.append(_temp(path, resolved))
                 write(temps[-1])
             t2 = time.perf_counter()
             timings = {"compute_s": t1 - t0, "write_s": t2 - t1, "total_s": t2 - t0}
             hashes = {str(path): _sha256(tmp) for path, tmp in zip(outputs, temps)}
-            temps.append(_temp(manifest))
+            temps.append(_temp(manifest, resolved))
             temps[-1].write_text(_manifest(args.command, cfg, hashes, timings))
             for path in paths:
+                path.parent.mkdir(parents=True, exist_ok=True)
                 os.replace(temps.pop(0), path)
         finally:
             for tmp in temps:

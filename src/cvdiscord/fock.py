@@ -265,21 +265,17 @@ def _rotate(op: np.ndarray, theta: float) -> np.ndarray:
     return phases[:, None] * op * phases[None, :].conj()
 
 
-def conditional_b_given_sign(state: FockDensityMatrix, sign: int
-                             ) -> tuple[np.ndarray, float]:
-    """Reduced B state conditioned on sign(x_A - 0), with its probability."""
-    if sign not in (1, -1):
-        raise ValidationError("sign must be +1 or -1")
-    plus, minus = sign_projectors(state.dim_a, state.v0)
-    proj = plus if sign == 1 else minus
-    raw = np.einsum("ajbk,ba->jk", state.tensor, proj)
-    prob = float(raw.trace().real)
-    if prob < 1e-12:
-        raise DegenerateSplitError(
-            f"conditioning probability {prob:.3g} on sign {sign:+d}"
-        )
-    rho = raw / prob
-    return 0.5 * (rho + rho.conj().T), prob
+def condition_b_on_sign(state: FockDensityMatrix) -> tuple[tuple[np.ndarray, float], ...]:
+    """The reduced B states conditioned on x_A >= 0 and on x_A < 0, each
+    with its probability, from one build of the sign projectors."""
+    sides = []
+    for sign, proj in zip((1, -1), sign_projectors(state.dim_a, state.v0)):
+        raw = np.einsum("ajbk,ba->jk", state.tensor, proj)
+        if (prob := float(raw.trace().real)) < 1e-12:
+            raise DegenerateSplitError(f"conditioning probability {prob:.3g} on sign {sign:+d}")
+        rho = raw / prob
+        sides.append((0.5 * (rho + rho.conj().T), prob))
+    return tuple(sides)
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,13 @@ def conditional_marginal_density(form: MarginalForm, x_b, sign: int,
     return val if val.ndim else float(val)
 
 
-def _plus_peak(form: MarginalForm) -> float:
-    """Mode of the plus-side conditional at threshold 0 (zero-mean form)."""
+def analytic_peak_separation(form: MarginalForm) -> float:
+    """Distance between the modes of the two sign-conditioned marginals,
+    Delta = argmax D(x_B | +) - argmax D(x_B | -), at threshold 0 on a
+    zero-mean form.  D(x|-) is D(-x|+), so Delta is twice the plus mode.
+
+    Antisymmetric in nu and exactly zero at nu = 0.
+    """
     lam, mu, nu = form.lam, form.mu, form.nu
     if nu == 0.0:
         return 0.0
@@ -190,22 +195,9 @@ def _plus_peak(form: MarginalForm) -> float:
         raise NumericError("failed to bracket the conditional mode")
     lo, hi = (0.0, hi) if direction > 0 else (hi, 0.0)
     try:
-        return float(brentq(dlog, lo, hi, xtol=PEAK_XTOL, maxiter=PEAK_MAXITER))
+        return 2.0 * float(brentq(dlog, lo, hi, xtol=PEAK_XTOL, maxiter=PEAK_MAXITER))
     except (ValueError, RuntimeError) as exc:
         raise NumericError("conditional mode search failed") from exc
-
-
-def analytic_peak_separation(form: MarginalForm) -> float:
-    """Distance between the modes of the two sign-conditioned marginals,
-    Delta = argmax D(x_B | +) - argmax D(x_B | -).
-
-    Antisymmetric in nu and exactly zero at nu = 0.
-    """
-    peak_plus = _plus_peak(form)
-    # D(x|-) at nu equals D(x|+) at -nu, so its mode needs no extra flip
-    flipped = MarginalForm(form.lam, form.mu, -form.nu, form.theta_a, form.theta_b)
-    peak_minus = _plus_peak(flipped)
-    return peak_plus - peak_minus
 
 
 # ---------------------------------------------------------------------------

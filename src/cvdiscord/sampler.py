@@ -4,8 +4,8 @@ A record is (theta_A, theta_B, x_A, x_B): the local-oscillator phases and
 the two quadrature outcomes of one joint measurement.  Records are held,
 and stored in a .npz file, as the x_A and x_B columns plus a run table of
 phase pairs; a CSV file holds the four columns per row.  Each fixed-size
-chunk of records has its own RNG substream derived from (seed, chunk
-index), so the chunks are filled on all the process's CPUs in any order.
+chunk of records has its own random stream (_streams), so the chunks are
+filled on all the process's CPUs in any order.
 
 The modulation schemes draw a per-sample classical displacement for the
 pre-splitter beam, mix it through the splitter (vacuum on the idle port)
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError, require_finite, write_table
-from .marginals import joint_marginal_form
+from .marginals import MarginalForm, joint_marginal_form
 from .states import DEFAULT_V0, GaussianBipartiteState
 
 CHUNK = 1 << 16
@@ -148,7 +148,6 @@ def _check_duty(duty: float) -> None:
 class SimulationConfig:
     scheme: ModulationScheme
     n_samples: int
-    seed: int
     eta: float = 1.0 / np.sqrt(2.0)
     theta_a: float = 0.0
     theta_b: float = 0.0
@@ -266,16 +265,28 @@ def _call(cell):
     return fn(*a)
 
 
+def _streams(seed, item: int = 0):
+    """stream(k) for item `item` of a call seeded `seed`, a non-negative
+    integer: a generator on child k of the item's root SeedSequence((seed,
+    item)), from which nothing draws directly.  Streams 0 and 1 bootstrap
+    the plus and minus sides, and 2 + c fills sample chunk c."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    root = (int(seed), item)
+    return lambda k: np.random.default_rng(np.random.SeedSequence(root, spawn_key=(k,)))
+
+
 def _draw(parts) -> tuple[np.ndarray, np.ndarray]:
-    """The x_A and x_B columns of the records of each (n, seed, chunk) part
-    in turn, filled in fixed-size chunks on the pool: chunk(rng, m) gives
-    both columns of m records, the rng a substream derived from (the
-    part's seed, chunk index within the part)."""
+    """The x_A and x_B columns of the records of each (n, streams, chunk)
+    part in turn, filled in fixed-size chunks on the pool: chunk(rng, m)
+    gives both columns of m records, rng the chunk's stream (_streams)."""
+    if min(n for n, _, _ in parts) <= 0:
+        raise ValidationError("n must be positive")
     ends = np.cumsum([n for n, _, _ in parts])
     x_a, x_b = np.empty(ends[-1]), np.empty(ends[-1])
 
-    def fill(end, n, seed, chunk, start):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, start // CHUNK)))
+    def fill(end, n, streams, chunk, start):
+        rng = streams(2 + start // CHUNK)
         rows = slice(end - n + start, end - n + min(start + CHUNK, n))
         x_a[rows], x_b[rows] = chunk(rng, rows.stop - rows.start)
 
@@ -284,27 +295,30 @@ def _draw(parts) -> tuple[np.ndarray, np.ndarray]:
     return x_a, x_b
 
 
-def sample_gaussian(state: GaussianBipartiteState, theta_a: float, theta_b: float,
-                    n: int, seed: int) -> RecordSet:
-    """Draw n joint outcomes from a Gaussian state at fixed phases."""
-    if n <= 0:
-        raise ValidationError("n must be positive")
-    form = joint_marginal_form(state, theta_a, theta_b)
+def _gaussian_chunk(form: MarginalForm):
+    """chunk(rng, m) for _draw: m joint outcomes of a marginal form."""
     cov = np.array([[form.mu, form.nu], [form.nu, form.lam]]) / (2.0 * form.det)
     chol = np.linalg.cholesky(cov)
     mean = np.array([form.mean_a, form.mean_b])
-    x_a, x_b = _draw([(n, seed, lambda rng, m:
-                       (rng.standard_normal((m, 2)) @ chol.T + mean).T)])
-    return RecordSet(x_a, x_b, [(theta_a, theta_b)], [n])
+    return lambda rng, m: (rng.standard_normal((m, 2)) @ chol.T + mean).T
 
 
-def sample_scheme(configs: SimulationConfig | list[SimulationConfig]) -> RecordSet:
+def sample_gaussian(state: GaussianBipartiteState, theta_a: float, theta_b: float,
+                    n: int, seed: int) -> RecordSet:
+    """Draw n joint outcomes from a Gaussian state at fixed phases."""
+    form = joint_marginal_form(state, theta_a, theta_b)
+    return RecordSet(*_draw([(n, _streams(seed), _gaussian_chunk(form))]),
+                     [(theta_a, theta_b)], [n])
+
+
+def sample_scheme(configs: SimulationConfig | list[SimulationConfig],
+                  seed: int) -> RecordSet:
     """Draw homodyne records for a modulation scheme: for one config, or
-    for several in turn into one pair of columns, with a run per config.
-    The records equal those of each config drawn alone and joined end to
-    end."""
+    for several in turn into one pair of columns, with a run per config;
+    config i is drawn as item i of seed."""
     configs = [configs] if isinstance(configs, SimulationConfig) else configs
-    x_a, x_b = _draw([(c.n_samples, c.seed, c.draw) for c in configs])
+    x_a, x_b = _draw([(c.n_samples, _streams(seed, i), c.draw)
+                      for i, c in enumerate(configs)])
     return RecordSet(x_a, x_b, [(c.theta_a, c.theta_b) for c in configs],
                      [c.n_samples for c in configs])
 

@@ -23,12 +23,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from .errors import (EmptySideError, InsufficientDataError, NumericError,
                      ValidationError, dump_document, require_finite, write_table)
 from .marginals import analytic_peak_separation, joint_marginal_form
-from .sampler import CHUNK, RecordSet, _starmap, sample_gaussian
+from .sampler import CHUNK, RecordSet, _draw, _gaussian_chunk, _starmap, _streams
 from .states import modulated_beam, split_balanced
 
 MIN_BINS = 50
@@ -307,7 +307,7 @@ def _fit_peaks(edges: np.ndarray, counts: np.ndarray
     return loc, boundary
 
 
-def estimate_peak(hist: Histogram, rng=None,
+def estimate_peak(hist: Histogram, rng: np.random.Generator,
                   n_boot: int = BOOTSTRAP_DEFAULT) -> PeakEstimate:
     """Peak location of a histogram with a bootstrap standard error: the
     spread of n_boot >= 2 multinomial redraws of the bin counts (the
@@ -315,7 +315,6 @@ def estimate_peak(hist: Histogram, rng=None,
     with the histogram itself in one batched fit."""
     _check_settings(n_boot=n_boot)
     _check_peaked(hist)
-    rng = np.random.default_rng(0) if rng is None else rng
     total = hist.total
     reps = rng.multinomial(total, hist.counts / total, size=n_boot)
     locs, boundary = _fit_peaks(hist.edges, np.vstack([hist.counts, reps]))
@@ -331,20 +330,18 @@ def _check_peaked(hist: Histogram) -> None:
 def separation_statistic(rs: RecordSet, threshold: float = 0.0,
                          seed: int = 0, n_boot: int = BOOTSTRAP_DEFAULT
                          ) -> tuple[float, float, PeakEstimate, PeakEstimate]:
-    """Peak separation Delta between the sign-conditioned B marginals,
-    with its bootstrap standard error."""
+    """Peak separation Delta between the sign-conditioned B marginals, with
+    its bootstrap standard error from the streams of a verdict's first pair."""
     return _separation(*map(np.sort, split_by_threshold(rs, threshold)),
-                       np.random.SeedSequence((seed, 0xB007)), n_boot)
+                       _streams(seed), n_boot)
 
 
-def _separation(plus_sorted: np.ndarray, minus_sorted: np.ndarray,
-                ss: np.random.SeedSequence, n_boot: int):
+def _separation(plus_sorted: np.ndarray, minus_sorted: np.ndarray, streams, n_boot: int):
     """Fit the B peak of each side, given in ascending order, bootstrapping
-    each with its own stream spawned from ss; returns (delta, sigma,
-    peak_plus, peak_minus)."""
-    peak_p, peak_m = (estimate_peak(estimate_density(side),
-                                    np.random.default_rng(s), n_boot)
-                      for side, s in zip((plus_sorted, minus_sorted), ss.spawn(2)))
+    the plus side on the item's stream 0 and the minus side on its stream
+    1 (_streams); returns (delta, sigma, peak_plus, peak_minus)."""
+    peak_p, peak_m = (estimate_peak(estimate_density(side), streams(k), n_boot)
+                      for k, side in enumerate((plus_sorted, minus_sorted)))
     delta = peak_p.location - peak_m.location
     sigma = float(np.hypot(peak_p.std_error, peak_m.std_error))
     return delta, sigma, peak_p, peak_m
@@ -391,7 +388,7 @@ def chi_square_two_sample(hist_r: Histogram, hist_s: Histogram) -> ChiSquareResu
     pooled = r + s
     stat = float((((k_r * r - k_s * s) ** 2) / pooled).sum())
     dof = len(r) - 1
-    p = float(stats.chi2.sf(stat, dof))
+    p = float(chdtrc(dof, stat))
     return ChiSquareResult(statistic=stat, dof=dof, p_value=p,
                            merged_bins=len(r))
 
@@ -416,12 +413,10 @@ def _check_settings(k_min: float = K_MIN_DEFAULT, alpha: float = CHI2_ALPHA,
 
 
 def _pair_stats(rs: RecordSet, theta_a: float, theta_b: float,
-                threshold: float, seed: int, n_boot: int,
-                pair_index: int) -> PairStats:
-    ss = np.random.SeedSequence((seed, pair_index))
+                threshold: float, streams, n_boot: int) -> PairStats:
     plus_b, minus_b = split_by_threshold(rs, threshold)
     plus_sorted = np.sort(plus_b)
-    delta, sigma, _, _ = _separation(plus_sorted, np.sort(minus_b), ss, n_boot)
+    delta, sigma, _, _ = _separation(plus_sorted, np.sort(minus_b), streams, n_boot)
     k = abs(delta) / sigma if sigma > 0 else np.inf
     hists = _bin_sides(rs.x_b, plus_b, minus_b, plus_sorted)
     return PairStats(theta_a=theta_a, theta_b=theta_b, delta=delta,
@@ -453,8 +448,8 @@ def verdict_gaussian(rs: RecordSet, threshold: float = 0.0,
     Requires records for every requested pair with sample sizes matching
     within 10%.  Decides "discordant" when any pair's separation is at
     least k_min bootstrap standard errors; the per-pair chi-square between
-    the two conditional histograms is reported as a diagnostic.  Each pair
-    has its own seed stream; pairs of at least CHUNK records run on the
+    the two conditional histograms is reported as a diagnostic.  Pair i
+    bootstraps as item i of seed; pairs of at least CHUNK records run on the
     process's CPUs, smaller ones on the calling thread, as a second thread
     saves them little time and makes that time vary with the load on the
     other CPU.  Results and the first error come back in pair order.
@@ -475,7 +470,7 @@ def verdict_gaussian(rs: RecordSet, threshold: float = 0.0,
             f"pair sample sizes differ by more than 10%: {sizes.astype(int).tolist()}"
         )
     per_pair = tuple(_starmap(_pair_stats, [
-        (sub, ta, tb, threshold, seed, n_boot, i)
+        (sub, ta, tb, threshold, _streams(seed, i), n_boot)
         for i, (ta, tb, sub) in enumerate(subsets)], pool=sizes.min() >= CHUNK))
     discordant = any(p.k >= k_min for p in per_pair)
     return DiscordVerdict(per_pair=per_pair, k_min=k_min, threshold=threshold,
@@ -535,7 +530,7 @@ def sweep_modulation(depths, n: int, seed: int, v0: float = 1.0,
 
     Modulation rides on the p quadrature and both stations measure it
     (theta = pi/2), matching the locked-quadrature protocol.  Depth i
-    draws and bootstraps from seed + i.  Depths run on the process's CPUs;
+    draws and bootstraps as item i of seed.  Depths run on the process's CPUs;
     rows and the first error come back in depth order.
     """
     depths = np.asarray(list(depths), dtype=float)
@@ -544,16 +539,17 @@ def sweep_modulation(depths, n: int, seed: int, v0: float = 1.0,
     if not np.all(np.isfinite(depths) & (depths >= 0)):
         raise ValidationError(f"depths must be finite and non-negative, "
                               f"got {depths.tolist()}")
-    return _starmap(_sweep_row, [(depth, n, int(seed + i), v0, n_boot)
+    return _starmap(_sweep_row, [(depth, n, _streams(seed, i), v0, n_boot)
                                  for i, depth in enumerate(depths)])
 
 
-def _sweep_row(depth: float, n: int, seed: int, v0: float, n_boot: int) -> dict:
+def _sweep_row(depth: float, n: int, streams, v0: float, n_boot: int) -> dict:
     half_pi = np.pi / 2.0
     state = split_balanced(modulated_beam(0.0, depth, v0))
     form = joint_marginal_form(state, half_pi, half_pi)
-    rs = sample_gaussian(state, half_pi, half_pi, n, seed=seed)
-    delta, sigma, _, _ = separation_statistic(rs, 0.0, seed=seed, n_boot=n_boot)
+    rs = RecordSet(*_draw([(n, streams, _gaussian_chunk(form))]), [(half_pi, half_pi)], [n])
+    delta, sigma, _, _ = _separation(*map(np.sort, split_by_threshold(rs, 0.0)),
+                                     streams, n_boot)
     return {
         "depth": float(depth),
         "delta": float(delta),

@@ -16,7 +16,7 @@ from scipy import stats
 
 from cvdiscord.cli import main
 from cvdiscord.fock import (build_ce_hidden_discord, build_ce_zero_discord,
-                            commutator_norm, conditional_b_given_sign,
+                            commutator_norm, condition_b_on_sign,
                             default_grid, grid_moments, grid_peak,
                             homodyne_marginal_fock, squeezed_vacuum_fock,
                             superposition_basis, thermal_fock,
@@ -213,8 +213,8 @@ def test_acceptance_06_non_gaussian_verdicts():
     worst_p = 0.0
     for i, (name, scheme, ta, tb, threshold) in enumerate(runs):
         cfg = SimulationConfig(scheme=scheme, n_samples=1_000_000,
-                               seed=600 + i, theta_a=ta, theta_b=tb)
-        rs = sample_scheme(cfg)
+                               theta_a=ta, theta_b=tb)
+        rs = sample_scheme(cfg, 600 + i)
         verdict = verdict_mixture(rs, threshold=threshold)
         assert verdict.decision == "discordant", name
         p = min(s.chi2.p_value for s in verdict.sides)
@@ -222,7 +222,7 @@ def test_acceptance_06_non_gaussian_verdicts():
         worst_p = max(worst_p, p)
 
     control = sample_scheme(SimulationConfig(scheme=GaussianModulation(0, 0),
-                                             n_samples=1_000_000, seed=699))
+                                             n_samples=1_000_000), 699)
     verdict = verdict_mixture(control, threshold=0.0)
     assert verdict.decision == "not-detected"
     print(f"ACCEPTANCE 06 non-Gaussian verdicts: PASS "
@@ -235,8 +235,7 @@ def test_acceptance_07_counterexample_certification():
     zero = build_ce_zero_discord(alpha=1.0)
     assert verify_classical_on_b(zero, superposition_basis(zero.dim_b))
     grid = default_grid(zero.dim_b, zero.v0)
-    rho_p, _ = conditional_b_given_sign(zero, +1)
-    rho_m, _ = conditional_b_given_sign(zero, -1)
+    (rho_p, _), (rho_m, _) = condition_b_on_sign(zero)
     sep = (grid_peak(grid, homodyne_marginal_fock(rho_p, grid))
            - grid_peak(grid, homodyne_marginal_fock(rho_m, grid)))
     assert sep > 0.1 * math.sqrt(zero.v0)
@@ -244,8 +243,7 @@ def test_acceptance_07_counterexample_certification():
     hidden = build_ce_hidden_discord(nbar=1.0, r=0.5)
     assert hidden.dim_a <= 40 and hidden.dim_b <= 40
     grid = default_grid(hidden.dim_b, hidden.v0)
-    rho_p, _ = conditional_b_given_sign(hidden, +1)
-    rho_m, _ = conditional_b_given_sign(hidden, -1)
+    (rho_p, _), (rho_m, _) = condition_b_on_sign(hidden)
     dens_p = homodyne_marginal_fock(rho_p, grid)
     dens_m = homodyne_marginal_fock(rho_m, grid)
     hidden_sep = abs(grid_peak(grid, dens_p) - grid_peak(grid, dens_m))

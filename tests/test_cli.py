@@ -723,6 +723,25 @@ def test_bad_output_names_exit_1_and_change_no_file(tmp_path, monkeypatch,
     assert _snapshot(tmp_path) == before
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--n", "500", "--pairs", "0,0", "--seed", "-1", "--out", "new.npz"),
+    ("sweep", "--depths", "0.5", "--n", "1000", "--seed", "-3", "--out", "new.csv"),
+    ("verify", "--records", "r.npz", "--pairs", "0,0", "--seed", "-2",
+     "--out", "new.json"),
+], ids=["simulate", "sweep", "verify"])
+def test_a_negative_seed_exits_1_naming_it_and_writes_nothing(tmp_path, monkeypatch,
+                                                             capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--n", "2000", "--pairs", "0,0", "--out", "r.npz") == 0
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    assert run(*argv) == 1
+    seed = argv[argv.index("--seed") + 1]
+    assert capsys.readouterr().err == (
+        f"error: seed must be a non-negative integer, got {seed}\n")
+    assert _snapshot(tmp_path) == before
+
+
 def test_outputs_and_inputs_compare_as_resolved_paths(tmp_path, monkeypatch,
                                                        capsys):
     monkeypatch.chdir(tmp_path)
@@ -767,6 +786,47 @@ def test_a_failed_write_leaves_every_file_as_it_was(tmp_path, monkeypatch,
     assert _snapshot(tmp_path) == before
 
 
+def test_a_failed_command_leaves_no_directory_behind(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--n", "2000", "--pairs", "0,0",
+               "--out", "r.npz") == 0
+    (tmp_path / "kept").mkdir()
+    before = _snapshot(tmp_path)
+
+    def emit_plotdata(hists, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "emit_plotdata", emit_plotdata)
+    capsys.readouterr()
+    assert run("verify", "--records", "r.npz", "--pairs", "0,0",
+               "--out", "out/v.json", "--plotdata", "kept/new/sub/p.csv") == 2
+    assert capsys.readouterr().err == "error: disk full\n"
+    # neither out nor kept/new/sub; kept, made before, stays
+    assert _snapshot(tmp_path) == before
+    monkeypatch.undo()
+    monkeypatch.chdir(tmp_path)
+    assert run("verify", "--records", "r.npz", "--pairs", "0,0",
+               "--out", "out/v.json", "--plotdata", "kept/new/sub/p.csv") == 0
+    assert {p.name for p in tmp_path.iterdir()} == {"kept", "out", "r.npz",
+                                                   "r.npz.manifest.json",
+                                                   "r.npz.meta.json"}
+    assert sorted(p.name for p in (tmp_path / "kept/new/sub").iterdir()) == ["p.csv"]
+
+
+def test_no_temp_file_takes_the_name_of_a_later_output(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--n", "2000", "--pairs", "0,0",
+               "--out", "r.npz") == 0
+    # the verdict v.tmp.json is the first temp name of the plot data v.json
+    assert run("verify", "--records", "r.npz", "--pairs", "0,0",
+               "--out", "v.tmp.json", "--plotdata", "v.json") == 0
+    assert json.loads((tmp_path / "v.tmp.json").read_text())["decision"]
+    assert (tmp_path / "v.json").read_text().startswith("x,unconditional,")
+    manifest = json.loads((tmp_path / "v.tmp.json.manifest.json").read_text())
+    assert manifest["outputs"] == {name: sha256(tmp_path / name)
+                                   for name in ("v.tmp.json", "v.json")}
+
+
 def test_a_temp_file_name_never_takes_an_existing_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     # v.tmp.csv is the first temp name of the verdict v.csv
@@ -789,6 +849,15 @@ def test_module_entry_point(tmp_path):
         cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "rec.csv").exists()
+
+
+def test_importing_the_command_line_leaves_out_scipy_stats():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cvdiscord.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_console_script_installed(tmp_path):

@@ -22,7 +22,7 @@ from cvdiscord import (
     build_ce_zero_discord,
     coherent_fock,
     commutator_norm,
-    conditional_b_given_sign,
+    condition_b_on_sign,
     default_grid,
     density_from_vector,
     fock_state_to_json,
@@ -201,22 +201,18 @@ def test_sign_projectors_complete_and_parity_related():
 
 def test_conditioning_is_a_proper_decomposition():
     state = build_ce_zero_discord(alpha=1.0)
-    rho_p, p_plus = conditional_b_given_sign(state, +1)
-    rho_m, p_minus = conditional_b_given_sign(state, -1)
+    (rho_p, p_plus), (rho_m, p_minus) = condition_b_on_sign(state)
     assert p_plus + p_minus == pytest.approx(1.0, abs=1e-8)
     mix = p_plus * rho_p + p_minus * rho_m
     assert np.abs(mix - state.reduced_b()).max() < 1e-8
     assert np.trace(rho_p).real == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(ValidationError):
-        conditional_b_given_sign(state, 0)
 
 
 def test_product_state_is_unchanged_by_conditioning():
     rho_a = density_from_vector(coherent_fock(1.0, 20))
     rho_b = thermal_fock(0.8, 30)
     state = bipartite_from_parts([(1.0, rho_a, rho_b)], 20, 30)
-    rho_p, _ = conditional_b_given_sign(state, +1)
-    rho_m, _ = conditional_b_given_sign(state, -1)
+    (rho_p, _), (rho_m, _) = condition_b_on_sign(state)
     assert np.abs(rho_p - rho_b).max() < 1e-10
     assert np.abs(rho_m - rho_b).max() < 1e-10
 
@@ -236,8 +232,7 @@ def test_zero_discord_state_is_classical_yet_separates():
     assert not verify_classical_on_b(state, np.eye(state.dim_b, dtype=complex))
 
     grid = default_grid(state.dim_b)
-    rho_p, p_plus = conditional_b_given_sign(state, +1)
-    rho_m, p_minus = conditional_b_given_sign(state, -1)
+    (rho_p, p_plus), (rho_m, p_minus) = condition_b_on_sign(state)
     assert p_plus == pytest.approx(0.5, abs=1e-6)
     assert p_minus == pytest.approx(0.5, abs=1e-6)
     peak_p = grid_peak(grid, homodyne_marginal_fock(rho_p, grid))
@@ -253,8 +248,7 @@ def test_zero_discord_state_with_degenerate_displacement():
     state = build_ce_zero_discord(alpha=0.0)
     assert verify_classical_on_b(state, superposition_basis(state.dim_b))
     grid = default_grid(state.dim_b)
-    rho_p, _ = conditional_b_given_sign(state, +1)
-    rho_m, _ = conditional_b_given_sign(state, -1)
+    (rho_p, _), (rho_m, _) = condition_b_on_sign(state)
     peak_p = grid_peak(grid, homodyne_marginal_fock(rho_p, grid))
     peak_m = grid_peak(grid, homodyne_marginal_fock(rho_m, grid))
     assert abs(peak_p - peak_m) < 1e-9
@@ -271,8 +265,7 @@ def test_hidden_discord_state_certifies_all_three_limits():
     assert state.dim_b <= 40
 
     grid = default_grid(state.dim_b)
-    rho_p, p_plus = conditional_b_given_sign(state, +1)
-    rho_m, p_minus = conditional_b_given_sign(state, -1)
+    (rho_p, p_plus), (rho_m, p_minus) = condition_b_on_sign(state)
     assert p_plus + p_minus == pytest.approx(1.0, abs=1e-8)
 
     dens_p = homodyne_marginal_fock(rho_p, grid)

@@ -30,8 +30,7 @@ def run(*argv):
 
 
 def sample(n=3_000, seed=61):
-    return sample_scheme(SimulationConfig(SwitchedNoise(2.0, 1.0, 0.4), n,
-                                          seed=seed))
+    return sample_scheme(SimulationConfig(SwitchedNoise(2.0, 1.0, 0.4), n), seed)
 
 
 def assert_bitwise_equal(a, b):

@@ -47,6 +47,7 @@ from cvdiscord.sampler import (
     SWITCHED_PHASE_THRESHOLD,
     _draw,
     _starmap,
+    _streams,
 )
 
 HALF_PI = np.pi / 2.0
@@ -77,11 +78,11 @@ def test_worker_count_does_not_change_the_stream(monkeypatch):
     # three chunks, the last one partial, so the pool fills two of them
     n = 2 * CHUNK + 1
     state = split_balanced(modulated_beam(1.0, 3.0))
-    cfg = SimulationConfig(SwitchedNoise(2.0, 2.0, 0.3), n, seed=9)
+    cfg = SimulationConfig(SwitchedNoise(2.0, 2.0, 0.3), n)
 
     def draw():
         return (sample_gaussian(state, HALF_PI, HALF_PI, n, seed=7),
-                sample_scheme(cfg))
+                sample_scheme(cfg, 9))
 
     pooled = draw()
     monkeypatch.setattr(sampler, "_POOL", None)
@@ -90,18 +91,45 @@ def test_worker_count_does_not_change_the_stream(monkeypatch):
         assert np.array_equal(threaded.x_b, serial.x_b)
 
 
-def test_several_configs_fill_one_pair_of_columns_as_their_concatenation():
+def test_the_first_configs_draw_the_first_runs():
     # chunk boundaries fall inside each pair and between pairs
     n = 2 * CHUNK + 1
-    configs = [SimulationConfig(SwitchedNoise(2.0, 1.0, 0.3), n, seed=9 + i,
+    configs = [SimulationConfig(SwitchedNoise(2.0, 1.0, 0.3), n,
                                 theta_a=ta, theta_b=tb)
-               for i, (ta, tb) in enumerate([(0.0, 0.0), (0.0, HALF_PI),
-                                             (HALF_PI, HALF_PI)])]
-    together = sample_scheme(configs)
-    apart = H.concat_records([sample_scheme(c) for c in configs])
-    for name in ("x_a", "x_b", "phases", "counts"):
-        assert np.array_equal(getattr(together, name), getattr(apart, name))
-    assert np.array_equal(together.x_b[:n], sample_scheme(configs[0]).x_b)
+               for ta, tb in [(0.0, 0.0), (0.0, HALF_PI), (HALF_PI, HALF_PI)]]
+    together = sample_scheme(configs, 9)
+    for j in (1, 2):
+        first = sample_scheme(configs[:j], 9)
+        for name in ("x_a", "x_b"):
+            assert np.array_equal(getattr(first, name), getattr(together, name)[:j * n])
+        assert np.array_equal(first.phases, together.phases[:j])
+        assert np.array_equal(first.counts, together.counts[:j])
+
+
+def test_draws_one_seed_apart_share_no_run():
+    # equal configs, so a run that drew from a neighbouring seed's stream
+    # would repeat a run of the other draw
+    configs = [SimulationConfig(SwitchedNoise(2.0, 1.0, 0.3), 1_000)] * 3
+    runs = [np.split(sample_scheme(configs, seed).x_b, 3) for seed in (4, 5)]
+    assert not [1 for a in runs[0] for b in runs[1] if np.intersect1d(a, b).size]
+
+
+def test_streams_of_nearby_seeds_items_and_children_are_distinct():
+    firsts = {tuple(_streams(seed, item)(k).integers(1 << 62, size=4))
+              for seed in (0, 1) for item in range(4) for k in range(6)}
+    assert len(firsts) == 2 * 4 * 6
+    # streams 0 and 1 are the two children that SeedSequence((s, i)).spawn
+    # gives, which the bootstraps of a verdict have always drawn from
+    spawned = np.random.SeedSequence((3, 1)).spawn(2)
+    for k in (0, 1):
+        assert np.array_equal(_streams(3, 1)(k).integers(1 << 62, size=4),
+                              np.random.default_rng(spawned[k]).integers(1 << 62, size=4))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, "1", True, None, (1, 2)])
+def test_a_seed_that_is_not_a_non_negative_integer_is_rejected(seed):
+    with pytest.raises(ValidationError, match="^seed must be a non-negative integer"):
+        sample_gaussian(split_balanced(modulated_beam(1.0, 1.0)), 0.0, 0.0, 10, seed)
 
 
 def test_a_failing_chunk_raises_the_first_error_in_order():
@@ -113,8 +141,9 @@ def test_a_failing_chunk_raises_the_first_error_in_order():
         return np.zeros(m), np.ones(m)
 
     with pytest.raises(ValueError, match="short chunk of 5"):
-        _draw([(5, 1, chunk), (7, 2, chunk), (CHUNK + 9, 3, chunk)])
-    x_a, x_b = _draw([(CHUNK, 1, chunk), (2 * CHUNK, 2, chunk)])
+        _draw([(5, _streams(1), chunk), (7, _streams(1, 1), chunk),
+               (CHUNK + 9, _streams(1, 2), chunk)])
+    x_a, x_b = _draw([(CHUNK, _streams(1), chunk), (2 * CHUNK, _streams(1, 1), chunk)])
     assert len(x_a) == 3 * CHUNK and (x_b == 1.0).all()
 
 
@@ -184,8 +213,8 @@ def test_a_single_call_or_pool_false_runs_on_the_calling_thread():
 
 
 def test_unmodulated_records_are_shot_noise():
-    cfg = SimulationConfig(GaussianModulation(0.0, 0.0), 1_000_000, seed=5)
-    rs = sample_scheme(cfg)
+    cfg = SimulationConfig(GaussianModulation(0.0, 0.0), 1_000_000)
+    rs = sample_scheme(cfg, 5)
     assert np.var(rs.x_a) == pytest.approx(1.0, abs=0.01)
     assert np.var(rs.x_b) == pytest.approx(1.0, abs=0.01)
     assert np.mean(rs.x_a) == pytest.approx(0.0, abs=0.005)
@@ -225,16 +254,16 @@ def test_gaussian_state_records_match_joint_density():
 
 def test_gaussian_modulation_records_match_mixture_density():
     depth = 2.0
-    cfg = SimulationConfig(GaussianModulation(depth, depth), 1_000_000, seed=22)
-    rs = sample_scheme(cfg)
+    cfg = SimulationConfig(GaussianModulation(depth, depth), 1_000_000)
+    rs = sample_scheme(cfg, 22)
     mix = PMixtureState((ThermalComponent(1.0, depth**2 / 2.0),), eta=ROOT_HALF)
     assert _gof(rs, lambda a, b: output_joint_density(mix, a, b)) > GOF_ALPHA
 
 
 def test_switched_noise_records_match_mixture_density():
     depth, duty = 3.0, 0.35
-    cfg = SimulationConfig(SwitchedNoise(depth, depth, duty), 1_000_000, seed=23)
-    rs = sample_scheme(cfg)
+    cfg = SimulationConfig(SwitchedNoise(depth, depth, duty), 1_000_000)
+    rs = sample_scheme(cfg, 23)
     mix = PMixtureState(
         (CoherentPoint(1.0 - duty, 0.0), ThermalComponent(duty, depth**2 / 2.0)),
         eta=ROOT_HALF)
@@ -242,9 +271,9 @@ def test_switched_noise_records_match_mixture_density():
 
 
 def test_switched_phase_records_match_mixture_density():
-    cfg = SimulationConfig(SwitchedPhase(), 1_000_000, seed=24,
+    cfg = SimulationConfig(SwitchedPhase(), 1_000_000,
                            theta_a=HALF_PI, theta_b=HALF_PI)
-    rs = sample_scheme(cfg)
+    rs = sample_scheme(cfg, 24)
     shifted = SWITCHED_PHASE_AMPLITUDE / np.sqrt(2.0)
     mix = PMixtureState(
         (CoherentPoint(0.5, 0.0), CoherentPoint(0.5, shifted)),
@@ -254,8 +283,8 @@ def test_switched_phase_records_match_mixture_density():
 
 def test_async_records_match_mixture_density():
     depth = 3.0
-    cfg = SimulationConfig(AsyncSine(depth), 1_000_000, seed=25)
-    rs = sample_scheme(cfg)
+    cfg = SimulationConfig(AsyncSine(depth), 1_000_000)
+    rs = sample_scheme(cfg, 25)
     mix = PMixtureState((ArcsineComponent(1.0, depth / np.sqrt(2.0)),),
                         eta=ROOT_HALF)
     assert _gof(rs, lambda a, b: output_joint_density(mix, a, b)) > GOF_ALPHA
@@ -263,14 +292,14 @@ def test_async_records_match_mixture_density():
 
 def test_always_on_gate_reduces_to_plain_modulation():
     depth = 2.5
-    cfg = SimulationConfig(SwitchedNoise(depth, depth, 1.0), 500_000, seed=26)
-    rs = sample_scheme(cfg)
+    cfg = SimulationConfig(SwitchedNoise(depth, depth, 1.0), 500_000)
+    rs = sample_scheme(cfg, 26)
     mix = PMixtureState((ThermalComponent(1.0, depth**2 / 2.0),), eta=ROOT_HALF)
     assert _gof(rs, lambda a, b: output_joint_density(mix, a, b)) > GOF_ALPHA
 
-    cfg = SimulationConfig(SwitchedPhase(duty=1.0), 500_000, seed=27,
+    cfg = SimulationConfig(SwitchedPhase(duty=1.0), 500_000,
                            theta_a=HALF_PI, theta_b=HALF_PI)
-    rs = sample_scheme(cfg)
+    rs = sample_scheme(cfg, 27)
     shifted = SWITCHED_PHASE_AMPLITUDE / np.sqrt(2.0)
     mix = PMixtureState((CoherentPoint(1.0, shifted),), eta=ROOT_HALF)
     assert _gof(rs, lambda a, b: output_joint_density(mix, a, b)) > GOF_ALPHA
@@ -278,9 +307,9 @@ def test_always_on_gate_reduces_to_plain_modulation():
 
 def test_switched_phase_gate_fraction_at_threshold():
     n = 1_000_000
-    cfg = SimulationConfig(SwitchedPhase(), n, seed=28,
+    cfg = SimulationConfig(SwitchedPhase(), n,
                            theta_a=HALF_PI, theta_b=HALF_PI)
-    rs = sample_scheme(cfg)
+    rs = sample_scheme(cfg, 28)
     below = np.mean(rs.x_a < SWITCHED_PHASE_THRESHOLD)
     # the gated half sits 12 sigma below threshold, the idle half 6 above
     assert below == pytest.approx(0.5, abs=3.0 * 0.5 / np.sqrt(n))
@@ -288,8 +317,8 @@ def test_switched_phase_gate_fraction_at_threshold():
 
 def test_modulation_lands_on_the_measured_quadrature():
     # p modulation must not show up when both stations measure x
-    cfg = SimulationConfig(SwitchedPhase(), 200_000, seed=29)
-    rs = sample_scheme(cfg)
+    cfg = SimulationConfig(SwitchedPhase(), 200_000)
+    rs = sample_scheme(cfg, 29)
     assert np.var(rs.x_a) == pytest.approx(1.0, abs=0.02)
     assert abs(np.mean(rs.x_a)) < 0.02
 
@@ -300,8 +329,8 @@ def test_modulation_lands_on_the_measured_quadrature():
 
 
 def test_write_read_round_trip_is_bitwise(tmp_path):
-    cfg = SimulationConfig(SwitchedNoise(2.0, 1.0, 0.4), 5_000, seed=31)
-    rs = sample_scheme(cfg)
+    cfg = SimulationConfig(SwitchedNoise(2.0, 1.0, 0.4), 5_000)
+    rs = sample_scheme(cfg, 31)
     path = tmp_path / "records.csv"
     write_records(rs, path)
     assert list(tmp_path.iterdir()) == [path]
@@ -373,9 +402,9 @@ def test_scheme_validation():
     with pytest.raises(ValidationError):
         AsyncSine(-2.0)
     with pytest.raises(ValidationError):
-        SimulationConfig(AsyncSine(1.0), 0, seed=1)
+        SimulationConfig(AsyncSine(1.0), 0)
     with pytest.raises(ValidationError):
-        SimulationConfig(AsyncSine(1.0), 10, seed=1, eta=1.3)
+        SimulationConfig(AsyncSine(1.0), 10, eta=1.3)
 
 
 @pytest.mark.parametrize("build, name", [
@@ -383,9 +412,9 @@ def test_scheme_validation():
     (lambda bad: SwitchedNoise(1.0, bad), "depth_p"),
     (lambda bad: SwitchedPhase(amplitude=bad), "amplitude"),
     (lambda bad: AsyncSine(bad), "depth"),
-    (lambda bad: SimulationConfig(AsyncSine(1.0), 10, 1, theta_a=bad), "theta_a"),
-    (lambda bad: SimulationConfig(AsyncSine(1.0), 10, 1, theta_b=bad), "theta_b"),
-    (lambda bad: SimulationConfig(AsyncSine(1.0), 10, 1, v0=bad), "v0"),
+    (lambda bad: SimulationConfig(AsyncSine(1.0), 10, theta_a=bad), "theta_a"),
+    (lambda bad: SimulationConfig(AsyncSine(1.0), 10, theta_b=bad), "theta_b"),
+    (lambda bad: SimulationConfig(AsyncSine(1.0), 10, v0=bad), "v0"),
 ])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_parameters_are_rejected_by_name(build, name, bad):

@@ -39,7 +39,7 @@ from cvdiscord import (
     verdict_mixture,
 )
 from cvdiscord import sampler
-from cvdiscord.sampler import CHUNK
+from cvdiscord.sampler import CHUNK, _streams
 from cvdiscord.verifier import (
     CANONICAL_PAIRS,
     ChiSquareResult,
@@ -224,9 +224,9 @@ def test_peak_flags_a_boundary_mode():
 
 def test_peak_needs_three_occupied_bins():
     with pytest.raises(InsufficientDataError):
-        estimate_peak(estimate_density(np.array([1.0])))
+        estimate_peak(estimate_density(np.array([1.0])), np.random.default_rng(0))
     with pytest.raises(InsufficientDataError):
-        estimate_peak(estimate_density(np.full(10, 3.25)))
+        estimate_peak(estimate_density(np.full(10, 3.25)), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("n_boot", [1, 0, -3, 2.5])
@@ -326,6 +326,16 @@ def test_separation_matches_analytic_on_reference_state():
         delta, sigma, peak_p, peak_m = separation_statistic(rs, seed=17)
         assert abs(delta - want) < 3.0 * sigma
         assert peak_p.location > 0.0 > peak_m.location
+
+
+def test_separation_statistic_bootstraps_as_the_first_pair_of_a_verdict():
+    state = H.measured_state()
+    for seed in (0, 5):
+        rs = sample_gaussian(state, HALF_PI, HALF_PI, 5_000, seed=seed)
+        delta, sigma, _, _ = separation_statistic(rs, seed=seed, n_boot=20)
+        pair = verdict_gaussian(rs, seed=seed, n_boot=20,
+                                pairs=[(HALF_PI, HALF_PI)]).per_pair[0]
+        assert (delta, sigma) == (pair.delta, pair.sigma_delta)
 
 
 def test_separation_is_noise_level_on_a_product_state():
@@ -451,7 +461,7 @@ def test_pair_stats_on_the_pool_match_serial_calls():
     state = H.measured_state()
     rs = _records_for_pairs(state, CHUNK, seed=60)
     verdict = verdict_gaussian(rs, seed=61, n_boot=50)
-    serial = tuple(_pair_stats(rs.select_pair(ta, tb), ta, tb, 0.0, 61, 50, i)
+    serial = tuple(_pair_stats(rs.select_pair(ta, tb), ta, tb, 0.0, _streams(61, i), 50)
                    for i, (ta, tb) in enumerate(CANONICAL_PAIRS))
     assert verdict.per_pair == serial
     for ours, theirs in zip(verdict.per_pair, serial):
@@ -509,8 +519,8 @@ def test_detection_rate_on_correlated_states():
 
 
 def test_mixture_verdict_detects_switched_noise():
-    cfg = SimulationConfig(SwitchedNoise(3.0, 3.0, 0.5), 500_000, seed=56)
-    rs = sample_scheme(cfg)
+    cfg = SimulationConfig(SwitchedNoise(3.0, 3.0, 0.5), 500_000)
+    rs = sample_scheme(cfg, 56)
     verdict = verdict_mixture(rs, threshold=0.0)
     assert verdict.decision == "discordant"
     assert min(s.chi2.p_value for s in verdict.sides) < 1e-6
@@ -521,16 +531,16 @@ def test_mixture_verdict_detects_switched_noise():
 
 
 def test_mixture_verdict_passes_an_unmodulated_control():
-    cfg = SimulationConfig(GaussianModulation(0.0, 0.0), 500_000, seed=57)
-    rs = sample_scheme(cfg)
+    cfg = SimulationConfig(GaussianModulation(0.0, 0.0), 500_000)
+    rs = sample_scheme(cfg, 57)
     verdict = verdict_mixture(rs, threshold=0.0)
     assert verdict.decision == "not-detected"
     assert verdict.variance_ratio < 1.02
 
 
 def test_mixture_verdict_degenerate_threshold():
-    cfg = SimulationConfig(GaussianModulation(0.0, 0.0), 1_000, seed=58)
-    rs = sample_scheme(cfg)
+    cfg = SimulationConfig(GaussianModulation(0.0, 0.0), 1_000)
+    rs = sample_scheme(cfg, 58)
     with pytest.raises(DegenerateSplitError):
         verdict_mixture(rs, threshold=1e9)
 
@@ -551,6 +561,15 @@ def test_sweep_rows_track_the_analytic_curve():
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(ValidationError, match="finite and non-negative"):
             sweep_modulation([0.5, bad], n=100, seed=0)
+
+
+def test_sweeps_one_seed_apart_share_no_row():
+    # equal depths, so a depth that drew from a neighbouring seed's stream
+    # would repeat a row of the other sweep
+    rows = [sweep_modulation([2.0] * 3, n=3_000, seed=seed, n_boot=20)
+            for seed in (6, 7)]
+    assert not [r for r in rows[0] if r in rows[1]]
+    assert len({r["delta"] for r in rows[0] + rows[1]}) == 6
 
 
 def test_sweep_rows_on_the_pool_match_serial_ones(monkeypatch):
