@@ -20,9 +20,12 @@ record file run.npz and its verdict run.json, which share a stem, a
 simulate and verify at 140,000 records per pair, three sampling chunks
 per pair with the last one partial, sweep at 5,000 records per depth,
 under one sampling chunk, and at 70,000, over one, counterexample
-with --plotdata and --dump-state, and verify in both modes on a record CSV
-that has no sidecar, which the script writes itself), with PYTHONPATH set
-to that tree.  It then
+with --plotdata and --dump-state, verify in both modes on a record CSV
+that has no sidecar, which the script writes itself, and three commands
+given bad input, each with its own --out: a mixture verify with a
+negative --seed, a simulate with a seed of 2**32 and a counterexample
+whose --alpha is too large for the truncated Fock basis), with PYTHONPATH
+set to that tree.  It then
 compares every output file byte for byte, and each command's exit code,
 stdout and stderr.  In a manifest every value inside its "timings_s" and
 "versions" objects reads null before the comparison, as those vary from
@@ -117,6 +120,11 @@ COMMANDS = [
      "--out", "v_bare.json"),
     ("verify", "--records", "bare.csv", "--mode", "mixture",
      "--out", "v_bare_mix.json"),
+    # bad input, each of which exits 1 and writes nothing
+    ("verify", "--records", "async.npz", "--mode", "mixture", "--seed", "-5",
+     "--out", "v_seed.json"),
+    (*SIM, "--seed", "4294967296", "--out", "seed_2_32.npz"),
+    ("counterexample", "--alpha", "10", "--out", "ce_alpha10.json"),
 ]
 
 # config files the commands above read, written into each work directory

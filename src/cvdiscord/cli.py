@@ -45,7 +45,8 @@ from .fock import (build_ce_hidden_discord, build_ce_zero_discord,
                    superposition_basis, thermal_fock, verify_classical_on_b)
 from .sampler import (SWITCHED_PHASE_AMPLITUDE, AsyncSine, GaussianModulation,
                       SimulationConfig, SwitchedNoise, SwitchedPhase,
-                      _check_duty, read_records, sample_scheme, write_records)
+                      _check_duty, _check_seed, read_records, sample_scheme,
+                      write_records)
 from .verifier import (CANONICAL_PAIRS, ConditionalHistograms, _check_settings,
                        sweep_modulation, sweep_to_csv, verdict_gaussian,
                        verdict_mixture, mixture_verdict_to_json,
@@ -73,14 +74,13 @@ _OPTIONS = {
         "depth_p": (None, {"type": float}),
         "duty": (0.5, {"type": float, "help": "gate duty cycle in (0, 1]"}),
         "amplitude": (None, {"type": float, "help": "switched-phase displacement "
-                             "in sqrt(v0) units"}),
+                             "in shot-noise units"}),
         "n": (100000, {"type": int, "help": "records per phase pair"}),
         "seed": (0, {"type": int}),
         "eta": (1.0 / math.sqrt(2.0), {"type": float, "help": "splitter transmissivity"}),
         "theta_a": (0.0, {"type": float, "help": "station A phase, degrees"}),
         "theta_b": (0.0, {"type": float, "help": "station B phase, degrees"}),
         "pairs": (None, {"help": '"all" or "ta,tb;ta,tb;..." in degrees'}),
-        "v0": (1.0, {"type": float}),
         "workers": (None, {"type": int, "help": "accepted; has no effect"}),
         "out": ("records.npz", {"type": Path, "help": "record file: .npz (the "
                                 "default, records.npz) is binary, any other "
@@ -106,7 +106,6 @@ _OPTIONS = {
                               'comma list'}),
         "n": (100000, {"type": int}),
         "seed": (0, {"type": int}),
-        "v0": (1.0, {"type": float}),
         "workers": (None, {"type": int, "help": "accepted; has no effect"}),
         "out": ("sweep.csv", {"type": Path}),
     },
@@ -115,7 +114,6 @@ _OPTIONS = {
         "alpha": (1.0, {"type": float, "help": "coherent amplitude"}),
         "nbar": (1.0, {"type": float}),
         "r": (0.5, {"type": float, "help": "squeeze parameter"}),
-        "v0": (1.0, {"type": float}),
         "out": ("counterexample.json", {"type": Path}),
         "plotdata": (None, {"type": Path, "help": "prefix for marginal curve CSVs"}),
         "dump_state": (None, {"type": Path, "help": "prefix for density-matrix "
@@ -364,7 +362,7 @@ def _cmd_simulate(cfg: dict) -> list:
         pairs = [(math.radians(cfg["theta_a"]), math.radians(cfg["theta_b"]))]
     rs = sample_scheme([SimulationConfig(
         scheme=scheme, n_samples=cfg["n"], eta=cfg["eta"], theta_a=ta,
-        theta_b=tb, v0=cfg["v0"]) for ta, tb in pairs], cfg["seed"])
+        theta_b=tb) for ta, tb in pairs], cfg["seed"])
     meta = {
         "kind": "scheme",
         "scheme": {"kind": scheme.kind, **dataclasses.asdict(scheme)},
@@ -372,7 +370,8 @@ def _cmd_simulate(cfg: dict) -> list:
         "pairs": [[ta, tb] for ta, tb in pairs],
         "n_per_pair": cfg["n"],
         "seed": cfg["seed"],
-        "v0": cfg["v0"],
+        # the unit of the records: shot-noise units, vacuum variance 1
+        "v0": 1.0,
     }
     return [functools.partial(write_records, rs), _text(dump_document(meta))]
 
@@ -404,11 +403,12 @@ def _read_sidecar(records: Path) -> dict:
 
 
 def _cmd_verify(cfg: dict) -> list:
-    """Run a discord verdict over a record file.  --k-min, --alpha and
-    --boot are checked in both modes, as the manifest records them all."""
+    """Run a discord verdict over a record file.  --k-min, --alpha, --boot
+    and --seed are checked in both modes, as the manifest records them all."""
     if cfg["records"] is None:
         raise ValidationError("verify needs --records")
     _check_settings(cfg["k_min"], cfg["alpha"], cfg["boot"])
+    _check_seed(cfg["seed"])
     rs = read_records(cfg["records"])
     meta = _read_sidecar(Path(cfg["records"]))
     if cfg["mode"] == "gaussian":
@@ -432,7 +432,7 @@ def _cmd_verify(cfg: dict) -> list:
 def _cmd_sweep(cfg: dict) -> list:
     """Peak separation versus modulation depth on a balanced splitter."""
     depths = parse_depths(cfg["depths"])
-    rows = sweep_modulation(depths, n=cfg["n"], seed=cfg["seed"], v0=cfg["v0"])
+    rows = sweep_modulation(depths, n=cfg["n"], seed=cfg["seed"])
     return [functools.partial(sweep_to_csv, rows)]
 
 
@@ -441,7 +441,7 @@ def _sign_report(state) -> tuple:
     two conditional homodyne marginals of B on the default grid; returns
     the report, the grid and the marginals in plot-file column order."""
     (rho_p, p_plus), (rho_m, p_minus) = condition_b_on_sign(state)
-    grid = default_grid(state.dim_b, state.v0)
+    grid = default_grid(state.dim_b)
     dens_p, dens_m = (homodyne_marginal_fock(rho, grid) for rho in (rho_p, rho_m))
     peak_p, peak_m = (grid_peak(grid, dens) for dens in (dens_p, dens_m))
     report = {
@@ -459,7 +459,7 @@ def _sign_report(state) -> tuple:
 
 
 def _certify_zero(cfg: dict) -> tuple:
-    state = build_ce_zero_discord(alpha=cfg["alpha"], v0=cfg["v0"])
+    state = build_ce_zero_discord(alpha=cfg["alpha"])
     report, grid, curves = _sign_report(state)
     classical = verify_classical_on_b(state, superposition_basis(state.dim_b),
                                       tol=1e-8)
@@ -468,8 +468,7 @@ def _certify_zero(cfg: dict) -> tuple:
 
 
 def _certify_hidden(cfg: dict) -> tuple:
-    state = build_ce_hidden_discord(nbar=cfg["nbar"], r=cfg["r"],
-                                    v0=cfg["v0"])
+    state = build_ce_hidden_discord(nbar=cfg["nbar"], r=cfg["r"])
     report, grid, curves = _sign_report(state)
     _, var_p = grid_moments(grid, curves["conditional_plus"])
     _, var_m = grid_moments(grid, curves["conditional_minus"])

@@ -31,8 +31,8 @@ class InsufficientDataError(ToolkitError):
     """Not enough records or occupied bins to run a statistic."""
 
 
-class TruncationError(ToolkitError):
-    """A Fock-space truncation left too much tail mass."""
+class TruncationError(ValidationError):
+    """A state parameter too large for the truncated Fock basis: bad input."""
 
 
 class ParseError(ValidationError):

@@ -8,12 +8,12 @@ discord through non-commuting B components (thermal against squeezed
 vacuum) while both conditional marginals peak at exactly zero, so the
 absence of separation proves nothing either.
 
-Position eigenfunctions follow the toolkit's unit convention: the vacuum
-marginal is a Gaussian of variance v0.  Sign projectors are assembled
-from eigenfunction overlap integrals on a uniform grid wide enough to
-hold the classical turning point of the highest retained number state;
-parity then gives the complementary projector, and the pair sums to the
-identity at machine precision.
+Position eigenfunctions are in shot-noise units, as the rest of the
+package: the vacuum marginal is a Gaussian of variance 1.  Sign projectors
+are assembled from eigenfunction overlap integrals on a uniform grid wide
+enough to hold the classical turning point of the highest retained number
+state; parity then gives the complementary projector, and the pair sums
+to the identity at machine precision.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (DegenerateSplitError, TruncationError, ValidationError,
 DIM_DEFAULT = 20
 DIM_MAX = 40
 TAIL_TOL = 1e-8
-GRID_SPACING = 0.01  # in units of sqrt(v0)
+GRID_SPACING = 0.01  # in shot-noise units
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-8
 EIGEN_TOL = -1e-8
@@ -40,7 +40,6 @@ EIGEN_TOL = -1e-8
 @dataclass(frozen=True)
 class QuadratureGrid:
     points: np.ndarray
-    v0: float
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -59,29 +58,27 @@ class QuadratureGrid:
         return float(self.points[1] - self.points[0])
 
 
-def _grid_halfwidth(dim: int, v0: float) -> float:
-    # classical turning point of |dim-1>, plus margin for the tails
-    return (math.sqrt(2.0 * dim + 1.0) + 5.0) * math.sqrt(2.0 * v0)
+def _grid_steps(dim: int) -> int:
+    """Grid steps from 0 past the classical turning point of |dim-1>, plus
+    a margin for the tails."""
+    return int(math.ceil((math.sqrt(2.0 * dim + 1.0) + 5.0) * math.sqrt(2.0)
+                         / GRID_SPACING))
 
 
-def default_grid(dim: int, v0: float = 1.0) -> QuadratureGrid:
+def default_grid(dim: int) -> QuadratureGrid:
     """Symmetric uniform grid covering every number state up to dim."""
-    half = _grid_halfwidth(dim, v0)
-    step = GRID_SPACING * math.sqrt(v0)
-    n_half = int(math.ceil(half / step))
-    pts = np.arange(-n_half, n_half + 1) * step
-    return QuadratureGrid(pts, v0)
+    n_half = _grid_steps(dim)
+    return QuadratureGrid(np.arange(-n_half, n_half + 1) * GRID_SPACING)
 
 
-def oscillator_eigenfunctions(dim: int, xs: np.ndarray,
-                              v0: float = 1.0) -> np.ndarray:
+def oscillator_eigenfunctions(dim: int, xs: np.ndarray) -> np.ndarray:
     """Position eigenfunctions psi_n(x) for n < dim, one row per n.
 
     Normalized so each |psi_n|^2 integrates to 1 in x; the vacuum row
-    squared is a Gaussian of variance v0.
+    squared is a Gaussian of variance 1.
     """
     xs = np.asarray(xs, dtype=float)
-    scale = math.sqrt(2.0 * v0)
+    scale = math.sqrt(2.0)
     u = xs / scale
     psi = np.empty((dim, len(xs)))
     psi[0] = np.exp(-0.5 * u * u) / (np.pi ** 0.25 * math.sqrt(scale))
@@ -98,14 +95,16 @@ def oscillator_eigenfunctions(dim: int, xs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _truncate(build, dim: int | None, what: str) -> np.ndarray:
+def _truncate(build, dim: int | None, name: str, what: str) -> np.ndarray:
     """The amplitudes of (amplitudes, tail mass) = build(d) at the first
-    size d, dim or else the default then DIM_MAX, whose tail is below TAIL_TOL."""
+    size d, dim or else the default then DIM_MAX, whose tail is below
+    TAIL_TOL; else a TruncationError naming the parameter name."""
     for d in (dim,) if dim is not None else (DIM_DEFAULT, DIM_MAX):
         amplitudes, tail = build(d)
         if tail < TAIL_TOL:
             return amplitudes
-    raise TruncationError(f"{what} needs dim > {DIM_MAX}")
+    raise TruncationError(f"{name} must fit the truncated Fock basis: {what} "
+                          f"needs dim > {d}")
 
 
 def coherent_fock(alpha: complex, dim: int | None = None) -> np.ndarray:
@@ -125,7 +124,7 @@ def coherent_fock(alpha: complex, dim: int | None = None) -> np.ndarray:
         c *= math.exp(-0.5 * abs(alpha) ** 2)
         return c, 1.0 - float(np.vdot(c, c).real)
 
-    c = _truncate(build, dim, f"coherent state |alpha|={abs(alpha):.3g}")
+    c = _truncate(build, dim, "alpha", f"coherent state |alpha|={abs(alpha):.3g}")
     return c / math.sqrt(np.vdot(c, c).real)
 
 
@@ -135,7 +134,7 @@ def thermal_fock(nbar: float, dim: int | None = None) -> np.ndarray:
     ratio = nbar / (nbar + 1.0)
     # nbar 0: 0.0 ** 0 is 1
     p = _truncate(lambda d: (ratio ** np.arange(d) / (nbar + 1.0), ratio ** d),
-                  dim, f"thermal state nbar={nbar:.3g}")
+                  dim, "nbar", f"thermal state nbar={nbar:.3g}")
     return np.diag(p / p.sum()).astype(complex)
 
 
@@ -143,7 +142,7 @@ def squeezed_vacuum_fock(r: float, dim: int | None = None) -> np.ndarray:
     """Truncated squeezed vacuum vector, renormalized.
 
     Positive r squeezes the x quadrature: the marginal variance is
-    v0 * exp(-2r).
+    exp(-2r).
     """
     require_finite(locals(), "r")
 
@@ -156,7 +155,7 @@ def squeezed_vacuum_fock(r: float, dim: int | None = None) -> np.ndarray:
             c[2 * m + 2] = amp
         return c, 1.0 - float(np.vdot(c, c).real)
 
-    c = _truncate(build, dim, f"squeezed vacuum r={r:.3g}")
+    c = _truncate(build, dim, "r", f"squeezed vacuum r={r:.3g}")
     return c / math.sqrt(np.vdot(c, c).real)
 
 
@@ -190,11 +189,8 @@ class FockDensityMatrix:
     dim_a: int
     dim_b: int
     matrix: np.ndarray
-    v0: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.v0) and self.v0 > 0):
-            raise ValidationError(f"v0 must be a finite positive number, got {self.v0}")
         m = np.asarray(self.matrix, dtype=complex)
         d = self.dim_a * self.dim_b
         if m.shape != (d, d):
@@ -224,14 +220,13 @@ class FockDensityMatrix:
         return np.einsum("ajak->jk", self.tensor)
 
 
-def bipartite_from_parts(parts, dim_a: int, dim_b: int,
-                         v0: float = 1.0) -> FockDensityMatrix:
+def bipartite_from_parts(parts, dim_a: int, dim_b: int) -> FockDensityMatrix:
     """Weighted sum of product terms (weight, rho_A, rho_B)."""
     d = dim_a * dim_b
     m = np.zeros((d, d), dtype=complex)
     for weight, rho_a, rho_b in parts:
         m += weight * np.kron(rho_a, rho_b)
-    return FockDensityMatrix(dim_a, dim_b, m, v0)
+    return FockDensityMatrix(dim_a, dim_b, m)
 
 
 # ---------------------------------------------------------------------------
@@ -239,20 +234,18 @@ def bipartite_from_parts(parts, dim_a: int, dim_b: int,
 # ---------------------------------------------------------------------------
 
 
-def sign_projectors(dim: int, v0: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def sign_projectors(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Number-basis projectors onto x >= 0 and x < 0.
 
     The positive-side matrix elements are Simpson integrals of
     eigenfunction products over [0, L]; the negative side follows from
     parity, and the two sum to the identity at machine precision.
     """
-    half = _grid_halfwidth(dim, v0)
-    step = GRID_SPACING * math.sqrt(v0)
-    n_half = int(math.ceil(half / step))
+    n_half = _grid_steps(dim)
     if n_half % 2 == 1:
         n_half += 1  # Simpson wants an even interval count
-    xs = np.arange(n_half + 1) * step
-    psi = oscillator_eigenfunctions(dim, xs, v0)
+    xs = np.arange(n_half + 1) * GRID_SPACING
+    psi = oscillator_eigenfunctions(dim, xs)
     plus = simpson(psi[:, None, :] * psi[None, :, :], x=xs, axis=-1)
     plus = 0.5 * (plus + plus.T)
     parity = (-1.0) ** (np.arange(dim)[:, None] + np.arange(dim)[None, :])
@@ -269,7 +262,7 @@ def condition_b_on_sign(state: FockDensityMatrix) -> tuple[tuple[np.ndarray, flo
     """The reduced B states conditioned on x_A >= 0 and on x_A < 0, each
     with its probability, from one build of the sign projectors."""
     sides = []
-    for sign, proj in zip((1, -1), sign_projectors(state.dim_a, state.v0)):
+    for sign, proj in zip((1, -1), sign_projectors(state.dim_a)):
         raw = np.einsum("ajbk,ba->jk", state.tensor, proj)
         if (prob := float(raw.trace().real)) < 1e-12:
             raise DegenerateSplitError(f"conditioning probability {prob:.3g} on sign {sign:+d}")
@@ -289,7 +282,7 @@ def homodyne_marginal_fock(rho_b: np.ndarray, grid: QuadratureGrid,
     rho_b = np.asarray(rho_b, dtype=complex)
     if theta != 0.0:
         rho_b = _rotate(rho_b, -theta)
-    psi = oscillator_eigenfunctions(len(rho_b), grid.points, grid.v0)
+    psi = oscillator_eigenfunctions(len(rho_b), grid.points)
     return np.einsum("mx,mn,nx->x", psi, rho_b, psi, optimize=True).real
 
 
@@ -329,8 +322,8 @@ def _superposition_01(dim: int, sign: int) -> np.ndarray:
     return vec
 
 
-def build_ce_zero_discord(alpha: complex = 1.0, dim_b: int = DIM_DEFAULT,
-                          v0: float = 1.0) -> FockDensityMatrix:
+def build_ce_zero_discord(alpha: complex = 1.0,
+                          dim_b: int = DIM_DEFAULT) -> FockDensityMatrix:
     """Equal mixture of |alpha><alpha| x |+><+| and |-alpha><-alpha| x |-><-|
     with |+-> = (|0> +- |1>)/sqrt(2).
 
@@ -347,11 +340,10 @@ def build_ce_zero_discord(alpha: complex = 1.0, dim_b: int = DIM_DEFAULT,
         (0.5, density_from_vector(minus_a),
          density_from_vector(_superposition_01(dim_b, -1))),
     ]
-    return bipartite_from_parts(parts, da, dim_b, v0)
+    return bipartite_from_parts(parts, da, dim_b)
 
 
-def build_ce_hidden_discord(nbar: float = 1.0, r: float = 0.5,
-                            v0: float = 1.0) -> FockDensityMatrix:
+def build_ce_hidden_discord(nbar: float = 1.0, r: float = 0.5) -> FockDensityMatrix:
     """Equal mixture of |+><+| x thermal(nbar) and |-><-| x squeezed(r)
     with |+-> = (|0> +- |1>)/sqrt(2) on A.
 
@@ -368,7 +360,7 @@ def build_ce_hidden_discord(nbar: float = 1.0, r: float = 0.5,
     sq = _pad_density(sq, db)
     parts = [(0.5, density_from_vector(_superposition_01(2, +1)), th),
              (0.5, density_from_vector(_superposition_01(2, -1)), sq)]
-    return bipartite_from_parts(parts, 2, db, v0)
+    return bipartite_from_parts(parts, 2, db)
 
 
 def _pad_density(rho: np.ndarray, dim: int) -> np.ndarray:
@@ -434,7 +426,7 @@ def fock_state_to_json(state: FockDensityMatrix) -> str:
     return json.dumps({
         "dim_A": state.dim_a,
         "dim_B": state.dim_b,
-        "v0": state.v0,
+        "v0": 1.0,  # the unit: shot-noise units, vacuum variance 1
         "entries": entries,
     }, sort_keys=True)
 

@@ -17,8 +17,8 @@ coherent/thermal components on the splitter input has output joint density
     D(x1, x2) = D_1(eta x1 + etat x2) * exp(-(eta x2 - etat x1)^2) / sqrt(pi)
 
 in natural units where the vacuum marginal is exp(-x^2)/sqrt(pi); the
-module converts to the configured v0 units at the boundary
-(x_natural = x / sqrt(2 v0)).
+module converts to shot-noise units, vacuum variance 1, at the boundary
+(x_natural = x / sqrt(2)).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from scipy.optimize import brentq
 from scipy.special import erf, erfc
 
 from .errors import NumericError, ValidationError, require_finite
-from .states import DEFAULT_V0, GaussianBipartiteState, rotate_local
+from .states import GaussianBipartiteState, rotate_local
 
 PEAK_XTOL = 1e-10
 PEAK_MAXITER = 200
@@ -297,7 +297,6 @@ class PMixtureState:
 
     components: tuple[Component, ...]
     eta: float
-    v0: float = DEFAULT_V0
 
     def __post_init__(self):
         if not self.components:
@@ -317,10 +316,10 @@ class PMixtureState:
 
 
 def input_marginal_D1(mixture: PMixtureState, x):
-    """Measured-quadrature marginal of the splitter input, in v0 units:
+    """Measured-quadrature marginal of the splitter input, in shot-noise units:
     the weighted sum of the component marginals d1."""
     x = np.asarray(x, dtype=float)
-    scale = np.sqrt(2.0 * mixture.v0)
+    scale = np.sqrt(2.0)
     u = x / scale
     total = sum(c.weight * c.d1(u) for c in mixture.components)
     val = total / scale
@@ -328,8 +327,8 @@ def input_marginal_D1(mixture: PMixtureState, x):
 
 
 def output_joint_density(mixture: PMixtureState, x1, x2):
-    """Joint density of the two output-mode measured quadratures, in v0
-    units.
+    """Joint density of the two output-mode measured quadratures, in
+    shot-noise units.
 
     In natural units D(u1, u2) = D_1(eta u1 + etat u2)
     * exp(-(eta u2 - etat u1)^2) / sqrt(pi); the idle-port vacuum fixes the
@@ -338,7 +337,7 @@ def output_joint_density(mixture: PMixtureState, x1, x2):
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    scale = np.sqrt(2.0 * mixture.v0)
+    scale = np.sqrt(2.0)
     u1 = x1 / scale
     u2 = x2 / scale
     eta, eta_t = mixture.eta, mixture.eta_tilde

@@ -9,9 +9,10 @@ filled on all the process's CPUs in any order.
 
 The modulation schemes draw a per-sample classical displacement for the
 pre-splitter beam, mix it through the splitter (vacuum on the idle port)
-and add independent vacuum noise to each output quadrature.  That is
-exactly sampling from the classical-mixture joint density, so the scheme
-records match the analytic output densities.
+and add independent vacuum noise to each output quadrature, all in
+shot-noise units (vacuum variance 1).  That is exactly sampling from the
+classical-mixture joint density, so the scheme records match the analytic
+output densities.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError, require_finite, write_table
 from .marginals import MarginalForm, joint_marginal_form
-from .states import DEFAULT_V0, GaussianBipartiteState
+from .states import GaussianBipartiteState
 
 CHUNK = 1 << 16
 
@@ -68,9 +69,9 @@ class GaussianModulation:
     def __post_init__(self):
         require_finite(self, "depth_x", "depth_p", low=0.0)
 
-    def displace(self, rng, d: np.ndarray, root: float) -> None:
-        d[:, 0] = self.depth_x * root * rng.standard_normal(len(d))
-        d[:, 1] = self.depth_p * root * rng.standard_normal(len(d))
+    def displace(self, rng, d: np.ndarray) -> None:
+        d[:, 0] = self.depth_x * rng.standard_normal(len(d))
+        d[:, 1] = self.depth_p * rng.standard_normal(len(d))
 
 
 @dataclass(frozen=True)
@@ -87,11 +88,11 @@ class SwitchedNoise:
         require_finite(self, "depth_x", "depth_p", low=0.0)
         _check_duty(self.duty)
 
-    def displace(self, rng, d: np.ndarray, root: float) -> None:
+    def displace(self, rng, d: np.ndarray) -> None:
         m = len(d)
         gate = rng.random(m) < self.duty
-        d[:, 0] = np.where(gate, self.depth_x * root * rng.standard_normal(m), 0.0)
-        d[:, 1] = np.where(gate, self.depth_p * root * rng.standard_normal(m), 0.0)
+        d[:, 0] = np.where(gate, self.depth_x * rng.standard_normal(m), 0.0)
+        d[:, 1] = np.where(gate, self.depth_p * rng.standard_normal(m), 0.0)
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,9 @@ class SwitchedPhase:
         require_finite(self, "amplitude", "threshold_hint")
         _check_duty(self.duty)
 
-    def displace(self, rng, d: np.ndarray, root: float) -> None:
+    def displace(self, rng, d: np.ndarray) -> None:
         gate = rng.random(len(d)) < self.duty
-        d[:, 1] = np.where(gate, self.amplitude * root, 0.0)
+        d[:, 1] = np.where(gate, self.amplitude, 0.0)
 
 
 @dataclass(frozen=True)
@@ -129,13 +130,13 @@ class AsyncSine:
     def __post_init__(self):
         require_finite(self, "depth", low=0.0)
 
-    def displace(self, rng, d: np.ndarray, root: float) -> None:
+    def displace(self, rng, d: np.ndarray) -> None:
         phi = rng.uniform(0.0, 2.0 * np.pi, len(d))
-        d[:, 0] = self.depth * root * np.cos(phi)
+        d[:, 0] = self.depth * np.cos(phi)
 
 
-# scheme.displace(rng, d, root) fills the zeroed per-sample pre-splitter
-# displacement d, shape (m, 2), in absolute units (root = sqrt(v0))
+# scheme.displace(rng, d) fills the zeroed per-sample pre-splitter
+# displacement d, shape (m, 2), in shot-noise units
 ModulationScheme = GaussianModulation | SwitchedNoise | SwitchedPhase | AsyncSine
 
 
@@ -151,26 +152,23 @@ class SimulationConfig:
     eta: float = 1.0 / np.sqrt(2.0)
     theta_a: float = 0.0
     theta_b: float = 0.0
-    v0: float = DEFAULT_V0
 
     def __post_init__(self):
         if self.n_samples <= 0:
             raise ValidationError("n_samples must be positive")
         if not 0.0 <= self.eta <= 1.0:
             raise ValidationError(f"transmissivity must lie in [0, 1], got {self.eta}")
-        require_finite(self, "theta_a", "theta_b", "v0")
-        if self.v0 <= 0:
-            raise ValidationError("vacuum variance must be positive")
+        require_finite(self, "theta_a", "theta_b")
 
     def draw(self, rng, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The x_A and x_B columns of m records drawn from rng.  Per sample:
         draw the latent gate/phase, form the displacement, send it through
         the splitter (mode A keeps eta of it, mode B sqrt(1-eta^2)), project
         onto the measured quadratures and add independent vacuum noise."""
-        eta, root = self.eta, np.sqrt(self.v0)
+        eta = self.eta
         d = np.zeros((m, 2))
-        self.scheme.displace(rng, d, root)
-        noise = rng.standard_normal((m, 2)) * root
+        self.scheme.displace(rng, d)
+        noise = rng.standard_normal((m, 2))
         return (eta * (d @ [np.cos(self.theta_a), np.sin(self.theta_a)]) + noise[:, 0],
                 np.sqrt(1.0 - eta * eta)
                 * (d @ [np.cos(self.theta_b), np.sin(self.theta_b)]) + noise[:, 1])
@@ -265,13 +263,22 @@ def _call(cell):
     return fn(*a)
 
 
+def _check_seed(seed) -> None:
+    """A ValidationError unless seed is an integer in [0, 2**32).  numpy
+    splits a larger one into 32-bit words with no length, so seed
+    s + 2**32 * b at item 0 would draw what seed s draws at item b."""
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed < 1 << 32):
+        raise ValidationError(f"seed must be a non-negative integer below 2**32, "
+                              f"got {seed!r}")
+
+
 def _streams(seed, item: int = 0):
-    """stream(k) for item `item` of a call seeded `seed`, a non-negative
-    integer: a generator on child k of the item's root SeedSequence((seed,
-    item)), from which nothing draws directly.  Streams 0 and 1 bootstrap
-    the plus and minus sides, and 2 + c fills sample chunk c."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    """stream(k) for item `item` of a call seeded `seed` (_check_seed): a
+    generator on child k of the item's root SeedSequence((seed, item)),
+    from which nothing draws directly.  Streams 0 and 1 bootstrap the plus
+    and minus sides, and 2 + c fills sample chunk c."""
+    _check_seed(seed)
     root = (int(seed), item)
     return lambda k: np.random.default_rng(np.random.SeedSequence(root, spawn_key=(k,)))
 

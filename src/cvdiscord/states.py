@@ -1,7 +1,8 @@
 """Gaussian bipartite states of two optical modes.
 
 Quadratures are ordered (x_A, p_A, x_B, p_B) and expressed in shot-noise
-units: the vacuum has variance ``v0`` in every quadrature (default 1).
+units: the vacuum has variance 1 in every quadrature.  Any other vacuum
+convention v0 is a rescale of every quadrature by sqrt(v0).
 A state is its mean vector plus a 4x4 covariance matrix with blocks
 
     sigma = [[A, C], [C^T, B]]
@@ -23,8 +24,6 @@ from .errors import NumericError, ValidationError
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = -1e-9
 
-DEFAULT_V0 = 1.0
-
 
 def symplectic_form() -> np.ndarray:
     """Two-mode symplectic form in (x_A, p_A, x_B, p_B) ordering."""
@@ -35,7 +34,7 @@ def symplectic_form() -> np.ndarray:
     return out
 
 
-def validate_covariance(cov, v0: float = DEFAULT_V0) -> list[str]:
+def validate_covariance(cov) -> list[str]:
     """Check a candidate covariance matrix for symmetry, positivity and the
     uncertainty bound.
 
@@ -43,8 +42,6 @@ def validate_covariance(cov, v0: float = DEFAULT_V0) -> list[str]:
     ----------
     cov : array_like
         Candidate 4x4 (or 2x2 single-mode) covariance matrix.
-    v0 : float
-        Vacuum quadrature variance.
 
     Returns
     -------
@@ -52,27 +49,25 @@ def validate_covariance(cov, v0: float = DEFAULT_V0) -> list[str]:
         The names of the failed checks among symmetric,
         positive_definite and uncertainty_bound, in that order; empty for
         a physical covariance.  The uncertainty check requires the
-        smallest eigenvalue of ``cov + i*v0*Omega`` to stay above -1e-9.
+        smallest eigenvalue of ``cov + i*Omega`` to stay above -1e-9.
 
     Raises
     ------
     ValidationError
         If the input is not a square real matrix of even dimension with
-        finite entries, or v0 <= 0.
+        finite entries.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
         raise ValidationError(f"covariance must be square with even dimension, got {cov.shape}")
     if not np.all(np.isfinite(cov)):
         raise ValidationError("covariance has non-finite entries")
-    if not (np.isfinite(v0) and v0 > 0):
-        raise ValidationError(f"vacuum variance must be positive, got {v0}")
 
     n_modes = cov.shape[0] // 2
     sym_part = 0.5 * (cov + cov.T)
     w = np.array([[0.0, 1.0], [-1.0, 0.0]])
     omega = np.kron(np.eye(n_modes), w)
-    phys = np.linalg.eigvalsh(sym_part + 1j * v0 * omega)
+    phys = np.linalg.eigvalsh(sym_part + 1j * omega)
     checks = {
         "symmetric": np.abs(cov - cov.T).max() <= SYMMETRY_TOL,
         "positive_definite": np.linalg.eigvalsh(sym_part).min() > 0,
@@ -97,7 +92,7 @@ def _set_moments(state, dim: int, what: str) -> None:
         raise ValidationError("means have non-finite entries")
     if cov.shape != (dim, dim):
         raise ValidationError(f"covariance must have shape ({dim}, {dim}), got {cov.shape}")
-    failures = validate_covariance(cov, state.v0)
+    failures = validate_covariance(cov)
     if failures:
         raise ValidationError(f"unphysical {what}covariance: {failures}")
     object.__setattr__(state, "means", means)
@@ -110,7 +105,6 @@ class SingleModeState:
 
     means: np.ndarray
     cov: np.ndarray
-    v0: float = DEFAULT_V0
 
     def __post_init__(self):
         _set_moments(self, 2, "single-mode ")
@@ -122,7 +116,6 @@ class GaussianBipartiteState:
 
     means: np.ndarray
     cov: np.ndarray
-    v0: float = DEFAULT_V0
 
     def __post_init__(self):
         _set_moments(self, 4, "")
@@ -140,57 +133,54 @@ class GaussianBipartiteState:
         return self.cov[:2, 2:]
 
 
-def vacuum_single(v0: float = DEFAULT_V0) -> SingleModeState:
-    return SingleModeState(np.zeros(2), v0 * np.eye(2), v0)
+def vacuum_single() -> SingleModeState:
+    return SingleModeState(np.zeros(2), np.eye(2))
 
 
-def vacuum_bipartite(v0: float = DEFAULT_V0) -> GaussianBipartiteState:
-    return GaussianBipartiteState(np.zeros(4), v0 * np.eye(4), v0)
+def vacuum_bipartite() -> GaussianBipartiteState:
+    return GaussianBipartiteState(np.zeros(4), np.eye(4))
 
 
 def tensor(mode_a: SingleModeState, mode_b: SingleModeState) -> GaussianBipartiteState:
     """Uncorrelated two-mode state from two single-mode states."""
-    if mode_a.v0 != mode_b.v0:
-        raise ValidationError("modes use different vacuum conventions")
     means = np.concatenate([mode_a.means, mode_b.means])
     cov = np.zeros((4, 4))
     cov[:2, :2] = mode_a.cov
     cov[2:, 2:] = mode_b.cov
-    return GaussianBipartiteState(means, cov, mode_a.v0)
+    return GaussianBipartiteState(means, cov)
 
 
-def modulated_beam(depth_x: float, depth_p: float, v0: float = DEFAULT_V0) -> SingleModeState:
+def modulated_beam(depth_x: float, depth_p: float) -> SingleModeState:
     """Vacuum carrying independent Gaussian displacement noise on each
     quadrature.
 
-    A modulation depth d adds classical noise of variance d^2 * v0, so the
-    beam has quadrature variances (1 + d^2) * v0.  Depths must be >= 0.
+    A modulation depth d adds classical noise of variance d^2, so the beam
+    has quadrature variances 1 + d^2.  Depths must be >= 0.
     """
     if depth_x < 0 or depth_p < 0:
         raise ValidationError("modulation depths must be non-negative")
-    cov = v0 * np.diag([1.0 + depth_x**2, 1.0 + depth_p**2])
-    return SingleModeState(np.zeros(2), cov, v0)
+    cov = np.diag([1.0 + depth_x**2, 1.0 + depth_p**2])
+    return SingleModeState(np.zeros(2), cov)
 
 
 def split_balanced(mode: SingleModeState) -> GaussianBipartiteState:
     """Send a single-mode state through a balanced splitter with vacuum on
     the idle port.
 
-    For input variances (V_x, V_p) in units of v0 the output blocks are
-    A = B = v0 * diag((V_x+1)/2, (V_p+1)/2) and C = v0 * diag((V_x-1)/2,
-    (V_p-1)/2): any classical noise above vacuum becomes a positive
-    intermode correlation.
+    For input variances (V_x, V_p) the output blocks are
+    A = B = diag((V_x+1)/2, (V_p+1)/2) and C = diag((V_x-1)/2, (V_p-1)/2):
+    any classical noise above vacuum becomes a positive intermode
+    correlation.
     """
-    v0 = mode.v0
-    half_sum = 0.5 * (mode.cov + v0 * np.eye(2))
-    half_diff = 0.5 * (mode.cov - v0 * np.eye(2))
+    half_sum = 0.5 * (mode.cov + np.eye(2))
+    half_diff = 0.5 * (mode.cov - np.eye(2))
     cov = np.zeros((4, 4))
     cov[:2, :2] = half_sum
     cov[2:, 2:] = half_sum
     cov[:2, 2:] = half_diff
     cov[2:, :2] = half_diff.T
     m = mode.means / np.sqrt(2.0)
-    return GaussianBipartiteState(np.concatenate([m, m]), cov, v0)
+    return GaussianBipartiteState(np.concatenate([m, m]), cov)
 
 
 def beam_splitter_matrix(eta: float) -> np.ndarray:
@@ -227,7 +217,7 @@ def apply_beam_splitter(state: GaussianBipartiteState, eta: float,
     s = beam_splitter_matrix(eta)
     if inverse:
         s = s.T
-    return GaussianBipartiteState(s @ state.means, s @ state.cov @ s.T, state.v0)
+    return GaussianBipartiteState(s @ state.means, s @ state.cov @ s.T)
 
 
 def rotation_matrix(theta_a: float, theta_b: float) -> np.ndarray:
@@ -249,7 +239,7 @@ def rotate_local(state: GaussianBipartiteState, theta_a: float,
     theta = 0 measures x, theta = pi/2 measures p.
     """
     u = rotation_matrix(theta_a, theta_b)
-    return GaussianBipartiteState(u @ state.means, u @ state.cov @ u.T, state.v0)
+    return GaussianBipartiteState(u @ state.means, u @ state.cov @ u.T)
 
 
 def c_block_is_zero(state: GaussianBipartiteState, tol: float = 1e-12) -> bool:

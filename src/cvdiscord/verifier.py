@@ -522,7 +522,7 @@ def verdict_mixture(rs: RecordSet, threshold: float,
 # ---------------------------------------------------------------------------
 
 
-def sweep_modulation(depths, n: int, seed: int, v0: float = 1.0,
+def sweep_modulation(depths, n: int, seed: int,
                      n_boot: int = BOOTSTRAP_DEFAULT) -> list[dict]:
     """Simulate a phase-modulated beam split on a balanced splitter over a
     list of depths; per depth, measure the peak separation and attach the
@@ -539,13 +539,13 @@ def sweep_modulation(depths, n: int, seed: int, v0: float = 1.0,
     if not np.all(np.isfinite(depths) & (depths >= 0)):
         raise ValidationError(f"depths must be finite and non-negative, "
                               f"got {depths.tolist()}")
-    return _starmap(_sweep_row, [(depth, n, _streams(seed, i), v0, n_boot)
+    return _starmap(_sweep_row, [(depth, n, _streams(seed, i), n_boot)
                                  for i, depth in enumerate(depths)])
 
 
-def _sweep_row(depth: float, n: int, streams, v0: float, n_boot: int) -> dict:
+def _sweep_row(depth: float, n: int, streams, n_boot: int) -> dict:
     half_pi = np.pi / 2.0
-    state = split_balanced(modulated_beam(0.0, depth, v0))
+    state = split_balanced(modulated_beam(0.0, depth))
     form = joint_marginal_form(state, half_pi, half_pi)
     rs = RecordSet(*_draw([(n, streams, _gaussian_chunk(form))]), [(half_pi, half_pi)], [n])
     delta, sigma, _, _ = _separation(*map(np.sort, split_by_threshold(rs, 0.0)),

@@ -7,7 +7,7 @@ coefficient of the exponent, peak separation of the sign-conditioned
 marginals) and pin the library against regressions.
 
 Random physical states are built by a reverse Williamson construction:
-draw symplectic eigenvalues >= v0, conjugate with a random symplectic
+draw symplectic eigenvalues >= 1, conjugate with a random symplectic
 assembled from local rotations, single-mode squeezes and a mode-mixing
 splitter.  Every state so built is physical by construction.
 """
@@ -48,8 +48,8 @@ SWEEP_FROZEN = {
 }
 
 
-def measured_state(v0: float = 1.0) -> GaussianBipartiteState:
-    return GaussianBipartiteState(np.zeros(4), MEASURED_COV, v0)
+def measured_state() -> GaussianBipartiteState:
+    return GaussianBipartiteState(np.zeros(4), MEASURED_COV)
 
 
 def rotation2(theta: float) -> np.ndarray:
@@ -62,20 +62,19 @@ def rotation2(theta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def random_single_cov(rng, v0: float = 1.0, nu_max: float = 2.5,
-                      r_max: float = 0.5) -> np.ndarray:
+def random_single_cov(rng, nu_max: float = 2.5, r_max: float = 0.5) -> np.ndarray:
     """Random physical single-mode covariance: squeezed thermal, rotated."""
-    nu = rng.uniform(1.001, nu_max) * v0
+    nu = rng.uniform(1.001, nu_max)
     r = rng.uniform(0.0, r_max)
     rot = rotation2(rng.uniform(0.0, 2.0 * np.pi))
     return rot @ np.diag([nu * np.exp(2 * r), nu * np.exp(-2 * r)]) @ rot.T
 
 
-def random_product_state(rng, v0: float = 1.0) -> GaussianBipartiteState:
+def random_product_state(rng) -> GaussianBipartiteState:
     cov = np.zeros((4, 4))
-    cov[:2, :2] = random_single_cov(rng, v0)
-    cov[2:, 2:] = random_single_cov(rng, v0)
-    return GaussianBipartiteState(np.zeros(4), cov, v0)
+    cov[:2, :2] = random_single_cov(rng)
+    cov[2:, 2:] = random_single_cov(rng)
+    return GaussianBipartiteState(np.zeros(4), cov)
 
 
 def _random_symplectic(rng, r_max: float = 0.5) -> np.ndarray:
@@ -89,54 +88,52 @@ def _random_symplectic(rng, r_max: float = 0.5) -> np.ndarray:
     return passive() @ squeeze @ passive()
 
 
-def random_bipartite_state(rng, v0: float = 1.0, min_c: float | None = None,
+def random_bipartite_state(rng, min_c: float | None = None,
                            nu_max: float = 2.5, r_max: float = 0.5,
                            max_tries: int = 500) -> GaussianBipartiteState:
     """Random physical two-mode state; optionally insist the cross block
-    have an entry of magnitude at least min_c (in v0 units)."""
+    have an entry of magnitude at least min_c."""
     for _ in range(max_tries):
-        d1, d2 = rng.uniform(1.001, nu_max, size=2) * v0
+        d1, d2 = rng.uniform(1.001, nu_max, size=2)
         core = np.diag([d1, d1, d2, d2])
         s = _random_symplectic(rng, r_max)
         cov = s @ core @ s.T
         cov = 0.5 * (cov + cov.T)
-        if min_c is not None and np.max(np.abs(cov[:2, 2:])) < min_c * v0:
+        if min_c is not None and np.max(np.abs(cov[:2, 2:])) < min_c:
             continue
-        return GaussianBipartiteState(np.zeros(4), cov, v0)
+        return GaussianBipartiteState(np.zeros(4), cov)
     raise AssertionError("no state satisfied the cross-correlation floor")
 
 
-def random_diag_block_state(rng, v0: float = 1.0,
-                            max_tries: int = 500) -> GaussianBipartiteState:
+def random_diag_block_state(rng, max_tries: int = 500) -> GaussianBipartiteState:
     """Random physical state whose A, B and C blocks are all diagonal."""
     from cvdiscord import ValidationError
 
     for _ in range(max_tries):
-        a1, a2, b1, b2 = rng.uniform(1.2, 8.0, size=4) * v0
-        c1 = rng.uniform(-0.9, 0.9) * np.sqrt((a1 - v0) * (b1 - v0))
-        c2 = rng.uniform(-0.9, 0.9) * np.sqrt((a2 - v0) * (b2 - v0))
+        a1, a2, b1, b2 = rng.uniform(1.2, 8.0, size=4)
+        c1 = rng.uniform(-0.9, 0.9) * np.sqrt((a1 - 1.0) * (b1 - 1.0))
+        c2 = rng.uniform(-0.9, 0.9) * np.sqrt((a2 - 1.0) * (b2 - 1.0))
         cov = np.diag([a1, a2, b1, b2]).astype(float)
         cov[0, 2] = cov[2, 0] = c1
         cov[1, 3] = cov[3, 1] = c2
         try:
-            return GaussianBipartiteState(np.zeros(4), cov, v0)
+            return GaussianBipartiteState(np.zeros(4), cov)
         except ValidationError:
             continue
     raise AssertionError("no physical diagonal-block state found")
 
 
-def random_cross_only_state(rng, v0: float = 1.0,
-                            max_tries: int = 500) -> GaussianBipartiteState:
+def random_cross_only_state(rng, max_tries: int = 500) -> GaussianBipartiteState:
     """Random physical state whose only cross correlation is x_A with p_B."""
     from cvdiscord import ValidationError
 
     for _ in range(max_tries):
-        a1, a2, b1, b2 = rng.uniform(1.5, 5.0, size=4) * v0
-        c = rng.uniform(0.3, 0.9) * np.sqrt((a1 - v0) * (b2 - v0))
+        a1, a2, b1, b2 = rng.uniform(1.5, 5.0, size=4)
+        c = rng.uniform(0.3, 0.9) * np.sqrt((a1 - 1.0) * (b2 - 1.0))
         cov = np.diag([a1, a2, b1, b2]).astype(float)
         cov[0, 3] = cov[3, 0] = c
         try:
-            return GaussianBipartiteState(np.zeros(4), cov, v0)
+            return GaussianBipartiteState(np.zeros(4), cov)
         except ValidationError:
             continue
     raise AssertionError("no physical cross-only state found")

@@ -122,8 +122,8 @@ def test_simulate_writes_records_sidecar_manifest(tmp_path, monkeypatch,
     (("--depth-p", "nan"), "depth_p"),
     (("--scheme", "async", "--depth", "inf"), "depth"),
     (("--scheme", "switched-phase", "--amplitude", "nan"), "amplitude"),
-    (("--v0", "nan"), "v0"),
-    (("--v0", "inf"), "v0"),
+    (("--scheme", "switched-noise", "--depth-x", "nan"), "depth_x"),
+    (("--scheme", "switched-noise", "--depth-p=-inf"), "depth_p"),
     (("--scheme", "async", "--theta-a", "nan"), "theta_a"),
     (("--scheme", "async", "--theta-b=-inf"), "theta_b"),
     (("--pairs", "nan,0"), "phase pair"),
@@ -149,9 +149,10 @@ def test_simulate_rejects_non_finite_parameters(tmp_path, monkeypatch, capsys,
     (("counterexample", "--nbar", "nan"), "nbar"),
     (("counterexample", "--r", "nan"), "r"),
     (("counterexample", "--r", "inf"), "r"),
-    (("counterexample", "--v0", "nan"), "v0"),
-    (("counterexample", "--v0", "0"), "v0"),
-    (("counterexample", "--v0", "-1"), "v0"),
+    # too large for the truncated Fock basis
+    (("counterexample", "--alpha", "10"), "alpha"),
+    (("counterexample", "--nbar", "1000"), "nbar"),
+    (("counterexample", "--r", "5"), "r"),
     (("sweep", "--depths", ","), "depths"),
     (("verify", "--records", "rec.npz", "--k-min", "-1"), "k_min"),
     (("verify", "--records", "rec.npz", "--k-min", "0"), "k_min"),
@@ -728,7 +729,10 @@ def test_bad_output_names_exit_1_and_change_no_file(tmp_path, monkeypatch,
     ("sweep", "--depths", "0.5", "--n", "1000", "--seed", "-3", "--out", "new.csv"),
     ("verify", "--records", "r.npz", "--pairs", "0,0", "--seed", "-2",
      "--out", "new.json"),
-], ids=["simulate", "sweep", "verify"])
+    # the mixture verdict draws nothing, but the manifest records the seed
+    ("verify", "--records", "r.npz", "--mode", "mixture", "--seed", "-5",
+     "--out", "new.json"),
+], ids=["simulate", "sweep", "verify", "verify-mixture"])
 def test_a_negative_seed_exits_1_naming_it_and_writes_nothing(tmp_path, monkeypatch,
                                                              capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -738,7 +742,45 @@ def test_a_negative_seed_exits_1_naming_it_and_writes_nothing(tmp_path, monkeypa
     assert run(*argv) == 1
     seed = argv[argv.index("--seed") + 1]
     assert capsys.readouterr().err == (
-        f"error: seed must be a non-negative integer, got {seed}\n")
+        f"error: seed must be a non-negative integer below 2**32, got {seed}\n")
+    assert _snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", [
+    ("simulate", "--n", "500", "--pairs", "0,0", "--out", "new.npz"),
+    ("sweep", "--depths", "2", "--n", "3000", "--out", "new.csv"),
+    ("verify", "--records", "r.npz", "--pairs", "0,0", "--out", "new.json"),
+], ids=["simulate", "sweep", "verify"])
+def test_a_seed_of_2_32_or_more_exits_1_naming_it_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, command):
+    # numpy splits a seed of 2**32 or more into 32-bit words, so seed
+    # 2**32 at item 0 would draw what seed 0 draws at item 1
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--n", "2000", "--pairs", "0,0", "--out", "r.npz") == 0
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    assert run(*command, "--seed", str(2**32)) == 1
+    assert capsys.readouterr().err == (
+        f"error: seed must be a non-negative integer below 2**32, got {2**32}\n")
+    assert _snapshot(tmp_path) == before
+    assert run(*command, "--seed", str(2**32 - 1)) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--n", "500", "--v0", "1", "--out", "new.npz"),
+    ("sweep", "--depths", "1", "--n", "1000", "--v0", "1", "--out", "new.csv"),
+    ("counterexample", "--which", "zero", "--v0", "1", "--out", "new.json"),
+    ("simulate", "--n", "500", "--config", "v0.json", "--out", "new.npz"),
+], ids=["simulate", "sweep", "counterexample", "config"])
+def test_v0_is_not_an_option_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                argv):
+    # every quadrature is in shot-noise units, vacuum variance 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "v0.json").write_text(json.dumps({"v0": 1}))
+    before = _snapshot(tmp_path)
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "v0" in err
     assert _snapshot(tmp_path) == before
 
 

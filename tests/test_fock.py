@@ -48,7 +48,7 @@ from cvdiscord.marginals import CoherentPoint, PMixtureState
 
 def test_eigenfunctions_are_orthonormal():
     grid = default_grid(25)
-    psi = oscillator_eigenfunctions(25, grid.points, 1.0)
+    psi = oscillator_eigenfunctions(25, grid.points)
     gram = simpson(psi[:, None, :] * psi[None, :, :], x=grid.points, axis=-1)
     assert np.abs(gram - np.eye(25)).max() < 1e-8
 
@@ -103,13 +103,12 @@ def test_thermal_and_squeezed_quadrature_variances():
 
 
 def test_vacuum_marginal_is_the_shot_noise_gaussian():
-    for v0 in (1.0, 0.5):
-        grid = default_grid(10, v0=v0)
-        dens = homodyne_marginal_fock(density_from_vector(coherent_fock(0.0, 10)),
-                                      grid)
-        want = np.exp(-grid.points**2 / (2.0 * v0)) / np.sqrt(2.0 * np.pi * v0)
-        assert np.abs(dens - want).max() < 1e-10
-        assert simpson(dens, x=grid.points) == pytest.approx(1.0, abs=1e-6)
+    grid = default_grid(10)
+    dens = homodyne_marginal_fock(density_from_vector(coherent_fock(0.0, 10)),
+                                  grid)
+    want = np.exp(-grid.points**2 / 2.0) / np.sqrt(2.0 * np.pi)
+    assert np.abs(dens - want).max() < 1e-10
+    assert simpson(dens, x=grid.points) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_single_photon_marginal_is_double_humped():
@@ -129,7 +128,7 @@ def test_zero_one_superposition_peaks_off_center():
     vec = np.zeros(10)
     vec[0] = vec[1] = 1.0 / np.sqrt(2.0)
     dens = homodyne_marginal_fock(density_from_vector(vec), grid)
-    # mean of x in this state is sqrt(2 v0) <0|x|1> overlap = 1
+    # mean of x in this state is sqrt(2) <0|x|1> overlap = 1
     mean, _ = grid_moments(grid, dens)
     assert mean == pytest.approx(1.0, abs=1e-8)
     assert grid_peak(grid, dens) > 0.5
@@ -137,26 +136,23 @@ def test_zero_one_superposition_peaks_off_center():
 
 def test_coherent_marginal_matches_displaced_vacuum_and_mixture_form():
     alpha = 0.8 + 0.3j
-    v0 = 1.0
-    grid = default_grid(30, v0=v0)
+    grid = default_grid(30)
     rho = density_from_vector(coherent_fock(alpha, 30))
 
     dens_x = homodyne_marginal_fock(rho, grid)
-    center = 2.0 * np.sqrt(v0) * alpha.real
-    want = np.exp(-(grid.points - center) ** 2 / (2.0 * v0)) / np.sqrt(
-        2.0 * np.pi * v0)
+    center = 2.0 * alpha.real
+    want = np.exp(-(grid.points - center) ** 2 / 2.0) / np.sqrt(2.0 * np.pi)
     assert np.abs(dens_x - want).max() < 1e-6
 
     # the same curve through the classical-mixture marginal, which uses
     # the natural displacement convention (factor sqrt(2) larger)
-    mix = PMixtureState((CoherentPoint(1.0, np.sqrt(2.0) * alpha.real),),
-                        eta=0.5, v0=v0)
+    mix = PMixtureState((CoherentPoint(1.0, np.sqrt(2.0) * alpha.real),), eta=0.5)
     assert np.abs(dens_x - input_marginal_D1(mix, grid.points)).max() < 1e-6
 
     # rotating the local oscillator picks out the imaginary part
     dens_p = homodyne_marginal_fock(rho, grid, theta=np.pi / 2.0)
     mean_p, _ = grid_moments(grid, dens_p)
-    assert mean_p == pytest.approx(2.0 * np.sqrt(v0) * alpha.imag, abs=1e-8)
+    assert mean_p == pytest.approx(2.0 * alpha.imag, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +315,18 @@ def test_maximally_mixed_b_is_classical_in_any_basis():
 
 def test_grid_validation():
     with pytest.raises(ValidationError):
-        QuadratureGrid(np.array([0.0, 1.0]), 1.0)
+        QuadratureGrid(np.array([0.0, 1.0]))
     with pytest.raises(ValidationError):
-        QuadratureGrid(np.array([0.0, 1.0, 0.5]), 1.0)
+        QuadratureGrid(np.array([0.0, 1.0, 0.5]))
     with pytest.raises(ValidationError):
-        QuadratureGrid(np.array([0.0, 0.5, 1.7]), 1.0)
+        QuadratureGrid(np.array([0.0, 0.5, 1.7]))
     grid = default_grid(20)
     assert grid.points[0] == -grid.points[-1]
     assert grid.spacing == pytest.approx(0.01, abs=1e-12)
 
 
 def test_grid_peak_boundary_and_flat_guards():
-    grid = QuadratureGrid(np.linspace(0.0, 1.0, 11), 1.0)
+    grid = QuadratureGrid(np.linspace(0.0, 1.0, 11))
     rising = np.linspace(0.1, 1.0, 11)
     assert grid_peak(grid, rising) == 1.0
     with_zero = np.array([0.0, 0.0, 1.0, 0.5, 0.2, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
@@ -341,7 +337,6 @@ def test_fock_state_json_round_trip():
     state = build_ce_zero_discord(alpha=0.8, dim_b=6)
     doc = json.loads(fock_state_to_json(state))
     assert sorted(doc) == ["dim_A", "dim_B", "entries", "v0"]
-    assert (doc["dim_A"], doc["dim_B"], doc["v0"]) == (state.dim_a, state.dim_b,
-                                                       state.v0)
+    assert (doc["dim_A"], doc["dim_B"], doc["v0"]) == (state.dim_a, state.dim_b, 1.0)
     assert np.array(doc["entries"]).tobytes() == np.column_stack(
         [state.matrix.real.ravel(), state.matrix.imag.ravel()]).tobytes()

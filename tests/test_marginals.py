@@ -1,5 +1,7 @@
 """Measured-quadrature marginals, conditional splits and mixture densities."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -27,6 +29,8 @@ from cvdiscord import (
 )
 
 HALF_PI = np.pi / 2.0
+# shot-noise units x are natural units u = x / ROOT2
+ROOT2 = math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -253,37 +257,41 @@ def _arcsine_by_quad(alpha0, u):
     return val / (np.pi * np.sqrt(np.pi))
 
 
+def _natural_d1(mix, u):
+    """input_marginal_D1 in natural units: the shot-noise density D at
+    x = sqrt(2) u, times sqrt(2)."""
+    return input_marginal_D1(mix, ROOT2 * np.asarray(u)) * ROOT2
+
+
 @pytest.mark.parametrize("alpha0", [0.0, 0.5, 3.0, 8.0])
 def test_arcsine_marginal_matches_quadrature(alpha0):
-    # v0 = 1/2 puts the public density in natural units
-    mix = PMixtureState((ArcsineComponent(1.0, alpha0),), eta=0.7, v0=0.5)
+    mix = PMixtureState((ArcsineComponent(1.0, alpha0),), eta=0.7)
     u = np.linspace(-12.0, 12.0, 231)
     want = np.array([_arcsine_by_quad(alpha0, v) for v in u])
-    got = input_marginal_D1(mix, u.reshape(11, 21))
+    got = _natural_d1(mix, u.reshape(11, 21))
     assert got.shape == (11, 21)
     assert np.max(np.abs(got.ravel() - want)) <= 1e-12
     for v in (-12.0, -3.7, 0.0, 2.5, 8.0, 12.0):
-        one = input_marginal_D1(mix, v)
-        assert isinstance(one, float)
-        assert abs(one - _arcsine_by_quad(alpha0, v)) <= 1e-12
+        assert isinstance(input_marginal_D1(mix, ROOT2 * v), float)
+        assert abs(_natural_d1(mix, v) - _arcsine_by_quad(alpha0, v)) <= 1e-12
     if alpha0 == 0.0:
-        vacuum = PMixtureState((CoherentPoint(1.0, 0.0),), eta=0.7, v0=0.5)
-        np.testing.assert_allclose(input_marginal_D1(mix, u),
-                                   input_marginal_D1(vacuum, u),
+        vacuum = PMixtureState((CoherentPoint(1.0, 0.0),), eta=0.7)
+        np.testing.assert_allclose(input_marginal_D1(mix, ROOT2 * u),
+                                   input_marginal_D1(vacuum, ROOT2 * u),
                                    rtol=1e-15, atol=0.0)
 
 
 def test_arcsine_marginal_spans_blocks_and_keeps_nan():
     # more points than one evaluation block, in an order that mixes blocks
-    mix = PMixtureState((ArcsineComponent(1.0, 2.2),), eta=0.7, v0=0.5)
+    mix = PMixtureState((ArcsineComponent(1.0, 2.2),), eta=0.7)
     u = np.random.default_rng(5).uniform(-9.0, 9.0, 5000)
-    got = input_marginal_D1(mix, u)
+    got = _natural_d1(mix, u)
     for i in range(0, 5000, 499):
         assert abs(got[i] - _arcsine_by_quad(2.2, u[i])) <= 1e-12
     # the node count is chosen per block, so values agree to the tolerance
-    np.testing.assert_allclose(input_marginal_D1(mix, u[::-1]), got[::-1],
+    np.testing.assert_allclose(_natural_d1(mix, u[::-1]), got[::-1],
                                rtol=0.0, atol=1e-13)
-    with_nan = input_marginal_D1(mix, np.array([np.nan, u[0]]))
+    with_nan = _natural_d1(mix, np.array([np.nan, u[0]]))
     assert np.isnan(with_nan[0])
     assert with_nan[1] == pytest.approx(got[0], rel=0.0, abs=1e-13)
 

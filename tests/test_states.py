@@ -29,8 +29,9 @@ def test_vacuum_is_shot_noise_limited():
     vac = vacuum_bipartite()
     assert np.array_equal(vac.cov, np.eye(4))
     assert np.array_equal(vac.means, np.zeros(4))
-    single = vacuum_single(v0=2.5)
-    assert np.array_equal(single.cov, 2.5 * np.eye(2))
+    single = vacuum_single()
+    assert np.array_equal(single.cov, np.eye(2))
+    assert np.array_equal(single.means, np.zeros(2))
 
 
 def test_modulated_beam_variances():
@@ -96,7 +97,7 @@ def test_beam_splitter_preserves_physicality():
         st = H.random_bipartite_state(rng)
         eta = rng.uniform(0.0, 1.0)
         out = apply_beam_splitter(st, eta)
-        assert validate_covariance(out.cov, out.v0) == []
+        assert validate_covariance(out.cov) == []
 
 
 def test_beam_splitter_matrix_is_symplectic_orthogonal():
