@@ -18,7 +18,8 @@ modes with --plotdata on .npz records and on the gaussian and
 switched-phase CSV records, simulate and verify from a config file, a
 record file run.npz and its verdict run.json, which share a stem, a
 simulate and verify at 140,000 records per pair, three sampling chunks
-per pair with the last one partial, sweep at 5,000 records per depth,
+per pair with the last one partial, and a verify of those records with
+--threshold 1.5 and --plotdata, whose sides are unequal, sweep at 5,000 records per depth,
 under one sampling chunk, and at 70,000, over one, counterexample
 with --plotdata and --dump-state, verify in both modes on a record CSV
 that has no sidecar, which the script writes itself, and three commands
@@ -108,6 +109,9 @@ COMMANDS = [
      "--out", "chunks.npz"),
     ("verify", "--records", "chunks.npz", "--boot", "50",
      "--out", "v_chunks.json"),
+    # unequal sides on pooled pairs: the whole-pair edges from two parts
+    ("verify", "--records", "chunks.npz", "--boot", "50", "--threshold", "1.5",
+     "--out", "v_chunks_t.json", "--plotdata", "p_chunks_t.csv"),
     ("verify", "--config", "verify.json", "--boot", "50"),
     ("sweep", "--depths", "0:3:4", "--n", "5000", "--out", "sweep.csv"),
     # at least one sampling chunk per depth: pooled depths that draw their

@@ -20,13 +20,13 @@ from .states import (GaussianBipartiteState, SingleModeState,
                      apply_beam_splitter, beam_splitter_matrix,
                      c_block_is_zero, modulated_beam, rotate_local, rotation_matrix, split_balanced,
                      symplectic_form, tensor, vacuum_bipartite, vacuum_single,
-                     validate_covariance, wigner_density)
+                     validate_covariance)
 from .marginals import (ArcsineComponent, CoherentPoint, MarginalForm,
-                        NuTable, PMixtureState, ThermalComponent,
+                        PMixtureState, ThermalComponent,
                         analytic_peak_separation,
                         conditional_marginal_density, input_marginal_D1,
                         joint_marginal_density, joint_marginal_form,
-                        marginal_b_density, nu_table, output_joint_density,
+                        marginal_b_density, output_joint_density,
                         side_probability)
 from .sampler import (AsyncSine, GaussianModulation, RecordSet,
                       SimulationConfig, SwitchedNoise, SwitchedPhase,

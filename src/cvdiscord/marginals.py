@@ -23,7 +23,6 @@ module converts to shot-noise units, vacuum variance 1, at the boundary
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,22 +61,6 @@ class MarginalForm:
         return self.lam * self.mu - self.nu**2
 
 
-@dataclass(frozen=True)
-class NuTable:
-    """Cross coefficient nu at the four canonical phase pairs."""
-
-    nu_00: float
-    nu_0_90: float
-    nu_90_0: float
-    nu_90_90: float
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    def max_abs(self) -> float:
-        return max(abs(v) for v in self.as_dict().values())
-
-
 def joint_marginal_form(state: GaussianBipartiteState, theta_a: float,
                         theta_b: float) -> MarginalForm:
     """Exponent coefficients of the measured (x_A, x_B) joint density.
@@ -100,13 +83,6 @@ def joint_marginal_form(state: GaussianBipartiteState, theta_a: float,
         mean_a=rotated.means[0],
         mean_b=rotated.means[2],
     )
-
-
-def nu_table(state: GaussianBipartiteState) -> NuTable:
-    """nu at the four phase pairs (0,0), (0,90), (90,0), (90,90) degrees."""
-    phases = (0.0, np.pi / 2.0)
-    return NuTable(*(joint_marginal_form(state, ta, tb).nu
-                     for ta in phases for tb in phases))
 
 
 def joint_marginal_density(form: MarginalForm, x_a, x_b):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 
 # tolerances used by the physicality checks
 SYMMETRY_TOL = 1e-12
@@ -246,26 +246,3 @@ def c_block_is_zero(state: GaussianBipartiteState, tol: float = 1e-12) -> bool:
     """True when the intermode block vanishes, i.e. the state is a product
     state with zero discord."""
     return bool(np.abs(state.block_c).max() <= tol)
-
-
-def wigner_density(state: GaussianBipartiteState, point):
-    """Phase-space quasiprobability density at 4-vector points.
-
-    W(x) = exp(-(x - m) sigma^{-1} (x - m)^T / 2) / (4 pi^2 sqrt(det sigma)),
-    a normal density over (x_A, p_A, x_B, p_B); Gaussian states have
-    non-negative Wigner functions.  Accepts a single 4-vector or an array
-    of points with the vector on the last axis.
-    """
-    point = np.asarray(point, dtype=float)
-    if point.shape[-1:] != (4,):
-        raise ValidationError(f"points must have a last axis of 4, got {point.shape}")
-    det = np.linalg.det(state.cov)
-    if det <= 0 or not np.isfinite(det):
-        raise NumericError(f"covariance determinant {det} is not usable")
-    d = point - state.means
-    try:
-        sol = np.linalg.solve(state.cov, d[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("singular covariance in density evaluation") from exc
-    val = np.exp(-0.5 * np.sum(d * sol, axis=-1)) / (4.0 * np.pi**2 * np.sqrt(det))
-    return val if val.ndim else float(val)

@@ -84,12 +84,15 @@ class Histogram:
 
 @dataclass(frozen=True)
 class ConditionalHistograms:
-    """One pair's B outcomes binned whole and per side, on shared edges."""
+    """One pair's B outcomes binned whole and per side, on shared edges,
+    with the mean of the whole and the mean and variance of each side."""
 
     whole: Histogram
     plus: Histogram
     minus: Histogram
     mean: float
+    mean_plus: float
+    mean_minus: float
     var_plus: float
     var_minus: float
 
@@ -174,17 +177,35 @@ def split_by_threshold(rs: RecordSet, threshold: float = 0.0
     return rs.x_b[plus_mask], rs.x_b[~plus_mask]
 
 
-def _percentile(ordered: np.ndarray, q: float) -> float:
-    """np.percentile(values, 100 q) bit for bit from the ascending copy of
-    values: numpy's linear rule blends the order statistics a and b around
-    the virtual index (n - 1) q by its fraction t, as b - (b - a)(1 - t)
-    when t >= 0.5, else a + (b - a) t."""
-    last = len(ordered) - 1
+def _order_stat(parts, k: int):
+    """The k-th smallest value (from 0) of one or two ascending arrays a
+    and b together.  The k + 1 smallest are a[:i] and b[:k + 1 - i] for the
+    least i with a[i] >= b[k - i], which a bisection finds; the k-th is the
+    larger of the last two taken.  One array is a with an empty b."""
+    a, b = (*parts, parts[0][:0])[:2]
+    lo, hi = max(0, k + 1 - len(b)), min(k + 1, len(a))
+    while lo < hi:
+        i = (lo + hi) // 2
+        if a[i] < b[k - i]:
+            lo = i + 1
+        else:
+            hi = i
+    if lo == 0:
+        return b[k]
+    return a[k] if lo > k else max(a[lo - 1], b[k - lo])
+
+
+def _percentile(parts, q: float) -> float:
+    """np.percentile(values, 100 q) bit for bit, values given as one or two
+    ascending arrays: numpy's linear rule blends the order statistics a and
+    b around the virtual index (n - 1) q by its fraction t, as
+    b - (b - a)(1 - t) when t >= 0.5, else a + (b - a) t."""
+    last = sum(map(len, parts)) - 1
     v = last * q
     i = int(v)
     if i >= last:  # a single value, which numpy returns as it is
-        return ordered[last]
-    a, b, t = ordered[i], ordered[i + 1], v - i
+        return _order_stat(parts, last)
+    a, b, t = _order_stat(parts, i), _order_stat(parts, i + 1), v - i
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
@@ -194,16 +215,35 @@ def _ascending(values: np.ndarray) -> np.ndarray:
     return values if (values[:-1] <= values[1:]).all() else np.sort(values)
 
 
-def bin_count_fd(values: np.ndarray) -> int:
-    """Freedman-Diaconis bin count clamped to [MIN_BINS, MAX_BINS]."""
-    ordered = _ascending(values)
-    span = float(ordered[-1] - ordered[0])
-    iqr = _percentile(ordered, 0.75) - _percentile(ordered, 0.25)
+def bin_count_fd(parts) -> int:
+    """Freedman-Diaconis bin count, clamped to [MIN_BINS, MAX_BINS], of the
+    values of one or two ascending arrays together."""
+    n = sum(map(len, parts))
+    span = float(_order_stat(parts, n - 1) - _order_stat(parts, 0))
+    iqr = _percentile(parts, 0.75) - _percentile(parts, 0.25)
     if span <= 0 or iqr <= 0:
         return MIN_BINS
-    width = 2.0 * iqr / len(values) ** (1.0 / 3.0)
+    width = 2.0 * iqr / n ** (1.0 / 3.0)
     k = int(np.ceil(span / width)) if width > 0 else MAX_BINS
     return min(max(k, MIN_BINS), MAX_BINS)
+
+
+def _fd_edges(parts) -> np.ndarray:
+    """Equal-width edges spanning [min, max] of the values of one or two
+    ascending arrays together, padded by one bin on each side, the bin
+    count from bin_count_fd."""
+    lo, hi = (float(_order_stat(parts, k)) for k in (0, sum(map(len, parts)) - 1))
+    if hi <= lo:  # one bin of width 1 about the value, and a pad bin of 1 each side
+        return np.linspace(lo - 0.5 - 1.0, hi + 0.5 + 1.0, 4)
+    k = bin_count_fd(parts)
+    width = (hi - lo) / k
+    return np.linspace(lo - width, hi + width, k + 3)
+
+
+def _bin_counts(ordered: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """np.histogram's counts of ascending values, by bisecting at the edges."""
+    return np.diff(np.concatenate([ordered.searchsorted(edges[:-1], "left"),
+                                   ordered.searchsorted(edges[-1:], "right")]))
 
 
 def estimate_density(values, edges: np.ndarray | None = None) -> Histogram:
@@ -216,32 +256,40 @@ def estimate_density(values, edges: np.ndarray | None = None) -> Histogram:
     if len(values) == 0:
         raise InsufficientDataError("no records to bin")
     ordered = _ascending(values)
-    if edges is None:
-        lo, hi = float(ordered[0]), float(ordered[-1])
-        if hi <= lo:
-            width = 1.0
-            lo, hi = lo - 0.5, hi + 0.5
-            k = 1
-        else:
-            k = bin_count_fd(ordered)
-            width = (hi - lo) / k
-        edges = np.linspace(lo - width, hi + width, k + 3)
-    edges = np.asarray(edges, dtype=float)
-    ends = np.concatenate([ordered.searchsorted(edges[:-1], "left"),
-                           ordered.searchsorted(edges[-1:], "right")])
-    return Histogram(edges, np.diff(ends))
+    edges = _fd_edges((ordered,)) if edges is None else np.asarray(edges, dtype=float)
+    return Histogram(edges, _bin_counts(ordered, edges))
 
 
-def _bin_sides(x_b, plus_b, minus_b, plus_sorted) -> ConditionalHistograms:
-    """Bin x_b whole by the Freedman-Diaconis rule and the plus side, given
-    also in ascending order, on its edges; minus = whole - plus is exact,
-    as the range holds every value.  The moments come from the unsorted
-    arrays, as the order of summation sets their last bits."""
-    whole = estimate_density(x_b)
-    plus = estimate_density(plus_sorted, edges=whole.edges)
-    return ConditionalHistograms(
-        whole, plus, Histogram(whole.edges, whole.counts - plus.counts),
-        float(x_b.mean()), float(plus_b.var()), float(minus_b.var()))
+def _bin_sides(rs: RecordSet, threshold: float
+               ) -> tuple[ConditionalHistograms, tuple[np.ndarray, np.ndarray]]:
+    """The B outcomes of rs (one phase pair) binned whole and per side of
+    the threshold on the whole pair's Freedman-Diaconis edges, and the
+    (plus, minus) sides in ascending order.  Each side is the one copy that
+    split_by_threshold makes: its moments are taken in file order, as the
+    order of summation sets their last bits, and then it is sorted in
+    place.  The edges come from the order statistics of the two sides and
+    whole = plus + minus, so x_b is neither sorted nor copied whole.  A side
+    whose range exceeds MAX_BINS interquartile ranges, as one glitch record
+    makes it, cannot be binned: a ValidationError names the pair, the side
+    and the range."""
+    sides = split_by_threshold(rs, threshold)
+    means, variances = ([float(f(side)) for side in sides] for f in (np.mean, np.var))
+    for name, side in zip(("plus", "minus"), sides):
+        side.sort()
+        lo, hi = side[0], side[-1]
+        iqr = _percentile((side,), 0.75) - _percentile((side,), 0.25)
+        if hi - lo > MAX_BINS * iqr:
+            raise ValidationError(
+                f"x_B on the {name} side at phase pair ({rs.phases[0][0]:.6g}, "
+                f"{rs.phases[0][1]:.6g}) spans [{lo:.6g}, {hi:.6g}], over {MAX_BINS} "
+                f"times its interquartile range {iqr:.6g}, so no binning resolves "
+                f"its peak; is a record a glitch?")
+    edges = _fd_edges(sides)
+    plus, minus = (_bin_counts(side, edges) for side in sides)
+    hists = ConditionalHistograms(
+        Histogram(edges, plus + minus), Histogram(edges, plus),
+        Histogram(edges, minus), float(rs.x_b.mean()), *means, *variances)
+    return hists, sides
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +380,7 @@ def separation_statistic(rs: RecordSet, threshold: float = 0.0,
                          ) -> tuple[float, float, PeakEstimate, PeakEstimate]:
     """Peak separation Delta between the sign-conditioned B marginals, with
     its bootstrap standard error from the streams of a verdict's first pair."""
-    return _separation(*map(np.sort, split_by_threshold(rs, threshold)),
-                       _streams(seed), n_boot)
+    return _separation(*_bin_sides(rs, threshold)[1], _streams(seed), n_boot)
 
 
 def _separation(plus_sorted: np.ndarray, minus_sorted: np.ndarray, streams, n_boot: int):
@@ -414,15 +461,13 @@ def _check_settings(k_min: float = K_MIN_DEFAULT, alpha: float = CHI2_ALPHA,
 
 def _pair_stats(rs: RecordSet, theta_a: float, theta_b: float,
                 threshold: float, streams, n_boot: int) -> PairStats:
-    plus_b, minus_b = split_by_threshold(rs, threshold)
-    plus_sorted = np.sort(plus_b)
-    delta, sigma, _, _ = _separation(plus_sorted, np.sort(minus_b), streams, n_boot)
+    hists, sides = _bin_sides(rs, threshold)
+    delta, sigma, _, _ = _separation(*sides, streams, n_boot)
     k = abs(delta) / sigma if sigma > 0 else np.inf
-    hists = _bin_sides(rs.x_b, plus_b, minus_b, plus_sorted)
     return PairStats(theta_a=theta_a, theta_b=theta_b, delta=delta,
                      sigma_delta=sigma, k=float(k),
                      chi2=chi_square_two_sample(hists.plus, hists.minus),
-                     n_plus=len(plus_b), n_minus=len(minus_b), hists=hists)
+                     n_plus=hists.plus.total, n_minus=hists.minus.total, hists=hists)
 
 
 def _pairs_present(rs: RecordSet, shown: int = 8) -> str:
@@ -491,8 +536,7 @@ def verdict_mixture(rs: RecordSet, threshold: float,
     if len(rs) and len(rs.select_pair(*rs.phases[0])) < len(rs):
         raise ValidationError("the mixture verdict takes records at one phase "
                               f"pair; {_pairs_present(rs)}")
-    plus_b, minus_b = split_by_threshold(rs, threshold)
-    hists = _bin_sides(rs.x_b, plus_b, minus_b, np.sort(plus_b))
+    hists = _bin_sides(rs, threshold)[0]
     _check_peaked(hists.whole)
     chi2s = []
     for hist_side in (hists.plus, hists.minus):
@@ -503,9 +547,10 @@ def verdict_mixture(rs: RecordSet, threshold: float,
         [hists.whole.counts, hists.plus.counts, hists.minus.counts]))[0]
     variances = (hists.var_plus, hists.var_minus)
     sides = tuple(SideReport(sign, chi2, float(loc) - float(locs[0]),
-                             float(side_b.mean()) - hists.mean, variance)
-                  for sign, chi2, loc, side_b, variance in zip(
-                      (1, -1), chi2s, locs[1:], (plus_b, minus_b), variances))
+                             mean - hists.mean, variance)
+                  for sign, chi2, loc, mean, variance in zip(
+                      (1, -1), chi2s, locs[1:], (hists.mean_plus, hists.mean_minus),
+                      variances))
     discordant = any(s.chi2.p_value < alpha for s in sides)
     return MixtureVerdict(
         sides=sides,
@@ -548,8 +593,7 @@ def _sweep_row(depth: float, n: int, streams, n_boot: int) -> dict:
     state = split_balanced(modulated_beam(0.0, depth))
     form = joint_marginal_form(state, half_pi, half_pi)
     rs = RecordSet(*_draw([(n, streams, _gaussian_chunk(form))]), [(half_pi, half_pi)], [n])
-    delta, sigma, _, _ = _separation(*map(np.sort, split_by_threshold(rs, 0.0)),
-                                     streams, n_boot)
+    delta, sigma, _, _ = _separation(*_bin_sides(rs, 0.0)[1], streams, n_boot)
     return {
         "depth": float(depth),
         "delta": float(delta),

@@ -12,6 +12,9 @@ assembled from local rotations, single-mode squeezes and a mode-mixing
 splitter.  Every state so built is physical by construction.
 """
 
+import dataclasses
+from dataclasses import dataclass
+
 import numpy as np
 from scipy import stats
 
@@ -19,8 +22,10 @@ from cvdiscord import (
     GaussianBipartiteState,
     RecordSet,
     beam_splitter_matrix,
+    joint_marginal_form,
     rotation_matrix,
 )
+from cvdiscord.errors import NumericError, ValidationError
 
 # measured on a split beam with both quadratures strongly modulated,
 # shot-noise units, (x_A, p_A, x_B, p_B) ordering
@@ -177,12 +182,56 @@ def wigner_axes(state: GaussianBipartiteState, half_sigmas: float,
             for i in range(4)]
 
 
+@dataclass(frozen=True)
+class NuTable:
+    """Cross coefficient nu at the four canonical phase pairs."""
+
+    nu_00: float
+    nu_0_90: float
+    nu_90_0: float
+    nu_90_90: float
+
+    def as_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    def max_abs(self) -> float:
+        return max(abs(v) for v in self.as_dict().values())
+
+
+def nu_table(state: GaussianBipartiteState) -> NuTable:
+    """nu at the four phase pairs (0,0), (0,90), (90,0), (90,90) degrees."""
+    phases = (0.0, np.pi / 2.0)
+    return NuTable(*(joint_marginal_form(state, ta, tb).nu
+                     for ta in phases for tb in phases))
+
+
+def wigner_density(state: GaussianBipartiteState, point):
+    """Phase-space quasiprobability density at 4-vector points.
+
+    W(x) = exp(-(x - m) sigma^{-1} (x - m)^T / 2) / (4 pi^2 sqrt(det sigma)),
+    a normal density over (x_A, p_A, x_B, p_B); Gaussian states have
+    non-negative Wigner functions.  Accepts a single 4-vector or an array
+    of points with the vector on the last axis.
+    """
+    point = np.asarray(point, dtype=float)
+    if point.shape[-1:] != (4,):
+        raise ValidationError(f"points must have a last axis of 4, got {point.shape}")
+    det = np.linalg.det(state.cov)
+    if det <= 0 or not np.isfinite(det):
+        raise NumericError(f"covariance determinant {det} is not usable")
+    d = point - state.means
+    try:
+        sol = np.linalg.solve(state.cov, d[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("singular covariance in density evaluation") from exc
+    val = np.exp(-0.5 * np.sum(d * sol, axis=-1)) / (4.0 * np.pi**2 * np.sqrt(det))
+    return val if val.ndim else float(val)
+
+
 def integrate_wigner_4d(state: GaussianBipartiteState, half_sigmas: float = 9.0,
                         points: int = 81) -> float:
     """Trapezoid integral of the phase-space density over a 4-D box,
     chunked over the first axis to bound memory."""
-    from cvdiscord import wigner_density
-
     axes = wigner_axes(state, half_sigmas, points)
     steps = [ax[1] - ax[0] for ax in axes]
     g1, g2, g3 = np.meshgrid(*axes[1:], indexing="ij")
@@ -205,7 +254,7 @@ def integrate_marginal_from_wigner(state, theta_a: float, theta_b: float,
     """Joint density of the measured quadratures by brute force: rotate the
     state so the measured combinations sit on the x axes, then integrate
     the phase-space density over the two unmeasured axes."""
-    from cvdiscord import rotate_local, wigner_density
+    from cvdiscord import rotate_local
 
     rotated = rotate_local(state, theta_a, theta_b)
     sd_pa = np.sqrt(rotated.cov[1, 1])

@@ -26,7 +26,7 @@ from cvdiscord.marginals import (ArcsineComponent, CoherentPoint,
                                  conditional_marginal_density,
                                  input_marginal_D1, joint_marginal_density,
                                  joint_marginal_form, marginal_b_density,
-                                 nu_table, output_joint_density)
+                                 output_joint_density)
 from cvdiscord.sampler import (AsyncSine, GaussianModulation,
                                SimulationConfig, SwitchedNoise, SwitchedPhase,
                                SWITCHED_PHASE_THRESHOLD, sample_gaussian,
@@ -38,7 +38,7 @@ from cvdiscord.verifier import (CANONICAL_PAIRS, separation_statistic,
 
 from helpers import (MEASURED_NU_00, MEASURED_NU_90_90, concat_records,
                      integrate_marginal_from_wigner, integrate_wigner_4d,
-                     measured_state, nu_forms_from_blocks,
+                     measured_state, nu_forms_from_blocks, nu_table,
                      random_bipartite_state, random_diag_block_state,
                      random_product_state)
 

@@ -18,7 +18,7 @@ from cvdiscord import cli
 from cvdiscord.cli import main, parse_depths, parse_pairs
 from cvdiscord.errors import ValidationError
 from cvdiscord.fock import build_ce_zero_discord
-from cvdiscord.sampler import RecordSet, read_records
+from cvdiscord.sampler import RecordSet, read_records, write_records
 from cvdiscord.verifier import (estimate_density, split_by_threshold,
                                 verdict_gaussian, verdict_mixture)
 
@@ -338,6 +338,30 @@ def test_empty_side_of_the_threshold_exits_1(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "error: threshold 100.0 leaves one side empty at phase pair (0, 0) "
         "(0 of 3000 records on the plus side)\n")
+    assert not (tmp_path / "v.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["gaussian", "mixture"])
+def test_a_glitch_record_exits_1_naming_the_pair_and_side(tmp_path, monkeypatch,
+                                                          capsys, mode):
+    # one x_B = 1e4 among 2e4 records per pair, at (90, 0) of the four
+    # canonical pairs, or at the one pair of a switched-noise file
+    monkeypatch.chdir(tmp_path)
+    scheme = ("--scheme", "switched-noise") if mode == "mixture" else ()
+    assert run("simulate", *scheme, "--depth", "1.5", "--n", "20000",
+               "--out", "clean.npz") == 0
+    rs = read_records(tmp_path / "clean.npz")
+    row = 40_007 if mode == "gaussian" else 7
+    rs.x_b[row] = 1e4
+    write_records(rs, tmp_path / "glitch.npz")
+    capsys.readouterr()
+    assert run("verify", "--records", "glitch.npz", "--mode", mode,
+               "--out", "v.json") == 1
+    side = "plus" if rs.x_a[row] >= 0.0 else "minus"
+    pair = "(1.5708, 0)" if mode == "gaussian" else "(0, 0)"
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: x_B on the {side} side at phase pair {pair} spans [")
+    assert "10000], over 400 times its interquartile range" in err
     assert not (tmp_path / "v.json").exists()
 
 

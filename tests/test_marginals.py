@@ -22,7 +22,6 @@ from cvdiscord import (
     joint_marginal_form,
     marginal_b_density,
     modulated_beam,
-    nu_table,
     output_joint_density,
     side_probability,
     split_balanced,
@@ -39,7 +38,7 @@ ROOT2 = math.sqrt(2.0)
 
 
 def test_nu_closed_forms_on_reference_covariance():
-    table = nu_table(H.measured_state())
+    table = H.nu_table(H.measured_state())
     assert table.nu_00 == pytest.approx(H.MEASURED_NU_00, abs=1e-12)
     assert table.nu_90_90 == pytest.approx(H.MEASURED_NU_90_90, abs=1e-12)
     assert abs(table.nu_0_90) < 1e-12
@@ -51,7 +50,7 @@ def test_nu_closed_forms_on_random_diagonal_blocks():
     rng = np.random.default_rng(31)
     for _ in range(30):
         state = H.random_diag_block_state(rng)
-        table = nu_table(state).as_dict()
+        table = H.nu_table(state).as_dict()
         forms = H.nu_forms_from_blocks(state.cov)
         for key, want in forms.items():
             assert table[key] == pytest.approx(want, abs=1e-10)
@@ -60,7 +59,7 @@ def test_nu_closed_forms_on_random_diagonal_blocks():
 def test_cross_only_correlation_shows_in_one_pair():
     rng = np.random.default_rng(8)
     state = H.random_cross_only_state(rng)
-    table = nu_table(state)
+    table = H.nu_table(state)
     assert abs(table.nu_0_90) > 0.01
     assert abs(table.nu_00) < 1e-12
     assert abs(table.nu_90_0) < 1e-12
@@ -72,7 +71,7 @@ def test_cross_only_correlation_shows_in_one_pair():
 def test_product_state_has_vanishing_cross_coefficients():
     rng = np.random.default_rng(4)
     state = H.random_product_state(rng)
-    assert nu_table(state).max_abs() < 1e-14
+    assert H.nu_table(state).max_abs() < 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from cvdiscord import (
     vacuum_bipartite,
     vacuum_single,
     validate_covariance,
-    wigner_density,
 )
 
 
@@ -145,13 +144,13 @@ def test_cross_block_flag():
 
 def test_wigner_reference_values():
     vac = vacuum_bipartite()
-    assert wigner_density(vac, np.zeros(4)) == pytest.approx(
+    assert H.wigner_density(vac, np.zeros(4)) == pytest.approx(
         1.0 / (4.0 * np.pi**2), rel=1e-12)
-    assert wigner_density(vac, [1.0, 0.0, 0.0, 0.0]) == pytest.approx(
+    assert H.wigner_density(vac, [1.0, 0.0, 0.0, 0.0]) == pytest.approx(
         np.exp(-0.5) / (4.0 * np.pi**2), rel=1e-12)
     state = H.measured_state()
     det = np.linalg.det(H.MEASURED_COV)
-    assert wigner_density(state, np.zeros(4)) == pytest.approx(
+    assert H.wigner_density(state, np.zeros(4)) == pytest.approx(
         1.0 / (4.0 * np.pi**2 * np.sqrt(det)), rel=1e-12)
 
 
@@ -159,13 +158,13 @@ def test_wigner_batch_matches_scalar_and_normalizes():
     rng = np.random.default_rng(17)
     state = H.random_bipartite_state(rng)
     pts = rng.normal(scale=2.0, size=(40, 4))
-    batch = wigner_density(state, pts)
-    singles = np.array([wigner_density(state, p) for p in pts])
+    batch = H.wigner_density(state, pts)
+    singles = np.array([H.wigner_density(state, p) for p in pts])
     assert np.allclose(batch, singles, rtol=1e-13)
     assert H.integrate_wigner_4d(state, half_sigmas=8.0, points=61) == pytest.approx(
         1.0, abs=1e-4)
     with pytest.raises(ValidationError):
-        wigner_density(state, [0.0, 0.0, 0.0])
+        H.wigner_density(state, [0.0, 0.0, 0.0])
 
 
 def test_state_validation_rejects_bad_inputs():

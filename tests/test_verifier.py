@@ -38,14 +38,16 @@ from cvdiscord import (
     verdict_gaussian,
     verdict_mixture,
 )
-from cvdiscord import sampler
+from cvdiscord import sampler, verifier
 from cvdiscord.sampler import CHUNK, _streams
 from cvdiscord.verifier import (
     CANONICAL_PAIRS,
     ChiSquareResult,
     DiscordVerdict,
     PairStats,
+    _bin_sides,
     _fit_peaks,
+    _order_stat,
     _pair_stats,
     _percentile,
     bin_count_fd,
@@ -140,7 +142,7 @@ def _exactness_cases():
 @pytest.mark.parametrize("values", _exactness_cases())
 def test_binning_from_one_sort_matches_numpy_bit_for_bit(values):
     ordered = np.sort(values)
-    quartiles = np.array([_percentile(ordered, 0.75), _percentile(ordered, 0.25)])
+    quartiles = np.array([_percentile((ordered,), 0.75), _percentile((ordered,), 0.25)])
     assert quartiles.tobytes() == np.percentile(values, [75.0, 25.0]).tobytes()
     hist = estimate_density(values)
     counts, _ = np.histogram(values, bins=hist.edges)
@@ -151,7 +153,6 @@ def test_binning_from_one_sort_matches_numpy_bit_for_bit(values):
         again = estimate_density(given)
         assert np.array_equal(again.edges, hist.edges)
         assert np.array_equal(again.counts, hist.counts)
-        assert bin_count_fd(given) == bin_count_fd(values)
     # given edges that leave values outside, on both ends, and on an edge
     mid = float(np.median(values))
     for edges in (np.linspace(mid - 1.0, mid + 1.0, 7), [mid, mid + 0.5],
@@ -162,12 +163,61 @@ def test_binning_from_one_sort_matches_numpy_bit_for_bit(values):
 
 def test_bin_count_clamps():
     rng = np.random.default_rng(3)
-    small = bin_count_fd(rng.normal(size=30))
-    huge = bin_count_fd(rng.normal(size=4_000_000))
+    small = bin_count_fd((np.sort(rng.normal(size=30)),))
+    huge = bin_count_fd((np.sort(rng.normal(size=4_000_000)),))
     from cvdiscord.verifier import MAX_BINS, MIN_BINS
     assert small == MIN_BINS
     assert huge == MAX_BINS
-    assert bin_count_fd(np.ones(100)) == MIN_BINS
+    assert bin_count_fd((np.ones(100),)) == MIN_BINS
+
+
+def test_order_statistic_of_two_parts_matches_a_sort():
+    # small integers, so ties within and across the parts are common
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        a, b = (np.sort(rng.integers(-3, 4, size=rng.integers(0, 6)).astype(float))
+                for _ in range(2))
+        whole = np.sort(np.concatenate([a, b]))
+        for parts in ((a, b), (b, a), (whole,)):
+            assert [_order_stat(parts, k) for k in range(len(whole))] == whole.tolist()
+
+
+def _pair_cases():
+    # (x_A, x_B, threshold) of one pair
+    rng = np.random.default_rng(13)
+    x_a, x_b = rng.normal(size=(2, 1_001))
+    yield pytest.param(x_a, np.round(x_b, 1), 0.0, id="ties-across-sides")
+    yield pytest.param(x_a, np.full(1_001, 2.5), 0.0, id="all-equal")
+    yield pytest.param(np.r_[-1.0, x_a[:40] ** 2], x_b[:41], 0.0, id="a-side-of-one")
+    yield pytest.param(np.array([1.0, -1.0]), np.array([0.5, 3.0]), 0.0, id="n-2")
+    # integers 0..50 twice, one zero negative, on 50 bins of width 1: every
+    # value on an edge, and each side holds one of each
+    ints = np.repeat(np.arange(51.0), 2)
+    ints[1] = -0.0
+    yield pytest.param(np.tile([1.0, -1.0], 51), ints, 0.0, id="on-the-edges")
+    signed = np.where(np.arange(1_001) % 2 == 0, np.copysign(0.0, x_a), x_b)
+    yield pytest.param(x_a, signed, 0.0, id="signed-zeros")
+    yield pytest.param(x_a, x_b, 1.0, id="unequal-sides")
+
+
+@pytest.mark.parametrize("x_a, x_b, threshold", _pair_cases())
+def test_pair_binning_from_two_sorted_sides_matches_the_whole(x_a, x_b, threshold):
+    rs = RecordSet(x_a, x_b, [(0.0, 0.0)], [len(x_a)])
+    hists, (plus, minus) = _bin_sides(rs, threshold)
+    whole = estimate_density(np.concatenate([plus, minus]))
+    assert hists.whole.edges.tobytes() == whole.edges.tobytes()
+    assert hists.whole.edges.tobytes() == estimate_density(x_b).edges.tobytes()
+    assert hists.whole.counts.dtype == whole.counts.dtype
+    assert np.array_equal(hists.whole.counts, whole.counts)
+    for hist, side in ((hists.plus, x_b[x_a >= threshold]),
+                       (hists.minus, x_b[x_a < threshold])):
+        assert np.array_equal(hist.counts, np.histogram(side, hists.whole.edges)[0])
+    ordered = np.sort(x_b)
+    assert bin_count_fd((plus, minus)) == bin_count_fd((ordered,))
+    for q in (0.0, 0.25, 0.5, 0.75, 1.0):
+        got, want = _percentile((plus, minus), q), np.percentile(x_b, 100.0 * q)
+        # bit for bit, but for the sign of a zero, which the order of ties sets
+        assert np.float64(got).tobytes() == want.tobytes() or got == want == 0
 
 
 def test_histogram_validation():
@@ -455,6 +505,37 @@ def test_verdict_requires_complete_balanced_pairs():
     ])
     with pytest.raises(ValidationError, match="differ by more than 10%"):
         verdict_gaussian(lopsided, seed=53)
+
+
+@pytest.mark.parametrize("interleaved", [False, True])
+def test_verdicts_leave_the_callers_records_as_they_were(interleaved):
+    # one run per pair gives select_pair views of the columns, interleaved
+    # runs a copy; each side is sorted in place in the split's own copy
+    rs = _records_for_pairs(H.measured_state(), 3_000, seed=64)
+    if interleaved:
+        rows = np.arange(len(rs)).reshape(4, -1).T.ravel()
+        rs = RecordSet(rs.x_a[rows], rs.x_b[rows], np.tile(CANONICAL_PAIRS, (3_000, 1)),
+                       [1] * len(rows))
+    before = rs.x_a.tobytes(), rs.x_b.tobytes()
+    verdict_gaussian(rs, seed=64, n_boot=20)
+    one = rs.select_pair(0.0, 0.0)
+    verdict_mixture(one, threshold=0.3)
+    separation_statistic(one, n_boot=2)
+    assert (rs.x_a.tobytes(), rs.x_b.tobytes()) == before
+
+
+def test_a_sweep_leaves_the_records_it_draws_as_they_were(monkeypatch):
+    seen, bin_sides = [], verifier._bin_sides
+
+    def checked(records, threshold):
+        drawn = records.x_a.tobytes(), records.x_b.tobytes()
+        out = bin_sides(records, threshold)
+        seen.append(drawn == (records.x_a.tobytes(), records.x_b.tobytes()))
+        return out
+
+    monkeypatch.setattr(verifier, "_bin_sides", checked)
+    sweep_modulation([0.0, 2.0], n=2_000, seed=64, n_boot=2)
+    assert seen == [True, True]
 
 
 def test_pair_stats_on_the_pool_match_serial_calls():
