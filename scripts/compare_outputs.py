@@ -19,9 +19,10 @@ switched-phase CSV records, simulate and verify from a config file, a
 record file run.npz and its verdict run.json, which share a stem, a
 simulate and verify at 140,000 records per pair, three sampling chunks
 per pair with the last one partial, and a verify of those records with
---threshold 1.5 and --plotdata, whose sides are unequal, sweep at 5,000 records per depth,
-under one sampling chunk, and at 70,000, over one, counterexample
-with --plotdata and --dump-state, verify in both modes on a record CSV
+--threshold 1.5 and --plotdata, whose sides are unequal, a gaussian
+simulate at --eta 0.9 with unequal depths and its verify, sweep at 5,000
+records per depth, under one sampling chunk, and at 70,000, over one,
+counterexample with --plotdata and --dump-state, verify in both modes on a record CSV
 that has no sidecar, which the script writes itself, and three commands
 given bad input, each with its own --out: a mixture verify with a
 negative --seed, a simulate with a seed of 2**32 and a counterexample
@@ -113,6 +114,11 @@ COMMANDS = [
     ("verify", "--records", "chunks.npz", "--boot", "50", "--threshold", "1.5",
      "--out", "v_chunks_t.json", "--plotdata", "p_chunks_t.csv"),
     ("verify", "--config", "verify.json", "--boot", "50"),
+    # the gaussian state off the balanced splitter, with unequal depths
+    (*SIM, "--depth-x", "2", "--depth-p", "0.5", "--eta", "0.9", "--seed", "9",
+     "--out", "gauss_eta.npz"),
+    ("verify", "--records", "gauss_eta.npz", "--boot", "50",
+     "--out", "v_gauss_eta.json"),
     ("sweep", "--depths", "0:3:4", "--n", "5000", "--out", "sweep.csv"),
     # at least one sampling chunk per depth: pooled depths that draw their
     # chunks on the pool in turn

@@ -43,18 +43,19 @@ from .fock import (build_ce_hidden_discord, build_ce_zero_discord,
                    fock_state_to_json, grid_moments, grid_peak,
                    homodyne_marginal_fock, squeezed_vacuum_fock,
                    superposition_basis, thermal_fock, verify_classical_on_b)
-from .sampler import (SWITCHED_PHASE_AMPLITUDE, AsyncSine, GaussianModulation,
-                      SimulationConfig, SwitchedNoise, SwitchedPhase,
-                      _check_duty, _check_seed, read_records, sample_scheme,
+from .sampler import (SWITCHED_PHASE_AMPLITUDE, AsyncSine, SimulationConfig,
+                      SwitchedNoise, SwitchedPhase, _check_duty, _check_seed,
+                      read_records, sample_gaussian, sample_scheme,
                       write_records)
+from .states import apply_beam_splitter, modulated_beam, tensor, vacuum_single
 from .verifier import (CANONICAL_PAIRS, ConditionalHistograms, _check_settings,
                        sweep_modulation, sweep_to_csv, verdict_gaussian,
                        verdict_mixture, mixture_verdict_to_json,
                        verdict_to_json)
 
-# --scheme name -> builder of the modulation scheme from the effective config
-_SCHEMES = {
-    "gaussian": lambda cfg: GaussianModulation(*_noise_depths(cfg)),
+# --scheme name -> builder of the modulation scheme from the effective
+# config, for each scheme but gaussian, whose records are a Gaussian state's
+_MIXTURES = {
     "switched-noise": lambda cfg: SwitchedNoise(*_noise_depths(cfg), cfg["duty"]),
     "switched-phase": lambda cfg: SwitchedPhase(
         _pick(cfg["amplitude"], SWITCHED_PHASE_AMPLITUDE), cfg["duty"]),
@@ -68,7 +69,7 @@ META_SUFFIX = ".meta.json"
 # the flag --<option, with - for _> and the config-file key <option>.
 _OPTIONS = {
     "simulate": {
-        "scheme": ("gaussian", {"choices": list(_SCHEMES)}),
+        "scheme": ("gaussian", {"choices": ["gaussian", *_MIXTURES]}),
         "depth": (None, {"type": float, "help": "modulation depth for both quadratures"}),
         "depth_x": (None, {"type": float}),
         "depth_p": (None, {"type": float}),
@@ -348,24 +349,30 @@ def emit_plotdata(hists: ConditionalHistograms, path: Path) -> None:
 
 
 def _cmd_simulate(cfg: dict) -> list:
-    """Draw homodyne records.  The gaussian scheme simulates all four
-    canonical phase pairs by default (n records each, pair i drawn as item
-    i of --seed); other schemes use a single pair.  --duty is checked for
-    every scheme, as the manifest records it whether the scheme uses it."""
+    """Draw homodyne records (n per phase pair, pair i drawn as item i of
+    --seed).  The gaussian scheme sends a beam modulated to the depths
+    through the splitter, with vacuum on the idle port, and draws the
+    output state at all four canonical phase pairs by default; the other
+    schemes use a single pair.  --duty is checked for every scheme, as the
+    manifest records it whether the scheme uses it."""
     _check_duty(cfg["duty"])
-    scheme = _SCHEMES[cfg["scheme"]](cfg)
-    if cfg["pairs"] is not None:
-        pairs = parse_pairs(cfg["pairs"])
-    elif cfg["scheme"] == "gaussian":
-        pairs = parse_pairs("all")
+    if cfg["scheme"] == "gaussian":
+        depth_x, depth_p = _noise_depths(cfg)
+        state = apply_beam_splitter(tensor(modulated_beam(depth_x, depth_p),
+                                           vacuum_single()), cfg["eta"])
+        scheme = {"kind": "gaussian", "depth_x": depth_x, "depth_p": depth_p}
+        pairs = parse_pairs(_pick(cfg["pairs"], "all"))
+        rs = sample_gaussian(state, pairs, cfg["n"], cfg["seed"])
     else:
-        pairs = [(math.radians(cfg["theta_a"]), math.radians(cfg["theta_b"]))]
-    rs = sample_scheme([SimulationConfig(
-        scheme=scheme, n_samples=cfg["n"], eta=cfg["eta"], theta_a=ta,
-        theta_b=tb) for ta, tb in pairs], cfg["seed"])
+        mixture = _MIXTURES[cfg["scheme"]](cfg)
+        scheme = {"kind": mixture.kind, **dataclasses.asdict(mixture)}
+        pairs = (parse_pairs(cfg["pairs"]) if cfg["pairs"] is not None else
+                 [(math.radians(cfg["theta_a"]), math.radians(cfg["theta_b"]))])
+        rs = sample_scheme([SimulationConfig(mixture, cfg["n"], cfg["eta"], ta, tb)
+                            for ta, tb in pairs], cfg["seed"])
     meta = {
         "kind": "scheme",
-        "scheme": {"kind": scheme.kind, **dataclasses.asdict(scheme)},
+        "scheme": scheme,
         "eta": cfg["eta"],
         "pairs": [[ta, tb] for ta, tb in pairs],
         "n_per_pair": cfg["n"],

@@ -7,12 +7,14 @@ phase pairs; a CSV file holds the four columns per row.  Each fixed-size
 chunk of records has its own random stream (_streams), so the chunks are
 filled on all the process's CPUs in any order.
 
-The modulation schemes draw a per-sample classical displacement for the
-pre-splitter beam, mix it through the splitter (vacuum on the idle port)
-and add independent vacuum noise to each output quadrature, all in
-shot-noise units (vacuum variance 1).  That is exactly sampling from the
-classical-mixture joint density, so the scheme records match the analytic
-output densities.
+A Gaussian state's records are drawn from its joint marginal form at
+each phase pair (sample_gaussian), two normals per record.  The three
+modulation schemes, whose records are not Gaussian, draw a per-sample
+classical displacement for the pre-splitter beam, mix it through the
+splitter (vacuum on the idle port) and add independent vacuum noise to
+each output quadrature, all in shot-noise units (vacuum variance 1).
+That is exactly sampling from the classical-mixture joint density, so the
+scheme records match the analytic output densities.
 """
 
 from __future__ import annotations
@@ -55,23 +57,6 @@ PAIR_ATOL = 1e-9
 # for a balanced splitter and a -6 threshold falls between the two peaks
 SWITCHED_PHASE_AMPLITUDE = -12.0 * np.sqrt(2.0)
 SWITCHED_PHASE_THRESHOLD = -6.0
-
-
-@dataclass(frozen=True)
-class GaussianModulation:
-    """Independent Gaussian displacement noise on each quadrature."""
-
-    depth_x: float = 0.0
-    depth_p: float = 0.0
-
-    kind = "gaussian"
-
-    def __post_init__(self):
-        require_finite(self, "depth_x", "depth_p", low=0.0)
-
-    def displace(self, rng, d: np.ndarray) -> None:
-        d[:, 0] = self.depth_x * rng.standard_normal(len(d))
-        d[:, 1] = self.depth_p * rng.standard_normal(len(d))
 
 
 @dataclass(frozen=True)
@@ -137,7 +122,7 @@ class AsyncSine:
 
 # scheme.displace(rng, d) fills the zeroed per-sample pre-splitter
 # displacement d, shape (m, 2), in shot-noise units
-ModulationScheme = GaussianModulation | SwitchedNoise | SwitchedPhase | AsyncSine
+ModulationScheme = SwitchedNoise | SwitchedPhase | AsyncSine
 
 
 def _check_duty(duty: float) -> None:
@@ -310,12 +295,14 @@ def _gaussian_chunk(form: MarginalForm):
     return lambda rng, m: (rng.standard_normal((m, 2)) @ chol.T + mean).T
 
 
-def sample_gaussian(state: GaussianBipartiteState, theta_a: float, theta_b: float,
+def sample_gaussian(state: GaussianBipartiteState, pairs: list[tuple[float, float]],
                     n: int, seed: int) -> RecordSet:
-    """Draw n joint outcomes from a Gaussian state at fixed phases."""
-    form = joint_marginal_form(state, theta_a, theta_b)
-    return RecordSet(*_draw([(n, _streams(seed), _gaussian_chunk(form))]),
-                     [(theta_a, theta_b)], [n])
+    """Draw n joint outcomes of a Gaussian state at each (theta_A, theta_B)
+    of pairs in turn into one pair of columns, with a run per pair; pair i
+    is drawn as item i of seed."""
+    x_a, x_b = _draw([(n, _streams(seed, i), _gaussian_chunk(joint_marginal_form(state, *pair)))
+                      for i, pair in enumerate(pairs)])
+    return RecordSet(x_a, x_b, pairs, [n] * len(pairs))
 
 
 def sample_scheme(configs: SimulationConfig | list[SimulationConfig],

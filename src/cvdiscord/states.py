@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 
 # tolerances used by the physicality checks
 SYMMETRY_TOL = 1e-12
@@ -155,10 +155,9 @@ def modulated_beam(depth_x: float, depth_p: float) -> SingleModeState:
     quadrature.
 
     A modulation depth d adds classical noise of variance d^2, so the beam
-    has quadrature variances 1 + d^2.  Depths must be >= 0.
+    has quadrature variances 1 + d^2.  Depths must be finite and >= 0.
     """
-    if depth_x < 0 or depth_p < 0:
-        raise ValidationError("modulation depths must be non-negative")
+    require_finite(locals(), "depth_x", "depth_p", low=0.0)
     cov = np.diag([1.0 + depth_x**2, 1.0 + depth_p**2])
     return SingleModeState(np.zeros(2), cov)
 

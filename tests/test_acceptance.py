@@ -27,11 +27,11 @@ from cvdiscord.marginals import (ArcsineComponent, CoherentPoint,
                                  input_marginal_D1, joint_marginal_density,
                                  joint_marginal_form, marginal_b_density,
                                  output_joint_density)
-from cvdiscord.sampler import (AsyncSine, GaussianModulation,
-                               SimulationConfig, SwitchedNoise, SwitchedPhase,
-                               SWITCHED_PHASE_THRESHOLD, sample_gaussian,
-                               sample_scheme)
-from cvdiscord.states import c_block_is_zero, modulated_beam, split_balanced
+from cvdiscord.sampler import (AsyncSine, SimulationConfig, SwitchedNoise,
+                               SwitchedPhase, SWITCHED_PHASE_THRESHOLD,
+                               sample_gaussian, sample_scheme)
+from cvdiscord.states import (c_block_is_zero, modulated_beam, split_balanced,
+                              vacuum_bipartite)
 from cvdiscord.verifier import (CANONICAL_PAIRS, separation_statistic,
                                 sweep_modulation, verdict_gaussian,
                                 verdict_mixture)
@@ -62,7 +62,7 @@ def test_acceptance_01_reference_covariance_verdict():
     assert table.nu_00 == pytest.approx(MEASURED_NU_00, abs=1e-12)
     assert table.nu_90_90 == pytest.approx(MEASURED_NU_90_90, abs=1e-12)
 
-    parts = [sample_gaussian(state, ta, tb, 1_000_000, seed=11 + i)
+    parts = [sample_gaussian(state, [(ta, tb)], 1_000_000, seed=11 + i)
              for i, (ta, tb) in enumerate(CANONICAL_PAIRS)]
     verdict = verdict_gaussian(concat_records(parts), k_min=3.0, seed=1,
                                n_boot=60)
@@ -90,7 +90,7 @@ def test_acceptance_02_modulation_depth_sweep():
 
     # the smallest nonzero depth is still detectable with enough data
     state = split_balanced(modulated_beam(0.0, 0.2))
-    rs = sample_gaussian(state, HALF_PI, HALF_PI, 2_000_000, seed=77)
+    rs = sample_gaussian(state, [(HALF_PI, HALF_PI)], 2_000_000, seed=77)
     delta, sigma, _, _ = separation_statistic(rs, 0.0, seed=77, n_boot=60)
     assert abs(delta) / sigma >= 3.0
 
@@ -107,7 +107,7 @@ def test_acceptance_03_null_soundness():
     for i in range(100):
         rng = np.random.default_rng(3000 + 17 * i)
         state = random_product_state(rng)
-        parts = [sample_gaussian(state, ta, tb, 20_000, seed=4000 + 4 * i + j)
+        parts = [sample_gaussian(state, [(ta, tb)], 20_000, seed=4000 + 4 * i + j)
                  for j, (ta, tb) in enumerate(CANONICAL_PAIRS)]
         verdict = verdict_gaussian(concat_records(parts), k_min=3.0,
                                    seed=i, n_boot=100)
@@ -221,8 +221,7 @@ def test_acceptance_06_non_gaussian_verdicts():
         assert p < 1e-6, name
         worst_p = max(worst_p, p)
 
-    control = sample_scheme(SimulationConfig(scheme=GaussianModulation(0, 0),
-                                             n_samples=1_000_000), 699)
+    control = sample_gaussian(vacuum_bipartite(), [(0.0, 0.0)], 1_000_000, 699)
     verdict = verdict_mixture(control, threshold=0.0)
     assert verdict.decision == "not-detected"
     print(f"ACCEPTANCE 06 non-Gaussian verdicts: PASS "

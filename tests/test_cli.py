@@ -486,11 +486,11 @@ def test_every_option_is_a_flag_and_a_config_key(command, tmp_path):
 def test_scheme_choices_are_the_builder_table():
     scheme_flag = next(a for a in _subparsers()["simulate"]._actions
                        if a.dest == "scheme")
-    assert list(scheme_flag.choices) == list(cli._SCHEMES)
-    for name in scheme_flag.choices:
+    assert list(scheme_flag.choices) == ["gaussian", *cli._MIXTURES]
+    for name in cli._MIXTURES:
         cfg = cli._effective_config(cli._build_parser().parse_args(
             ["simulate", "--scheme", name, "--depth", "1.5"]))
-        scheme = cli._SCHEMES[name](cfg)
+        scheme = cli._MIXTURES[name](cfg)
         # the fields that the sidecar holds rebuild the scheme
         assert type(scheme)(**dataclasses.asdict(scheme)) == scheme
 

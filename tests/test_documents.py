@@ -1,17 +1,18 @@
 """JSON documents and tables: a record file's sidecar, which simulate
 writes with its modulation scheme, a Fock state from counterexample
 --dump-state, which holds the state's matrix bit for bit, and the bytes
-of the sweep table, the sidecar and a CSV record file."""
+of the sweep table, a mixture and a Gaussian sidecar and a CSV record
+file."""
 
 import dataclasses
 import json
 
 import numpy as np
 
-from cvdiscord import (AsyncSine, GaussianModulation, SwitchedNoise,
-                       SwitchedPhase, build_ce_hidden_discord,
-                       build_ce_zero_discord)
-from cvdiscord.cli import _SCHEMES, main
+from cvdiscord import (AsyncSine, SwitchedNoise, SwitchedPhase,
+                       build_ce_hidden_discord, build_ce_zero_discord,
+                       modulated_beam)
+from cvdiscord.cli import _MIXTURES, main
 from cvdiscord.sampler import RecordSet, write_records
 from cvdiscord.verifier import sweep_to_csv
 
@@ -19,18 +20,22 @@ from cvdiscord.verifier import sweep_to_csv
 def test_simulate_sidecar_scheme_of_every_kind_reads_back(tmp_path,
                                                           monkeypatch):
     monkeypatch.chdir(tmp_path)
-    classes = {cls.kind: cls for cls in (GaussianModulation, SwitchedNoise,
-                                         SwitchedPhase, AsyncSine)}
+    classes = {cls.kind: cls for cls in (SwitchedNoise, SwitchedPhase, AsyncSine)}
     kinds = set()
-    for name in _SCHEMES:
+    for name in ["gaussian", *_MIXTURES]:
         assert main(["simulate", "--scheme", name, "--depth", "1.5",
                      "--n", "50", "--out", f"{name}.npz"]) == 0
         doc = json.loads((tmp_path / f"{name}.npz.meta.json").read_text())
         fields = dict(doc["scheme"])
         kind = fields.pop("kind")
-        assert dataclasses.asdict(classes[kind](**fields)) == fields
+        if kind == "gaussian":
+            # the fields rebuild the beam that enters the splitter
+            assert np.array_equal(modulated_beam(**fields).cov,
+                                  np.diag([1.0 + 1.5**2] * 2))
+        else:
+            assert dataclasses.asdict(classes[kind](**fields)) == fields
         kinds.add(kind)
-    assert kinds == set(classes)
+    assert kinds == {"gaussian", *classes}
 
 
 def test_every_document_writer_reads_back(tmp_path, monkeypatch):
@@ -62,6 +67,13 @@ def test_tables_and_the_sidecar_keep_their_bytes(tmp_path, monkeypatch):
         '  "n_per_pair": 2,\n  "pairs": [\n    [\n      0.0,\n      0.0\n'
         '    ]\n  ],\n  "scheme": {\n    "depth": 2.0,\n'
         '    "kind": "async_sine"\n  },\n  "seed": 7,\n  "v0": 1.0\n}\n')
+    assert main(["simulate", "--depth-x", "1.5", "--depth-p", "0.5", "--n", "2",
+                 "--pairs", "0,0", "--seed", "7", "--out", "gauss.npz"]) == 0
+    assert (tmp_path / "gauss.npz.meta.json").read_text() == (
+        '{\n  "eta": 0.7071067811865475,\n  "kind": "scheme",\n'
+        '  "n_per_pair": 2,\n  "pairs": [\n    [\n      0.0,\n      0.0\n'
+        '    ]\n  ],\n  "scheme": {\n    "depth_p": 0.5,\n    "depth_x": 1.5,\n'
+        '    "kind": "gaussian"\n  },\n  "seed": 7,\n  "v0": 1.0\n}\n')
     write_records(RecordSet([0.5, -1.25], [2.0, 1 / 3], [(0.0, np.pi / 2)],
                             [2]), tmp_path / "rec.csv")
     assert (tmp_path / "rec.csv").read_text() == (

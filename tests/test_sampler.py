@@ -21,7 +21,6 @@ from cvdiscord import (
     ArcsineComponent,
     AsyncSine,
     CoherentPoint,
-    GaussianModulation,
     ParseError,
     PMixtureState,
     RecordSet,
@@ -38,9 +37,11 @@ from cvdiscord import (
     sample_gaussian,
     sample_scheme,
     split_balanced,
+    vacuum_bipartite,
     write_records,
 )
 from cvdiscord import sampler
+from cvdiscord.cli import main
 from cvdiscord.sampler import (
     CHUNK,
     SWITCHED_PHASE_AMPLITUDE,
@@ -66,11 +67,11 @@ def _gof(rs, density) -> float:
 
 def test_same_seed_reproduces_bitwise():
     state = split_balanced(modulated_beam(2.0, 1.0))
-    one = sample_gaussian(state, 0.0, 0.0, 20_000, seed=42)
-    two = sample_gaussian(state, 0.0, 0.0, 20_000, seed=42)
+    one = sample_gaussian(state, [(0.0, 0.0)], 20_000, seed=42)
+    two = sample_gaussian(state, [(0.0, 0.0)], 20_000, seed=42)
     assert np.array_equal(one.x_a, two.x_a)
     assert np.array_equal(one.x_b, two.x_b)
-    other = sample_gaussian(state, 0.0, 0.0, 20_000, seed=43)
+    other = sample_gaussian(state, [(0.0, 0.0)], 20_000, seed=43)
     assert not np.array_equal(one.x_a, other.x_a)
 
 
@@ -81,7 +82,7 @@ def test_worker_count_does_not_change_the_stream(monkeypatch):
     cfg = SimulationConfig(SwitchedNoise(2.0, 2.0, 0.3), n)
 
     def draw():
-        return (sample_gaussian(state, HALF_PI, HALF_PI, n, seed=7),
+        return (sample_gaussian(state, [(HALF_PI, HALF_PI)], n, seed=7),
                 sample_scheme(cfg, 9))
 
     pooled = draw()
@@ -104,6 +105,20 @@ def test_the_first_configs_draw_the_first_runs():
             assert np.array_equal(getattr(first, name), getattr(together, name)[:j * n])
         assert np.array_equal(first.phases, together.phases[:j])
         assert np.array_equal(first.counts, together.counts[:j])
+
+
+def test_the_first_pairs_draw_the_first_runs():
+    # chunk boundaries fall inside each pair and between pairs
+    n = 2 * CHUNK + 1
+    state = split_balanced(modulated_beam(2.0, 1.0))
+    pairs = [(0.0, 0.0), (0.0, HALF_PI), (HALF_PI, HALF_PI)]
+    together = sample_gaussian(state, pairs, n, 9)
+    assert np.array_equal(together.phases, pairs)
+    assert np.array_equal(together.counts, [n] * 3)
+    for j in (1, 2):
+        first = sample_gaussian(state, pairs[:j], n, 9)
+        for name in ("x_a", "x_b"):
+            assert np.array_equal(getattr(first, name), getattr(together, name)[:j * n])
 
 
 def test_draws_one_seed_apart_share_no_run():
@@ -129,7 +144,7 @@ def test_streams_of_nearby_seeds_items_and_children_are_distinct():
 @pytest.mark.parametrize("seed", [-1, 1.0, "1", True, None, (1, 2), 2**32])
 def test_a_seed_that_is_not_a_non_negative_integer_is_rejected(seed):
     with pytest.raises(ValidationError, match="^seed must be a non-negative integer"):
-        sample_gaussian(split_balanced(modulated_beam(1.0, 1.0)), 0.0, 0.0, 10, seed)
+        sample_gaussian(split_balanced(modulated_beam(1.0, 1.0)), [(0.0, 0.0)], 10, seed)
 
 
 def test_a_failing_chunk_raises_the_first_error_in_order():
@@ -213,8 +228,7 @@ def test_a_single_call_or_pool_false_runs_on_the_calling_thread():
 
 
 def test_unmodulated_records_are_shot_noise():
-    cfg = SimulationConfig(GaussianModulation(0.0, 0.0), 1_000_000)
-    rs = sample_scheme(cfg, 5)
+    rs = sample_gaussian(vacuum_bipartite(), [(0.0, 0.0)], 1_000_000, 5)
     assert np.var(rs.x_a) == pytest.approx(1.0, abs=0.01)
     assert np.var(rs.x_b) == pytest.approx(1.0, abs=0.01)
     assert np.mean(rs.x_a) == pytest.approx(0.0, abs=0.005)
@@ -229,7 +243,7 @@ def test_gaussian_sampling_matches_analytic_covariance():
     want = np.array([[form.mu, form.nu], [form.nu, form.lam]]) / (2.0 * det)
 
     n = 400_000
-    rs = sample_gaussian(state, HALF_PI, HALF_PI, n, seed=11)
+    rs = sample_gaussian(state, [(HALF_PI, HALF_PI)], n, seed=11)
     got = np.cov(np.vstack([rs.x_a, rs.x_b]))
     # moment standard errors for a bivariate normal
     se_var = want.diagonal() * np.sqrt(2.0 / n)
@@ -247,16 +261,20 @@ def test_gaussian_sampling_matches_analytic_covariance():
 def test_gaussian_state_records_match_joint_density():
     state = split_balanced(modulated_beam(0.0, 3.0))
     form = joint_marginal_form(state, HALF_PI, HALF_PI)
-    rs = sample_gaussian(state, HALF_PI, HALF_PI, 1_000_000, seed=21)
+    rs = sample_gaussian(state, [(HALF_PI, HALF_PI)], 1_000_000, seed=21)
     p = _gof(rs, lambda a, b: joint_marginal_density(form, a, b))
     assert p > GOF_ALPHA
 
 
-def test_gaussian_modulation_records_match_mixture_density():
-    depth = 2.0
-    cfg = SimulationConfig(GaussianModulation(depth, depth), 1_000_000)
-    rs = sample_scheme(cfg, 22)
-    mix = PMixtureState((ThermalComponent(1.0, depth**2 / 2.0),), eta=ROOT_HALF)
+def test_simulate_gaussian_records_match_mixture_density(tmp_path, monkeypatch):
+    # the state algebra against the mixture algebra, off the balanced splitter
+    depth, eta = 2.0, 0.9
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--scheme", "gaussian", "--eta", str(eta),
+                 "--depth", str(depth), "--pairs", "0,0", "--n", "1000000",
+                 "--seed", "22", "--out", "rec.npz"]) == 0
+    rs = read_records(tmp_path / "rec.npz")
+    mix = PMixtureState((ThermalComponent(1.0, depth**2 / 2.0),), eta=eta)
     assert _gof(rs, lambda a, b: output_joint_density(mix, a, b)) > GOF_ALPHA
 
 
@@ -377,7 +395,7 @@ def test_run_counts_below_one_are_rejected(counts):
 
 def test_concat_and_pair_selection():
     state = H.measured_state()
-    parts = [sample_gaussian(state, ta, tb, 1_000, seed=40 + i)
+    parts = [sample_gaussian(state, [(ta, tb)], 1_000, seed=40 + i)
              for i, (ta, tb) in enumerate([(0.0, 0.0), (HALF_PI, HALF_PI)])]
     rs = H.concat_records(parts)
     assert len(rs) == 2_000
@@ -394,7 +412,7 @@ def test_concat_and_pair_selection():
 
 def test_scheme_validation():
     with pytest.raises(ValidationError):
-        GaussianModulation(-1.0, 0.0)
+        modulated_beam(-1.0, 0.0)
     with pytest.raises(ValidationError):
         SwitchedNoise(1.0, 1.0, duty=0.0)
     with pytest.raises(ValidationError):
@@ -408,7 +426,7 @@ def test_scheme_validation():
 
 
 @pytest.mark.parametrize("build, name", [
-    (lambda bad: GaussianModulation(bad, 0.0), "depth_x"),
+    (lambda bad: modulated_beam(bad, 0.0), "depth_x"),
     (lambda bad: SwitchedNoise(1.0, bad), "depth_p"),
     (lambda bad: SwitchedPhase(amplitude=bad), "amplitude"),
     (lambda bad: AsyncSine(bad), "depth"),

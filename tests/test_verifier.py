@@ -16,7 +16,6 @@ from scipy import stats
 import helpers as H
 from cvdiscord import (
     DegenerateSplitError,
-    GaussianModulation,
     Histogram,
     InsufficientDataError,
     RecordSet,
@@ -35,6 +34,7 @@ from cvdiscord import (
     split_balanced,
     split_by_threshold,
     sweep_modulation,
+    vacuum_bipartite,
     verdict_gaussian,
     verdict_mixture,
 )
@@ -59,7 +59,7 @@ HALF_PI = np.pi / 2.0
 
 
 def _records_for_pairs(state, n_per_pair, seed, pairs=CANONICAL_PAIRS):
-    parts = [sample_gaussian(state, ta, tb, n_per_pair, seed=seed + i)
+    parts = [sample_gaussian(state, [(ta, tb)], n_per_pair, seed=seed + i)
              for i, (ta, tb) in enumerate(pairs)]
     return H.concat_records(parts)
 
@@ -72,7 +72,7 @@ def _records_for_pairs(state, n_per_pair, seed, pairs=CANONICAL_PAIRS):
 def test_split_sides_are_balanced_and_exhaustive():
     n = 100_000
     rs = sample_gaussian(split_balanced(modulated_beam(1.0, 1.0)),
-                         0.0, 0.0, n, seed=1)
+                         [(0.0, 0.0)], n, seed=1)
     plus, minus = split_by_threshold(rs)
     assert len(plus) + len(minus) == n
     assert abs(len(plus) - n / 2) < 3.0 * np.sqrt(n) / 2.0
@@ -337,7 +337,7 @@ def test_batched_peak_fit_matches_the_scalar_reference_on_each_branch():
 @pytest.mark.parametrize("depth", [0.0, 4.5])
 def test_batched_peak_fit_matches_the_scalar_reference_on_replicates(depth, n):
     state = split_balanced(modulated_beam(0.0, depth))
-    rs = sample_gaussian(state, HALF_PI, HALF_PI, n, seed=17)
+    rs = sample_gaussian(state, [(HALF_PI, HALF_PI)], n, seed=17)
     hist = estimate_density(split_by_threshold(rs)[0])
     est = estimate_peak(hist, np.random.default_rng(4), 100)
     # the bootstrap draws, as estimate_peak makes them
@@ -361,7 +361,7 @@ def test_peak_estimates_converge_with_sample_size():
     for n in (10_000, 100_000, 1_000_000):
         errors = []
         for seed in range(20):
-            rs = sample_gaussian(state, HALF_PI, HALF_PI, n, seed=300 + seed)
+            rs = sample_gaussian(state, [(HALF_PI, HALF_PI)], n, seed=300 + seed)
             delta, _, _, _ = separation_statistic(rs, seed=seed, n_boot=2)
             errors.append(abs(delta - want))
         medians.append(np.median(errors))
@@ -372,7 +372,7 @@ def test_separation_matches_analytic_on_reference_state():
     state = H.measured_state()
     for ta, tb, want in ((0.0, 0.0, H.MEASURED_DELTA_00),
                          (HALF_PI, HALF_PI, H.MEASURED_DELTA_90_90)):
-        rs = sample_gaussian(state, ta, tb, 400_000, seed=17)
+        rs = sample_gaussian(state, [(ta, tb)], 400_000, seed=17)
         delta, sigma, peak_p, peak_m = separation_statistic(rs, seed=17)
         assert abs(delta - want) < 3.0 * sigma
         assert peak_p.location > 0.0 > peak_m.location
@@ -381,7 +381,7 @@ def test_separation_matches_analytic_on_reference_state():
 def test_separation_statistic_bootstraps_as_the_first_pair_of_a_verdict():
     state = H.measured_state()
     for seed in (0, 5):
-        rs = sample_gaussian(state, HALF_PI, HALF_PI, 5_000, seed=seed)
+        rs = sample_gaussian(state, [(HALF_PI, HALF_PI)], 5_000, seed=seed)
         delta, sigma, _, _ = separation_statistic(rs, seed=seed, n_boot=20)
         pair = verdict_gaussian(rs, seed=seed, n_boot=20,
                                 pairs=[(HALF_PI, HALF_PI)]).per_pair[0]
@@ -391,7 +391,7 @@ def test_separation_statistic_bootstraps_as_the_first_pair_of_a_verdict():
 def test_separation_is_noise_level_on_a_product_state():
     rng = np.random.default_rng(19)
     state = H.random_product_state(rng)
-    rs = sample_gaussian(state, 0.0, 0.0, 200_000, seed=19)
+    rs = sample_gaussian(state, [(0.0, 0.0)], 200_000, seed=19)
     delta, sigma, _, _ = separation_statistic(rs, seed=19)
     assert abs(delta) < 4.0 * sigma
 
@@ -500,7 +500,7 @@ def test_verdict_requires_complete_balanced_pairs():
         verdict_gaussian(rs, seed=52)
 
     lopsided = H.concat_records([
-        sample_gaussian(state, ta, tb, 5_000 if i else 20_000, seed=53 + i)
+        sample_gaussian(state, [(ta, tb)], 5_000 if i else 20_000, seed=53 + i)
         for i, (ta, tb) in enumerate(CANONICAL_PAIRS)
     ])
     with pytest.raises(ValidationError, match="differ by more than 10%"):
@@ -612,16 +612,14 @@ def test_mixture_verdict_detects_switched_noise():
 
 
 def test_mixture_verdict_passes_an_unmodulated_control():
-    cfg = SimulationConfig(GaussianModulation(0.0, 0.0), 500_000)
-    rs = sample_scheme(cfg, 57)
+    rs = sample_gaussian(vacuum_bipartite(), [(0.0, 0.0)], 500_000, 57)
     verdict = verdict_mixture(rs, threshold=0.0)
     assert verdict.decision == "not-detected"
     assert verdict.variance_ratio < 1.02
 
 
 def test_mixture_verdict_degenerate_threshold():
-    cfg = SimulationConfig(GaussianModulation(0.0, 0.0), 1_000)
-    rs = sample_scheme(cfg, 58)
+    rs = sample_gaussian(vacuum_bipartite(), [(0.0, 0.0)], 1_000, 58)
     with pytest.raises(DegenerateSplitError):
         verdict_mixture(rs, threshold=1e9)
 
