@@ -19,14 +19,18 @@ switched-phase CSV records, simulate and verify from a config file, a
 record file run.npz and its verdict run.json, which share a stem, a
 simulate and verify at 140,000 records per pair, three sampling chunks
 per pair with the last one partial, and a verify of those records with
---threshold 1.5 and --plotdata, whose sides are unequal, a gaussian
-simulate at --eta 0.9 with unequal depths and its verify, sweep at 5,000
+--threshold 1.5 and --plotdata, whose sides are unequal, a switched-noise
+simulate at two pairs and --eta 0.9 with 70,000 records per pair, so
+that chunk boundaries fall inside the first pair and between the pairs,
+a gaussian simulate at --eta 0.9 with unequal depths and its verify, sweep at 5,000
 records per depth, under one sampling chunk, and at 70,000, over one,
 counterexample with --plotdata and --dump-state, verify in both modes on a record CSV
-that has no sidecar, which the script writes itself, and three commands
+that has no sidecar, which the script writes itself, and five commands
 given bad input, each with its own --out: a mixture verify with a
-negative --seed, a simulate with a seed of 2**32 and a counterexample
-whose --alpha is too large for the truncated Fock basis), with PYTHONPATH
+negative --seed, a simulate with a seed of 2**32, a counterexample
+whose --alpha is too large for the truncated Fock basis, a gaussian
+simulate with --theta-a nan, which it does not use, and a counterexample
+--which zero with --nbar nan, which it does not use), with PYTHONPATH
 set to that tree.  It then
 compares every output file byte for byte, and each command's exit code,
 stdout and stderr.  In a manifest every value inside its "timings_s" and
@@ -114,6 +118,11 @@ COMMANDS = [
     ("verify", "--records", "chunks.npz", "--boot", "50", "--threshold", "1.5",
      "--out", "v_chunks_t.json", "--plotdata", "p_chunks_t.csv"),
     ("verify", "--config", "verify.json", "--boot", "50"),
+    # the mixture sampler at two pairs and eta 0.9, 70000 = 65536 + 4464:
+    # chunk boundaries inside pair 0 and between the pairs
+    ("simulate", "--scheme", "switched-noise", "--depth", "3",
+     "--pairs", "0,0;90,90", "--eta", "0.9", "--n", "70000", "--seed", "12",
+     "--out", "mix_pairs.npz"),
     # the gaussian state off the balanced splitter, with unequal depths
     (*SIM, "--depth-x", "2", "--depth-p", "0.5", "--eta", "0.9", "--seed", "9",
      "--out", "gauss_eta.npz"),
@@ -135,6 +144,9 @@ COMMANDS = [
      "--out", "v_seed.json"),
     (*SIM, "--seed", "4294967296", "--out", "seed_2_32.npz"),
     ("counterexample", "--alpha", "10", "--out", "ce_alpha10.json"),
+    (*SIM, "--theta-a", "nan", "--out", "theta_nan.npz"),
+    ("counterexample", "--which", "zero", "--nbar", "nan",
+     "--out", "ce_nbar_nan.json"),
 ]
 
 # config files the commands above read, written into each work directory

@@ -28,9 +28,9 @@ from .marginals import (ArcsineComponent, CoherentPoint, MarginalForm,
                         joint_marginal_density, joint_marginal_form,
                         marginal_b_density, output_joint_density,
                         side_probability)
-from .sampler import (AsyncSine, RecordSet, SimulationConfig, SwitchedNoise,
-                      SwitchedPhase, read_records, sample_gaussian,
-                      sample_scheme, write_records)
+from .sampler import (AsyncSine, RecordSet, SwitchedNoise, SwitchedPhase,
+                      read_records, sample_gaussian, sample_scheme,
+                      write_records)
 from .verifier import (ChiSquareResult, DiscordVerdict, Histogram,
                        MixtureVerdict, PeakEstimate, chi_square_two_sample,
                        estimate_density, estimate_peak, separation_statistic,

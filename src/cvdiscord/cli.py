@@ -37,16 +37,15 @@ import numpy as np
 
 from . import __version__
 from .errors import (ParseError, ValidationError, dump_document, read_document,
-                     write_table)
+                     require_finite, write_table)
 from .fock import (build_ce_hidden_discord, build_ce_zero_discord,
                    commutator_norm, condition_b_on_sign, default_grid,
                    fock_state_to_json, grid_moments, grid_peak,
                    homodyne_marginal_fock, squeezed_vacuum_fock,
                    superposition_basis, thermal_fock, verify_classical_on_b)
-from .sampler import (SWITCHED_PHASE_AMPLITUDE, AsyncSine, SimulationConfig,
-                      SwitchedNoise, SwitchedPhase, _check_duty, _check_seed,
-                      read_records, sample_gaussian, sample_scheme,
-                      write_records)
+from .sampler import (SWITCHED_PHASE_AMPLITUDE, AsyncSine, SwitchedNoise,
+                      SwitchedPhase, _check_duty, _check_seed, read_records,
+                      sample_gaussian, sample_scheme, write_records)
 from .states import apply_beam_splitter, modulated_beam, tensor, vacuum_single
 from .verifier import (CANONICAL_PAIRS, ConditionalHistograms, _check_settings,
                        sweep_modulation, sweep_to_csv, verdict_gaussian,
@@ -322,6 +321,14 @@ def _noise_depths(cfg: dict) -> tuple[float, float]:
             _pick(cfg["depth_p"], cfg["depth"], 0.0))
 
 
+def _check_numbers(command: str, cfg: dict) -> None:
+    """A ValidationError naming the first set number option of command that
+    is not finite, used or not, as the manifest records it."""
+    numbers = {key: cfg[key] for key, (_, kwargs) in _OPTIONS[command].items()
+               if kwargs.get("type") is float and cfg[key] is not None}
+    require_finite(numbers, *numbers)
+
+
 # ---------------------------------------------------------------------------
 # plot data
 # ---------------------------------------------------------------------------
@@ -353,23 +360,23 @@ def _cmd_simulate(cfg: dict) -> list:
     --seed).  The gaussian scheme sends a beam modulated to the depths
     through the splitter, with vacuum on the idle port, and draws the
     output state at all four canonical phase pairs by default; the other
-    schemes use a single pair.  --duty is checked for every scheme, as the
-    manifest records it whether the scheme uses it."""
+    schemes use a single pair.  --duty, the scheme's own options, then every
+    number option, used or not, are checked before anything is drawn."""
     _check_duty(cfg["duty"])
+    depth_x, depth_p = _noise_depths(cfg)
+    source = (modulated_beam(depth_x, depth_p) if cfg["scheme"] == "gaussian"
+              else _MIXTURES[cfg["scheme"]](cfg))
+    _check_numbers("simulate", cfg)
     if cfg["scheme"] == "gaussian":
-        depth_x, depth_p = _noise_depths(cfg)
-        state = apply_beam_splitter(tensor(modulated_beam(depth_x, depth_p),
-                                           vacuum_single()), cfg["eta"])
+        state = apply_beam_splitter(tensor(source, vacuum_single()), cfg["eta"])
         scheme = {"kind": "gaussian", "depth_x": depth_x, "depth_p": depth_p}
         pairs = parse_pairs(_pick(cfg["pairs"], "all"))
         rs = sample_gaussian(state, pairs, cfg["n"], cfg["seed"])
     else:
-        mixture = _MIXTURES[cfg["scheme"]](cfg)
-        scheme = {"kind": mixture.kind, **dataclasses.asdict(mixture)}
+        scheme = {"kind": source.kind, **dataclasses.asdict(source)}
         pairs = (parse_pairs(cfg["pairs"]) if cfg["pairs"] is not None else
                  [(math.radians(cfg["theta_a"]), math.radians(cfg["theta_b"]))])
-        rs = sample_scheme([SimulationConfig(mixture, cfg["n"], cfg["eta"], ta, tb)
-                            for ta, tb in pairs], cfg["seed"])
+        rs = sample_scheme(source, pairs, cfg["n"], cfg["seed"], cfg["eta"])
     meta = {
         "kind": "scheme",
         "scheme": scheme,
@@ -498,7 +505,8 @@ def _cases(cfg: dict) -> list[str]:
 
 
 def _cmd_counterexample(cfg: dict) -> list:
-    """Build and certify the Fock-space edge cases."""
+    """Build and certify the Fock-space edge cases, each number option checked."""
+    _check_numbers("counterexample", cfg)
     certify = {"zero": _certify_zero, "hidden": _certify_hidden}
     cases = {case: certify[case](cfg) for case in _cases(cfg)}
     report = {f"{case}_discord": result[0] for case, result in cases.items()}

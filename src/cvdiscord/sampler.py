@@ -7,9 +7,10 @@ phase pairs; a CSV file holds the four columns per row.  Each fixed-size
 chunk of records has its own random stream (_streams), so the chunks are
 filled on all the process's CPUs in any order.
 
-A Gaussian state's records are drawn from its joint marginal form at
-each phase pair (sample_gaussian), two normals per record.  The three
-modulation schemes, whose records are not Gaussian, draw a per-sample
+Both samplers take (source, pairs, n, seed) and draw pair i as item i of
+the seed through one checked path.  A Gaussian state's records come from
+its joint marginal form, two normals per record.  The three modulation
+schemes (sample_scheme), whose records are not Gaussian, draw a per-sample
 classical displacement for the pre-splitter beam, mix it through the
 splitter (vacuum on the idle port) and add independent vacuum noise to
 each output quadrature, all in shot-noise units (vacuum variance 1).
@@ -128,35 +129,6 @@ ModulationScheme = SwitchedNoise | SwitchedPhase | AsyncSine
 def _check_duty(duty: float) -> None:
     if not 0.0 < duty <= 1.0:
         raise ValidationError(f"duty must lie in (0, 1], got {duty}")
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    scheme: ModulationScheme
-    n_samples: int
-    eta: float = 1.0 / np.sqrt(2.0)
-    theta_a: float = 0.0
-    theta_b: float = 0.0
-
-    def __post_init__(self):
-        if self.n_samples <= 0:
-            raise ValidationError("n_samples must be positive")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValidationError(f"transmissivity must lie in [0, 1], got {self.eta}")
-        require_finite(self, "theta_a", "theta_b")
-
-    def draw(self, rng, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The x_A and x_B columns of m records drawn from rng.  Per sample:
-        draw the latent gate/phase, form the displacement, send it through
-        the splitter (mode A keeps eta of it, mode B sqrt(1-eta^2)), project
-        onto the measured quadratures and add independent vacuum noise."""
-        eta = self.eta
-        d = np.zeros((m, 2))
-        self.scheme.displace(rng, d)
-        noise = rng.standard_normal((m, 2))
-        return (eta * (d @ [np.cos(self.theta_a), np.sin(self.theta_a)]) + noise[:, 0],
-                np.sqrt(1.0 - eta * eta)
-                * (d @ [np.cos(self.theta_b), np.sin(self.theta_b)]) + noise[:, 1])
 
 
 @dataclass
@@ -295,26 +267,45 @@ def _gaussian_chunk(form: MarginalForm):
     return lambda rng, m: (rng.standard_normal((m, 2)) @ chol.T + mean).T
 
 
+def _mixture_chunk(scheme: ModulationScheme, eta: float, theta_a: float, theta_b: float):
+    """chunk(rng, m) for _draw: m records of a scheme, each a displacement
+    sent through the splitter (mode A keeps eta of it, mode B sqrt(1-eta^2)),
+    projected on the measured quadratures, plus independent vacuum noise."""
+    def chunk(rng, m):
+        d = np.zeros((m, 2))
+        scheme.displace(rng, d)
+        noise = rng.standard_normal((m, 2))
+        return (eta * (d @ [np.cos(theta_a), np.sin(theta_a)]) + noise[:, 0],
+                np.sqrt(1.0 - eta * eta)
+                * (d @ [np.cos(theta_b), np.sin(theta_b)]) + noise[:, 1])
+    return chunk
+
+
+def _sample(pairs, n: int, seed: int, chunk_at) -> RecordSet:
+    """n records at each phase pair, a run each, pair i drawn as item i of
+    seed by the _draw chunk function that chunk_at(theta_A, theta_B) gives.
+    An empty pair list or a non-finite phase is a ValidationError naming the pair."""
+    if len(pairs) == 0:
+        raise ValidationError("no phase pairs given")
+    for i, pair in enumerate(pairs, 1):
+        phases = {f"theta_{side} of pair {i}": t for side, t in zip("ab", pair)}
+        require_finite(phases, *phases)
+    return RecordSet(*_draw([(n, _streams(seed, i), chunk_at(*pair))
+                             for i, pair in enumerate(pairs)]), pairs, [n] * len(pairs))
+
+
 def sample_gaussian(state: GaussianBipartiteState, pairs: list[tuple[float, float]],
                     n: int, seed: int) -> RecordSet:
-    """Draw n joint outcomes of a Gaussian state at each (theta_A, theta_B)
-    of pairs in turn into one pair of columns, with a run per pair; pair i
-    is drawn as item i of seed."""
-    x_a, x_b = _draw([(n, _streams(seed, i), _gaussian_chunk(joint_marginal_form(state, *pair)))
-                      for i, pair in enumerate(pairs)])
-    return RecordSet(x_a, x_b, pairs, [n] * len(pairs))
+    """n joint outcomes of a Gaussian state at each phase pair (_sample)."""
+    return _sample(pairs, n, seed, lambda *p: _gaussian_chunk(joint_marginal_form(state, *p)))
 
 
-def sample_scheme(configs: SimulationConfig | list[SimulationConfig],
-                  seed: int) -> RecordSet:
-    """Draw homodyne records for a modulation scheme: for one config, or
-    for several in turn into one pair of columns, with a run per config;
-    config i is drawn as item i of seed."""
-    configs = [configs] if isinstance(configs, SimulationConfig) else configs
-    x_a, x_b = _draw([(c.n_samples, _streams(seed, i), c.draw)
-                      for i, c in enumerate(configs)])
-    return RecordSet(x_a, x_b, [(c.theta_a, c.theta_b) for c in configs],
-                     [c.n_samples for c in configs])
+def sample_scheme(scheme: ModulationScheme, pairs: list[tuple[float, float]],
+                  n: int, seed: int, eta: float = 1.0 / np.sqrt(2.0)) -> RecordSet:
+    """n records of a scheme on a splitter of transmissivity eta (_sample)."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValidationError(f"transmissivity must lie in [0, 1], got {eta}")
+    return _sample(pairs, n, seed, lambda *p: _mixture_chunk(scheme, eta, *p))
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,9 @@ from cvdiscord.marginals import (ArcsineComponent, CoherentPoint,
                                  input_marginal_D1, joint_marginal_density,
                                  joint_marginal_form, marginal_b_density,
                                  output_joint_density)
-from cvdiscord.sampler import (AsyncSine, SimulationConfig, SwitchedNoise,
-                               SwitchedPhase, SWITCHED_PHASE_THRESHOLD,
-                               sample_gaussian, sample_scheme)
+from cvdiscord.sampler import (AsyncSine, SwitchedNoise, SwitchedPhase,
+                               SWITCHED_PHASE_THRESHOLD, sample_gaussian,
+                               sample_scheme)
 from cvdiscord.states import (c_block_is_zero, modulated_beam, split_balanced,
                               vacuum_bipartite)
 from cvdiscord.verifier import (CANONICAL_PAIRS, separation_statistic,
@@ -212,9 +212,7 @@ def test_acceptance_06_non_gaussian_verdicts():
     ]
     worst_p = 0.0
     for i, (name, scheme, ta, tb, threshold) in enumerate(runs):
-        cfg = SimulationConfig(scheme=scheme, n_samples=1_000_000,
-                               theta_a=ta, theta_b=tb)
-        rs = sample_scheme(cfg, 600 + i)
+        rs = sample_scheme(scheme, [(ta, tb)], 1_000_000, 600 + i)
         verdict = verdict_mixture(rs, threshold=threshold)
         assert verdict.decision == "discordant", name
         p = min(s.chi2.p_value for s in verdict.sides)

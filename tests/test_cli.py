@@ -127,6 +127,13 @@ def test_simulate_writes_records_sidecar_manifest(tmp_path, monkeypatch,
     (("--scheme", "async", "--theta-a", "nan"), "theta_a"),
     (("--scheme", "async", "--theta-b=-inf"), "theta_b"),
     (("--pairs", "nan,0"), "phase pair"),
+    # options that the run does not use, as the manifest records them all
+    (("--theta-a", "nan"), "theta_a"),
+    (("--theta-b", "inf"), "theta_b"),
+    (("--amplitude", "nan"), "amplitude"),
+    (("--scheme", "switched-phase", "--depth", "nan"), "depth"),
+    (("--scheme", "async", "--depth-x", "nan"), "depth_x"),
+    (("--scheme", "async", "--pairs", "0,0", "--theta-a", "nan"), "theta_a"),
 ])
 def test_simulate_rejects_non_finite_parameters(tmp_path, monkeypatch, capsys,
                                                 flags, name):
@@ -137,7 +144,6 @@ def test_simulate_rejects_non_finite_parameters(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
     assert list(tmp_path.iterdir()) == []
-
 
 @pytest.mark.parametrize("argv, name", [
     (("verify", "--records", "rec.npz", "--k-min", "nan"), "k_min"),
@@ -164,6 +170,10 @@ def test_simulate_rejects_non_finite_parameters(tmp_path, monkeypatch, capsys,
      "threshold"),
     (("verify", "--records", "rec.npz", "--mode", "mixture", "--threshold", "inf"),
      "threshold"),
+    # options that --which does not use, as the manifest records them all
+    (("counterexample", "--which", "zero", "--nbar", "nan"), "nbar"),
+    (("counterexample", "--which", "zero", "--r", "inf"), "r"),
+    (("counterexample", "--which", "hidden", "--alpha", "nan"), "alpha"),
 ])
 def test_bad_numbers_exit_1_naming_the_parameter(tmp_path, monkeypatch, capsys,
                                                  argv, name):

@@ -74,6 +74,18 @@ def test_tables_and_the_sidecar_keep_their_bytes(tmp_path, monkeypatch):
         '  "n_per_pair": 2,\n  "pairs": [\n    [\n      0.0,\n      0.0\n'
         '    ]\n  ],\n  "scheme": {\n    "depth_p": 0.5,\n    "depth_x": 1.5,\n'
         '    "kind": "gaussian"\n  },\n  "seed": 7,\n  "v0": 1.0\n}\n')
+    # the mixture sampler at two pairs and a non-default eta
+    assert main(["simulate", "--scheme", "switched-noise", "--depth", "3",
+                 "--pairs", "0,0;90,90", "--eta", "0.9", "--n", "2", "--seed", "7",
+                 "--out", "mix.csv"]) == 0
+    assert (tmp_path / "mix.csv").read_text() == (
+        "theta_A,theta_B,x_A,x_B\n"
+        "0,0,-0.31346393925871607,-0.77076550218303053\n"
+        "0,0,2.6483761058248469,1.4584590212641304\n"
+        "1.5707963267948966,1.5707963267948966,-1.5293575733972216,"
+        "-1.5395930665570865\n"
+        "1.5707963267948966,1.5707963267948966,3.2565264624491186,"
+        "2.5663958699209988\n")
     write_records(RecordSet([0.5, -1.25], [2.0, 1 / 3], [(0.0, np.pi / 2)],
                             [2]), tmp_path / "rec.csv")
     assert (tmp_path / "rec.csv").read_text() == (

@@ -14,7 +14,6 @@ import pytest
 from cvdiscord import (
     ParseError,
     RecordSet,
-    SimulationConfig,
     SwitchedNoise,
     read_records,
     sample_scheme,
@@ -30,7 +29,7 @@ def run(*argv):
 
 
 def sample(n=3_000, seed=61):
-    return sample_scheme(SimulationConfig(SwitchedNoise(2.0, 1.0, 0.4), n), seed)
+    return sample_scheme(SwitchedNoise(2.0, 1.0, 0.4), [(0.0, 0.0)], n, seed)
 
 
 def assert_bitwise_equal(a, b):

@@ -24,7 +24,6 @@ from cvdiscord import (
     ParseError,
     PMixtureState,
     RecordSet,
-    SimulationConfig,
     SwitchedNoise,
     SwitchedPhase,
     ThermalComponent,
@@ -79,11 +78,10 @@ def test_worker_count_does_not_change_the_stream(monkeypatch):
     # three chunks, the last one partial, so the pool fills two of them
     n = 2 * CHUNK + 1
     state = split_balanced(modulated_beam(1.0, 3.0))
-    cfg = SimulationConfig(SwitchedNoise(2.0, 2.0, 0.3), n)
 
     def draw():
         return (sample_gaussian(state, [(HALF_PI, HALF_PI)], n, seed=7),
-                sample_scheme(cfg, 9))
+                sample_scheme(SwitchedNoise(2.0, 2.0, 0.3), [(0.0, 0.0)], n, 9))
 
     pooled = draw()
     monkeypatch.setattr(sampler, "_POOL", None)
@@ -92,40 +90,51 @@ def test_worker_count_does_not_change_the_stream(monkeypatch):
         assert np.array_equal(threaded.x_b, serial.x_b)
 
 
-def test_the_first_configs_draw_the_first_runs():
+# each public sampler with its source, called as sampler(pairs, n, seed)
+SAMPLERS = {
+    "sample_gaussian": lambda *args: sample_gaussian(
+        split_balanced(modulated_beam(2.0, 1.0)), *args),
+    "sample_scheme": lambda *args: sample_scheme(SwitchedNoise(2.0, 1.0, 0.3), *args),
+}
+
+
+@pytest.mark.parametrize("sample", SAMPLERS.values(), ids=SAMPLERS)
+def test_a_prefix_of_the_pairs_draws_the_first_runs(sample):
     # chunk boundaries fall inside each pair and between pairs
     n = 2 * CHUNK + 1
-    configs = [SimulationConfig(SwitchedNoise(2.0, 1.0, 0.3), n,
-                                theta_a=ta, theta_b=tb)
-               for ta, tb in [(0.0, 0.0), (0.0, HALF_PI), (HALF_PI, HALF_PI)]]
-    together = sample_scheme(configs, 9)
+    pairs = [(0.0, 0.0), (0.0, HALF_PI), (HALF_PI, HALF_PI)]
+    together = sample(pairs, n, 9)
+    assert np.array_equal(together.phases, pairs)
+    assert np.array_equal(together.counts, [n] * 3)
     for j in (1, 2):
-        first = sample_scheme(configs[:j], 9)
+        first = sample(pairs[:j], n, 9)
         for name in ("x_a", "x_b"):
             assert np.array_equal(getattr(first, name), getattr(together, name)[:j * n])
         assert np.array_equal(first.phases, together.phases[:j])
         assert np.array_equal(first.counts, together.counts[:j])
 
 
-def test_the_first_pairs_draw_the_first_runs():
-    # chunk boundaries fall inside each pair and between pairs
-    n = 2 * CHUNK + 1
-    state = split_balanced(modulated_beam(2.0, 1.0))
-    pairs = [(0.0, 0.0), (0.0, HALF_PI), (HALF_PI, HALF_PI)]
-    together = sample_gaussian(state, pairs, n, 9)
-    assert np.array_equal(together.phases, pairs)
-    assert np.array_equal(together.counts, [n] * 3)
-    for j in (1, 2):
-        first = sample_gaussian(state, pairs[:j], n, 9)
-        for name in ("x_a", "x_b"):
-            assert np.array_equal(getattr(first, name), getattr(together, name)[:j * n])
+@pytest.mark.parametrize("sample", SAMPLERS.values(), ids=SAMPLERS)
+def test_an_empty_pair_list_is_rejected(sample):
+    with pytest.raises(ValidationError, match="^no phase pairs given$"):
+        sample([], 1_000, 9)
+
+
+@pytest.mark.parametrize("sample", SAMPLERS.values(), ids=SAMPLERS)
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_phase_is_rejected_naming_the_pair(sample, side, bad):
+    pair = (bad, 0.0) if side == "a" else (0.0, bad)
+    with pytest.raises(ValidationError,
+                       match=f"^theta_{side} of pair 2 must be a finite number"):
+        sample([(0.0, 0.0), pair], 1_000, 9)
 
 
 def test_draws_one_seed_apart_share_no_run():
-    # equal configs, so a run that drew from a neighbouring seed's stream
+    # equal pairs, so a run that drew from a neighbouring seed's stream
     # would repeat a run of the other draw
-    configs = [SimulationConfig(SwitchedNoise(2.0, 1.0, 0.3), 1_000)] * 3
-    runs = [np.split(sample_scheme(configs, seed).x_b, 3) for seed in (4, 5)]
+    runs = [np.split(sample_scheme(SwitchedNoise(2.0, 1.0, 0.3), [(0.0, 0.0)] * 3,
+                                   1_000, seed).x_b, 3) for seed in (4, 5)]
     assert not [1 for a in runs[0] for b in runs[1] if np.intersect1d(a, b).size]
 
 
@@ -280,8 +289,7 @@ def test_simulate_gaussian_records_match_mixture_density(tmp_path, monkeypatch):
 
 def test_switched_noise_records_match_mixture_density():
     depth, duty = 3.0, 0.35
-    cfg = SimulationConfig(SwitchedNoise(depth, depth, duty), 1_000_000)
-    rs = sample_scheme(cfg, 23)
+    rs = sample_scheme(SwitchedNoise(depth, depth, duty), [(0.0, 0.0)], 1_000_000, 23)
     mix = PMixtureState(
         (CoherentPoint(1.0 - duty, 0.0), ThermalComponent(duty, depth**2 / 2.0)),
         eta=ROOT_HALF)
@@ -289,9 +297,7 @@ def test_switched_noise_records_match_mixture_density():
 
 
 def test_switched_phase_records_match_mixture_density():
-    cfg = SimulationConfig(SwitchedPhase(), 1_000_000,
-                           theta_a=HALF_PI, theta_b=HALF_PI)
-    rs = sample_scheme(cfg, 24)
+    rs = sample_scheme(SwitchedPhase(), [(HALF_PI, HALF_PI)], 1_000_000, 24)
     shifted = SWITCHED_PHASE_AMPLITUDE / np.sqrt(2.0)
     mix = PMixtureState(
         (CoherentPoint(0.5, 0.0), CoherentPoint(0.5, shifted)),
@@ -301,8 +307,7 @@ def test_switched_phase_records_match_mixture_density():
 
 def test_async_records_match_mixture_density():
     depth = 3.0
-    cfg = SimulationConfig(AsyncSine(depth), 1_000_000)
-    rs = sample_scheme(cfg, 25)
+    rs = sample_scheme(AsyncSine(depth), [(0.0, 0.0)], 1_000_000, 25)
     mix = PMixtureState((ArcsineComponent(1.0, depth / np.sqrt(2.0)),),
                         eta=ROOT_HALF)
     assert _gof(rs, lambda a, b: output_joint_density(mix, a, b)) > GOF_ALPHA
@@ -310,14 +315,11 @@ def test_async_records_match_mixture_density():
 
 def test_always_on_gate_reduces_to_plain_modulation():
     depth = 2.5
-    cfg = SimulationConfig(SwitchedNoise(depth, depth, 1.0), 500_000)
-    rs = sample_scheme(cfg, 26)
+    rs = sample_scheme(SwitchedNoise(depth, depth, 1.0), [(0.0, 0.0)], 500_000, 26)
     mix = PMixtureState((ThermalComponent(1.0, depth**2 / 2.0),), eta=ROOT_HALF)
     assert _gof(rs, lambda a, b: output_joint_density(mix, a, b)) > GOF_ALPHA
 
-    cfg = SimulationConfig(SwitchedPhase(duty=1.0), 500_000,
-                           theta_a=HALF_PI, theta_b=HALF_PI)
-    rs = sample_scheme(cfg, 27)
+    rs = sample_scheme(SwitchedPhase(duty=1.0), [(HALF_PI, HALF_PI)], 500_000, 27)
     shifted = SWITCHED_PHASE_AMPLITUDE / np.sqrt(2.0)
     mix = PMixtureState((CoherentPoint(1.0, shifted),), eta=ROOT_HALF)
     assert _gof(rs, lambda a, b: output_joint_density(mix, a, b)) > GOF_ALPHA
@@ -325,9 +327,7 @@ def test_always_on_gate_reduces_to_plain_modulation():
 
 def test_switched_phase_gate_fraction_at_threshold():
     n = 1_000_000
-    cfg = SimulationConfig(SwitchedPhase(), n,
-                           theta_a=HALF_PI, theta_b=HALF_PI)
-    rs = sample_scheme(cfg, 28)
+    rs = sample_scheme(SwitchedPhase(), [(HALF_PI, HALF_PI)], n, 28)
     below = np.mean(rs.x_a < SWITCHED_PHASE_THRESHOLD)
     # the gated half sits 12 sigma below threshold, the idle half 6 above
     assert below == pytest.approx(0.5, abs=3.0 * 0.5 / np.sqrt(n))
@@ -335,8 +335,7 @@ def test_switched_phase_gate_fraction_at_threshold():
 
 def test_modulation_lands_on_the_measured_quadrature():
     # p modulation must not show up when both stations measure x
-    cfg = SimulationConfig(SwitchedPhase(), 200_000)
-    rs = sample_scheme(cfg, 29)
+    rs = sample_scheme(SwitchedPhase(), [(0.0, 0.0)], 200_000, 29)
     assert np.var(rs.x_a) == pytest.approx(1.0, abs=0.02)
     assert abs(np.mean(rs.x_a)) < 0.02
 
@@ -347,8 +346,7 @@ def test_modulation_lands_on_the_measured_quadrature():
 
 
 def test_write_read_round_trip_is_bitwise(tmp_path):
-    cfg = SimulationConfig(SwitchedNoise(2.0, 1.0, 0.4), 5_000)
-    rs = sample_scheme(cfg, 31)
+    rs = sample_scheme(SwitchedNoise(2.0, 1.0, 0.4), [(0.0, 0.0)], 5_000, 31)
     path = tmp_path / "records.csv"
     write_records(rs, path)
     assert list(tmp_path.iterdir()) == [path]
@@ -420,9 +418,9 @@ def test_scheme_validation():
     with pytest.raises(ValidationError):
         AsyncSine(-2.0)
     with pytest.raises(ValidationError):
-        SimulationConfig(AsyncSine(1.0), 0)
-    with pytest.raises(ValidationError):
-        SimulationConfig(AsyncSine(1.0), 10, eta=1.3)
+        sample_scheme(AsyncSine(1.0), [(0.0, 0.0)], 0, 0)
+    with pytest.raises(ValidationError, match="transmissivity must lie in"):
+        sample_scheme(AsyncSine(1.0), [(0.0, 0.0)], 10, 0, eta=1.3)
 
 
 @pytest.mark.parametrize("build, name", [
@@ -430,8 +428,6 @@ def test_scheme_validation():
     (lambda bad: SwitchedNoise(1.0, bad), "depth_p"),
     (lambda bad: SwitchedPhase(amplitude=bad), "amplitude"),
     (lambda bad: AsyncSine(bad), "depth"),
-    (lambda bad: SimulationConfig(AsyncSine(1.0), 10, theta_a=bad), "theta_a"),
-    (lambda bad: SimulationConfig(AsyncSine(1.0), 10, theta_b=bad), "theta_b"),
 ])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_parameters_are_rejected_by_name(build, name, bad):

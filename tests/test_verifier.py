@@ -19,7 +19,6 @@ from cvdiscord import (
     Histogram,
     InsufficientDataError,
     RecordSet,
-    SimulationConfig,
     SwitchedNoise,
     ValidationError,
     analytic_peak_separation,
@@ -600,8 +599,7 @@ def test_detection_rate_on_correlated_states():
 
 
 def test_mixture_verdict_detects_switched_noise():
-    cfg = SimulationConfig(SwitchedNoise(3.0, 3.0, 0.5), 500_000)
-    rs = sample_scheme(cfg, 56)
+    rs = sample_scheme(SwitchedNoise(3.0, 3.0, 0.5), [(0.0, 0.0)], 500_000, 56)
     verdict = verdict_mixture(rs, threshold=0.0)
     assert verdict.decision == "discordant"
     assert min(s.chi2.p_value for s in verdict.sides) < 1e-6
