@@ -25,12 +25,15 @@ that chunk boundaries fall inside the first pair and between the pairs,
 a gaussian simulate at --eta 0.9 with unequal depths and its verify, sweep at 5,000
 records per depth, under one sampling chunk, and at 70,000, over one,
 counterexample with --plotdata and --dump-state, verify in both modes on a record CSV
-that has no sidecar, which the script writes itself, and five commands
+that has no sidecar, which the script writes itself, simulates of 4
+gaussian records per pair and of 8 async records, and eight commands
 given bad input, each with its own --out: a mixture verify with a
 negative --seed, a simulate with a seed of 2**32, a counterexample
 whose --alpha is too large for the truncated Fock basis, a gaussian
-simulate with --theta-a nan, which it does not use, and a counterexample
---which zero with --nbar nan, which it does not use), with PYTHONPATH
+simulate with --theta-a nan, which it does not use, a counterexample
+--which zero with --nbar nan, which it does not use, and three given too
+few records: a verify of the 4 records per pair, a mixture verify of the
+8 async records, and a sweep of 5 records at depth 1), with PYTHONPATH
 set to that tree.  It then
 compares every output file byte for byte, and each command's exit code,
 stdout and stderr.  In a manifest every value inside its "timings_s" and
@@ -139,6 +142,10 @@ COMMANDS = [
      "--out", "v_bare.json"),
     ("verify", "--records", "bare.csv", "--mode", "mixture",
      "--out", "v_bare_mix.json"),
+    # records too few for a verdict, read by the bad-input commands below
+    ("simulate", "--n", "4", "--seed", "1", "--out", "few.npz"),
+    ("simulate", "--scheme", "async", "--depth", "2", "--n", "8", "--seed", "6",
+     "--out", "few_async.npz"),
     # bad input, each of which exits 1 and writes nothing
     ("verify", "--records", "async.npz", "--mode", "mixture", "--seed", "-5",
      "--out", "v_seed.json"),
@@ -147,6 +154,11 @@ COMMANDS = [
     (*SIM, "--theta-a", "nan", "--out", "theta_nan.npz"),
     ("counterexample", "--which", "zero", "--nbar", "nan",
      "--out", "ce_nbar_nan.json"),
+    # too few records, each of which names the pair or the depth
+    ("verify", "--records", "few.npz", "--out", "v_few.json"),
+    ("verify", "--records", "few_async.npz", "--mode", "mixture",
+     "--out", "v_few_async.json"),
+    ("sweep", "--depths", "1", "--n", "5", "--out", "sweep_few.csv"),
 ]
 
 # config files the commands above read, written into each work directory

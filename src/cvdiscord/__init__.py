@@ -18,8 +18,8 @@ from .errors import (DegenerateSplitError, EmptySideError,
                      ToolkitError, TruncationError, ValidationError)
 from .states import (GaussianBipartiteState, SingleModeState,
                      apply_beam_splitter, beam_splitter_matrix,
-                     c_block_is_zero, modulated_beam, rotate_local, rotation_matrix, split_balanced,
-                     symplectic_form, tensor, vacuum_bipartite, vacuum_single,
+                     c_block_is_zero, modulated_beam, rotate_local,
+                     rotation_matrix, split_balanced, tensor, vacuum_single,
                      validate_covariance)
 from .marginals import (ArcsineComponent, CoherentPoint, MarginalForm,
                         PMixtureState, ThermalComponent,
@@ -33,14 +33,13 @@ from .sampler import (AsyncSine, RecordSet, SwitchedNoise, SwitchedPhase,
                       write_records)
 from .verifier import (ChiSquareResult, DiscordVerdict, Histogram,
                        MixtureVerdict, PeakEstimate, chi_square_two_sample,
-                       estimate_density, estimate_peak, separation_statistic,
-                       split_by_threshold, sweep_modulation, verdict_gaussian,
-                       verdict_mixture)
+                       estimate_density, estimate_peak, split_by_threshold,
+                       sweep_modulation, verdict_gaussian, verdict_mixture)
 from .fock import (FockDensityMatrix, QuadratureGrid, bipartite_from_parts,
                    build_ce_hidden_discord, build_ce_zero_discord,
                    coherent_fock, commutator_norm, condition_b_on_sign,
                    default_grid, density_from_vector, fock_state_to_json,
-                   grid_moments, grid_peak, homodyne_marginal_fock, number_mean,
+                   grid_moments, grid_peak, homodyne_marginal_fock,
                    oscillator_eigenfunctions, sign_projectors,
                    squeezed_vacuum_fock, superposition_basis, thermal_fock,
                    verify_classical_on_b)

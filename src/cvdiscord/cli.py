@@ -475,8 +475,7 @@ def _sign_report(state) -> tuple:
 def _certify_zero(cfg: dict) -> tuple:
     state = build_ce_zero_discord(alpha=cfg["alpha"])
     report, grid, curves = _sign_report(state)
-    classical = verify_classical_on_b(state, superposition_basis(state.dim_b),
-                                      tol=1e-8)
+    classical = verify_classical_on_b(state, superposition_basis(state.dim_b))
     report.update(alpha=cfg["alpha"], classical_on_B=bool(classical))
     return report, state, grid, curves
 

@@ -27,8 +27,8 @@ class EmptySideError(DegenerateSplitError, ValidationError):
     """A threshold leaves one side of the records empty: bad input."""
 
 
-class InsufficientDataError(ToolkitError):
-    """Not enough records or occupied bins to run a statistic."""
+class InsufficientDataError(ValidationError):
+    """Too few records or occupied bins to run a statistic: bad input."""
 
 
 class TruncationError(ValidationError):

@@ -35,6 +35,8 @@ GRID_SPACING = 0.01  # in shot-noise units
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-8
 EIGEN_TOL = -1e-8
+# off-diagonal B-block entries up to this size count as zero in verify_classical_on_b
+CLASSICAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -164,15 +166,6 @@ def density_from_vector(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def number_mean(state: np.ndarray) -> float:
-    """<n> of a vector or density matrix in the number basis."""
-    state = np.asarray(state)
-    n = np.arange(state.shape[0])
-    if state.ndim == 1:
-        return float((n * np.abs(state) ** 2).sum())
-    return float((n * np.diagonal(state).real).sum())
-
-
 # ---------------------------------------------------------------------------
 # bipartite container
 # ---------------------------------------------------------------------------
@@ -252,12 +245,6 @@ def sign_projectors(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return plus, parity * plus
 
 
-def _rotate(op: np.ndarray, theta: float) -> np.ndarray:
-    """U op U^dagger for the number-basis phase U = diag(exp(i theta n))."""
-    phases = np.exp(1j * theta * np.arange(len(op)))
-    return phases[:, None] * op * phases[None, :].conj()
-
-
 def condition_b_on_sign(state: FockDensityMatrix) -> tuple[tuple[np.ndarray, float], ...]:
     """The reduced B states conditioned on x_A >= 0 and on x_A < 0, each
     with its probability, from one build of the sign projectors."""
@@ -276,12 +263,9 @@ def condition_b_on_sign(state: FockDensityMatrix) -> tuple[tuple[np.ndarray, flo
 # ---------------------------------------------------------------------------
 
 
-def homodyne_marginal_fock(rho_b: np.ndarray, grid: QuadratureGrid,
-                           theta: float = 0.0) -> np.ndarray:
-    """Quadrature density of a single-mode state on the grid points."""
+def homodyne_marginal_fock(rho_b: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """x-quadrature density of a single-mode state on the grid points."""
     rho_b = np.asarray(rho_b, dtype=complex)
-    if theta != 0.0:
-        rho_b = _rotate(rho_b, -theta)
     psi = oscillator_eigenfunctions(len(rho_b), grid.points)
     return np.einsum("mx,mn,nx->x", psi, rho_b, psi, optimize=True).real
 
@@ -322,10 +306,9 @@ def _superposition_01(dim: int, sign: int) -> np.ndarray:
     return vec
 
 
-def build_ce_zero_discord(alpha: complex = 1.0,
-                          dim_b: int = DIM_DEFAULT) -> FockDensityMatrix:
+def build_ce_zero_discord(alpha: complex = 1.0) -> FockDensityMatrix:
     """Equal mixture of |alpha><alpha| x |+><+| and |-alpha><-alpha| x |-><-|
-    with |+-> = (|0> +- |1>)/sqrt(2).
+    with |+-> = (|0> +- |1>)/sqrt(2) in a B basis of DIM_DEFAULT states.
 
     Classical on B in the {|+>, |->} basis, hence zero discord under B
     measurements, yet sign-conditioning on A separates the B marginal
@@ -336,11 +319,11 @@ def build_ce_zero_discord(alpha: complex = 1.0,
     da = len(plus_a)
     parts = [
         (0.5, density_from_vector(plus_a),
-         density_from_vector(_superposition_01(dim_b, +1))),
+         density_from_vector(_superposition_01(DIM_DEFAULT, +1))),
         (0.5, density_from_vector(minus_a),
-         density_from_vector(_superposition_01(dim_b, -1))),
+         density_from_vector(_superposition_01(DIM_DEFAULT, -1))),
     ]
-    return bipartite_from_parts(parts, da, dim_b)
+    return bipartite_from_parts(parts, da, DIM_DEFAULT)
 
 
 def build_ce_hidden_discord(nbar: float = 1.0, r: float = 0.5) -> FockDensityMatrix:
@@ -387,10 +370,9 @@ def commutator_norm(rho1: np.ndarray, rho2: np.ndarray) -> float:
     return float(np.linalg.norm(rho1 @ rho2 - rho2 @ rho1))
 
 
-def verify_classical_on_b(state: FockDensityMatrix, basis: np.ndarray,
-                          tol: float = 1e-10) -> bool:
-    """True iff the state is block-diagonal on B in the given basis,
-    i.e. of the form sum_j p_j rho_{A|j} x |b_j><b_j|.
+def verify_classical_on_b(state: FockDensityMatrix, basis: np.ndarray) -> bool:
+    """True iff the state is block-diagonal on B in the given basis, to
+    within CLASSICAL_TOL, i.e. of the form sum_j p_j rho_{A|j} x |b_j><b_j|.
 
     basis holds one B vector per row and must be orthonormal and
     complete.
@@ -405,7 +387,7 @@ def verify_classical_on_b(state: FockDensityMatrix, basis: np.ndarray,
     blocks = np.einsum("ij,ajbk,lk->ilab", basis.conj(), state.tensor, basis,
                        optimize=True)
     off_diagonal = ~np.eye(state.dim_b, dtype=bool)
-    return float(np.abs(blocks[off_diagonal]).max(initial=0.0)) <= tol
+    return float(np.abs(blocks[off_diagonal]).max(initial=0.0)) <= CLASSICAL_TOL
 
 
 def superposition_basis(dim: int) -> np.ndarray:

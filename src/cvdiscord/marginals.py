@@ -30,7 +30,7 @@ from scipy.optimize import brentq
 from scipy.special import erf, erfc
 
 from .errors import NumericError, ValidationError, require_finite
-from .states import GaussianBipartiteState, rotate_local
+from .states import GaussianBipartiteState, _check_transmissivity, rotate_local
 
 PEAK_XTOL = 1e-10
 PEAK_MAXITER = 200
@@ -277,8 +277,7 @@ class PMixtureState:
     def __post_init__(self):
         if not self.components:
             raise ValidationError("mixture needs at least one component")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValidationError(f"transmissivity must lie in [0, 1], got {self.eta}")
+        _check_transmissivity(self.eta)
         weights = [c.weight for c in self.components]
         if any(w < 0 for w in weights):
             raise ValidationError("component weights must be >= 0")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError, require_finite, write_table
 from .marginals import MarginalForm, joint_marginal_form
-from .states import GaussianBipartiteState
+from .states import GaussianBipartiteState, _check_transmissivity
 
 CHUNK = 1 << 16
 
@@ -303,8 +303,7 @@ def sample_gaussian(state: GaussianBipartiteState, pairs: list[tuple[float, floa
 def sample_scheme(scheme: ModulationScheme, pairs: list[tuple[float, float]],
                   n: int, seed: int, eta: float = 1.0 / np.sqrt(2.0)) -> RecordSet:
     """n records of a scheme on a splitter of transmissivity eta (_sample)."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError(f"transmissivity must lie in [0, 1], got {eta}")
+    _check_transmissivity(eta)
     return _sample(pairs, n, seed, lambda *p: _mixture_chunk(scheme, eta, *p))
 
 

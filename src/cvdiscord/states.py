@@ -25,15 +25,6 @@ SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = -1e-9
 
 
-def symplectic_form() -> np.ndarray:
-    """Two-mode symplectic form in (x_A, p_A, x_B, p_B) ordering."""
-    w = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    out = np.zeros((4, 4))
-    out[:2, :2] = w
-    out[2:, 2:] = w
-    return out
-
-
 def validate_covariance(cov) -> list[str]:
     """Check a candidate covariance matrix for symmetry, positivity and the
     uncertainty bound.
@@ -137,10 +128,6 @@ def vacuum_single() -> SingleModeState:
     return SingleModeState(np.zeros(2), np.eye(2))
 
 
-def vacuum_bipartite() -> GaussianBipartiteState:
-    return GaussianBipartiteState(np.zeros(4), np.eye(4))
-
-
 def tensor(mode_a: SingleModeState, mode_b: SingleModeState) -> GaussianBipartiteState:
     """Uncorrelated two-mode state from two single-mode states."""
     means = np.concatenate([mode_a.means, mode_b.means])
@@ -182,6 +169,11 @@ def split_balanced(mode: SingleModeState) -> GaussianBipartiteState:
     return GaussianBipartiteState(np.concatenate([m, m]), cov)
 
 
+def _check_transmissivity(eta: float) -> None:
+    if not 0.0 <= eta <= 1.0:
+        raise ValidationError(f"transmissivity must lie in [0, 1], got {eta}")
+
+
 def beam_splitter_matrix(eta: float) -> np.ndarray:
     """Symplectic matrix of a beam splitter with amplitude transmissivity eta.
 
@@ -190,8 +182,7 @@ def beam_splitter_matrix(eta: float) -> np.ndarray:
     gains sqrt(1-eta^2) of mode 1.  A coherent displacement d on port 1
     therefore exits as (eta*d, sqrt(1-eta^2)*d) with equal signs.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError(f"transmissivity must lie in [0, 1], got {eta}")
+    _check_transmissivity(eta)
     eta_t = np.sqrt(1.0 - eta * eta)
     s = np.zeros((4, 4))
     s[:2, :2] = eta * np.eye(2)
@@ -201,21 +192,11 @@ def beam_splitter_matrix(eta: float) -> np.ndarray:
     return s
 
 
-def apply_beam_splitter(state: GaussianBipartiteState, eta: float,
-                        inverse: bool = False) -> GaussianBipartiteState:
-    """Mix the two modes of a bipartite state on a beam splitter.
-
-    Parameters
-    ----------
-    state : GaussianBipartiteState
-    eta : float
-        Amplitude transmissivity in [0, 1].
-    inverse : bool
-        Apply the inverse mixing (undoes a previous application).
-    """
+def apply_beam_splitter(state: GaussianBipartiteState,
+                        eta: float) -> GaussianBipartiteState:
+    """Mix the two modes of a bipartite state on a beam splitter of
+    amplitude transmissivity eta in [0, 1]."""
     s = beam_splitter_matrix(eta)
-    if inverse:
-        s = s.T
     return GaussianBipartiteState(s @ state.means, s @ state.cov @ s.T)
 
 
@@ -241,7 +222,7 @@ def rotate_local(state: GaussianBipartiteState, theta_a: float,
     return GaussianBipartiteState(u @ state.means, u @ state.cov @ u.T)
 
 
-def c_block_is_zero(state: GaussianBipartiteState, tol: float = 1e-12) -> bool:
-    """True when the intermode block vanishes, i.e. the state is a product
-    state with zero discord."""
-    return bool(np.abs(state.block_c).max() <= tol)
+def c_block_is_zero(state: GaussianBipartiteState) -> bool:
+    """True when the intermode block vanishes to within 1e-12, i.e. the
+    state is a product state with zero discord."""
+    return bool(np.abs(state.block_c).max() <= 1e-12)

@@ -20,6 +20,7 @@ conditional against unconditional histograms is the decision statistic.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -375,12 +376,13 @@ def _check_peaked(hist: Histogram) -> None:
         raise InsufficientDataError("need at least 3 occupied bins")
 
 
-def separation_statistic(rs: RecordSet, threshold: float = 0.0,
-                         seed: int = 0, n_boot: int = BOOTSTRAP_DEFAULT
-                         ) -> tuple[float, float, PeakEstimate, PeakEstimate]:
-    """Peak separation Delta between the sign-conditioned B marginals, with
-    its bootstrap standard error from the streams of a verdict's first pair."""
-    return _separation(*_bin_sides(rs, threshold)[1], _streams(seed), n_boot)
+@contextmanager
+def _naming(where: str):
+    """Append where, the pair or depth, to an InsufficientDataError raised inside."""
+    try:
+        yield
+    except InsufficientDataError as exc:
+        raise InsufficientDataError(f"{exc} {where}") from exc
 
 
 def _separation(plus_sorted: np.ndarray, minus_sorted: np.ndarray, streams, n_boot: int):
@@ -461,12 +463,13 @@ def _check_settings(k_min: float = K_MIN_DEFAULT, alpha: float = CHI2_ALPHA,
 
 def _pair_stats(rs: RecordSet, theta_a: float, theta_b: float,
                 threshold: float, streams, n_boot: int) -> PairStats:
-    hists, sides = _bin_sides(rs, threshold)
-    delta, sigma, _, _ = _separation(*sides, streams, n_boot)
+    with _naming(f"at phase pair ({theta_a:.6g}, {theta_b:.6g})"):
+        hists, sides = _bin_sides(rs, threshold)
+        delta, sigma, _, _ = _separation(*sides, streams, n_boot)
+        chi2 = chi_square_two_sample(hists.plus, hists.minus)
     k = abs(delta) / sigma if sigma > 0 else np.inf
     return PairStats(theta_a=theta_a, theta_b=theta_b, delta=delta,
-                     sigma_delta=sigma, k=float(k),
-                     chi2=chi_square_two_sample(hists.plus, hists.minus),
+                     sigma_delta=sigma, k=float(k), chi2=chi2,
                      n_plus=hists.plus.total, n_minus=hists.minus.total, hists=hists)
 
 
@@ -537,11 +540,12 @@ def verdict_mixture(rs: RecordSet, threshold: float,
         raise ValidationError("the mixture verdict takes records at one phase "
                               f"pair; {_pairs_present(rs)}")
     hists = _bin_sides(rs, threshold)[0]
-    _check_peaked(hists.whole)
-    chi2s = []
-    for hist_side in (hists.plus, hists.minus):
-        chi2s.append(chi_square_two_sample(hist_side, hists.whole))
-        _check_peaked(hist_side)
+    with _naming("at phase pair ({:.6g}, {:.6g})".format(*rs.phases[0])):
+        _check_peaked(hists.whole)
+        chi2s = []
+        for hist_side in (hists.plus, hists.minus):
+            chi2s.append(chi_square_two_sample(hist_side, hists.whole))
+            _check_peaked(hist_side)
     # the peaks of the whole histogram and of each side, one fitted row each
     locs = _fit_peaks(hists.whole.edges, np.vstack(
         [hists.whole.counts, hists.plus.counts, hists.minus.counts]))[0]
@@ -593,7 +597,8 @@ def _sweep_row(depth: float, n: int, streams, n_boot: int) -> dict:
     state = split_balanced(modulated_beam(0.0, depth))
     form = joint_marginal_form(state, half_pi, half_pi)
     rs = RecordSet(*_draw([(n, streams, _gaussian_chunk(form))]), [(half_pi, half_pi)], [n])
-    delta, sigma, _, _ = _separation(*_bin_sides(rs, 0.0)[1], streams, n_boot)
+    with _naming(f"at depth {depth:.6g}"):
+        delta, sigma, _, _ = _separation(*_bin_sides(rs, 0.0)[1], streams, n_boot)
     return {
         "depth": float(depth),
         "delta": float(delta),

@@ -62,6 +62,24 @@ def rotation2(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
+def symplectic_form() -> np.ndarray:
+    """Two-mode symplectic form in (x_A, p_A, x_B, p_B) ordering."""
+    w = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    out = np.zeros((4, 4))
+    out[:2, :2] = w
+    out[2:, 2:] = w
+    return out
+
+
+def number_mean(state: np.ndarray) -> float:
+    """<n> of a vector or density matrix in the number basis."""
+    state = np.asarray(state)
+    n = np.arange(state.shape[0])
+    if state.ndim == 1:
+        return float((n * np.abs(state) ** 2).sum())
+    return float((n * np.diagonal(state).real).sum())
+
+
 # ---------------------------------------------------------------------------
 # random physical states
 # ---------------------------------------------------------------------------

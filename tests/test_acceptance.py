@@ -31,10 +31,9 @@ from cvdiscord.sampler import (AsyncSine, SwitchedNoise, SwitchedPhase,
                                SWITCHED_PHASE_THRESHOLD, sample_gaussian,
                                sample_scheme)
 from cvdiscord.states import (c_block_is_zero, modulated_beam, split_balanced,
-                              vacuum_bipartite)
-from cvdiscord.verifier import (CANONICAL_PAIRS, separation_statistic,
-                                sweep_modulation, verdict_gaussian,
-                                verdict_mixture)
+                              tensor, vacuum_single)
+from cvdiscord.verifier import (CANONICAL_PAIRS, sweep_modulation,
+                                verdict_gaussian, verdict_mixture)
 
 from helpers import (MEASURED_NU_00, MEASURED_NU_90_90, concat_records,
                      integrate_marginal_from_wigner, integrate_wigner_4d,
@@ -91,7 +90,9 @@ def test_acceptance_02_modulation_depth_sweep():
     # the smallest nonzero depth is still detectable with enough data
     state = split_balanced(modulated_beam(0.0, 0.2))
     rs = sample_gaussian(state, [(HALF_PI, HALF_PI)], 2_000_000, seed=77)
-    delta, sigma, _, _ = separation_statistic(rs, 0.0, seed=77, n_boot=60)
+    pair = verdict_gaussian(rs, pairs=[(HALF_PI, HALF_PI)], seed=77,
+                            n_boot=60).per_pair[0]
+    delta, sigma = pair.delta, pair.sigma_delta
     assert abs(delta) / sigma >= 3.0
 
     elapsed = time.perf_counter() - t0
@@ -219,7 +220,8 @@ def test_acceptance_06_non_gaussian_verdicts():
         assert p < 1e-6, name
         worst_p = max(worst_p, p)
 
-    control = sample_gaussian(vacuum_bipartite(), [(0.0, 0.0)], 1_000_000, 699)
+    vacuum = tensor(vacuum_single(), vacuum_single())
+    control = sample_gaussian(vacuum, [(0.0, 0.0)], 1_000_000, 699)
     verdict = verdict_mixture(control, threshold=0.0)
     assert verdict.decision == "not-detected"
     print(f"ACCEPTANCE 06 non-Gaussian verdicts: PASS "

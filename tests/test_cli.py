@@ -389,6 +389,28 @@ def test_mixture_verdict_takes_one_phase_pair(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "v.json").exists()
 
 
+@pytest.mark.parametrize("simulate, argv, err", [
+    (("--n", "4", "--seed", "1"),
+     ("verify", "--records", "few.npz", "--out", "v.json"),
+     "need at least 3 occupied bins at phase pair (0, 0)"),
+    (("--scheme", "async", "--depth", "2", "--n", "8", "--seed", "6"),
+     ("verify", "--records", "few.npz", "--mode", "mixture", "--out", "v.json"),
+     "fewer than 2 merged bins at phase pair (0, 0)"),
+    (None, ("sweep", "--n", "5", "--depths", "1", "--out", "s.csv"),
+     "need at least 3 occupied bins at depth 1"),
+], ids=["verify", "verify-mixture", "sweep"])
+def test_too_few_records_exit_1_naming_the_pair_or_depth(tmp_path, monkeypatch,
+                                                         capsys, simulate, argv, err):
+    monkeypatch.chdir(tmp_path)
+    if simulate is not None:
+        assert run("simulate", *simulate, "--out", "few.npz") == 0
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert _snapshot(tmp_path) == before
+
+
 @pytest.mark.parametrize("boot", ["1", "0", "-3"])
 @pytest.mark.parametrize("mode", ["gaussian", "mixture"])
 def test_verify_needs_two_bootstrap_replicates(tmp_path, monkeypatch, capsys,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+import helpers as H
 from cvdiscord import (
     FockDensityMatrix,
     QuadratureGrid,
@@ -30,7 +31,6 @@ from cvdiscord import (
     grid_peak,
     homodyne_marginal_fock,
     input_marginal_D1,
-    number_mean,
     oscillator_eigenfunctions,
     sign_projectors,
     squeezed_vacuum_fock,
@@ -59,13 +59,13 @@ def test_coherent_state_amplitudes():
     assert np.abs(vac[1:]).max() == 0.0
 
     one = coherent_fock(1.0, dim=20)
-    assert number_mean(one) == pytest.approx(1.0, abs=1e-6)
+    assert H.number_mean(one) == pytest.approx(1.0, abs=1e-6)
     assert np.linalg.norm(one) == pytest.approx(1.0, abs=1e-12)
 
     for alpha in (0.5, 1.0 + 1.0j, 2.0, -2.0j):
         vec = coherent_fock(alpha, dim=30)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-10)
-        assert number_mean(vec) == pytest.approx(abs(alpha) ** 2, abs=1e-8)
+        assert H.number_mean(vec) == pytest.approx(abs(alpha) ** 2, abs=1e-8)
 
 
 def test_truncation_is_checked_not_assumed():
@@ -94,11 +94,13 @@ def test_thermal_and_squeezed_quadrature_variances():
     dens_x = homodyne_marginal_fock(sq, default_grid(30))
     _, var_x = grid_moments(default_grid(30), dens_x)
     assert var_x == pytest.approx(np.exp(-2.0 * r), abs=1e-6)
-    dens_p = homodyne_marginal_fock(sq, default_grid(30), theta=np.pi / 2.0)
+    # the p quadrature of squeeze r is the x quadrature of squeeze -r
+    anti = density_from_vector(squeezed_vacuum_fock(-r, dim=30))
+    dens_p = homodyne_marginal_fock(anti, default_grid(30))
     _, var_p = grid_moments(default_grid(30), dens_p)
     assert var_p == pytest.approx(np.exp(2.0 * r), abs=1e-5)
 
-    assert number_mean(np.diag(thermal_fock(0.6, dim=40)).real ** 0 *
+    assert H.number_mean(np.diag(thermal_fock(0.6, dim=40)).real ** 0 *
                        thermal_fock(0.6, dim=40)) == pytest.approx(0.6, abs=1e-7)
 
 
@@ -149,8 +151,10 @@ def test_coherent_marginal_matches_displaced_vacuum_and_mixture_form():
     mix = PMixtureState((CoherentPoint(1.0, np.sqrt(2.0) * alpha.real),), eta=0.5)
     assert np.abs(dens_x - input_marginal_D1(mix, grid.points)).max() < 1e-6
 
-    # rotating the local oscillator picks out the imaginary part
-    dens_p = homodyne_marginal_fock(rho, grid, theta=np.pi / 2.0)
+    # the p quadrature of alpha is the x quadrature of -i alpha, a local
+    # oscillator turned by pi/2: it picks out the imaginary part
+    dens_p = homodyne_marginal_fock(density_from_vector(coherent_fock(-1j * alpha, 30)),
+                                    grid)
     mean_p, _ = grid_moments(grid, dens_p)
     assert mean_p == pytest.approx(2.0 * alpha.imag, abs=1e-8)
 
@@ -334,7 +338,7 @@ def test_grid_peak_boundary_and_flat_guards():
 
 
 def test_fock_state_json_round_trip():
-    state = build_ce_zero_discord(alpha=0.8, dim_b=6)
+    state = build_ce_zero_discord(alpha=0.8)
     doc = json.loads(fock_state_to_json(state))
     assert sorted(doc) == ["dim_A", "dim_B", "entries", "v0"]
     assert (doc["dim_A"], doc["dim_B"], doc["v0"]) == (state.dim_a, state.dim_b, 1.0)

@@ -36,7 +36,8 @@ from cvdiscord import (
     sample_gaussian,
     sample_scheme,
     split_balanced,
-    vacuum_bipartite,
+    tensor,
+    vacuum_single,
     write_records,
 )
 from cvdiscord import sampler
@@ -237,7 +238,8 @@ def test_a_single_call_or_pool_false_runs_on_the_calling_thread():
 
 
 def test_unmodulated_records_are_shot_noise():
-    rs = sample_gaussian(vacuum_bipartite(), [(0.0, 0.0)], 1_000_000, 5)
+    vacuum = tensor(vacuum_single(), vacuum_single())
+    rs = sample_gaussian(vacuum, [(0.0, 0.0)], 1_000_000, 5)
     assert np.var(rs.x_a) == pytest.approx(1.0, abs=0.01)
     assert np.var(rs.x_b) == pytest.approx(1.0, abs=0.01)
     assert np.mean(rs.x_a) == pytest.approx(0.0, abs=0.005)

@@ -29,11 +29,11 @@ from cvdiscord import (
     modulated_beam,
     sample_gaussian,
     sample_scheme,
-    separation_statistic,
     split_balanced,
     split_by_threshold,
     sweep_modulation,
-    vacuum_bipartite,
+    tensor,
+    vacuum_single,
     verdict_gaussian,
     verdict_mixture,
 )
@@ -361,7 +361,8 @@ def test_peak_estimates_converge_with_sample_size():
         errors = []
         for seed in range(20):
             rs = sample_gaussian(state, [(HALF_PI, HALF_PI)], n, seed=300 + seed)
-            delta, _, _, _ = separation_statistic(rs, seed=seed, n_boot=2)
+            delta = verdict_gaussian(rs, pairs=[(HALF_PI, HALF_PI)], seed=seed,
+                                     n_boot=2).per_pair[0].delta
             errors.append(abs(delta - want))
         medians.append(np.median(errors))
     assert medians[0] > medians[1] > medians[2]
@@ -372,27 +373,19 @@ def test_separation_matches_analytic_on_reference_state():
     for ta, tb, want in ((0.0, 0.0, H.MEASURED_DELTA_00),
                          (HALF_PI, HALF_PI, H.MEASURED_DELTA_90_90)):
         rs = sample_gaussian(state, [(ta, tb)], 400_000, seed=17)
-        delta, sigma, peak_p, peak_m = separation_statistic(rs, seed=17)
-        assert abs(delta - want) < 3.0 * sigma
+        pair = verdict_gaussian(rs, pairs=[(ta, tb)], seed=17).per_pair[0]
+        assert abs(pair.delta - want) < 3.0 * pair.sigma_delta
+        peak_p, peak_m = (estimate_peak(estimate_density(side), np.random.default_rng(17))
+                          for side in split_by_threshold(rs))
         assert peak_p.location > 0.0 > peak_m.location
-
-
-def test_separation_statistic_bootstraps_as_the_first_pair_of_a_verdict():
-    state = H.measured_state()
-    for seed in (0, 5):
-        rs = sample_gaussian(state, [(HALF_PI, HALF_PI)], 5_000, seed=seed)
-        delta, sigma, _, _ = separation_statistic(rs, seed=seed, n_boot=20)
-        pair = verdict_gaussian(rs, seed=seed, n_boot=20,
-                                pairs=[(HALF_PI, HALF_PI)]).per_pair[0]
-        assert (delta, sigma) == (pair.delta, pair.sigma_delta)
 
 
 def test_separation_is_noise_level_on_a_product_state():
     rng = np.random.default_rng(19)
     state = H.random_product_state(rng)
     rs = sample_gaussian(state, [(0.0, 0.0)], 200_000, seed=19)
-    delta, sigma, _, _ = separation_statistic(rs, seed=19)
-    assert abs(delta) < 4.0 * sigma
+    pair = verdict_gaussian(rs, pairs=[(0.0, 0.0)], seed=19).per_pair[0]
+    assert abs(pair.delta) < 4.0 * pair.sigma_delta
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +512,7 @@ def test_verdicts_leave_the_callers_records_as_they_were(interleaved):
     verdict_gaussian(rs, seed=64, n_boot=20)
     one = rs.select_pair(0.0, 0.0)
     verdict_mixture(one, threshold=0.3)
-    separation_statistic(one, n_boot=2)
+    verdict_gaussian(one, pairs=[(0.0, 0.0)], n_boot=2)
     assert (rs.x_a.tobytes(), rs.x_b.tobytes()) == before
 
 
@@ -610,14 +603,16 @@ def test_mixture_verdict_detects_switched_noise():
 
 
 def test_mixture_verdict_passes_an_unmodulated_control():
-    rs = sample_gaussian(vacuum_bipartite(), [(0.0, 0.0)], 500_000, 57)
+    vacuum = tensor(vacuum_single(), vacuum_single())
+    rs = sample_gaussian(vacuum, [(0.0, 0.0)], 500_000, 57)
     verdict = verdict_mixture(rs, threshold=0.0)
     assert verdict.decision == "not-detected"
     assert verdict.variance_ratio < 1.02
 
 
 def test_mixture_verdict_degenerate_threshold():
-    rs = sample_gaussian(vacuum_bipartite(), [(0.0, 0.0)], 1_000, 58)
+    vacuum = tensor(vacuum_single(), vacuum_single())
+    rs = sample_gaussian(vacuum, [(0.0, 0.0)], 1_000, 58)
     with pytest.raises(DegenerateSplitError):
         verdict_mixture(rs, threshold=1e9)
 
