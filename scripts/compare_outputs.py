@@ -24,7 +24,9 @@ simulate at two pairs and --eta 0.9 with 70,000 records per pair, so
 that chunk boundaries fall inside the first pair and between the pairs,
 a gaussian simulate at --eta 0.9 with unequal depths and its verify, sweep at 5,000
 records per depth, under one sampling chunk, and at 70,000, over one,
-counterexample with --plotdata and --dump-state, verify in both modes on a record CSV
+counterexample with --plotdata and --dump-state, a counterexample --which
+zero at --alpha 2.5 with --plotdata, whose state holds 40 A number states
+and so is the largest the command can build, verify in both modes on a record CSV
 that has no sidecar, which the script writes itself, simulates of 4
 gaussian records per pair and of 8 async records, and eight commands
 given bad input, each with its own --out: a mixture verify with a
@@ -137,6 +139,10 @@ COMMANDS = [
     ("sweep", "--depths", "0:3:5", "--n", "70000", "--out", "sweep_chunks.csv"),
     ("counterexample", "--which", "both", "--out", "ce.json",
      "--plotdata", "curves", "--dump-state", "state"),
+    # alpha 2.5 needs dim_A 40: the 800 x 800 positivity check, the largest
+    # basis the command line reaches
+    ("counterexample", "--which", "zero", "--alpha", "2.5",
+     "--plotdata", "ce_wide", "--out", "ce_wide.json"),
     # records without a sidecar: the verdicts hold an empty "meta"
     ("verify", "--records", "bare.csv", "--pairs", "0,0", "--boot", "50",
      "--out", "v_bare.json"),

@@ -13,7 +13,10 @@ package: the vacuum marginal is a Gaussian of variance 1.  Sign projectors
 are assembled from eigenfunction overlap integrals on a uniform grid wide
 enough to hold the classical turning point of the highest retained number
 state; parity then gives the complementary projector, and the pair sums
-to the identity at machine precision.
+to the identity at machine precision.  A density matrix must be finite,
+Hermitian and of unit trace, with no eigenvalue below EIGEN_TOL, which
+holds exactly when H - EIGEN_TOL * I has a Cholesky factor (H its
+Hermitian part); no eigenvalues are computed.
 """
 
 from __future__ import annotations
@@ -185,18 +188,20 @@ class FockDensityMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
+        if not np.isfinite(m).all():
+            raise ValidationError("density matrix has non-finite entries")
         d = self.dim_a * self.dim_b
         if m.shape != (d, d):
-            raise ValidationError(
-                f"matrix shape {m.shape} does not match dims ({d}, {d})"
-            )
+            raise ValidationError(f"matrix shape {m.shape} does not match dims ({d}, {d})")
         if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
             raise ValidationError("density matrix is not Hermitian")
         tr = m.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"trace {tr} is not 1")
-        if np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() < EIGEN_TOL:
-            raise ValidationError("density matrix has a negative eigenvalue")
+        try:  # no eigenvalue below EIGEN_TOL: H - EIGEN_TOL * I is positive definite
+            np.linalg.cholesky(0.5 * (m + m.conj().T) - EIGEN_TOL * np.eye(d))
+        except np.linalg.LinAlgError:
+            raise ValidationError("density matrix has a negative eigenvalue") from None
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -301,8 +306,7 @@ def grid_moments(grid: QuadratureGrid,
 
 def _superposition_01(dim: int, sign: int) -> np.ndarray:
     vec = np.zeros(dim, dtype=complex)
-    vec[0] = 1.0 / math.sqrt(2.0)
-    vec[1] = sign / math.sqrt(2.0)
+    vec[:2] = (1.0 / math.sqrt(2.0), sign / math.sqrt(2.0))
     return vec
 
 
@@ -314,16 +318,10 @@ def build_ce_zero_discord(alpha: complex = 1.0) -> FockDensityMatrix:
     measurements, yet sign-conditioning on A separates the B marginal
     peaks.
     """
-    plus_a = coherent_fock(alpha)
-    minus_a = coherent_fock(-alpha)
-    da = len(plus_a)
-    parts = [
-        (0.5, density_from_vector(plus_a),
-         density_from_vector(_superposition_01(DIM_DEFAULT, +1))),
-        (0.5, density_from_vector(minus_a),
-         density_from_vector(_superposition_01(DIM_DEFAULT, -1))),
-    ]
-    return bipartite_from_parts(parts, da, DIM_DEFAULT)
+    parts = [(0.5, density_from_vector(coherent_fock(a)),
+              density_from_vector(_superposition_01(DIM_DEFAULT, sign)))
+             for a, sign in ((alpha, 1), (-alpha, -1))]
+    return bipartite_from_parts(parts, len(parts[0][1]), DIM_DEFAULT)
 
 
 def build_ce_hidden_discord(nbar: float = 1.0, r: float = 0.5) -> FockDensityMatrix:
@@ -339,16 +337,13 @@ def build_ce_hidden_discord(nbar: float = 1.0, r: float = 0.5) -> FockDensityMat
     th = thermal_fock(nbar)
     sq = density_from_vector(squeezed_vacuum_fock(r))
     db = max(th.shape[0], sq.shape[0])
-    th = _pad_density(th, db)
-    sq = _pad_density(sq, db)
+    th, sq = (_pad_density(rho, db) for rho in (th, sq))
     parts = [(0.5, density_from_vector(_superposition_01(2, +1)), th),
              (0.5, density_from_vector(_superposition_01(2, -1)), sq)]
     return bipartite_from_parts(parts, 2, db)
 
 
 def _pad_density(rho: np.ndarray, dim: int) -> np.ndarray:
-    if rho.shape[0] == dim:
-        return rho
     out = np.zeros((dim, dim), dtype=complex)
     out[:rho.shape[0], :rho.shape[1]] = rho
     return out
@@ -361,12 +356,9 @@ def _pad_density(rho: np.ndarray, dim: int) -> np.ndarray:
 
 def commutator_norm(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """Frobenius norm of the commutator of two equal-size matrices."""
-    rho1 = np.asarray(rho1, dtype=complex)
-    rho2 = np.asarray(rho2, dtype=complex)
+    rho1, rho2 = (np.asarray(rho, dtype=complex) for rho in (rho1, rho2))
     if rho1.shape != rho2.shape:
-        raise ValidationError(
-            f"dimension mismatch: {rho1.shape} vs {rho2.shape}"
-        )
+        raise ValidationError(f"dimension mismatch: {rho1.shape} vs {rho2.shape}")
     return float(np.linalg.norm(rho1 @ rho2 - rho2 @ rho1))
 
 

@@ -4,8 +4,9 @@ A record is (theta_A, theta_B, x_A, x_B): the local-oscillator phases and
 the two quadrature outcomes of one joint measurement.  Records are held,
 and stored in a .npz file, as the x_A and x_B columns plus a run table of
 phase pairs; a CSV file holds the four columns per row.  Each fixed-size
-chunk of records has its own random stream (_streams), so the chunks are
-filled on all the process's CPUs in any order.
+chunk of records has its own random stream (_streams) and is sampled
+straight into its slices of the two columns, so the chunks are filled on
+all the process's CPUs in any order.
 
 Both samplers take (source, pairs, n, seed) and draw pair i as item i of
 the seed through one checked path.  A Gaussian state's records come from
@@ -242,17 +243,17 @@ def _streams(seed, item: int = 0):
 
 def _draw(parts) -> tuple[np.ndarray, np.ndarray]:
     """The x_A and x_B columns of the records of each (n, streams, chunk)
-    part in turn, filled in fixed-size chunks on the pool: chunk(rng, m)
-    gives both columns of m records, rng the chunk's stream (_streams)."""
+    part in turn, filled in fixed-size chunks on the pool: chunk(rng, out_a,
+    out_b) writes the records of the two column slices, rng the chunk's
+    stream (_streams)."""
     if min(n for n, _, _ in parts) <= 0:
         raise ValidationError("n must be positive")
     ends = np.cumsum([n for n, _, _ in parts])
     x_a, x_b = np.empty(ends[-1]), np.empty(ends[-1])
 
     def fill(end, n, streams, chunk, start):
-        rng = streams(2 + start // CHUNK)
         rows = slice(end - n + start, end - n + min(start + CHUNK, n))
-        x_a[rows], x_b[rows] = chunk(rng, rows.stop - rows.start)
+        chunk(streams(2 + start // CHUNK), x_a[rows], x_b[rows])
 
     _starmap(fill, [(end, *part, start) for end, part in zip(ends, parts)
                     for start in range(0, part[0], CHUNK)])
@@ -260,24 +261,30 @@ def _draw(parts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gaussian_chunk(form: MarginalForm):
-    """chunk(rng, m) for _draw: m joint outcomes of a marginal form."""
+    """chunk(rng, out_a, out_b) for _draw: joint outcomes of a marginal form."""
     cov = np.array([[form.mu, form.nu], [form.nu, form.lam]]) / (2.0 * form.det)
     chol = np.linalg.cholesky(cov)
     mean = np.array([form.mean_a, form.mean_b])
-    return lambda rng, m: (rng.standard_normal((m, 2)) @ chol.T + mean).T
+
+    def chunk(rng, out_a, out_b):
+        y = rng.standard_normal((len(out_a), 2)) @ chol.T
+        np.add(y[:, 0], mean[0], out=out_a)
+        np.add(y[:, 1], mean[1], out=out_b)
+    return chunk
 
 
 def _mixture_chunk(scheme: ModulationScheme, eta: float, theta_a: float, theta_b: float):
-    """chunk(rng, m) for _draw: m records of a scheme, each a displacement
-    sent through the splitter (mode A keeps eta of it, mode B sqrt(1-eta^2)),
-    projected on the measured quadratures, plus independent vacuum noise."""
-    def chunk(rng, m):
-        d = np.zeros((m, 2))
+    """chunk(rng, out_a, out_b) for _draw: records of a scheme, each a
+    displacement sent through the splitter (mode A keeps eta of it, mode B
+    sqrt(1-eta^2)), projected on the measured quadratures, plus independent
+    vacuum noise."""
+    def chunk(rng, out_a, out_b):
+        d = np.zeros((len(out_a), 2))
         scheme.displace(rng, d)
-        noise = rng.standard_normal((m, 2))
-        return (eta * (d @ [np.cos(theta_a), np.sin(theta_a)]) + noise[:, 0],
-                np.sqrt(1.0 - eta * eta)
-                * (d @ [np.cos(theta_b), np.sin(theta_b)]) + noise[:, 1])
+        noise = rng.standard_normal(d.shape)
+        np.add(eta * (d @ [np.cos(theta_a), np.sin(theta_a)]), noise[:, 0], out=out_a)
+        np.add(np.sqrt(1.0 - eta * eta) * (d @ [np.cos(theta_b), np.sin(theta_b)]),
+               noise[:, 1], out=out_b)
     return chunk
 
 

@@ -175,7 +175,7 @@ def split_by_threshold(rs: RecordSet, threshold: float = 0.0
             f"{f' at phase pair {pairs}' if pairs else ''} "
             f"({n_plus} of {len(rs)} records on the plus side)"
         )
-    return rs.x_b[plus_mask], rs.x_b[~plus_mask]
+    return np.compress(plus_mask, rs.x_b), np.compress(~plus_mask, rs.x_b)
 
 
 def _order_stat(parts, k: int):

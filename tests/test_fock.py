@@ -178,6 +178,33 @@ def test_density_matrix_validation():
         FockDensityMatrix(2, 2, neg)
 
 
+def test_a_non_finite_density_matrix_is_bad_input():
+    # checked before anything else: a positivity check alone accepts inf
+    for value, where in ((np.nan, (0, 0)), (np.inf, (0, 1)), (-np.inf, (1, 0))):
+        m = np.eye(4, dtype=complex) / 4.0
+        m[where] = value
+        with pytest.raises(ValidationError, match="non-finite entries"):
+            FockDensityMatrix(2, 2, m)
+
+
+@pytest.mark.parametrize("smallest, accepted", [(-2e-8, False), (-0.5e-8, True), (0.0, True)])
+def test_positivity_is_decided_at_the_eigenvalue_tolerance(smallest, accepted):
+    # a random-unitary 400 x 400 state of trace 1, its smallest eigenvalue
+    # on either side of EIGEN_TOL = -1e-8
+    rng = np.random.default_rng(31)
+    u, _ = np.linalg.qr(rng.standard_normal((400, 400))
+                        + 1j * rng.standard_normal((400, 400)))
+    eig = rng.uniform(1.0, 2.0, 400)
+    eig *= (1.0 - smallest) / eig[1:].sum()
+    eig[0] = smallest
+    m = (u * eig) @ u.conj().T
+    if accepted:
+        FockDensityMatrix(20, 20, m)
+    else:
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            FockDensityMatrix(20, 20, m)
+
+
 def test_reduced_states_and_tensor_view():
     rho_a = density_from_vector(coherent_fock(0.7, 12))
     rho_b = thermal_fock(0.5, 20)

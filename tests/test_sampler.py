@@ -7,6 +7,7 @@ from the closed-form densities, not from the sampling code.
 """
 
 import gc
+import hashlib
 import sys
 import threading
 import time
@@ -36,6 +37,7 @@ from cvdiscord import (
     sample_gaussian,
     sample_scheme,
     split_balanced,
+    split_by_threshold,
     tensor,
     vacuum_single,
     write_records,
@@ -157,13 +159,44 @@ def test_a_seed_that_is_not_a_non_negative_integer_is_rejected(seed):
         sample_gaussian(split_balanced(modulated_beam(1.0, 1.0)), [(0.0, 0.0)], 10, seed)
 
 
+def _sha256(*columns) -> list[str]:
+    return [hashlib.sha256(col.tobytes()).hexdigest() for col in columns]
+
+
+# SHA-256 of the x_A and x_B bytes of each draw below, pinned so that a
+# faster sampling kernel must keep every record bit
+DIGESTS = {
+    "gaussian": ["a0b5550fef8b11f49313d594e401ebef2336922fcbbad3e4f228e336e2ede4c3",
+                 "b8e497ec0cf7b5b5318747581eff4ca0918c4abc6284eda0e171c0f2c57185ba"],
+    "split": ["fa122258e82ceba65ebf0b60e4558722b70cc346924c91b45fce9f66ac96817d",
+              "de6ddf9f8ed8647009f11e68452a0232b7efdf043d8a4b90a574e7618a782475"],
+    "switched_noise": ["f5909edbf2cc7074b0ab57ec86fe09644919f758c8b1d40920704c15a54bb27e",
+                       "55a6d912fb7f9d84d3d956cd1aee9465b4b056ff2220d7cc7966f7db5bff48d9"],
+    "switched_phase": ["c10ed9e8186a2f1c3714eeffa05e8f2cc6f51f02223f61a36ff644ff4ce671d0",
+                       "3d2221972fc0bb5d9aa91c9d34e4f40ddb984d99cfa3dd8f50a8e949332fe3b5"],
+    "async_sine": ["aec3ff9b6103bf4d3b330bf6fe9f1330c642c71f85b647752e31b21921bae77e",
+                   "360aaaae364f6e9a009fd4e79d616bfba83ccb0ea250f5915e187eaa881176d3"],
+}
+
+
+def test_sampled_records_and_their_sides_keep_every_bit():
+    # 70000 = 65536 + 4464: chunk boundaries inside pair 0 and between the pairs
+    rs = sample_gaussian(split_balanced(modulated_beam(1.5, 1.5)),
+                         [(0.0, 0.0), (HALF_PI, HALF_PI)], 70_000, 21)
+    assert _sha256(rs.x_a, rs.x_b) == DIGESTS["gaussian"]
+    assert _sha256(*split_by_threshold(rs)) == DIGESTS["split"]
+    for scheme in (SwitchedNoise(3.0, 1.0), SwitchedPhase(), AsyncSine(2.0)):
+        rs = sample_scheme(scheme, [(0.0, HALF_PI)], 70_000, 22)
+        assert _sha256(rs.x_a, rs.x_b) == DIGESTS[scheme.kind], scheme.kind
+
+
 def test_a_failing_chunk_raises_the_first_error_in_order():
-    def chunk(rng, m):
-        if m < CHUNK:
+    def chunk(rng, out_a, out_b):
+        if (m := len(out_a)) < CHUNK:
             # the first short chunk fails last on two or more threads
             time.sleep(0.3 if m == 5 else 0.0)
             raise ValueError(f"short chunk of {m}")
-        return np.zeros(m), np.ones(m)
+        out_a[:], out_b[:] = 0.0, 1.0
 
     with pytest.raises(ValueError, match="short chunk of 5"):
         _draw([(5, _streams(1), chunk), (7, _streams(1, 1), chunk),
