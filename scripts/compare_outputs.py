@@ -48,11 +48,11 @@ files written by one tree only.  It
 prints one line per difference and exits 1 if there is any, else 0.  For a
 JSON or CSV file that differs, the line gives the largest relative
 difference between its paired numbers, whether a "decision" field changed,
-and whether any text, null or layout differs too.  For a .npz record file
-that differs, it loads both files with numpy, expands a run table into the
-four per-row columns, and says whether the records are equal bit for bit
-("layout differs, records equal") or not ("records differ"); either way
-the difference counts.
+the path of each true or false that flipped, and whether any text, null or
+layout differs too.  For a .npz record file that differs, it loads both
+files with numpy, expands a run table into the four per-row columns, and
+says whether the records are equal bit for bit ("layout differs, records
+equal") or not ("records differ"); either way the difference counts.
 
 With --trace it runs the same command set in one tree, each command under
 the standard library's ``python -m trace --listfuncs --module
@@ -285,8 +285,9 @@ def _number(value) -> bool:
 
 def _walk(old, new, found: dict, where: str = "") -> None:
     """Pair the numbers of old and new, keeping in found the largest
-    relative difference and where it is, whether a "decision" changed and
-    whether anything else (text, null, layout) differs."""
+    relative difference and where it is, whether a "decision" changed, the
+    paths of the booleans that flipped and whether anything else (text,
+    null, layout) differs."""
     if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
         for key in old:
             if key == "decision" and old[key] != new[key]:
@@ -299,6 +300,9 @@ def _walk(old, new, found: dict, where: str = "") -> None:
         if old != new:
             rel = abs(old - new) / max(abs(old), abs(new))
             found["rel"] = max(found["rel"], (rel, where))
+    elif isinstance(old, bool) and isinstance(new, bool):
+        if old != new:
+            found["flipped"].append(where)
     elif old != new:
         found["other"] = True
 
@@ -322,12 +326,13 @@ def describe(old: Path, new: Path) -> str:
     old_doc, new_doc = _parsed(old), _parsed(new)
     if old_doc is None:
         return "contents differ"
-    found = {"rel": (0.0, ""), "decision": False, "other": False}
+    found = {"rel": (0.0, ""), "decision": False, "flipped": [], "other": False}
     _walk(old_doc, new_doc, found)
     rel, where = found["rel"]
     parts = [f"numbers differ by at most {rel:.3g} relative (at {where})"
              if rel else "numbers equal",
              "decision changed" if found["decision"] else "decision unchanged"]
+    parts += [f"{where} flipped" for where in found["flipped"]]
     if found["other"]:
         parts.append("text, null or layout differs")
     return ", ".join(parts)

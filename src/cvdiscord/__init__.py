@@ -39,10 +39,10 @@ from .fock import (FockDensityMatrix, QuadratureGrid, bipartite_from_parts,
                    build_ce_hidden_discord, build_ce_zero_discord,
                    coherent_fock, commutator_norm, condition_b_on_sign,
                    default_grid, density_from_vector, fock_state_to_json,
-                   grid_moments, grid_peak, homodyne_marginal_fock,
-                   oscillator_eigenfunctions, sign_projectors,
-                   squeezed_vacuum_fock, superposition_basis, thermal_fock,
-                   verify_classical_on_b)
+                   grid_peak, homodyne_marginal_fock,
+                   oscillator_eigenfunctions, quadrature_moments,
+                   sign_projectors, squeezed_vacuum_fock, superposition_basis,
+                   thermal_fock, verify_classical_on_b)
 
 # the names imported above; the submodules, which importing them binds here
 # too, are not part of it

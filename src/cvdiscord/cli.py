@@ -40,8 +40,8 @@ from .errors import (ParseError, ValidationError, dump_document, read_document,
                      require_finite, write_table)
 from .fock import (build_ce_hidden_discord, build_ce_zero_discord,
                    commutator_norm, condition_b_on_sign, default_grid,
-                   fock_state_to_json, grid_moments, grid_peak,
-                   homodyne_marginal_fock, squeezed_vacuum_fock,
+                   fock_state_to_json, grid_peak, homodyne_marginal_fock,
+                   quadrature_moments, squeezed_vacuum_fock,
                    superposition_basis, thermal_fock, verify_classical_on_b)
 from .sampler import (SWITCHED_PHASE_AMPLITUDE, AsyncSine, SwitchedNoise,
                       SwitchedPhase, _check_duty, _check_seed, read_records,
@@ -453,7 +453,8 @@ def _cmd_sweep(cfg: dict) -> list:
 def _sign_report(state) -> tuple:
     """Condition B on the sign of A's x outcome and locate the peaks of the
     two conditional homodyne marginals of B on the default grid; returns
-    the report, the grid and the marginals in plot-file column order."""
+    the report, the plot-file columns (the grid first) and the two
+    conditioned B states."""
     (rho_p, p_plus), (rho_m, p_minus) = condition_b_on_sign(state)
     grid = default_grid(state.dim_b)
     dens_p, dens_m = (homodyne_marginal_fock(rho, grid) for rho in (rho_p, rho_m))
@@ -467,24 +468,24 @@ def _sign_report(state) -> tuple:
         "peak_minus": peak_m,
         "peak_separation": peak_p - peak_m,
     }
-    curves = {"unconditional": homodyne_marginal_fock(state.reduced_b(), grid),
+    curves = {"x": grid.points,
+              "unconditional": homodyne_marginal_fock(state.reduced_b(), grid),
               "conditional_plus": dens_p, "conditional_minus": dens_m}
-    return report, grid, curves
+    return report, curves, (rho_p, rho_m)
 
 
 def _certify_zero(cfg: dict) -> tuple:
     state = build_ce_zero_discord(alpha=cfg["alpha"])
-    report, grid, curves = _sign_report(state)
+    report, curves, _ = _sign_report(state)
     classical = verify_classical_on_b(state, superposition_basis(state.dim_b))
     report.update(alpha=cfg["alpha"], classical_on_B=bool(classical))
-    return report, state, grid, curves
+    return report, state, curves
 
 
 def _certify_hidden(cfg: dict) -> tuple:
     state = build_ce_hidden_discord(nbar=cfg["nbar"], r=cfg["r"])
-    report, grid, curves = _sign_report(state)
-    _, var_p = grid_moments(grid, curves["conditional_plus"])
-    _, var_m = grid_moments(grid, curves["conditional_minus"])
+    report, curves, sides = _sign_report(state)
+    var_p, var_m = (quadrature_moments(rho)[1] for rho in sides)
     squeezed = squeezed_vacuum_fock(cfg["r"], state.dim_b)
     report.update(
         nbar=cfg["nbar"],
@@ -495,7 +496,7 @@ def _certify_hidden(cfg: dict) -> tuple:
         commutator_norm=commutator_norm(thermal_fock(cfg["nbar"], state.dim_b),
                                         np.outer(squeezed, squeezed.conj())),
     )
-    return report, state, grid, curves
+    return report, state, curves
 
 
 def _cases(cfg: dict) -> list[str]:
@@ -511,12 +512,11 @@ def _cmd_counterexample(cfg: dict) -> list:
     report = {f"{case}_discord": result[0] for case, result in cases.items()}
     outputs = [_text(dump_document(report, allow_nan=False))]
     if cfg["plotdata"] is not None:
-        outputs += [functools.partial(write_table, columns={"x": grid.points,
-                                                            **curves})
-                    for _, _, grid, curves in cases.values()]
+        outputs += [functools.partial(write_table, columns=curves)
+                    for _, _, curves in cases.values()]
     if cfg["dump_state"] is not None:
         outputs += [_text(fock_state_to_json(state) + "\n")
-                    for _, state, _, _ in cases.values()]
+                    for _, state, _ in cases.values()]
     return outputs
 
 

@@ -9,14 +9,13 @@ vacuum) while both conditional marginals peak at exactly zero, so the
 absence of separation proves nothing either.
 
 Position eigenfunctions are in shot-noise units, as the rest of the
-package: the vacuum marginal is a Gaussian of variance 1.  Sign projectors
-are assembled from eigenfunction overlap integrals on a uniform grid wide
-enough to hold the classical turning point of the highest retained number
-state; parity then gives the complementary projector, and the pair sums
-to the identity at machine precision.  A density matrix must be finite,
-Hermitian and of unit trace, with no eigenvalue below EIGEN_TOL, which
-holds exactly when H - EIGEN_TOL * I has a Cholesky factor (H its
-Hermitian part); no eigenvalues are computed.
+package: the vacuum marginal is a Gaussian of variance 1.  The sign
+projectors and quadrature moments that certify a state are closed forms
+on the number basis, with no grid; grids serve only the plotted
+marginals and their peaks.  A density matrix must be finite, Hermitian
+and of unit trace, with no eigenvalue below EIGEN_TOL, which holds
+exactly when H - EIGEN_TOL * I has a Cholesky factor (H its Hermitian
+part); no eigenvalues are computed.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import (DegenerateSplitError, TruncationError, ValidationError,
                      require_finite)
@@ -63,16 +61,11 @@ class QuadratureGrid:
         return float(self.points[1] - self.points[0])
 
 
-def _grid_steps(dim: int) -> int:
-    """Grid steps from 0 past the classical turning point of |dim-1>, plus
-    a margin for the tails."""
-    return int(math.ceil((math.sqrt(2.0 * dim + 1.0) + 5.0) * math.sqrt(2.0)
-                         / GRID_SPACING))
-
-
 def default_grid(dim: int) -> QuadratureGrid:
-    """Symmetric uniform grid covering every number state up to dim."""
-    n_half = _grid_steps(dim)
+    """Symmetric uniform grid past the classical turning point of |dim-1>,
+    plus a margin for the tails, so covering every number state up to dim."""
+    n_half = int(math.ceil((math.sqrt(2.0 * dim + 1.0) + 5.0) * math.sqrt(2.0)
+                           / GRID_SPACING))
     return QuadratureGrid(np.arange(-n_half, n_half + 1) * GRID_SPACING)
 
 
@@ -235,18 +228,23 @@ def bipartite_from_parts(parts, dim_a: int, dim_b: int) -> FockDensityMatrix:
 def sign_projectors(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Number-basis projectors onto x >= 0 and x < 0.
 
-    The positive-side matrix elements are Simpson integrals of
-    eigenfunction products over [0, L]; the negative side follows from
-    parity, and the two sum to the identity at machine precision.
+    For m != n, the Wronskian identity of phi_n'' = (u^2 - 2n - 1) phi_n,
+    u = x / sqrt(2), gives the positive side as [phi_m(0) phi_n'(0) -
+    phi_n(0) phi_m'(0)] / (2 (n - m)), where the ladder recurrences give
+    phi_n'(0) = sqrt(2n) phi_{n-1}(0); its diagonal is 1/2.  The negative
+    side is parity times the positive one; the entries with m + n even are
+    0, so the two sum to the identity exactly.
     """
-    n_half = _grid_steps(dim)
-    if n_half % 2 == 1:
-        n_half += 1  # Simpson wants an even interval count
-    xs = np.arange(n_half + 1) * GRID_SPACING
-    psi = oscillator_eigenfunctions(dim, xs)
-    plus = simpson(psi[:, None, :] * psi[None, :, :], x=xs, axis=-1)
-    plus = 0.5 * (plus + plus.T)
-    parity = (-1.0) ** (np.arange(dim)[:, None] + np.arange(dim)[None, :])
+    value = np.zeros(dim)  # phi_n(0)
+    value[0] = np.pi ** -0.25
+    for n in range(1, dim - 1):
+        value[n + 1] = -math.sqrt(n / (n + 1.0)) * value[n - 1]
+    n = np.arange(dim)
+    slope = np.sqrt(2.0 * n) * np.r_[0.0, value[:-1]]
+    gap = n - n[:, None] + np.eye(dim, dtype=int)  # n - m; the diagonal is set below
+    plus = (np.outer(value, slope) - np.outer(slope, value)) / (2.0 * gap)
+    np.fill_diagonal(plus, 0.5)
+    parity = (-1.0) ** (n[:, None] + n)
     return plus, parity * plus
 
 
@@ -287,16 +285,6 @@ def grid_peak(grid: QuadratureGrid, density: np.ndarray) -> float:
     den = y[0] - 2.0 * y[1] + y[2]
     off = 0.5 * (y[0] - y[2]) / den if den != 0 else 0.0
     return float(grid.points[i] + off * grid.spacing)
-
-
-def grid_moments(grid: QuadratureGrid,
-                 density: np.ndarray) -> tuple[float, float]:
-    """(mean, variance) of a density sampled on the grid."""
-    xs = grid.points
-    norm = simpson(density, x=xs)
-    mean = simpson(xs * density, x=xs) / norm
-    var = simpson((xs - mean) ** 2 * density, x=xs) / norm
-    return float(mean), float(var)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +340,17 @@ def _pad_density(rho: np.ndarray, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # certification helpers
 # ---------------------------------------------------------------------------
+
+
+def quadrature_moments(rho: np.ndarray) -> tuple[float, float]:
+    """(Tr rho x, Tr rho x^2 - mean^2) of a single-mode state, x = a +
+    a^dagger built one number state larger, so that x^2 is exact on the
+    truncated state."""
+    x = np.diag(np.sqrt(np.arange(1.0, len(rho) + 1)), k=1)
+    x += x.T
+    rho = _pad_density(rho, len(x))
+    mean = float(np.trace(rho @ x).real)
+    return mean, float(np.trace(rho @ x @ x).real) - mean ** 2
 
 
 def commutator_norm(rho1: np.ndarray, rho2: np.ndarray) -> float:

@@ -166,7 +166,7 @@ def split_by_threshold(rs: RecordSet, threshold: float = 0.0
     empty-side error names the threshold and the phase pairs of rs."""
     require_finite(locals(), "threshold")
     plus_mask = rs.x_a >= threshold
-    n_plus = int(plus_mask.sum())
+    n_plus = int(np.count_nonzero(plus_mask))
     if n_plus == 0 or n_plus == len(rs):
         pairs = ", ".join(dict.fromkeys(f"({ta:.6g}, {tb:.6g})"
                                         for ta, tb in rs.phases))

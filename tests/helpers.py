@@ -17,15 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
+from scipy.integrate import simpson
 
 from cvdiscord import (
     GaussianBipartiteState,
     RecordSet,
     beam_splitter_matrix,
+    default_grid,
     joint_marginal_form,
+    oscillator_eigenfunctions,
     rotation_matrix,
 )
 from cvdiscord.errors import NumericError, ValidationError
+from cvdiscord.fock import GRID_SPACING
 
 # measured on a split beam with both quadratures strongly modulated,
 # shot-noise units, (x_A, p_A, x_B, p_B) ordering
@@ -78,6 +82,32 @@ def number_mean(state: np.ndarray) -> float:
     if state.ndim == 1:
         return float((n * np.abs(state) ** 2).sum())
     return float((n * np.diagonal(state).real).sum())
+
+
+def simpson_sign_projectors(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Number-basis projectors onto x >= 0 and x < 0 by quadrature: Simpson
+    integrals of eigenfunction products over the non-negative half of
+    default_grid(dim), padded to an even interval count, symmetrized; the
+    negative side is parity times the positive one."""
+    grid = default_grid(dim)
+    n_half = (len(grid.points) - 1) // 2
+    n_half += n_half % 2
+    xs = np.arange(n_half + 1) * GRID_SPACING
+    psi = oscillator_eigenfunctions(dim, xs)
+    plus = simpson(psi[:, None, :] * psi[None, :, :], x=xs, axis=-1)
+    plus = 0.5 * (plus + plus.T)
+    parity = (-1.0) ** (np.arange(dim)[:, None] + np.arange(dim)[None, :])
+    return plus, parity * plus
+
+
+def grid_moments(grid, density: np.ndarray) -> tuple[float, float]:
+    """(mean, variance) of a density sampled on a QuadratureGrid, by
+    Simpson quadrature."""
+    xs = grid.points
+    norm = simpson(density, x=xs)
+    mean = simpson(xs * density, x=xs) / norm
+    var = simpson((xs - mean) ** 2 * density, x=xs) / norm
+    return float(mean), float(var)
 
 
 # ---------------------------------------------------------------------------

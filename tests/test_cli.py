@@ -664,13 +664,17 @@ def test_sweep_writes_expected_rows(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_counterexample_zero_report_curves_and_state(tmp_path, monkeypatch):
+@pytest.mark.parametrize("alpha, dim_a", [(1.0, 20), (2.5, 40)])
+def test_counterexample_zero_report_curves_and_state(tmp_path, monkeypatch,
+                                                      alpha, dim_a):
     monkeypatch.chdir(tmp_path)
-    assert run("counterexample", "--which", "zero", "--out", "ce.json",
-               "--plotdata", "curves", "--dump-state", "state") == 0
+    assert run("counterexample", "--which", "zero", "--alpha", str(alpha),
+               "--out", "ce.json", "--plotdata", "curves",
+               "--dump-state", "state") == 0
     doc = json.loads((tmp_path / "ce.json").read_text())
     rep = doc["zero_discord"]
     assert "hidden_discord" not in doc
+    assert rep["dim_A"] == dim_a
     assert rep["classical_on_B"] is True
     assert rep["peak_separation"] > 0.1
     assert rep["p_plus"] + rep["p_minus"] == pytest.approx(1.0, abs=1e-8)
@@ -685,7 +689,7 @@ def test_counterexample_zero_report_curves_and_state(tmp_path, monkeypatch):
 
     state = json.loads((tmp_path / "state_zero.json").read_text())
     assert state["dim_A"] == rep["dim_A"] and state["dim_B"] == rep["dim_B"]
-    matrix = build_ce_zero_discord(alpha=1.0).matrix
+    matrix = build_ce_zero_discord(alpha=alpha).matrix
     assert np.array(state["entries"]).tobytes() == np.column_stack(
         [matrix.real.ravel(), matrix.imag.ravel()]).tobytes()
 
@@ -700,6 +704,13 @@ def test_counterexample_both_reports_hidden_limits(tmp_path, monkeypatch):
     assert hid["commutator_norm"] > 1e-3
     assert hid["dim_B"] <= 40
     assert "zero_discord" in doc
+    # |+> on A falls on x >= 0 with probability 1/2 + 1/sqrt(2 pi), so the
+    # plus side holds the thermal component with that weight w, the minus
+    # side with 1 - w; both components have mean 0
+    for side, w in (("plus", 0.5 + 1 / math.sqrt(2 * math.pi)),
+                    ("minus", 0.5 - 1 / math.sqrt(2 * math.pi))):
+        want = w * (2 * hid["nbar"] + 1) + (1 - w) * math.exp(-2 * hid["r"])
+        assert hid[f"variance_{side}"] == pytest.approx(want, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

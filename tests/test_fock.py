@@ -27,11 +27,11 @@ from cvdiscord import (
     default_grid,
     density_from_vector,
     fock_state_to_json,
-    grid_moments,
     grid_peak,
     homodyne_marginal_fock,
     input_marginal_D1,
     oscillator_eigenfunctions,
+    quadrature_moments,
     sign_projectors,
     squeezed_vacuum_fock,
     superposition_basis,
@@ -85,23 +85,38 @@ def test_thermal_and_squeezed_quadrature_variances():
     grid = default_grid(40)
     nbar = 1.0
     dens = homodyne_marginal_fock(thermal_fock(nbar, dim=40), grid)
-    mean, var = grid_moments(grid, dens)
+    mean, var = H.grid_moments(grid, dens)
     assert mean == pytest.approx(0.0, abs=1e-9)
     assert var == pytest.approx(2.0 * nbar + 1.0, abs=1e-6)
 
     r = 0.5
     sq = density_from_vector(squeezed_vacuum_fock(r, dim=30))
     dens_x = homodyne_marginal_fock(sq, default_grid(30))
-    _, var_x = grid_moments(default_grid(30), dens_x)
+    _, var_x = H.grid_moments(default_grid(30), dens_x)
     assert var_x == pytest.approx(np.exp(-2.0 * r), abs=1e-6)
     # the p quadrature of squeeze r is the x quadrature of squeeze -r
     anti = density_from_vector(squeezed_vacuum_fock(-r, dim=30))
     dens_p = homodyne_marginal_fock(anti, default_grid(30))
-    _, var_p = grid_moments(default_grid(30), dens_p)
+    _, var_p = H.grid_moments(default_grid(30), dens_p)
     assert var_p == pytest.approx(np.exp(2.0 * r), abs=1e-5)
 
     assert H.number_mean(np.diag(thermal_fock(0.6, dim=40)).real ** 0 *
                        thermal_fock(0.6, dim=40)) == pytest.approx(0.6, abs=1e-7)
+
+
+@pytest.mark.parametrize("rho, mean, var", [
+    (density_from_vector(coherent_fock(0.0, 20)), 0.0, 1.0),
+    (density_from_vector(coherent_fock(0.8 + 0.3j)), 1.6, 1.0),
+    (thermal_fock(1.0), 0.0, 3.0),
+    (density_from_vector(squeezed_vacuum_fock(0.5)), 0.0, np.exp(-1.0)),
+], ids=["vacuum", "coherent", "thermal", "squeezed"])
+def test_quadrature_moments_are_exact(rho, mean, var):
+    # mean 2 Re alpha of a coherent state, variance 2 nbar + 1 of a thermal
+    # one and exp(-2r) of a squeezed vacuum; only the truncation, with its
+    # tail below 1e-8, stands between the traces and these values
+    got_mean, got_var = quadrature_moments(rho)
+    assert got_mean == pytest.approx(mean, abs=1e-12)
+    assert got_var == pytest.approx(var, abs=1e-9)
 
 
 def test_vacuum_marginal_is_the_shot_noise_gaussian():
@@ -131,7 +146,7 @@ def test_zero_one_superposition_peaks_off_center():
     vec[0] = vec[1] = 1.0 / np.sqrt(2.0)
     dens = homodyne_marginal_fock(density_from_vector(vec), grid)
     # mean of x in this state is sqrt(2) <0|x|1> overlap = 1
-    mean, _ = grid_moments(grid, dens)
+    mean, _ = H.grid_moments(grid, dens)
     assert mean == pytest.approx(1.0, abs=1e-8)
     assert grid_peak(grid, dens) > 0.5
 
@@ -155,7 +170,7 @@ def test_coherent_marginal_matches_displaced_vacuum_and_mixture_form():
     # oscillator turned by pi/2: it picks out the imaginary part
     dens_p = homodyne_marginal_fock(density_from_vector(coherent_fock(-1j * alpha, 30)),
                                     grid)
-    mean_p, _ = grid_moments(grid, dens_p)
+    mean_p, _ = H.grid_moments(grid, dens_p)
     assert mean_p == pytest.approx(2.0 * alpha.imag, abs=1e-8)
 
 
@@ -215,11 +230,19 @@ def test_reduced_states_and_tensor_view():
 
 
 def test_sign_projectors_complete_and_parity_related():
-    for dim in (20, 40):
+    for dim in (2, 20, 40):
         plus, minus = sign_projectors(dim)
-        assert np.abs(plus + minus - np.eye(dim)).max() < 1e-12
+        # the entries with m + n even are 0 by parity, so the sum is exact
+        assert np.array_equal(plus + minus, np.eye(dim))
         # vacuum splits evenly
-        assert plus[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert plus[0, 0] == 0.5
+        # the closed form against Simpson quadrature on the 0.01 grid
+        oracle, _ = H.simpson_sign_projectors(dim)
+        assert np.abs(plus - oracle).max() < 1e-8
+    # a projector compressed to a subspace: eigenvalues in [0, 1]
+    for dim in (20, 40):
+        eig = np.linalg.eigvalsh(sign_projectors(dim)[0])
+        assert eig.min() >= -1e-14 and eig.max() <= 1.0 + 1e-14
     # the parity operator maps x to -x, so it swaps the two sides
     plus, minus = sign_projectors(12)
     parity = np.diag((-1.0) ** np.arange(12))
@@ -300,8 +323,7 @@ def test_hidden_discord_state_certifies_all_three_limits():
     separation = abs(grid_peak(grid, dens_p) - grid_peak(grid, dens_m))
     assert separation < 1e-3
 
-    _, var_p = grid_moments(grid, dens_p)
-    _, var_m = grid_moments(grid, dens_m)
+    (_, var_p), (_, var_m) = (quadrature_moments(rho) for rho in (rho_p, rho_m))
     ratio = max(var_p, var_m) / min(var_p, var_m)
     assert ratio > 1.1
 
