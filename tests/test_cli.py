@@ -664,9 +664,8 @@ def test_sweep_writes_expected_rows(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("alpha, dim_a", [(1.0, 20), (2.5, 40)])
-def test_counterexample_zero_report_curves_and_state(tmp_path, monkeypatch,
-                                                      alpha, dim_a):
+def _check_zero_report_curves_and_state(tmp_path, monkeypatch, alpha,
+                                        dim_a):
     monkeypatch.chdir(tmp_path)
     assert run("counterexample", "--which", "zero", "--alpha", str(alpha),
                "--out", "ce.json", "--plotdata", "curves",
@@ -692,6 +691,14 @@ def test_counterexample_zero_report_curves_and_state(tmp_path, monkeypatch,
     matrix = build_ce_zero_discord(alpha=alpha).matrix
     assert np.array(state["entries"]).tobytes() == np.column_stack(
         [matrix.real.ravel(), matrix.imag.ravel()]).tobytes()
+
+
+def test_counterexample_zero_report_curves_and_state(tmp_path, monkeypatch):
+    _check_zero_report_curves_and_state(tmp_path, monkeypatch, 1.0, 20)
+
+
+def test_counterexample_zero_report_at_dim_40(tmp_path, monkeypatch):
+    _check_zero_report_curves_and_state(tmp_path, monkeypatch, 2.5, 40)
 
 
 def test_counterexample_both_reports_hidden_limits(tmp_path, monkeypatch):
