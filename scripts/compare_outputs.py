@@ -28,15 +28,17 @@ counterexample with --plotdata and --dump-state, a counterexample --which
 zero at --alpha 2.5 with --plotdata, whose state holds 40 A number states
 and so is the largest the command can build, verify in both modes on a record CSV
 that has no sidecar, which the script writes itself, simulates of 4
-gaussian records per pair and of 8 async records, and eight commands
+gaussian records per pair and of 8 async records, and eleven commands
 given bad input, each with its own --out: a mixture verify with a
 negative --seed, a simulate with a seed of 2**32, a counterexample
 whose --alpha is too large for the truncated Fock basis, a gaussian
 simulate with --theta-a nan, which it does not use, a counterexample
---which zero with --nbar nan, which it does not use, and three given too
+--which zero with --nbar nan, which it does not use, a simulate at
+--depth 1e200, whose variance overflows float64, and five given too
 few records: a verify of the 4 records per pair, a mixture verify of the
-8 async records, and a sweep of 5 records at depth 1), with PYTHONPATH
-set to that tree.  It then
+8 async records, a sweep of 5 records at depth 1, a sweep of 12 records
+at depth 1, too few for the chi-square, and a sweep of 2 records at
+depth 0, both on the plus side), with PYTHONPATH set to that tree.  It then
 compares every output file byte for byte, and each command's exit code,
 stdout and stderr.  In a manifest every value inside its "timings_s" and
 "versions" objects reads null before the comparison, as those vary from
@@ -165,6 +167,12 @@ COMMANDS = [
     ("verify", "--records", "few_async.npz", "--mode", "mixture",
      "--out", "v_few_async.json"),
     ("sweep", "--depths", "1", "--n", "5", "--out", "sweep_few.csv"),
+    # enough records for both peak fits, too few for the chi-square
+    ("sweep", "--depths", "1", "--n", "12", "--out", "sweep_chi2_few.csv"),
+    # both records on the plus side
+    ("sweep", "--depths", "0", "--n", "2", "--out", "sweep_one_side.csv"),
+    # a depth whose variance overflows float64
+    ("simulate", "--depth", "1e200", "--n", "100", "--out", "depth_1e200.npz"),
 ]
 
 # config files the commands above read, written into each work directory

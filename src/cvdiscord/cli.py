@@ -41,8 +41,8 @@ from .errors import (ParseError, ValidationError, dump_document, read_document,
 from .fock import (build_ce_hidden_discord, build_ce_zero_discord,
                    commutator_norm, condition_b_on_sign, default_grid,
                    fock_state_to_json, grid_peak, homodyne_marginal_fock,
-                   quadrature_moments, squeezed_vacuum_fock,
-                   superposition_basis, thermal_fock, verify_classical_on_b)
+                   quadrature_moments, superposition_basis,
+                   verify_classical_on_b)
 from .sampler import (SWITCHED_PHASE_AMPLITUDE, AsyncSine, SwitchedNoise,
                       SwitchedPhase, _check_duty, _check_seed, read_records,
                       sample_gaussian, sample_scheme, write_records)
@@ -486,15 +486,16 @@ def _certify_hidden(cfg: dict) -> tuple:
     state = build_ce_hidden_discord(nbar=cfg["nbar"], r=cfg["r"])
     report, curves, sides = _sign_report(state)
     var_p, var_m = (quadrature_moments(rho)[1] for rho in sides)
-    squeezed = squeezed_vacuum_fock(cfg["r"], state.dim_b)
+    # the state's own B components, A projected on |+> and on |->, each of trace 1
+    basis = superposition_basis(2)
+    parts = np.einsum("ia,ajbk,ib->ijk", basis.conj(), state.tensor, basis)
     report.update(
         nbar=cfg["nbar"],
         r=cfg["r"],
         variance_plus=var_p,
         variance_minus=var_m,
         variance_ratio=max(var_p, var_m) / min(var_p, var_m),
-        commutator_norm=commutator_norm(thermal_fock(cfg["nbar"], state.dim_b),
-                                        np.outer(squeezed, squeezed.conj())),
+        commutator_norm=commutator_norm(*(part / part.trace() for part in parts)),
     )
     return report, state, curves
 

@@ -20,9 +20,10 @@ import numpy as np
 
 from .errors import ValidationError, require_finite
 
-# tolerances used by the physicality checks
+# tolerances of the physicality checks, and the largest modulation depth
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = -1e-9
+MAX_DEPTH = 1e150  # the variance 1 + d^2 overflows the covariance checks near 1e153
 
 
 def validate_covariance(cov) -> list[str]:
@@ -142,9 +143,12 @@ def modulated_beam(depth_x: float, depth_p: float) -> SingleModeState:
     quadrature.
 
     A modulation depth d adds classical noise of variance d^2, so the beam
-    has quadrature variances 1 + d^2.  Depths must be finite and >= 0.
+    has quadrature variances 1 + d^2.  Depths must lie in [0, MAX_DEPTH].
     """
     require_finite(locals(), "depth_x", "depth_p", low=0.0)
+    for name, depth in (("depth_x", depth_x), ("depth_p", depth_p)):
+        if depth > MAX_DEPTH:
+            raise ValidationError(f"{name} must be at most {MAX_DEPTH:g}, got {depth}")
     cov = np.diag([1.0 + depth_x**2, 1.0 + depth_p**2])
     return SingleModeState(np.zeros(2), cov)
 

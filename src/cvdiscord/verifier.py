@@ -30,7 +30,7 @@ from .errors import (EmptySideError, InsufficientDataError, NumericError,
                      ValidationError, dump_document, require_finite, write_table)
 from .marginals import analytic_peak_separation, joint_marginal_form
 from .sampler import CHUNK, RecordSet, _draw, _gaussian_chunk, _starmap, _streams
-from .states import modulated_beam, split_balanced
+from .states import MAX_DEPTH, modulated_beam, split_balanced
 
 MIN_BINS = 50
 MAX_BINS = 400
@@ -377,23 +377,12 @@ def _check_peaked(hist: Histogram) -> None:
 
 
 @contextmanager
-def _naming(where: str):
-    """Append where, the pair or depth, to an InsufficientDataError raised inside."""
+def _naming(where: str, kind=InsufficientDataError):
+    """Append where, the pair or depth, to an error of kind raised inside."""
     try:
         yield
-    except InsufficientDataError as exc:
-        raise InsufficientDataError(f"{exc} {where}") from exc
-
-
-def _separation(plus_sorted: np.ndarray, minus_sorted: np.ndarray, streams, n_boot: int):
-    """Fit the B peak of each side, given in ascending order, bootstrapping
-    the plus side on the item's stream 0 and the minus side on its stream
-    1 (_streams); returns (delta, sigma, peak_plus, peak_minus)."""
-    peak_p, peak_m = (estimate_peak(estimate_density(side), streams(k), n_boot)
-                      for k, side in enumerate((plus_sorted, minus_sorted)))
-    delta = peak_p.location - peak_m.location
-    sigma = float(np.hypot(peak_p.std_error, peak_m.std_error))
-    return delta, sigma, peak_p, peak_m
+    except kind as exc:
+        raise type(exc)(f"{exc} {where}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +450,18 @@ def _check_settings(k_min: float = K_MIN_DEFAULT, alpha: float = CHI2_ALPHA,
                               f"integer >= 2, got {n_boot!r}")
 
 
-def _pair_stats(rs: RecordSet, theta_a: float, theta_b: float,
-                threshold: float, streams, n_boot: int) -> PairStats:
-    with _naming(f"at phase pair ({theta_a:.6g}, {theta_b:.6g})"):
+def _pair_stats(rs: RecordSet, theta_a: float, theta_b: float, threshold: float,
+                streams, n_boot: int, where: str | None = None) -> PairStats:
+    """The verify statistics of one phase pair's records, the plus side
+    bootstrapped on the item's stream 0 and the minus side on its stream 1
+    (_streams).  Too-few-records errors end with where, else the pair."""
+    with _naming(where or f"at phase pair ({theta_a:.6g}, {theta_b:.6g})"):
         hists, sides = _bin_sides(rs, threshold)
-        delta, sigma, _, _ = _separation(*sides, streams, n_boot)
+        peak_p, peak_m = (estimate_peak(estimate_density(side), streams(k), n_boot)
+                          for k, side in enumerate(sides))
         chi2 = chi_square_two_sample(hists.plus, hists.minus)
+    delta = peak_p.location - peak_m.location
+    sigma = float(np.hypot(peak_p.std_error, peak_m.std_error))
     k = abs(delta) / sigma if sigma > 0 else np.inf
     return PairStats(theta_a=theta_a, theta_b=theta_b, delta=delta,
                      sigma_delta=sigma, k=float(k), chi2=chi2,
@@ -574,8 +569,8 @@ def verdict_mixture(rs: RecordSet, threshold: float,
 def sweep_modulation(depths, n: int, seed: int,
                      n_boot: int = BOOTSTRAP_DEFAULT) -> list[dict]:
     """Simulate a phase-modulated beam split on a balanced splitter over a
-    list of depths; per depth, measure the peak separation and attach the
-    analytic value.
+    list of depths; per depth, take verify's delta and sigma_delta of that
+    depth's records (_pair_stats) and attach the analytic value.
 
     Modulation rides on the p quadrature and both stations measure it
     (theta = pi/2), matching the locked-quadrature protocol.  Depth i
@@ -583,11 +578,9 @@ def sweep_modulation(depths, n: int, seed: int,
     rows and the first error come back in depth order.
     """
     depths = np.asarray(list(depths), dtype=float)
-    if depths.size == 0:
-        raise ValidationError("depths must hold at least one depth, got none")
-    if not np.all(np.isfinite(depths) & (depths >= 0)):
-        raise ValidationError(f"depths must be finite and non-negative, "
-                              f"got {depths.tolist()}")
+    if depths.size == 0 or not np.all((depths >= 0) & (depths <= MAX_DEPTH)):
+        raise ValidationError(f"depths must be one or more numbers, each finite and "
+                              f"non-negative and at most {MAX_DEPTH:g}, got {depths.tolist()}")
     return _starmap(_sweep_row, [(depth, n, _streams(seed, i), n_boot)
                                  for i, depth in enumerate(depths)])
 
@@ -597,12 +590,13 @@ def _sweep_row(depth: float, n: int, streams, n_boot: int) -> dict:
     state = split_balanced(modulated_beam(0.0, depth))
     form = joint_marginal_form(state, half_pi, half_pi)
     rs = RecordSet(*_draw([(n, streams, _gaussian_chunk(form))]), [(half_pi, half_pi)], [n])
-    with _naming(f"at depth {depth:.6g}"):
-        delta, sigma, _, _ = _separation(*_bin_sides(rs, 0.0)[1], streams, n_boot)
+    where = f"at depth {depth:.6g}"
+    with _naming(where, EmptySideError):
+        stats = _pair_stats(rs, half_pi, half_pi, 0.0, streams, n_boot, where)
     return {
         "depth": float(depth),
-        "delta": float(delta),
-        "sigma_delta": float(sigma),
+        "delta": stats.delta,
+        "sigma_delta": stats.sigma_delta,
         "delta_analytic": float(analytic_peak_separation(form)),
         "n": int(n),
     }

@@ -17,7 +17,8 @@ import cvdiscord
 from cvdiscord import cli
 from cvdiscord.cli import main, parse_depths, parse_pairs
 from cvdiscord.errors import ValidationError
-from cvdiscord.fock import build_ce_zero_discord
+from cvdiscord.fock import (build_ce_hidden_discord, build_ce_zero_discord,
+                            commutator_norm)
 from cvdiscord.sampler import RecordSet, read_records, write_records
 from cvdiscord.verifier import (estimate_density, split_by_threshold,
                                 verdict_gaussian, verdict_mixture)
@@ -174,6 +175,9 @@ def test_simulate_rejects_non_finite_parameters(tmp_path, monkeypatch, capsys,
     (("counterexample", "--which", "zero", "--nbar", "nan"), "nbar"),
     (("counterexample", "--which", "zero", "--r", "inf"), "r"),
     (("counterexample", "--which", "hidden", "--alpha", "nan"), "alpha"),
+    # a depth whose variance 1 + depth^2 overflows float64
+    (("simulate", "--depth", "1e200", "--n", "100"), "depth_x"),
+    (("sweep", "--depths", "1e200"), "depths"),
 ])
 def test_bad_numbers_exit_1_naming_the_parameter(tmp_path, monkeypatch, capsys,
                                                  argv, name):
@@ -398,7 +402,13 @@ def test_mixture_verdict_takes_one_phase_pair(tmp_path, monkeypatch, capsys):
      "fewer than 2 merged bins at phase pair (0, 0)"),
     (None, ("sweep", "--n", "5", "--depths", "1", "--out", "s.csv"),
      "need at least 3 occupied bins at depth 1"),
-], ids=["verify", "verify-mixture", "sweep"])
+    # enough bins for both peak fits, too few for verify's chi-square
+    (None, ("sweep", "--n", "12", "--depths", "1", "--out", "s.csv"),
+     "fewer than 2 merged bins at depth 1"),
+    (None, ("sweep", "--n", "2", "--depths", "0,1,2", "--out", "s.csv"),
+     "threshold 0.0 leaves one side empty at phase pair (1.5708, 1.5708) "
+     "(2 of 2 records on the plus side) at depth 0"),
+], ids=["verify", "verify-mixture", "sweep", "sweep-chi-square", "sweep-empty-side"])
 def test_too_few_records_exit_1_naming_the_pair_or_depth(tmp_path, monkeypatch,
                                                          capsys, simulate, argv, err):
     monkeypatch.chdir(tmp_path)
@@ -718,6 +728,22 @@ def test_counterexample_both_reports_hidden_limits(tmp_path, monkeypatch):
                     ("minus", 0.5 - 1 / math.sqrt(2 * math.pi))):
         want = w * (2 * hid["nbar"] + 1) + (1 - w) * math.exp(-2 * hid["r"])
         assert hid[f"variance_{side}"] == pytest.approx(want, abs=1e-6)
+
+
+def test_hidden_commutator_is_that_of_the_states_own_components(tmp_path,
+                                                                monkeypatch):
+    # the squeezed component is built at dim 20 and padded in the state;
+    # rebuilt at the state's dim 40 its commutator differs in the last bits
+    monkeypatch.chdir(tmp_path)
+    assert run("counterexample", "--which", "hidden", "--nbar", "1.0",
+               "--r", "0.2", "--out", "ce.json") == 0
+    hid = json.loads((tmp_path / "ce.json").read_text())["hidden_discord"]
+    state = build_ce_hidden_discord(nbar=1.0, r=0.2)
+    # A = |+><+| with the thermal component, A = |-><-| with the squeezed one
+    thermal, squeezed = (np.einsum("a,ajbk,b->jk", plus_minus, state.tensor, plus_minus)
+                         for plus_minus in np.array([[1, 1], [1, -1]]) / math.sqrt(2))
+    assert hid["commutator_norm"] == commutator_norm(thermal / thermal.trace(),
+                                                     squeezed / squeezed.trace())
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from cvdiscord import (
     verdict_mixture,
 )
 from cvdiscord import sampler, verifier
-from cvdiscord.sampler import CHUNK, _streams
+from cvdiscord.sampler import CHUNK, _draw, _gaussian_chunk, _streams
 from cvdiscord.verifier import (
     CANONICAL_PAIRS,
     ChiSquareResult,
@@ -528,6 +528,24 @@ def test_a_sweep_leaves_the_records_it_draws_as_they_were(monkeypatch):
     monkeypatch.setattr(verifier, "_bin_sides", checked)
     sweep_modulation([0.0, 2.0], n=2_000, seed=64, n_boot=2)
     assert seen == [True, True]
+
+
+def test_sweep_rows_hold_the_pair_stats_of_each_depths_records():
+    # depth i draws and bootstraps as item i of the seed; its row carries
+    # what verify computes on those records, and the first depth's records
+    # are those sample_gaussian draws at one pair and the seed
+    depths, n, seed, n_boot = [0.5, 2.0], 3_000, 66, 20
+    rows = sweep_modulation(depths, n=n, seed=seed, n_boot=n_boot)
+    pair = [(HALF_PI, HALF_PI)]
+    for i, (depth, row) in enumerate(zip(depths, rows)):
+        form = joint_marginal_form(split_balanced(modulated_beam(0.0, depth)), *pair[0])
+        rs = RecordSet(*_draw([(n, _streams(seed, i), _gaussian_chunk(form))]), pair, [n])
+        stats = _pair_stats(rs, *pair[0], 0.0, _streams(seed, i), n_boot)
+        assert (row["delta"], row["sigma_delta"]) == (stats.delta, stats.sigma_delta)
+    rs = sample_gaussian(split_balanced(modulated_beam(0.0, depths[0])), pair, n, seed)
+    verified = verdict_gaussian(rs, seed=seed, n_boot=n_boot, pairs=pair).per_pair[0]
+    assert (rows[0]["delta"], rows[0]["sigma_delta"]) == (verified.delta,
+                                                          verified.sigma_delta)
 
 
 def test_pair_stats_on_the_pool_match_serial_calls():
