@@ -28,17 +28,21 @@ counterexample with --plotdata and --dump-state, a counterexample --which
 zero at --alpha 2.5 with --plotdata, whose state holds 40 A number states
 and so is the largest the command can build, verify in both modes on a record CSV
 that has no sidecar, which the script writes itself, simulates of 4
-gaussian records per pair and of 8 async records, and eleven commands
-given bad input, each with its own --out: a mixture verify with a
-negative --seed, a simulate with a seed of 2**32, a counterexample
-whose --alpha is too large for the truncated Fock basis, a gaussian
-simulate with --theta-a nan, which it does not use, a counterexample
---which zero with --nbar nan, which it does not use, a simulate at
---depth 1e200, whose variance overflows float64, and five given too
-few records: a verify of the 4 records per pair, a mixture verify of the
-8 async records, a sweep of 5 records at depth 1, a sweep of 12 records
-at depth 1, too few for the chi-square, and a sweep of 2 records at
-depth 0, both on the plus side), with PYTHONPATH set to that tree.  It then
+gaussian records per pair and of 8 async records, a gaussian simulate at
+--depth 158, where the splitter's rounding leaves the covariance
+asymmetric by more than 1e-12, and thirteen commands given bad input,
+each with its own --out: a mixture verify with a negative --seed, a
+simulate with a seed of 2**32, a counterexample whose --alpha is too
+large for the truncated Fock basis, a gaussian simulate with --theta-a
+nan, which it does not use, a counterexample --which zero with --nbar
+nan, which it does not use, a gaussian and an async simulate at --depth
+1e200, far above MAX_DEPTH, five given too few records (a verify of the
+4 records per pair, a mixture verify of the 8 async records, a sweep of
+5 records at depth 1, a sweep of 12 records at depth 1, too few for the
+chi-square, and a sweep of 2 records at depth 0, both on the plus side),
+and a verify of a CSV that the script writes as it writes the one with
+no sidecar, but with x_B 1e300 times larger, as records in other units
+would be), with PYTHONPATH set to that tree.  It then
 compares every output file byte for byte, and each command's exit code,
 stdout and stderr.  In a manifest every value inside its "timings_s" and
 "versions" objects reads null before the comparison, as those vary from
@@ -154,6 +158,9 @@ COMMANDS = [
     ("simulate", "--n", "4", "--seed", "1", "--out", "few.npz"),
     ("simulate", "--scheme", "async", "--depth", "2", "--n", "8", "--seed", "6",
      "--out", "few_async.npz"),
+    # a depth below MAX_DEPTH at which the splitter's rounding leaves the
+    # covariance asymmetric by more than 1e-12
+    ("simulate", "--depth", "158", "--n", "100", "--out", "depth_158.npz"),
     # bad input, each of which exits 1 and writes nothing
     ("verify", "--records", "async.npz", "--mode", "mixture", "--seed", "-5",
      "--out", "v_seed.json"),
@@ -171,8 +178,13 @@ COMMANDS = [
     ("sweep", "--depths", "1", "--n", "12", "--out", "sweep_chi2_few.csv"),
     # both records on the plus side
     ("sweep", "--depths", "0", "--n", "2", "--out", "sweep_one_side.csv"),
-    # a depth whose variance overflows float64
+    # a depth far above MAX_DEPTH, in the gaussian and the async scheme
     ("simulate", "--depth", "1e200", "--n", "100", "--out", "depth_1e200.npz"),
+    ("simulate", "--scheme", "async", "--depth", "1e200", "--n", "100",
+     "--out", "async_1e200.npz"),
+    # records in other units: x_B 1e300 times too large
+    ("verify", "--records", "bare_1e300.csv", "--pairs", "0,0", "--boot", "50",
+     "--out", "v_bare_1e300.json"),
 ]
 
 # config files the commands above read, written into each work directory
@@ -186,16 +198,18 @@ CONFIGS = {
 }
 
 
-def _bare_records(n: int = 20000, seed: int = 17) -> str:
-    """The text of a record CSV at phase pair (0, 0) whose x_B is
-    correlated with x_A, written by this script and not by the program."""
+def _bare_records(scale: float = 1.0, n: int = 20000, seed: int = 17) -> str:
+    """The text of a record CSV at phase pair (0, 0) whose x_B, times
+    scale, is correlated with x_A, written by this script and not by the
+    program."""
     x_a, noise = np.random.default_rng(seed).standard_normal((2, n))
-    rows = (f"0,0,{a:.17g},{0.6 * a + 0.8 * b:.17g}" for a, b in zip(x_a, noise))
+    rows = (f"0,0,{a:.17g},{(0.6 * a + 0.8 * b) * scale:.17g}"
+            for a, b in zip(x_a, noise))
     return "\n".join(["theta_A,theta_B,x_A,x_B", *rows]) + "\n"
 
 
 # record files the commands above read, written into each work directory
-RECORDS = {"bare.csv": _bare_records()}
+RECORDS = {"bare.csv": _bare_records(), "bare_1e300.csv": _bare_records(1e300)}
 
 
 # how the commands run: as a module, or as a module under the trace

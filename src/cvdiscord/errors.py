@@ -39,13 +39,14 @@ class ParseError(ValidationError):
     """A record file could not be parsed."""
 
 
-def require_finite(obj, *names: str, low: float = -math.inf) -> None:
+def require_finite(obj, *names: str, low=-math.inf, high=math.inf) -> None:
     """A ValidationError naming the first of names, attributes of obj or keys
-    of a dict obj like locals(), that is not a finite number of at least low."""
+    of a dict obj like locals(), that is not a finite number in [low, high]."""
     for name in names:
         value = obj[name] if isinstance(obj, dict) else getattr(obj, name)
-        if not (math.isfinite(value) and value >= low):
-            bound = f" >= {low:g}" if low > -math.inf else ""
+        if not (math.isfinite(value) and low <= value <= high):
+            bound = (f" in [{low:g}, {high:g}]" if high < math.inf
+                     else f" >= {low:g}" if low > -math.inf else "")
             raise ValidationError(f"{name} must be a finite number{bound}, got {value}")
 
 

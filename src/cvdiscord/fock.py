@@ -186,13 +186,17 @@ class FockDensityMatrix:
         d = self.dim_a * self.dim_b
         if m.shape != (d, d):
             raise ValidationError(f"matrix shape {m.shape} does not match dims ({d}, {d})")
-        if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
+        h = m.conj().T  # m's conjugate transpose, then in place H - EIGEN_TOL * I
+        if np.abs(m - h).max() > HERMITIAN_TOL:
             raise ValidationError("density matrix is not Hermitian")
         tr = m.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"trace {tr} is not 1")
+        h += m
+        h *= 0.5
+        h.flat[::d + 1] -= EIGEN_TOL
         try:  # no eigenvalue below EIGEN_TOL: H - EIGEN_TOL * I is positive definite
-            np.linalg.cholesky(0.5 * (m + m.conj().T) - EIGEN_TOL * np.eye(d))
+            np.linalg.cholesky(h)
         except np.linalg.LinAlgError:
             raise ValidationError("density matrix has a negative eigenvalue") from None
         m.setflags(write=False)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError, require_finite, write_table
 from .marginals import MarginalForm, joint_marginal_form
-from .states import GaussianBipartiteState, _check_transmissivity
+from .states import MAX_DEPTH, GaussianBipartiteState, _check_transmissivity
 
 CHUNK = 1 << 16
 
@@ -72,7 +72,7 @@ class SwitchedNoise:
     kind = "switched_noise"
 
     def __post_init__(self):
-        require_finite(self, "depth_x", "depth_p", low=0.0)
+        require_finite(self, "depth_x", "depth_p", low=0.0, high=MAX_DEPTH)
         _check_duty(self.duty)
 
     def displace(self, rng, d: np.ndarray) -> None:
@@ -97,7 +97,8 @@ class SwitchedPhase:
     kind = "switched_phase"
 
     def __post_init__(self):
-        require_finite(self, "amplitude", "threshold_hint")
+        require_finite(self, "amplitude", low=-MAX_DEPTH, high=MAX_DEPTH)
+        require_finite(self, "threshold_hint")
         _check_duty(self.duty)
 
     def displace(self, rng, d: np.ndarray) -> None:
@@ -115,7 +116,7 @@ class AsyncSine:
     kind = "async_sine"
 
     def __post_init__(self):
-        require_finite(self, "depth", low=0.0)
+        require_finite(self, "depth", low=0.0, high=MAX_DEPTH)
 
     def displace(self, rng, d: np.ndarray) -> None:
         phi = rng.uniform(0.0, 2.0 * np.pi, len(d))

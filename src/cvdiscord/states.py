@@ -9,7 +9,9 @@ A state is its mean vector plus a 4x4 covariance matrix with blocks
 
 where A, B are the 2x2 single-mode blocks and C holds the intermode
 correlations.  A bipartite Gaussian state has zero quantum discord exactly
-when C = 0, so every nonzero C block is a detection target.
+when C = 0, so every nonzero C block is a detection target.  Every
+modulation depth and displacement, in every scheme and the sweep, lies
+within MAX_DEPTH, so every state built from them passes the checks.
 """
 
 from __future__ import annotations
@@ -20,34 +22,25 @@ import numpy as np
 
 from .errors import ValidationError, require_finite
 
-# tolerances of the physicality checks, and the largest modulation depth
+# tolerances of the physicality checks (validate_covariance)
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = -1e-9
-MAX_DEPTH = 1e150  # the variance 1 + d^2 overflows the covariance checks near 1e153
+# the largest modulation depth and |displacement| of every scheme and the
+# sweep: every state built within it passes validate_covariance, and near 2e3
+# the rounding of a splitter or rotation first breaks the uncertainty bound
+MAX_DEPTH = 1e3
 
 
 def validate_covariance(cov) -> list[str]:
-    """Check a candidate covariance matrix for symmetry, positivity and the
-    uncertainty bound.
-
-    Parameters
-    ----------
-    cov : array_like
-        Candidate 4x4 (or 2x2 single-mode) covariance matrix.
-
-    Returns
-    -------
-    list of str
-        The names of the failed checks among symmetric,
-        positive_definite and uncertainty_bound, in that order; empty for
-        a physical covariance.  The uncertainty check requires the
-        smallest eigenvalue of ``cov + i*Omega`` to stay above -1e-9.
-
-    Raises
-    ------
-    ValidationError
-        If the input is not a square real matrix of even dimension with
-        finite entries.
+    """The checks that a candidate covariance matrix, 4x4 or 2x2 for one
+    mode, fails among symmetric, positive_definite and uncertainty_bound, in
+    that order; empty for a physical covariance.  Symmetry allows an
+    asymmetry of SYMMETRY_TOL times max(1, the largest |entry|), as the
+    rounding of a splitter or rotation grows with the entries.  Positivity
+    and the uncertainty bound (the smallest eigenvalue of cov + i*Omega at
+    least PHYSICALITY_TOL) stay absolute: a relative bound would pass
+    diag(1e8, 1e-9), whose product 0.1 breaks the bound tenfold.  A matrix
+    that is not square, of even dimension and finite is a ValidationError.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
@@ -55,13 +48,12 @@ def validate_covariance(cov) -> list[str]:
     if not np.all(np.isfinite(cov)):
         raise ValidationError("covariance has non-finite entries")
 
-    n_modes = cov.shape[0] // 2
+    n_modes, scale = cov.shape[0] // 2, np.abs(cov).max()
     sym_part = 0.5 * (cov + cov.T)
-    w = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    omega = np.kron(np.eye(n_modes), w)
+    omega = np.kron(np.eye(n_modes), [[0.0, 1.0], [-1.0, 0.0]])
     phys = np.linalg.eigvalsh(sym_part + 1j * omega)
     checks = {
-        "symmetric": np.abs(cov - cov.T).max() <= SYMMETRY_TOL,
+        "symmetric": np.abs(cov - cov.T).max() <= SYMMETRY_TOL * max(1.0, scale),
         "positive_definite": np.linalg.eigvalsh(sym_part).min() > 0,
         "uncertainty_bound": phys.min() >= PHYSICALITY_TOL,
     }
@@ -132,9 +124,8 @@ def vacuum_single() -> SingleModeState:
 def tensor(mode_a: SingleModeState, mode_b: SingleModeState) -> GaussianBipartiteState:
     """Uncorrelated two-mode state from two single-mode states."""
     means = np.concatenate([mode_a.means, mode_b.means])
-    cov = np.zeros((4, 4))
-    cov[:2, :2] = mode_a.cov
-    cov[2:, 2:] = mode_b.cov
+    zero = np.zeros((2, 2))
+    cov = np.block([[mode_a.cov, zero], [zero, mode_b.cov]])
     return GaussianBipartiteState(means, cov)
 
 
@@ -145,10 +136,7 @@ def modulated_beam(depth_x: float, depth_p: float) -> SingleModeState:
     A modulation depth d adds classical noise of variance d^2, so the beam
     has quadrature variances 1 + d^2.  Depths must lie in [0, MAX_DEPTH].
     """
-    require_finite(locals(), "depth_x", "depth_p", low=0.0)
-    for name, depth in (("depth_x", depth_x), ("depth_p", depth_p)):
-        if depth > MAX_DEPTH:
-            raise ValidationError(f"{name} must be at most {MAX_DEPTH:g}, got {depth}")
+    require_finite(locals(), "depth_x", "depth_p", low=0.0, high=MAX_DEPTH)
     cov = np.diag([1.0 + depth_x**2, 1.0 + depth_p**2])
     return SingleModeState(np.zeros(2), cov)
 
@@ -164,11 +152,7 @@ def split_balanced(mode: SingleModeState) -> GaussianBipartiteState:
     """
     half_sum = 0.5 * (mode.cov + np.eye(2))
     half_diff = 0.5 * (mode.cov - np.eye(2))
-    cov = np.zeros((4, 4))
-    cov[:2, :2] = half_sum
-    cov[2:, 2:] = half_sum
-    cov[:2, 2:] = half_diff
-    cov[2:, :2] = half_diff.T
+    cov = np.block([[half_sum, half_diff], [half_diff.T, half_sum]])
     m = mode.means / np.sqrt(2.0)
     return GaussianBipartiteState(np.concatenate([m, m]), cov)
 
@@ -188,12 +172,7 @@ def beam_splitter_matrix(eta: float) -> np.ndarray:
     """
     _check_transmissivity(eta)
     eta_t = np.sqrt(1.0 - eta * eta)
-    s = np.zeros((4, 4))
-    s[:2, :2] = eta * np.eye(2)
-    s[:2, 2:] = -eta_t * np.eye(2)
-    s[2:, :2] = eta_t * np.eye(2)
-    s[2:, 2:] = eta * np.eye(2)
-    return s
+    return np.kron([[eta, -eta_t], [eta_t, eta]], np.eye(2))
 
 
 def apply_beam_splitter(state: GaussianBipartiteState,
@@ -209,10 +188,7 @@ def rotation_matrix(theta_a: float, theta_b: float) -> np.ndarray:
     out = np.zeros((4, 4))
     for i, th in ((0, theta_a), (2, theta_b)):
         c, s = np.cos(th), np.sin(th)
-        out[i, i] = c
-        out[i, i + 1] = s
-        out[i + 1, i] = -s
-        out[i + 1, i + 1] = c
+        out[i:i + 2, i:i + 2] = [[c, s], [-s, c]]
     return out
 
 

@@ -43,6 +43,9 @@ CHI2_MIN_EXPECTED = 5.0
 PEAK_WINDOW = 0.65
 # bins below max/LOBE_CUT are excluded so the fit stays on the main lobe
 LOBE_CUT = 8.0
+# a side's x_B interquartile range in shot-noise units (vacuum's is 1.35): 1e-6
+# is 120 dB of squeezing, and 1e6 far below where the fit's squares overflow
+IQR_RANGE = (1e-6, 1e6)
 
 CANONICAL_PAIRS = (
     (0.0, 0.0),
@@ -270,19 +273,26 @@ def _bin_sides(rs: RecordSet, threshold: float
     order of summation sets their last bits, and then it is sorted in
     place.  The edges come from the order statistics of the two sides and
     whole = plus + minus, so x_b is neither sorted nor copied whole.  A side
-    whose range exceeds MAX_BINS interquartile ranges, as one glitch record
-    makes it, cannot be binned: a ValidationError names the pair, the side
-    and the range."""
+    whose nonzero interquartile range is outside IQR_RANGE, as in records
+    in other units, or whose range exceeds MAX_BINS interquartile ranges, as
+    one glitch record makes it, cannot be binned: a ValidationError names
+    the pair, the side and the range."""
     sides = split_by_threshold(rs, threshold)
-    means, variances = ([float(f(side)) for side in sides] for f in (np.mean, np.var))
+    with np.errstate(over="ignore"):  # a side too wide to square is rejected below
+        means, variances = ([float(f(side)) for side in sides] for f in (np.mean, np.var))
+    pair = "({:.6g}, {:.6g})".format(*rs.phases[0])
     for name, side in zip(("plus", "minus"), sides):
         side.sort()
         lo, hi = side[0], side[-1]
         iqr = _percentile((side,), 0.75) - _percentile((side,), 0.25)
+        where = f"x_B on the {name} side at phase pair {pair}"
+        if iqr and not IQR_RANGE[0] <= iqr <= IQR_RANGE[1]:  # 0 is left to the checks below
+            raise ValidationError(
+                f"{where} has interquartile range {iqr:.6g}, outside [{IQR_RANGE[0]:g}, "
+                f"{IQR_RANGE[1]:g}]; are the records in shot-noise units?")
         if hi - lo > MAX_BINS * iqr:
             raise ValidationError(
-                f"x_B on the {name} side at phase pair ({rs.phases[0][0]:.6g}, "
-                f"{rs.phases[0][1]:.6g}) spans [{lo:.6g}, {hi:.6g}], over {MAX_BINS} "
+                f"{where} spans [{lo:.6g}, {hi:.6g}], over {MAX_BINS} "
                 f"times its interquartile range {iqr:.6g}, so no binning resolves "
                 f"its peak; is a record a glitch?")
     edges = _fd_edges(sides)
@@ -578,9 +588,10 @@ def sweep_modulation(depths, n: int, seed: int,
     rows and the first error come back in depth order.
     """
     depths = np.asarray(list(depths), dtype=float)
-    if depths.size == 0 or not np.all((depths >= 0) & (depths <= MAX_DEPTH)):
-        raise ValidationError(f"depths must be one or more numbers, each finite and "
-                              f"non-negative and at most {MAX_DEPTH:g}, got {depths.tolist()}")
+    if depths.size == 0:
+        raise ValidationError("depths must be one or more numbers, got []")
+    for depth in depths:
+        require_finite({"depths": depth}, "depths", low=0.0, high=MAX_DEPTH)
     return _starmap(_sweep_row, [(depth, n, _streams(seed, i), n_boot)
                                  for i, depth in enumerate(depths)])
 

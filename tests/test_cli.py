@@ -20,6 +20,7 @@ from cvdiscord.errors import ValidationError
 from cvdiscord.fock import (build_ce_hidden_discord, build_ce_zero_discord,
                             commutator_norm)
 from cvdiscord.sampler import RecordSet, read_records, write_records
+from cvdiscord.states import MAX_DEPTH
 from cvdiscord.verifier import (estimate_density, split_by_threshold,
                                 verdict_gaussian, verdict_mixture)
 
@@ -175,9 +176,17 @@ def test_simulate_rejects_non_finite_parameters(tmp_path, monkeypatch, capsys,
     (("counterexample", "--which", "zero", "--nbar", "nan"), "nbar"),
     (("counterexample", "--which", "zero", "--r", "inf"), "r"),
     (("counterexample", "--which", "hidden", "--alpha", "nan"), "alpha"),
-    # a depth whose variance 1 + depth^2 overflows float64
+    # a depth or displacement beyond MAX_DEPTH, in every scheme and the sweep
     (("simulate", "--depth", "1e200", "--n", "100"), "depth_x"),
     (("sweep", "--depths", "1e200"), "depths"),
+    (("simulate", "--scheme", "switched-noise", "--depth", "1e200", "--n", "100"),
+     "depth_x"),
+    (("simulate", "--scheme", "async", "--depth", "1e200", "--n", "100"), "depth"),
+    (("simulate", "--scheme", "switched-phase", "--amplitude=-1e200", "--n", "100"),
+     "amplitude"),
+    (("simulate", "--depth-p", repr(math.nextafter(MAX_DEPTH, math.inf)), "--n", "100"),
+     "depth_p"),
+    (("sweep", "--depths", f"1,{math.nextafter(MAX_DEPTH, math.inf)!r}"), "depths"),
 ])
 def test_bad_numbers_exit_1_naming_the_parameter(tmp_path, monkeypatch, capsys,
                                                  argv, name):
@@ -377,6 +386,36 @@ def test_a_glitch_record_exits_1_naming_the_pair_and_side(tmp_path, monkeypatch,
     assert err.startswith(f"error: x_B on the {side} side at phase pair {pair} spans [")
     assert "10000], over 400 times its interquartile range" in err
     assert not (tmp_path / "v.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["gaussian", "mixture"])
+@pytest.mark.parametrize("scale", [1e300, 1e-300, 5e-324])
+def test_records_in_other_units_exit_1_naming_the_pair_side_and_spread(
+        tmp_path, monkeypatch, capsys, mode, scale):
+    # x_B of a correlated one-pair record CSV multiplied by scale
+    monkeypatch.chdir(tmp_path)
+    x_a, noise = np.random.default_rng(17).standard_normal((2, 4000))
+    rows = [f"0,0,{a:.17g},{(0.6 * a + 0.8 * b) * scale:.17g}" for a, b in zip(x_a, noise)]
+    Path("scaled.csv").write_text("\n".join(["theta_A,theta_B,x_A,x_B", *rows]) + "\n")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("verify", "--records", "scaled.csv", "--pairs", "0,0",
+                   "--mode", mode, "--out", "v.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: x_B on the plus side at phase pair (0, 0) "
+                          "has interquartile range ")
+    assert err.endswith(", outside [1e-06, 1e+06]; are the records in "
+                        "shot-noise units?\n")
+    assert not (tmp_path / "v.json").exists()
+
+
+def test_a_depth_the_splitter_rounds_is_simulated(tmp_path, monkeypatch):
+    # 158 is past where an absolute symmetry tolerance rejected the state
+    # that simulate builds at the default transmissivity
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--depth", "158", "--n", "100", "--out", "r.npz") == 0
+    assert len(read_records(tmp_path / "r.npz")) == 400
 
 
 def test_mixture_verdict_takes_one_phase_pair(tmp_path, monkeypatch, capsys):

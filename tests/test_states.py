@@ -24,6 +24,9 @@ from cvdiscord import (
     vacuum_single,
     validate_covariance,
 )
+from cvdiscord.marginals import joint_marginal_form
+from cvdiscord.states import MAX_DEPTH
+from cvdiscord.verifier import CANONICAL_PAIRS
 
 
 def test_vacuum_is_shot_noise_limited():
@@ -198,6 +201,25 @@ def test_validation_report_names_failed_checks():
         "positive_definite", "uncertainty_bound"]
     assert validate_covariance([[2.0, 1e-6], [0.0, 2.0]]) == ["symmetric"]
     assert validate_covariance(np.eye(4)) == []
+
+
+def test_symmetry_is_checked_at_the_scale_of_the_entries():
+    # the rounding of s @ cov @ s.T grows with the entries
+    assert validate_covariance([[2e6, 1e-7], [0.0, 2e6]]) == []
+    assert validate_covariance([[2e6, 1e-5], [0.0, 2e6]]) == ["symmetric"]
+    # the uncertainty bound stays absolute: the product 0.1 breaks it tenfold
+    assert validate_covariance(np.diag([1e8, 1e-9])) == ["uncertainty_bound"]
+
+
+@pytest.mark.parametrize("eta", [1.0 / np.sqrt(2.0), 0.9, 0.3])
+def test_every_depth_up_to_max_depth_builds_physical_states(eta):
+    # simulate's state at the four canonical pairs, and the sweep's state
+    for depth in np.linspace(0.0, MAX_DEPTH, 401):
+        for dx, dp in ((depth, depth), (depth, 0.0), (0.0, depth)):
+            state = apply_beam_splitter(tensor(modulated_beam(dx, dp), vacuum_single()), eta)
+            for pair in CANONICAL_PAIRS:
+                joint_marginal_form(state, *pair)
+        joint_marginal_form(split_balanced(modulated_beam(0.0, depth)), np.pi / 2, np.pi / 2)
 
 
 def test_states_are_frozen():
