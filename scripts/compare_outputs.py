@@ -11,38 +11,11 @@ Each SRC is a directory that holds the ``cvdiscord`` package, e.g. the
 
 and then compared with ``python scripts/compare_outputs.py /tmp/old/src src``.
 
-For each tree the script writes the same config files into a fresh
-temporary directory and runs the same command set there (simulate for
-every scheme in both record formats and with --workers 3, verify in both
-modes with --plotdata on .npz records and on the gaussian and
-switched-phase CSV records, simulate and verify from a config file, a
-record file run.npz and its verdict run.json, which share a stem, a
-simulate and verify at 140,000 records per pair, three sampling chunks
-per pair with the last one partial, and a verify of those records with
---threshold 1.5 and --plotdata, whose sides are unequal, a switched-noise
-simulate at two pairs and --eta 0.9 with 70,000 records per pair, so
-that chunk boundaries fall inside the first pair and between the pairs,
-a gaussian simulate at --eta 0.9 with unequal depths and its verify, sweep at 5,000
-records per depth, under one sampling chunk, and at 70,000, over one,
-counterexample with --plotdata and --dump-state, a counterexample --which
-zero at --alpha 2.5 with --plotdata, whose state holds 40 A number states
-and so is the largest the command can build, verify in both modes on a record CSV
-that has no sidecar, which the script writes itself, simulates of 4
-gaussian records per pair and of 8 async records, a gaussian simulate at
---depth 158, where the splitter's rounding leaves the covariance
-asymmetric by more than 1e-12, and thirteen commands given bad input,
-each with its own --out: a mixture verify with a negative --seed, a
-simulate with a seed of 2**32, a counterexample whose --alpha is too
-large for the truncated Fock basis, a gaussian simulate with --theta-a
-nan, which it does not use, a counterexample --which zero with --nbar
-nan, which it does not use, a gaussian and an async simulate at --depth
-1e200, far above MAX_DEPTH, five given too few records (a verify of the
-4 records per pair, a mixture verify of the 8 async records, a sweep of
-5 records at depth 1, a sweep of 12 records at depth 1, too few for the
-chi-square, and a sweep of 2 records at depth 0, both on the plus side),
-and a verify of a CSV that the script writes as it writes the one with
-no sidecar, but with x_B 1e300 times larger, as records in other units
-would be), with PYTHONPATH set to that tree.  It then
+For each tree the script writes the files of CONFIGS and RECORDS into a
+fresh temporary directory and runs there each command of COMMANDS, with
+PYTHONPATH set to that tree.  The set runs every command, scheme, mode and
+record format, and bad input that must exit 1 and write nothing; the
+comments in COMMANDS say what each entry is there for.  The script then
 compares every output file byte for byte, and each command's exit code,
 stdout and stderr.  In a manifest every value inside its "timings_s" and
 "versions" objects reads null before the comparison, as those vary from
@@ -73,6 +46,7 @@ suite.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -84,6 +58,7 @@ import numpy as np
 
 SIM = ("simulate", "--n", "20000")
 COMMANDS = [
+    # every scheme in both record formats, and a gaussian one on 3 workers
     (*SIM, "--depth", "1.5", "--seed", "3", "--out", "gauss.npz"),
     (*SIM, "--depth", "1.5", "--seed", "3", "--out", "gauss.csv"),
     (*SIM, "--depth", "1.5", "--seed", "3", "--workers", "3",
@@ -100,8 +75,10 @@ COMMANDS = [
      "--out", "async.npz"),
     (*SIM, "--scheme", "async", "--depth", "2", "--seed", "6",
      "--out", "async.csv"),
+    # a record file and its verdict that share a stem, each with a manifest
     (*SIM, "--depth", "2", "--seed", "8", "--out", "run.npz"),
     ("verify", "--records", "run.npz", "--boot", "50", "--out", "run.json"),
+    # verify in both modes with --plotdata, on .npz and on CSV records
     ("verify", "--records", "gauss.npz", "--boot", "50",
      "--out", "v_gauss.json", "--plotdata", "p_gauss.csv"),
     ("verify", "--records", "gauss.npz", "--boot", "50",
@@ -119,6 +96,7 @@ COMMANDS = [
     ("verify", "--records", "phase.csv", "--mode", "mixture",
      "--threshold", "-6", "--boot", "50", "--out", "v_phase_csv.json",
      "--plotdata", "p_phase_csv.csv"),
+    # simulate, and below verify, from a config file
     ("simulate", "--config", "sim.json"),
     # 140000 = 2 * 65536 + 8928: chunk boundaries inside and between pairs
     ("simulate", "--n", "140000", "--depth", "1.5", "--seed", "11",
@@ -139,6 +117,7 @@ COMMANDS = [
      "--out", "gauss_eta.npz"),
     ("verify", "--records", "gauss_eta.npz", "--boot", "50",
      "--out", "v_gauss_eta.json"),
+    # under one sampling chunk per depth
     ("sweep", "--depths", "0:3:4", "--n", "5000", "--out", "sweep.csv"),
     # at least one sampling chunk per depth: pooled depths that draw their
     # chunks on the pool in turn
@@ -185,6 +164,14 @@ COMMANDS = [
     # records in other units: x_B 1e300 times too large
     ("verify", "--records", "bare_1e300.csv", "--pairs", "0,0", "--boot", "50",
      "--out", "v_bare_1e300.json"),
+    # config files that are not a JSON object or hold a non-finite number
+    ("simulate", "--config", "list.json", "--out", "cfg_list.npz"),
+    ("simulate", "--config", "nan.json", "--out", "cfg_nan.npz"),
+    # negative numbers in exponent form, each the value of its flag
+    ("simulate", "--scheme", "switched-phase", "--amplitude", "-1e3",
+     "--n", "2000", "--out", "phase_neg.npz"),
+    ("verify", "--records", "run.npz", "--threshold", "-1e-3", "--boot", "50",
+     "--out", "v_run_neg.json"),
 ]
 
 # config files the commands above read, written into each work directory
@@ -195,6 +182,8 @@ CONFIGS = {
     "verify.json": {"records": "cfg.npz", "mode": "mixture",
                     "threshold": 0.5, "seed": 2, "out": "v_cfg.json",
                     "plotdata": "p_cfg.csv"},
+    "list.json": [1],
+    "nan.json": {"depth": math.nan},
 }
 
 

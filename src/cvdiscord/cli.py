@@ -31,13 +31,14 @@ import math
 import os
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import (ParseError, ValidationError, dump_document, read_document,
-                     require_finite, write_table)
+from .errors import (ParseError, ValidationError, dump_document, require_finite,
+                     write_table)
 from .fock import (build_ce_hidden_discord, build_ce_zero_discord,
                    commutator_norm, condition_b_on_sign, default_grid,
                    fock_state_to_json, grid_peak, homodyne_marginal_fock,
@@ -47,7 +48,8 @@ from .sampler import (SWITCHED_PHASE_AMPLITUDE, AsyncSine, SwitchedNoise,
                       SwitchedPhase, _check_duty, _check_seed, read_records,
                       sample_gaussian, sample_scheme, write_records)
 from .states import apply_beam_splitter, modulated_beam, tensor, vacuum_single
-from .verifier import (CANONICAL_PAIRS, ConditionalHistograms, _check_settings,
+from .verifier import (BOOTSTRAP_DEFAULT, CANONICAL_PAIRS, CHI2_ALPHA,
+                       K_MIN_DEFAULT, ConditionalHistograms, _check_settings,
                        sweep_modulation, sweep_to_csv, verdict_gaussian,
                        verdict_mixture, mixture_verdict_to_json,
                        verdict_to_json)
@@ -91,12 +93,14 @@ _OPTIONS = {
                            "any other suffix is read as CSV"}),
         "mode": ("gaussian", {"choices": ["gaussian", "mixture"]}),
         "threshold": (0.0, {"type": float}),
-        "k_min": (3.0, {"type": float}),
-        "alpha": (0.05, {"type": float, "help": "mixture-mode significance level"}),
+        "k_min": (K_MIN_DEFAULT, {"type": float}),
+        "alpha": (CHI2_ALPHA, {"type": float,
+                               "help": "mixture-mode significance level"}),
         "seed": (0, {"type": int, "help": "bootstrap seed (gaussian mode; a "
                      "mixture verdict does not depend on it)"}),
-        "boot": (200, {"type": int, "help": "bootstrap replicates, at least 2 "
-                       "(gaussian mode; a mixture verdict does not depend on it)"}),
+        "boot": (BOOTSTRAP_DEFAULT, {"type": int, "help": "bootstrap replicates, "
+                                     "at least 2 (gaussian mode; a mixture "
+                                     "verdict does not depend on it)"}),
         "pairs": ("all", {"help": '"all" or "ta,tb;..." in degrees (gaussian mode)'}),
         "out": ("verdict.json", {"type": Path}),
         "plotdata": (None, {"type": Path, "help": "write aligned density curves here"}),
@@ -122,7 +126,23 @@ _OPTIONS = {
 }
 
 
+def _negative_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return token.startswith("-")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a token after a flag as its value, not as a flag,
+        # when this matches it; its own pattern knows only -12 and -1.5,
+        # this one any negative float (-1e3, -inf)
+        self._negative_number_matcher = types.SimpleNamespace(
+            match=_negative_float)
+
     def error(self, message):  # bad usage is a validation failure, exit 1
         raise ValidationError(message)
 
@@ -144,24 +164,55 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
+def _read_object(path: Path, what: str) -> dict:
+    """The JSON object in the file at path.  A file that cannot be read,
+    bytes that are not UTF-8, bad JSON, any other JSON value, and a number
+    that is not finite (NaN, Infinity, 1e999), which no strict JSON output
+    can copy, are a ParseError "bad <what> <path>: ..."."""
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite number {text}")
+        return value
+
+    try:
+        doc = json.loads(path.read_text(), parse_float=finite,
+                         parse_constant=finite)
+    except (OSError, ValueError) as exc:  # a directory, bad JSON or UTF-8
+        raise ParseError(f"bad {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"bad {what} {path}: must be a JSON object, "
+                         f"got {type(doc).__name__}")
+    return doc
+
+
+# the JSON values a config key may take for its flag's argparse type, and
+# their name; a Path or untyped flag takes a string
+_JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer")}
+
+
 def _effective_config(args: argparse.Namespace) -> dict:
     options = _OPTIONS[args.command]
     eff = {key: default for key, (default, _) in options.items()}
     if args.config is not None:
-        try:
-            text = args.config.read_text()
-        except (OSError, ValueError) as exc:  # missing, a directory, bad UTF-8
-            raise ValidationError(f"cannot read config file {args.config}: "
-                                  f"{exc}") from exc
-        # a config value has its flag's choices or type (a Path or untyped
-        # flag takes a string), and null leaves the option at its default
-        names = {float: "a number", int: "an integer"}
-        types = {key: kwargs.get("choices") or names.get(kwargs.get("type"), "a string")
-                 for key, (_, kwargs) in options.items()}
-        eff.update(read_document(
-            text, "config", types,
-            lambda pairs: {key: value for key, value in pairs
-                           if value is not None or key not in options}))
+        # a config value has its flag's choices or type, and null leaves
+        # the option at its default
+        for key, value in _read_object(args.config, "config file").items():
+            if key not in options:
+                raise ValidationError(f"unknown config key {key!r}")
+            if value is None:
+                continue
+            kwargs = options[key][1]
+            kinds, name = _JSON_TYPES.get(kwargs.get("type"), (str, "a string"))
+            if "choices" in kwargs:
+                if value not in kwargs["choices"]:
+                    raise ValidationError(
+                        f"config key {key!r}: invalid choice: {value!r} "
+                        f"(choose from {kwargs['choices']})")
+            elif isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValidationError(f"field {key!r} of the config must be "
+                                      f"{name}, got {type(value).__name__}")
+            eff[key] = value
     for key in options:
         value = getattr(args, key)
         if value is not None:
@@ -392,28 +443,9 @@ def _cmd_simulate(cfg: dict) -> list:
 
 def _read_sidecar(records: Path) -> dict:
     """The JSON object in the sidecar of a record file, or {} if it has
-    none.  A sidecar that cannot be read, bad JSON, any other JSON value,
-    and a number that is not finite (NaN, Infinity, 1e999), which a verdict
-    cannot copy into its strict JSON, are a ParseError naming the file."""
+    none."""
     path = Path(f"{records}{META_SUFFIX}")
-    if not path.exists():
-        return {}
-
-    def finite(text):
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite number {text}")
-        return value
-
-    try:
-        meta = json.loads(path.read_text(), parse_float=finite,
-                          parse_constant=finite)
-    except (OSError, ValueError) as exc:  # a directory, bad JSON or UTF-8
-        raise ParseError(f"bad sidecar {path}: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise ParseError(f"bad sidecar {path}: must be a JSON object, "
-                         f"got {type(meta).__name__}")
-    return meta
+    return _read_object(path, "sidecar") if path.exists() else {}
 
 
 def _cmd_verify(cfg: dict) -> list:

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, the JSON document checks, and
+"""Exception types shared across the toolkit, the finite-number check, and
 the output formats: CSV tables and JSON documents."""
 
 import json
@@ -36,7 +36,7 @@ class TruncationError(ValidationError):
 
 
 class ParseError(ValidationError):
-    """A record file could not be parsed."""
+    """A record file, its sidecar or a config file could not be parsed."""
 
 
 def require_finite(obj, *names: str, low=-math.inf, high=math.inf) -> None:
@@ -48,45 +48,6 @@ def require_finite(obj, *names: str, low=-math.inf, high=math.inf) -> None:
             bound = (f" in [{low:g}, {high:g}]" if high < math.inf
                      else f" >= {low:g}" if low > -math.inf else "")
             raise ValidationError(f"{name} must be a finite number{bound}, got {value}")
-
-
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# the check read_document makes for each type it can demand of a field
-FIELD_TYPES = {
-    "a number": _number,
-    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "a string": lambda v: isinstance(v, str),
-}
-
-
-def read_document(text: str, what: str, types: dict,
-                  object_pairs_hook=None) -> dict:
-    """The JSON object in text, once each field it holds is named in types
-    and of the type named for it there; else, bad JSON included, a
-    ValidationError naming what is wrong.  A type is a key of FIELD_TYPES,
-    or the list of values the field may take."""
-    try:
-        doc = json.loads(text, object_pairs_hook=object_pairs_hook)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad {what} JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{what} must be a JSON object, "
-                              f"got {type(doc).__name__}")
-    for name, value in doc.items():
-        kind = types.get(name)
-        if kind is None:
-            raise ValidationError(f"unknown {what} key {name!r}")
-        if isinstance(kind, list):
-            if value not in kind:
-                raise ValidationError(f"{what} key {name!r}: invalid choice: "
-                                      f"{value!r} (choose from {kind})")
-        elif not FIELD_TYPES[kind](value):
-            raise ValidationError(f"field {name!r} of the {what} must be {kind}, "
-                                  f"got {type(value).__name__}")
-    return doc
 
 
 def dump_document(doc, **kwargs) -> str:

@@ -1,5 +1,6 @@
 """Command line driver: argument handling, file outputs, exit codes."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -16,7 +17,7 @@ import pytest
 import cvdiscord
 from cvdiscord import cli
 from cvdiscord.cli import main, parse_depths, parse_pairs
-from cvdiscord.errors import ValidationError
+from cvdiscord.errors import ParseError, ValidationError
 from cvdiscord.fock import (build_ce_hidden_discord, build_ce_zero_discord,
                             commutator_norm)
 from cvdiscord.sampler import RecordSet, read_records, write_records
@@ -187,6 +188,9 @@ def test_simulate_rejects_non_finite_parameters(tmp_path, monkeypatch, capsys,
     (("simulate", "--depth-p", repr(math.nextafter(MAX_DEPTH, math.inf)), "--n", "100"),
      "depth_p"),
     (("sweep", "--depths", f"1,{math.nextafter(MAX_DEPTH, math.inf)!r}"), "depths"),
+    # a negative number in exponent form is the flag's value, not a flag
+    (("verify", "--records", "rec.npz", "--pairs", "0,0", "--threshold", "-inf"),
+     "threshold"),
 ])
 def test_bad_numbers_exit_1_naming_the_parameter(tmp_path, monkeypatch, capsys,
                                                  argv, name):
@@ -200,6 +204,22 @@ def test_bad_numbers_exit_1_naming_the_parameter(tmp_path, monkeypatch, capsys,
         assert run(*argv, "--out", "out.json") == 1
     assert capsys.readouterr().err.startswith(f"error: {name} must ")
     assert sorted(tmp_path.iterdir()) == inputs
+
+
+def test_negative_numbers_in_exponent_form_are_values(tmp_path, monkeypatch):
+    # the cli hands argparse its own test of a negative number, through an
+    # attribute that argparse does not document
+    assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher")
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--scheme", "switched-phase", "--amplitude", "-1e3",
+               "--n", "2000", "--out", "phase.npz") == 0
+    meta = json.loads((tmp_path / "phase.npz.meta.json").read_text())
+    assert meta["scheme"]["amplitude"] == -1000.0
+    assert run("simulate", "--n", "2000", "--out", "rec.npz") == 0
+    assert run("verify", "--records", "rec.npz", "--threshold", "-1e-3",
+               "--boot", "20") == 0
+    doc = json.loads((tmp_path / "verdict.json.manifest.json").read_text())
+    assert doc["config"]["threshold"] == -1e-3
 
 
 def test_simulate_and_verify_keep_their_own_manifests(tmp_path, monkeypatch):
@@ -529,15 +549,34 @@ def test_bad_config_json_is_rejected(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
-    assert run("simulate", "--config", cfg) == 1
-    assert "bad config JSON" in capsys.readouterr().err
+    assert run("simulate", "--config", "cfg.json") == 1
+    assert "bad config file cfg.json" in capsys.readouterr().err
     # a directory, and a file that is not UTF-8 text
     (tmp_path / "dir.json").mkdir()
     cfg.write_bytes(b'{"n": 10\xff}')
     for name in ("dir.json", "cfg.json"):
         assert run("simulate", "--config", name) == 1
-        assert f"cannot read config file {name}" in capsys.readouterr().err
+        assert f"bad config file {name}" in capsys.readouterr().err
     assert not (tmp_path / "records.npz").exists()
+
+
+@pytest.mark.parametrize("text, why", [
+    ("[1]", "must be a JSON object, got list"),
+    ('"x"', "must be a JSON object, got str"),
+    ('{"depth": NaN}', "non-finite number NaN"),
+    ('{"depth": Infinity}', "non-finite number Infinity"),
+    ('{"depth": 1e999}', "non-finite number 1e999"),
+], ids=["list", "string", "NaN", "Infinity", "1e999"])
+def test_malformed_config_exits_1_naming_it(tmp_path, monkeypatch, capsys,
+                                            text, why):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    with pytest.raises(ParseError, match="bad config file .*cfg.json"):
+        cli._read_object(cfg, "config file")
+    assert run("simulate", "--config", "cfg.json") == 1
+    assert capsys.readouterr().err == f"error: bad config file cfg.json: {why}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def _subparsers():
