@@ -67,9 +67,9 @@ COMMANDS = [
      "--out", "noise.npz"),
     (*SIM, "--scheme", "switched-noise", "--depth", "3", "--seed", "2",
      "--out", "noise.csv"),
-    (*SIM, "--scheme", "switched-phase", "--theta-a", "90", "--theta-b", "90",
+    (*SIM, "--scheme", "switched-phase", "--pairs", "90,90",
      "--seed", "4", "--out", "phase.npz"),
-    (*SIM, "--scheme", "switched-phase", "--theta-a", "90", "--theta-b", "90",
+    (*SIM, "--scheme", "switched-phase", "--pairs", "90,90",
      "--seed", "4", "--out", "phase.csv"),
     (*SIM, "--scheme", "async", "--depth", "2", "--seed", "6",
      "--out", "async.npz"),
@@ -145,7 +145,7 @@ COMMANDS = [
      "--out", "v_seed.json"),
     (*SIM, "--seed", "4294967296", "--out", "seed_2_32.npz"),
     ("counterexample", "--alpha", "10", "--out", "ce_alpha10.json"),
-    (*SIM, "--theta-a", "nan", "--out", "theta_nan.npz"),
+    (*SIM, "--pairs", "nan,0", "--out", "theta_nan.npz"),
     ("counterexample", "--which", "zero", "--nbar", "nan",
      "--out", "ce_nbar_nan.json"),
     # too few records, each of which names the pair or the depth
@@ -172,18 +172,27 @@ COMMANDS = [
      "--n", "2000", "--out", "phase_neg.npz"),
     ("verify", "--records", "run.npz", "--threshold", "-1e-3", "--boot", "50",
      "--out", "v_run_neg.json"),
+    # integers too large for float64 (a config depth) or for numpy to index
+    # (--n 10**30), each of which exits 1 naming itself
+    ("simulate", "--config", "huge.json", "--out", "cfg_huge.npz"),
+    ("simulate", "--n", str(10**30), "--out", "n_1e30.npz"),
+    ("sweep", "--n", str(10**30), "--depths", "1", "--out", "sweep_n_1e30.csv"),
+    # a phase pair that mixture mode cannot honour: exits 1
+    ("verify", "--records", "async.npz", "--mode", "mixture",
+     "--pairs", "90,90", "--out", "v_async_pairs.json"),
 ]
 
 # config files the commands above read, written into each work directory
 CONFIGS = {
     "sim.json": {"scheme": "switched-noise", "depth": 2, "duty": 0.4,
-                 "n": 20000, "seed": 5, "theta_a": 90, "theta_b": 90,
+                 "n": 20000, "seed": 5, "pairs": "90,90",
                  "out": "cfg.npz"},
     "verify.json": {"records": "cfg.npz", "mode": "mixture",
                     "threshold": 0.5, "seed": 2, "out": "v_cfg.json",
                     "plotdata": "p_cfg.csv"},
     "list.json": [1],
     "nan.json": {"depth": math.nan},
+    "huge.json": {"depth": 10**400},
 }
 
 

@@ -80,9 +80,8 @@ _OPTIONS = {
         "n": (100000, {"type": int, "help": "records per phase pair"}),
         "seed": (0, {"type": int}),
         "eta": (1.0 / math.sqrt(2.0), {"type": float, "help": "splitter transmissivity"}),
-        "theta_a": (0.0, {"type": float, "help": "station A phase, degrees"}),
-        "theta_b": (0.0, {"type": float, "help": "station B phase, degrees"}),
-        "pairs": (None, {"help": '"all" or "ta,tb;ta,tb;..." in degrees'}),
+        "pairs": (None, {"help": '"all" or "ta,tb;ta,tb;..." in degrees '
+                         '(default "all" for gaussian, else "0,0")'}),
         "workers": (None, {"type": int, "help": "accepted; has no effect"}),
         "out": ("records.npz", {"type": Path, "help": "record file: .npz (the "
                                 "default, records.npz) is binary, any other "
@@ -407,26 +406,25 @@ def emit_plotdata(hists: ConditionalHistograms, path: Path) -> None:
 
 
 def _cmd_simulate(cfg: dict) -> list:
-    """Draw homodyne records (n per phase pair, pair i drawn as item i of
-    --seed).  The gaussian scheme sends a beam modulated to the depths
-    through the splitter, with vacuum on the idle port, and draws the
-    output state at all four canonical phase pairs by default; the other
-    schemes use a single pair.  --duty, the scheme's own options, then every
-    number option, used or not, are checked before anything is drawn."""
+    """Draw homodyne records, n at each pair of --pairs (by default all four
+    canonical pairs for the gaussian scheme, (0, 0) for the others), pair i
+    as item i of --seed.  The gaussian scheme sends a beam modulated to the
+    depths through the splitter, with vacuum on the idle port.  --duty, the
+    scheme's own options, every number option, used or not, then the pairs
+    are checked before anything is drawn."""
     _check_duty(cfg["duty"])
+    gaussian = cfg["scheme"] == "gaussian"
     depth_x, depth_p = _noise_depths(cfg)
-    source = (modulated_beam(depth_x, depth_p) if cfg["scheme"] == "gaussian"
+    source = (modulated_beam(depth_x, depth_p) if gaussian
               else _MIXTURES[cfg["scheme"]](cfg))
     _check_numbers("simulate", cfg)
-    if cfg["scheme"] == "gaussian":
+    pairs = parse_pairs(_pick(cfg["pairs"], "all" if gaussian else "0,0"))
+    if gaussian:
         state = apply_beam_splitter(tensor(source, vacuum_single()), cfg["eta"])
         scheme = {"kind": "gaussian", "depth_x": depth_x, "depth_p": depth_p}
-        pairs = parse_pairs(_pick(cfg["pairs"], "all"))
         rs = sample_gaussian(state, pairs, cfg["n"], cfg["seed"])
     else:
         scheme = {"kind": source.kind, **dataclasses.asdict(source)}
-        pairs = (parse_pairs(cfg["pairs"]) if cfg["pairs"] is not None else
-                 [(math.radians(cfg["theta_a"]), math.radians(cfg["theta_b"]))])
         rs = sample_scheme(source, pairs, cfg["n"], cfg["seed"], cfg["eta"])
     meta = {
         "kind": "scheme",
@@ -455,6 +453,9 @@ def _cmd_verify(cfg: dict) -> list:
         raise ValidationError("verify needs --records")
     _check_settings(cfg["k_min"], cfg["alpha"], cfg["boot"])
     _check_seed(cfg["seed"])
+    if cfg["mode"] == "mixture" and cfg["pairs"] != "all":
+        raise ValidationError(f"--pairs {cfg['pairs']} applies to gaussian "
+                              "mode; mixture mode reads the file's one pair")
     rs = read_records(cfg["records"])
     meta = _read_sidecar(Path(cfg["records"]))
     if cfg["mode"] == "gaussian":

@@ -3,6 +3,7 @@ the output formats: CSV tables and JSON documents."""
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -41,10 +42,11 @@ class ParseError(ValidationError):
 
 def require_finite(obj, *names: str, low=-math.inf, high=math.inf) -> None:
     """A ValidationError naming the first of names, attributes of obj or keys
-    of a dict obj like locals(), that is not a finite number in [low, high]."""
+    of a dict obj like locals(), that is not a finite number in [low, high]:
+    abs(value) at most the largest float, exact for an int of any size."""
     for name in names:
         value = obj[name] if isinstance(obj, dict) else getattr(obj, name)
-        if not (math.isfinite(value) and low <= value <= high):
+        if not (abs(value) <= sys.float_info.max and low <= value <= high):
             bound = (f" in [{low:g}, {high:g}]" if high < math.inf
                      else f" >= {low:g}" if low > -math.inf else "")
             raise ValidationError(f"{name} must be a finite number{bound}, got {value}")

@@ -38,14 +38,11 @@ PEAK_MAXITER = 200
 
 @dataclass(frozen=True)
 class MarginalForm:
-    """Exponent coefficients of a joint two-outcome density, plus the
-    phases that produced it."""
+    """Exponent coefficients and means of a joint two-outcome density."""
 
     lam: float
     mu: float
     nu: float
-    theta_a: float
-    theta_b: float
     mean_a: float = 0.0
     mean_b: float = 0.0
 
@@ -78,8 +75,6 @@ def joint_marginal_form(state: GaussianBipartiteState, theta_a: float,
         lam=inv[0, 0] / 2.0,
         mu=inv[1, 1] / 2.0,
         nu=-inv[0, 1] / 2.0,
-        theta_a=theta_a,
-        theta_b=theta_b,
         mean_a=rotated.means[0],
         mean_b=rotated.means[2],
     )

@@ -246,10 +246,11 @@ def _draw(parts) -> tuple[np.ndarray, np.ndarray]:
     """The x_A and x_B columns of the records of each (n, streams, chunk)
     part in turn, filled in fixed-size chunks on the pool: chunk(rng, out_a,
     out_b) writes the records of the two column slices, rng the chunk's
-    stream (_streams)."""
-    if min(n for n, _, _ in parts) <= 0:
-        raise ValidationError("n must be positive")
-    ends = np.cumsum([n for n, _, _ in parts])
+    stream (_streams).  The counts add up as Python ints, which do not wrap."""
+    ends = list(itertools.accumulate(n for n, _, _ in parts))
+    if min(n for n, _, _ in parts) <= 0 or ends[-1] > np.iinfo(np.intp).max:
+        raise ValidationError(f"n must be positive, with at most {np.iinfo(np.intp).max}"
+                              f" records over all pairs, got {parts[0][0]}")
     x_a, x_b = np.empty(ends[-1]), np.empty(ends[-1])
 
     def fill(end, n, streams, chunk, start):

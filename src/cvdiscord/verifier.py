@@ -19,7 +19,6 @@ conditional against unconditional histograms is the decision statistic.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -451,7 +450,8 @@ def _check_settings(k_min: float = K_MIN_DEFAULT, alpha: float = CHI2_ALPHA,
     """A ValidationError naming the first bad setting of a verdict: k_min
     must be a finite number > 0, alpha lie in (0, 1) and n_boot be an
     integer >= 2."""
-    if not (math.isfinite(k_min) and k_min > 0):
+    require_finite(locals(), "k_min")
+    if k_min <= 0:
         raise ValidationError(f"k_min must be a finite number > 0, got {k_min}")
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")

@@ -127,16 +127,16 @@ def test_simulate_writes_records_sidecar_manifest(tmp_path, monkeypatch,
     (("--scheme", "switched-phase", "--amplitude", "nan"), "amplitude"),
     (("--scheme", "switched-noise", "--depth-x", "nan"), "depth_x"),
     (("--scheme", "switched-noise", "--depth-p=-inf"), "depth_p"),
-    (("--scheme", "async", "--theta-a", "nan"), "theta_a"),
-    (("--scheme", "async", "--theta-b=-inf"), "theta_b"),
+    (("--scheme", "async", "--pairs", "nan,0"), "phase pair"),
+    (("--scheme", "async", "--pairs", "0,-inf"), "phase pair"),
     (("--pairs", "nan,0"), "phase pair"),
     # options that the run does not use, as the manifest records them all
-    (("--theta-a", "nan"), "theta_a"),
-    (("--theta-b", "inf"), "theta_b"),
+    (("--duty", "inf"), "duty"),
+    (("--scheme", "async", "--duty", "nan"), "duty"),
     (("--amplitude", "nan"), "amplitude"),
     (("--scheme", "switched-phase", "--depth", "nan"), "depth"),
     (("--scheme", "async", "--depth-x", "nan"), "depth_x"),
-    (("--scheme", "async", "--pairs", "0,0", "--theta-a", "nan"), "theta_a"),
+    (("--scheme", "async", "--pairs", "0,0", "--depth-x", "inf"), "depth_x"),
 ])
 def test_simulate_rejects_non_finite_parameters(tmp_path, monkeypatch, capsys,
                                                 flags, name):
@@ -312,8 +312,7 @@ def test_round_trip_verdict_with_plotdata(tmp_path, monkeypatch, mode):
         verify = ("--pairs", "90,90;0,0", "--boot", "50")
     else:
         simulate = ("--scheme", "switched-noise", "--depth", "3.0",
-                    "--duty", "0.5", "--n", "20000", "--seed", "2",
-                    "--theta-a", "0", "--theta-b", "0")
+                    "--duty", "0.5", "--n", "20000", "--seed", "2")
         verify = ("--mode", "mixture")
     assert run("simulate", *simulate, "--out", "rec.csv") == 0
     assert run("verify", "--records", "rec.csv", *verify,
@@ -420,8 +419,9 @@ def test_records_in_other_units_exit_1_naming_the_pair_side_and_spread(
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run("verify", "--records", "scaled.csv", "--pairs", "0,0",
-                   "--mode", mode, "--out", "v.json") == 1
+        assert run("verify", "--records", "scaled.csv", "--mode", mode,
+                   *(("--pairs", "0,0") if mode == "gaussian" else ()),
+                   "--out", "v.json") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: x_B on the plus side at phase pair (0, 0) "
                           "has interquartile range ")
@@ -959,6 +959,66 @@ def test_v0_is_not_an_option_and_writes_nothing(tmp_path, monkeypatch, capsys,
     assert run(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "v0" in err
+    assert _snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--n", "500", "--theta-a", "0", "--out", "new.npz"),
+    ("simulate", "--scheme", "async", "--n", "500", "--theta-b", "0",
+     "--out", "new.npz"),
+    ("simulate", "--n", "500", "--config", "theta.json", "--out", "new.npz"),
+], ids=["theta-a", "theta-b", "config"])
+def test_theta_is_not_an_option_and_writes_nothing(tmp_path, monkeypatch,
+                                                   capsys, argv):
+    # --pairs is the one phase input of simulate
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "theta.json").write_text(json.dumps({"theta_a": 0}))
+    before = _snapshot(tmp_path)
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "theta" in err
+    assert _snapshot(tmp_path) == before
+
+
+def test_mixture_mode_rejects_pairs_and_writes_nothing(tmp_path, monkeypatch,
+                                                       capsys):
+    # a mixture verdict reads the file's one phase pair, whatever --pairs says
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--scheme", "async", "--depth", "2", "--n", "5000",
+               "--out", "r.npz") == 0
+    (tmp_path / "pairs.json").write_text(json.dumps({"pairs": "0,0"}))
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    verify = ("verify", "--records", "r.npz", "--mode", "mixture")
+    assert run(*verify, "--pairs", "90,90", "--out", "v.json") == 1
+    assert capsys.readouterr().err == (
+        "error: --pairs 90,90 applies to gaussian mode; mixture mode reads "
+        "the file's one pair\n")
+    assert run(*verify, "--config", "pairs.json", "--out", "v.json") == 1
+    assert "--pairs 0,0 applies to gaussian mode" in capsys.readouterr().err
+    assert _snapshot(tmp_path) == before
+    assert run(*verify, "--pairs", "all", "--out", "v.json") == 0
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("simulate", "--config", "depth.json", "--out", "new.npz"), "depth_x"),
+    (("counterexample", "--config", "alpha.json", "--out", "new.json"),
+     "alpha"),
+    (("simulate", "--n", str(10**30), "--out", "new.npz"), "n"),
+    (("sweep", "--depths", "1", "--n", str(10**30), "--out", "new.csv"), "n"),
+    # two pairs of 2**62 records: an int64 sum wraps to a negative total
+    (("simulate", "--n", str(2**62), "--pairs", "0,0;90,90",
+      "--out", "new.npz"), "n"),
+], ids=["config-depth", "config-alpha", "simulate-n", "sweep-n", "n-wraps"])
+def test_integers_too_large_exit_1_naming_them_and_write_nothing(
+        tmp_path, monkeypatch, capsys, argv, name):
+    # an int beyond float64 (10**400) or beyond what numpy can index
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "depth.json").write_text(json.dumps({"depth": 10**400}))
+    (tmp_path / "alpha.json").write_text(json.dumps({"alpha": 10**400}))
+    before = _snapshot(tmp_path)
+    assert run(*argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {name} must ")
     assert _snapshot(tmp_path) == before
 
 

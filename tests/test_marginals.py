@@ -149,9 +149,9 @@ def test_conditionals_normalize_at_any_threshold():
 
 def test_form_validation():
     with pytest.raises(ValidationError):
-        MarginalForm(-1.0, 1.0, 0.0, 0.0, 0.0)
+        MarginalForm(-1.0, 1.0, 0.0)
     with pytest.raises(ValidationError):
-        MarginalForm(1.0, 1.0, 1.5, 0.0, 0.0)
+        MarginalForm(1.0, 1.0, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +174,8 @@ def test_separation_vanishes_without_correlation():
 
 
 def test_separation_is_odd_in_the_cross_coefficient():
-    form = MarginalForm(0.3, 0.4, 0.2, 0.0, 0.0)
-    flipped = MarginalForm(0.3, 0.4, -0.2, 0.0, 0.0)
+    form = MarginalForm(0.3, 0.4, 0.2)
+    flipped = MarginalForm(0.3, 0.4, -0.2)
     assert analytic_peak_separation(form) == pytest.approx(
         -analytic_peak_separation(flipped), abs=1e-12)
     assert analytic_peak_separation(form) > 0.0
