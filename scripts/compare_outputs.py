@@ -75,6 +75,11 @@ COMMANDS = [
      "--out", "async.npz"),
     (*SIM, "--scheme", "async", "--depth", "2", "--seed", "6",
      "--out", "async.csv"),
+    # CSV records of one row, and of one row more than the CSV writer's
+    # block (errors.BLOCK_ROWS, 4096 rows) per pair: each pair's run ends
+    # a row after a block, and the next run starts inside that block
+    ("simulate", "--n", "4097", "--seed", "13", "--out", "block_plus_1.csv"),
+    ("simulate", "--n", "1", "--seed", "13", "--out", "one_row.csv"),
     # a record file and its verdict that share a stem, each with a manifest
     (*SIM, "--depth", "2", "--seed", "8", "--out", "run.npz"),
     ("verify", "--records", "run.npz", "--boot", "50", "--out", "run.json"),

@@ -1,9 +1,13 @@
 """Exception types shared across the toolkit, the finite-number check, and
 the output formats: CSV tables and JSON documents."""
 
+import bz2
+import gzip
 import json
+import lzma
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -58,9 +62,47 @@ def dump_document(doc, **kwargs) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, **kwargs) + "\n"
 
 
+# rows that write_csv formats and writes at a time: the text of a block
+# and its values take well under 1 MB
+BLOCK_ROWS = 4096
+# CSV names written through a compressor, as np.savetxt and np.loadtxt treat them
+_COMPRESSORS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open}
+
+
+def write_csv(path, header: str, columns, runs=None) -> None:
+    """Write equal-length columns of numbers as CSV rows under the header
+    line, each value %.17g, as Latin-1 text through the compressor that
+    the suffix of path names, if any.  runs, (lead, count) pairs whose
+    counts add up to the column length, puts the numbers lead, formatted
+    once, before the values of each of count consecutive rows; by default
+    no row has a lead.  Each block of BLOCK_ROWS rows is one % of the row
+    template, repeated per row, on the block's values, and one write."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    runs = iter(runs or [((), len(columns[0]))])
+    left = 0
+    with _COMPRESSORS.get(Path(path).suffix, open)(path, "wt", encoding="latin-1") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), BLOCK_ROWS):
+            values = np.column_stack([c[start:start + BLOCK_ROWS] for c in columns])
+            template, todo = [], len(values)
+            while todo:
+                if not left:
+                    lead, left = next(runs)
+                    # a formatted number holds no %, so text + row is a template
+                    text = ("%.17g," * len(lead)) % tuple(lead)
+                take = min(left, todo)
+                template.append((text + row) * take)
+                left, todo = left - take, todo - take
+            fh.write("".join(template) % tuple(values.ravel().tolist()))
+
+
 def write_table(path, columns: dict) -> None:
     """Write columns of numbers as CSV under a header of their names, each
-    value with 17 significant digits, which round-trips float64 bitwise."""
-    data = np.column_stack([np.asarray(c, dtype=float) for c in columns.values()])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(columns),
-               comments="")
+    value %.17g, which round-trips float64 bitwise.  The bytes are those of
+    np.savetxt(fmt="%.17g", delimiter=","), and the memory beyond the
+    columns is one block of write_csv."""
+    values = [np.asarray(c, dtype=float) for c in columns.values()]
+    if len({len(v) for v in values}) > 1:
+        raise ValidationError(f"table columns have mismatched lengths "
+                              f"{list(map(len, values))}")
+    write_csv(path, ",".join(columns), values)

@@ -111,8 +111,7 @@ def coherent_fock(alpha: complex, dim: int | None = None) -> np.ndarray:
     Truncation must leave tail mass below TAIL_TOL; with dim unset the
     size escalates from the default before giving up.
     """
-    if not np.isfinite(alpha):
-        raise ValidationError(f"alpha must be a finite number, got {alpha}")
+    require_finite({"alpha": abs(alpha)}, "alpha")  # alpha may be complex
 
     def build(d):
         c = np.empty(d, dtype=complex)

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, require_finite, write_table
+from .errors import ParseError, ValidationError, require_finite, write_csv
 from .marginals import MarginalForm, joint_marginal_form
 from .states import MAX_DEPTH, GaussianBipartiteState, _check_transmissivity
 
@@ -326,8 +326,9 @@ def write_records(rs: RecordSet, path) -> None:
 
     A ``.npz`` file holds the records as a RecordSet does, in the
     uncompressed members of NPZ_LAYOUT; any other suffix gets the four
-    CSV columns per row with 17 significant digits.  Either format
-    round-trips float64 bitwise.
+    CSV columns per row with 17 significant digits, each run's phases
+    formatted once, in the bytes of errors.write_table.
+    Either format round-trips float64 bitwise.
     """
     path = Path(path)
     if path.suffix == NPZ_SUFFIX:
@@ -336,7 +337,8 @@ def write_records(rs: RecordSet, path) -> None:
         with open(path, "wb") as fh:
             np.savez(fh, x_A=rs.x_a, x_B=rs.x_b, phases=rs.phases, counts=rs.counts)
     else:
-        write_table(path, dict(zip(COLUMNS, rs.columns())))
+        write_csv(path, CSV_HEADER, (rs.x_a, rs.x_b),
+                  zip(rs.phases.tolist(), rs.counts.tolist()))
 
 
 def read_records(path) -> RecordSet:

@@ -68,6 +68,16 @@ def test_coherent_state_amplitudes():
         assert H.number_mean(vec) == pytest.approx(abs(alpha) ** 2, abs=1e-8)
 
 
+@pytest.mark.parametrize("alpha", [10**400, -10**400, np.nan, np.inf,
+                                   complex(np.nan, 1.0), complex(1.0, -np.inf)],
+                         ids=["1e400", "-1e400", "nan", "inf", "nan+1j", "1-infj"])
+def test_non_finite_alpha_is_bad_input_naming_alpha(alpha):
+    # an int beyond float64 is checked exactly, not handed to np.isfinite
+    for build in (coherent_fock, lambda a: build_ce_zero_discord(alpha=a)):
+        with pytest.raises(ValidationError, match="^alpha must be a finite number"):
+            build(alpha)
+
+
 def test_truncation_is_checked_not_assumed():
     with pytest.raises(TruncationError):
         coherent_fock(3.0, dim=10)

@@ -20,6 +20,7 @@ from cvdiscord import (
     write_records,
 )
 from cvdiscord.cli import _read_sidecar, main
+from cvdiscord.errors import BLOCK_ROWS, write_table
 from cvdiscord.sampler import COLUMNS, CSV_HEADER, NPZ_LAYOUT
 from cvdiscord.verifier import CANONICAL_PAIRS
 
@@ -43,9 +44,76 @@ def savez(path, **members):
         np.savez(fh, **members)
 
 
-def savecsv(path, *columns):
+def savecsv(path, *columns, header=CSV_HEADER):
+    """The oracle of the CSV bytes: what write_table and write_records write."""
     np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=CSV_HEADER, comments="")
+               header=header, comments="")
+
+
+# ---------------------------------------------------------------------------
+# the CSV bytes
+# ---------------------------------------------------------------------------
+
+# values whose %.17g text is an edge: a signed zero, the smallest
+# subnormal, the largest floats, integers, and values that need 17 digits
+EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               0.0, 3.0, -12.0, 2.0**53, 0.1, 1 / 3, -2e-300 / 3, math.pi]
+# counts of rows on and around the writer's block boundary
+ROW_COUNTS = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_write_table_bytes_equal_savetxt(tmp_path, n):
+    # plot curves may hold nan and infinities
+    values = np.resize(EDGE_VALUES + [math.nan, math.inf, -math.inf], n)
+    columns = {"x": values, "unconditional": values[::-1], "plus": -values}
+    write_table(tmp_path / "table.csv", columns)
+    savecsv(tmp_path / "oracle.csv", *columns.values(),
+            header="x,unconditional,plus")
+    assert (tmp_path / "table.csv").read_bytes() == \
+        (tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_csv_record_bytes_equal_savetxt(tmp_path, n):
+    x_a = np.resize(EDGE_VALUES, n)
+    x_b = -np.resize(EDGE_VALUES[::-1], n)
+    # a last run of up to 3 rows, so that a run crosses the block boundary
+    counts = [c for c in (n - min(n, 3), min(n, 3)) if c]
+    phases = [(-0.0, 5e-324), (math.pi / 2, 1 / 3)][-len(counts):] if n else []
+    rs = RecordSet(x_a, x_b, phases, counts)
+    write_records(rs, tmp_path / "rec.csv")
+    savecsv(tmp_path / "oracle.csv", *rs.columns())
+    assert (tmp_path / "rec.csv").read_bytes() == \
+        (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_csv_read_back_writes_its_runs_in_file_order(tmp_path):
+    # pair (0, 0) in two runs, and runs of one row, within and across blocks
+    theta_a = np.repeat([0.0, 1.0, 0.0, 1.0, 0.0], [3, 1, BLOCK_ROWS, 1, 2])
+    x = np.linspace(-7.0, 7.0, len(theta_a))
+    savecsv(tmp_path / "lab.csv", theta_a, np.zeros_like(x), x, x / 3)
+    rs = read_records(tmp_path / "lab.csv")
+    assert rs.counts.tolist() == [3, 1, BLOCK_ROWS, 1, 2]
+    write_records(rs, tmp_path / "back.csv")
+    assert (tmp_path / "back.csv").read_bytes() == \
+        (tmp_path / "lab.csv").read_bytes()
+
+
+def test_write_table_rejects_mismatched_columns(tmp_path):
+    with pytest.raises(ValueError, match="mismatched lengths"):
+        write_table(tmp_path / "table.csv", {"x": [1.0, 2.0], "y": [1.0]})
+    assert not (tmp_path / "table.csv").exists()
+
+
+@pytest.mark.parametrize("suffix, magic", [(".gz", b"\x1f\x8b"), (".bz2", b"BZh"),
+                                           (".xz", b"\xfd7zXZ")])
+def test_compressed_csv_suffixes_round_trip(tmp_path, suffix, magic):
+    rs = sample(n=10)
+    path = tmp_path / f"rec.csv{suffix}"
+    write_records(rs, path)
+    assert path.read_bytes().startswith(magic)
+    assert_bitwise_equal(read_records(path), rs)
 
 
 # ---------------------------------------------------------------------------
