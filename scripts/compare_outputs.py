@@ -133,6 +133,9 @@ COMMANDS = [
     # basis the command line reaches
     ("counterexample", "--which", "zero", "--alpha", "2.5",
      "--plotdata", "ce_wide", "--out", "ce_wide.json"),
+    # alpha 0: each conditional B density has twin maxima at -1 and 1, and
+    # the grid's argmax picks the bracket of one
+    ("counterexample", "--which", "zero", "--alpha", "0", "--out", "ce_alpha0.json"),
     # records without a sidecar: the verdicts hold an empty "meta"
     ("verify", "--records", "bare.csv", "--pairs", "0,0", "--boot", "50",
      "--out", "v_bare.json"),

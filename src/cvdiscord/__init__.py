@@ -35,11 +35,11 @@ from .verifier import (ChiSquareResult, DiscordVerdict, Histogram,
                        MixtureVerdict, PeakEstimate, chi_square_two_sample,
                        estimate_density, estimate_peak, split_by_threshold,
                        sweep_modulation, verdict_gaussian, verdict_mixture)
-from .fock import (FockDensityMatrix, QuadratureGrid, bipartite_from_parts,
+from .fock import (FockDensityMatrix, bipartite_from_parts,
                    build_ce_hidden_discord, build_ce_zero_discord,
                    coherent_fock, commutator_norm, condition_b_on_sign,
                    default_grid, density_from_vector, fock_state_to_json,
-                   grid_peak, homodyne_marginal_fock,
+                   homodyne_marginal_fock, marginal_peak,
                    oscillator_eigenfunctions, quadrature_moments,
                    sign_projectors, squeezed_vacuum_fock, superposition_basis,
                    thermal_fock, verify_classical_on_b)

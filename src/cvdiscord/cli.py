@@ -41,7 +41,7 @@ from .errors import (ParseError, ValidationError, dump_document, require_finite,
                      write_table)
 from .fock import (build_ce_hidden_discord, build_ce_zero_discord,
                    commutator_norm, condition_b_on_sign, default_grid,
-                   fock_state_to_json, grid_peak, homodyne_marginal_fock,
+                   fock_state_to_json, homodyne_marginal_fock, marginal_peak,
                    quadrature_moments, superposition_basis,
                    verify_classical_on_b)
 from .sampler import (SWITCHED_PHASE_AMPLITUDE, AsyncSine, SwitchedNoise,
@@ -485,13 +485,14 @@ def _cmd_sweep(cfg: dict) -> list:
 
 def _sign_report(state) -> tuple:
     """Condition B on the sign of A's x outcome and locate the peaks of the
-    two conditional homodyne marginals of B on the default grid; returns
-    the report, the plot-file columns (the grid first) and the two
-    conditioned B states."""
+    two conditional homodyne marginals of B, each near the largest of its
+    values on the default grid; returns the report, the plot-file columns
+    (the grid first) and the two conditioned B states."""
     (rho_p, p_plus), (rho_m, p_minus) = condition_b_on_sign(state)
-    grid = default_grid(state.dim_b)
-    dens_p, dens_m = (homodyne_marginal_fock(rho, grid) for rho in (rho_p, rho_m))
-    peak_p, peak_m = (grid_peak(grid, dens) for dens in (dens_p, dens_m))
+    xs = default_grid(state.dim_b)
+    dens_p, dens_m = (homodyne_marginal_fock(rho, xs) for rho in (rho_p, rho_m))
+    peak_p, peak_m = (marginal_peak(rho, xs[np.argmax(dens)])
+                      for rho, dens in ((rho_p, dens_p), (rho_m, dens_m)))
     report = {
         "dim_A": state.dim_a,
         "dim_B": state.dim_b,
@@ -501,8 +502,8 @@ def _sign_report(state) -> tuple:
         "peak_minus": peak_m,
         "peak_separation": peak_p - peak_m,
     }
-    curves = {"x": grid.points,
-              "unconditional": homodyne_marginal_fock(state.reduced_b(), grid),
+    curves = {"x": xs,
+              "unconditional": homodyne_marginal_fock(state.reduced_b(), xs),
               "conditional_plus": dens_p, "conditional_minus": dens_m}
     return report, curves, (rho_p, rho_m)
 

@@ -10,12 +10,12 @@ absence of separation proves nothing either.
 
 Position eigenfunctions are in shot-noise units, as the rest of the
 package: the vacuum marginal is a Gaussian of variance 1.  The sign
-projectors and quadrature moments that certify a state are closed forms
-on the number basis, with no grid; grids serve only the plotted
-marginals and their peaks.  A density matrix must be finite, Hermitian
-and of unit trace, with no eigenvalue below EIGEN_TOL, which holds
-exactly when H - EIGEN_TOL * I has a Cholesky factor (H its Hermitian
-part); no eigenvalues are computed.
+projectors, quadrature moments and marginal peaks that certify a state are
+closed forms on the number basis, a peak the root of its slope; grids serve
+only the plotted marginals and the bracket of each peak.  A density matrix
+must be finite, Hermitian and of unit trace, with no eigenvalue below
+EIGEN_TOL, which holds exactly when H - EIGEN_TOL * I has a Cholesky factor
+(H its Hermitian part); no eigenvalues are computed.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (DegenerateSplitError, TruncationError, ValidationError,
                      require_finite)
+from .marginals import _bracketed_root
 
 DIM_DEFAULT = 20
 DIM_MAX = 40
@@ -40,33 +41,15 @@ EIGEN_TOL = -1e-8
 CLASSICAL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        if len(pts) < 3:
-            raise ValidationError("grid needs at least 3 points")
-        steps = np.diff(pts)
-        if np.any(steps <= 0):
-            raise ValidationError("grid points must be strictly ascending")
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
-            raise ValidationError("grid spacing must be uniform")
-
-    @property
-    def spacing(self) -> float:
-        return float(self.points[1] - self.points[0])
-
-
-def default_grid(dim: int) -> QuadratureGrid:
-    """Symmetric uniform grid past the classical turning point of |dim-1>,
-    plus a margin for the tails, so covering every number state up to dim."""
+def default_grid(dim: int) -> np.ndarray:
+    """Read-only symmetric grid of spacing GRID_SPACING past the classical
+    turning point of |dim-1>, plus a margin for the tails, so covering
+    every number state up to dim."""
     n_half = int(math.ceil((math.sqrt(2.0 * dim + 1.0) + 5.0) * math.sqrt(2.0)
                            / GRID_SPACING))
-    return QuadratureGrid(np.arange(-n_half, n_half + 1) * GRID_SPACING)
+    xs = np.arange(-n_half, n_half + 1) * GRID_SPACING
+    xs.setflags(write=False)
+    return xs
 
 
 def oscillator_eigenfunctions(dim: int, xs: np.ndarray) -> np.ndarray:
@@ -265,29 +248,34 @@ def condition_b_on_sign(state: FockDensityMatrix) -> tuple[tuple[np.ndarray, flo
 
 
 # ---------------------------------------------------------------------------
-# marginals on a grid
+# homodyne marginals and their peaks
 # ---------------------------------------------------------------------------
 
 
-def homodyne_marginal_fock(rho_b: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
-    """x-quadrature density of a single-mode state on the grid points."""
+def homodyne_marginal_fock(rho_b: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """x-quadrature density of a single-mode state at the points xs."""
     rho_b = np.asarray(rho_b, dtype=complex)
-    psi = oscillator_eigenfunctions(len(rho_b), grid.points)
+    psi = oscillator_eigenfunctions(len(rho_b), xs)
     return np.einsum("mx,mn,nx->x", psi, rho_b, psi, optimize=True).real
 
 
-def grid_peak(grid: QuadratureGrid, density: np.ndarray) -> float:
-    """Peak location refined by a log-parabola through the top 3 points."""
-    i = int(np.argmax(density))
-    if i == 0 or i == len(density) - 1:
-        return float(grid.points[i])
-    tri = density[i - 1:i + 2]
-    if np.any(tri <= 0):
-        return float(grid.points[i])
-    y = np.log(tri)
-    den = y[0] - 2.0 * y[1] + y[2]
-    off = 0.5 * (y[0] - y[2]) / den if den != 0 else 0.0
-    return float(grid.points[i] + off * grid.spacing)
+def marginal_peak(rho_b: np.ndarray, near: float) -> float:
+    """The x at which the x-quadrature density f of a single-mode state
+    peaks, within GRID_SPACING of near: the root of f' = 2 Re psi'^T rho
+    psi, with psi_n' = (sqrt(n) psi_{n-1} - sqrt(n+1) psi_{n+1}) / 2 from
+    the ladder recurrences and psi_n'' = (x^2/4 - n - 1/2) psi_n."""
+    rho_b = np.asarray(rho_b, dtype=complex)
+    n = np.arange(len(rho_b))
+
+    def slope(x):
+        psi = oscillator_eigenfunctions(len(rho_b) + 1, [x])[:, 0]
+        d1 = 0.5 * (np.sqrt(n) * np.r_[0.0, psi[:-2]] - np.sqrt(n + 1.0) * psi[1:])
+        psi = psi[:-1]
+        d2 = (0.25 * x * x - n - 0.5) * psi
+        return (2.0 * (d1 @ rho_b @ psi).real,
+                2.0 * (d2 @ rho_b @ psi + d1 @ rho_b @ d1).real)
+
+    return _bracketed_root(slope, near - GRID_SPACING, near + GRID_SPACING)
 
 
 # ---------------------------------------------------------------------------

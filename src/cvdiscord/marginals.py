@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import erf, erfc
 
 from .errors import NumericError, ValidationError, require_finite
@@ -152,23 +151,33 @@ def analytic_peak_separation(form: MarginalForm) -> float:
     c = nu / np.sqrt(lam)
 
     def dlog(x):
-        # d/dx log D(x | +) up to the vanishing-at-mode factor
-        return -2.0 * s2 * x + (2.0 * c / np.sqrt(np.pi)) * np.exp(-c * c * x * x) / (
-            1.0 + erf(c * x)
-        )
+        # d/dx log D(x | +) and its derivative, -2 s2 - h (2 c^2 x + h)
+        h = (2.0 * c / np.sqrt(np.pi)) * np.exp(-c * c * x * x) / (1.0 + erf(c * x))
+        return -2.0 * s2 * x + h, -2.0 * s2 - h * (2.0 * c * c * x + h)
 
-    # the derivative is positive at 0 (toward the correlation sign) and
-    # eventually negative; bracket outward then bisect
-    direction = 1.0 if nu > 0 else -1.0
-    sigma_b = np.sqrt(mu / (2.0 * form.det))
-    hi = direction * 10.0 * sigma_b
-    if dlog(hi) * direction > 0:
-        raise NumericError("failed to bracket the conditional mode")
-    lo, hi = (0.0, hi) if direction > 0 else (hi, 0.0)
-    try:
-        return 2.0 * float(brentq(dlog, lo, hi, xtol=PEAK_XTOL, maxiter=PEAK_MAXITER))
-    except (ValueError, RuntimeError) as exc:
-        raise NumericError("conditional mode search failed") from exc
+    # the slope is positive at 0 (toward the correlation sign) and
+    # negative ten standard deviations out
+    hi = np.copysign(10.0 * np.sqrt(mu / (2.0 * form.det)), nu)
+    return 2.0 * _bracketed_root(dlog, *sorted((0.0, hi)))
+
+
+def _bracketed_root(slope, lo: float, hi: float) -> float:
+    """The root of g in [lo, hi], where slope(x) = (g(x), g'(x)) and g changes
+    sign over the bracket: Newton steps from the midpoint, each narrowing the
+    bracket, and a bisection where a step would leave it (one onto an end
+    stays), until a step is at most PEAK_XTOL; else a NumericError."""
+    g_lo = slope(lo)[0]
+    if not g_lo * slope(hi)[0] < 0:
+        raise NumericError(f"no sign change to bracket a peak in [{lo:.6g}, {hi:.6g}]")
+    x = 0.5 * (lo + hi)
+    for _ in range(PEAK_MAXITER):
+        g, dg = slope(x)
+        lo, hi = (x, hi) if (g < 0) == (g_lo < 0) else (lo, x)
+        step = x - g / dg if dg else np.inf
+        x, last = step if lo <= step <= hi else 0.5 * (lo + hi), x
+        if abs(x - last) <= PEAK_XTOL:
+            return float(x)
+    raise NumericError(f"peak search did not converge in {PEAK_MAXITER} steps")
 
 
 # ---------------------------------------------------------------------------

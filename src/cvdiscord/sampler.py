@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, require_finite, write_csv
+from .errors import _COMPRESSORS, ParseError, ValidationError, require_finite, write_csv
 from .marginals import MarginalForm, joint_marginal_form
 from .states import MAX_DEPTH, GaussianBipartiteState, _check_transmissivity
 
@@ -414,11 +414,11 @@ def _read_npz(path: Path) -> RecordSet:
 
 
 def _data_lines(path: Path):
-    """(file row, line) for each data line of a CSV record file, skipping
-    what np.loadtxt skips: the header, blank lines and # comments, which it
-    also strips from the line.  A byte that does not decode reads as
-    U+FFFD, so a line that holds one is not a number."""
-    with open(path, errors="replace") as fh:
+    """(file row, line) for each data line of a CSV record file, read through
+    the compressor its suffix names, skipping what np.loadtxt skips: the
+    header, blank lines and # comments, which it also strips from the line.
+    A byte that does not decode reads as U+FFFD, so its line is not a number."""
+    with _COMPRESSORS.get(path.suffix, open)(path, "rt", errors="replace") as fh:
         next(fh, None)  # header
         for row, line in enumerate(fh, start=2):
             data = line.split("#", 1)[0].strip()

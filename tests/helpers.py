@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 from scipy.integrate import simpson
+from scipy.optimize import brentq
+from scipy.special import erf
 
 from cvdiscord import (
     GaussianBipartiteState,
@@ -30,6 +32,7 @@ from cvdiscord import (
 )
 from cvdiscord.errors import NumericError, ValidationError
 from cvdiscord.fock import GRID_SPACING
+from cvdiscord.marginals import PEAK_XTOL
 
 # measured on a split beam with both quadratures strongly modulated,
 # shot-noise units, (x_A, p_A, x_B, p_B) ordering
@@ -89,8 +92,7 @@ def simpson_sign_projectors(dim: int) -> tuple[np.ndarray, np.ndarray]:
     integrals of eigenfunction products over the non-negative half of
     default_grid(dim), padded to an even interval count, symmetrized; the
     negative side is parity times the positive one."""
-    grid = default_grid(dim)
-    n_half = (len(grid.points) - 1) // 2
+    n_half = (len(default_grid(dim)) - 1) // 2
     n_half += n_half % 2
     xs = np.arange(n_half + 1) * GRID_SPACING
     psi = oscillator_eigenfunctions(dim, xs)
@@ -100,14 +102,44 @@ def simpson_sign_projectors(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return plus, parity * plus
 
 
-def grid_moments(grid, density: np.ndarray) -> tuple[float, float]:
-    """(mean, variance) of a density sampled on a QuadratureGrid, by
+def grid_moments(xs: np.ndarray, density: np.ndarray) -> tuple[float, float]:
+    """(mean, variance) of a density sampled on the uniform points xs, by
     Simpson quadrature."""
-    xs = grid.points
     norm = simpson(density, x=xs)
     mean = simpson(xs * density, x=xs) / norm
     var = simpson((xs - mean) ** 2 * density, x=xs) / norm
     return float(mean), float(var)
+
+
+def grid_peak(xs: np.ndarray, density: np.ndarray) -> float:
+    """Peak of a density sampled on the uniform points xs: the argmax,
+    refined by a log-parabola through it and its two neighbours."""
+    i = int(np.argmax(density))
+    if i == 0 or i == len(density) - 1:
+        return float(xs[i])
+    tri = density[i - 1:i + 2]
+    if np.any(tri <= 0):
+        return float(xs[i])
+    y = np.log(tri)
+    den = y[0] - 2.0 * y[1] + y[2]
+    off = 0.5 * (y[0] - y[2]) / den if den != 0 else 0.0
+    return float(xs[i] + off * (xs[1] - xs[0]))
+
+
+def brentq_peak_separation(form) -> float:
+    """Twice the mode of D(x_B | +) on a zero-mean form, by scipy's brentq
+    on d/dx log D over [0, 10 sd(x_B)] (mirrored for nu < 0) to PEAK_XTOL."""
+    if form.nu == 0.0:
+        return 0.0
+    s2 = form.det / form.lam
+    c = form.nu / np.sqrt(form.lam)
+
+    def dlog(x):
+        return -2.0 * s2 * x + (2.0 * c / np.sqrt(np.pi)) * np.exp(-c * c * x * x) / (
+            1.0 + erf(c * x))
+
+    hi = np.copysign(10.0 * np.sqrt(form.mu / (2.0 * form.det)), form.nu)
+    return 2.0 * brentq(dlog, *sorted((0.0, hi)), xtol=PEAK_XTOL)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import cvdiscord
-from cvdiscord import cli
+from cvdiscord import cli, fock
 from cvdiscord.cli import main, parse_depths, parse_pairs
 from cvdiscord.errors import ParseError, ValidationError
 from cvdiscord.fock import (build_ce_hidden_discord, build_ce_zero_discord,
@@ -763,7 +763,10 @@ def _check_zero_report_curves_and_state(tmp_path, monkeypatch, alpha,
     assert "hidden_discord" not in doc
     assert rep["dim_A"] == dim_a
     assert rep["classical_on_B"] is True
-    assert rep["peak_separation"] > 0.1
+    # the closed form: the conditional B densities peak at 1 and -1
+    assert rep["peak_plus"] == pytest.approx(1.0, abs=1e-12)
+    assert rep["peak_minus"] == pytest.approx(-1.0, abs=1e-12)
+    assert rep["peak_separation"] == pytest.approx(2.0, abs=1e-12)
     assert rep["p_plus"] + rep["p_minus"] == pytest.approx(1.0, abs=1e-8)
 
     curves = tmp_path / "curves_zero.csv"
@@ -794,7 +797,9 @@ def test_counterexample_both_reports_hidden_limits(tmp_path, monkeypatch):
     assert run("counterexample", "--which", "both", "--out", "ce.json") == 0
     doc = json.loads((tmp_path / "ce.json").read_text())
     hid = doc["hidden_discord"]
-    assert abs(hid["peak_separation"]) < 1e-3
+    # both conditional B densities are even in x
+    for field in ("peak_plus", "peak_minus", "peak_separation"):
+        assert hid[field] == pytest.approx(0.0, abs=1e-12)
     assert hid["variance_ratio"] > 1.1
     assert hid["commutator_norm"] > 1e-3
     assert hid["dim_B"] <= 40
@@ -806,6 +811,20 @@ def test_counterexample_both_reports_hidden_limits(tmp_path, monkeypatch):
                     ("minus", 0.5 - 1 / math.sqrt(2 * math.pi))):
         want = w * (2 * hid["nbar"] + 1) + (1 - w) * math.exp(-2 * hid["r"])
         assert hid[f"variance_{side}"] == pytest.approx(want, abs=1e-6)
+
+
+@pytest.mark.parametrize("alpha", ["1", "2.5"])
+def test_no_report_field_depends_on_the_grid_spacing(tmp_path, monkeypatch, alpha):
+    monkeypatch.chdir(tmp_path)
+    assert run("counterexample", "--alpha", alpha, "--out", "ce.json") == 0
+    monkeypatch.setattr(fock, "GRID_SPACING", fock.GRID_SPACING / 2)
+    assert run("counterexample", "--alpha", alpha, "--out", "ce_half.json") == 0
+    docs = [json.loads((tmp_path / name).read_text())
+            for name in ("ce.json", "ce_half.json")]
+    for which, report in docs[0].items():
+        assert report.keys() == docs[1][which].keys()
+        for field, value in report.items():
+            assert docs[1][which][field] == pytest.approx(value, abs=1e-12), field
 
 
 def test_hidden_commutator_is_that_of_the_states_own_components(tmp_path,
@@ -1135,6 +1154,15 @@ def test_importing_the_command_line_leaves_out_scipy_stats():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, cvdiscord.cli; "
          "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_importing_the_command_line_leaves_out_scipy_optimize_and_integrate():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cvdiscord.cli; print(sorted(m for m in "
+         "('scipy.optimize', 'scipy.integrate') if m in sys.modules))"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

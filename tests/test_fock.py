@@ -15,7 +15,7 @@ from scipy.integrate import simpson
 import helpers as H
 from cvdiscord import (
     FockDensityMatrix,
-    QuadratureGrid,
+    NumericError,
     TruncationError,
     ValidationError,
     bipartite_from_parts,
@@ -27,9 +27,9 @@ from cvdiscord import (
     default_grid,
     density_from_vector,
     fock_state_to_json,
-    grid_peak,
     homodyne_marginal_fock,
     input_marginal_D1,
+    marginal_peak,
     oscillator_eigenfunctions,
     quadrature_moments,
     sign_projectors,
@@ -47,9 +47,9 @@ from cvdiscord.marginals import CoherentPoint, PMixtureState
 
 
 def test_eigenfunctions_are_orthonormal():
-    grid = default_grid(25)
-    psi = oscillator_eigenfunctions(25, grid.points)
-    gram = simpson(psi[:, None, :] * psi[None, :, :], x=grid.points, axis=-1)
+    xs = default_grid(25)
+    psi = oscillator_eigenfunctions(25, xs)
+    gram = simpson(psi[:, None, :] * psi[None, :, :], x=xs, axis=-1)
     assert np.abs(gram - np.eye(25)).max() < 1e-8
 
 
@@ -92,22 +92,23 @@ def test_truncation_is_checked_not_assumed():
 
 
 def test_thermal_and_squeezed_quadrature_variances():
-    grid = default_grid(40)
+    xs = default_grid(40)
     nbar = 1.0
-    dens = homodyne_marginal_fock(thermal_fock(nbar, dim=40), grid)
-    mean, var = H.grid_moments(grid, dens)
+    dens = homodyne_marginal_fock(thermal_fock(nbar, dim=40), xs)
+    mean, var = H.grid_moments(xs, dens)
     assert mean == pytest.approx(0.0, abs=1e-9)
     assert var == pytest.approx(2.0 * nbar + 1.0, abs=1e-6)
 
     r = 0.5
     sq = density_from_vector(squeezed_vacuum_fock(r, dim=30))
-    dens_x = homodyne_marginal_fock(sq, default_grid(30))
-    _, var_x = H.grid_moments(default_grid(30), dens_x)
+    xs = default_grid(30)
+    dens_x = homodyne_marginal_fock(sq, xs)
+    _, var_x = H.grid_moments(xs, dens_x)
     assert var_x == pytest.approx(np.exp(-2.0 * r), abs=1e-6)
     # the p quadrature of squeeze r is the x quadrature of squeeze -r
     anti = density_from_vector(squeezed_vacuum_fock(-r, dim=30))
-    dens_p = homodyne_marginal_fock(anti, default_grid(30))
-    _, var_p = H.grid_moments(default_grid(30), dens_p)
+    dens_p = homodyne_marginal_fock(anti, xs)
+    _, var_p = H.grid_moments(xs, dens_p)
     assert var_p == pytest.approx(np.exp(2.0 * r), abs=1e-5)
 
     assert H.number_mean(np.diag(thermal_fock(0.6, dim=40)).real ** 0 *
@@ -130,57 +131,63 @@ def test_quadrature_moments_are_exact(rho, mean, var):
 
 
 def test_vacuum_marginal_is_the_shot_noise_gaussian():
-    grid = default_grid(10)
+    xs = default_grid(10)
     dens = homodyne_marginal_fock(density_from_vector(coherent_fock(0.0, 10)),
-                                  grid)
-    want = np.exp(-grid.points**2 / 2.0) / np.sqrt(2.0 * np.pi)
+                                  xs)
+    want = np.exp(-xs**2 / 2.0) / np.sqrt(2.0 * np.pi)
     assert np.abs(dens - want).max() < 1e-10
-    assert simpson(dens, x=grid.points) == pytest.approx(1.0, abs=1e-6)
+    assert simpson(dens, x=xs) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_single_photon_marginal_is_double_humped():
-    grid = default_grid(10)
+    xs = default_grid(10)
     one = np.zeros(10)
     one[1] = 1.0
-    dens = homodyne_marginal_fock(density_from_vector(one), grid)
-    mid = np.argmin(np.abs(grid.points))
+    rho = density_from_vector(one)
+    dens = homodyne_marginal_fock(rho, xs)
+    mid = np.argmin(np.abs(xs))
     assert dens[mid] < 1e-12
-    assert grid_peak(grid, dens) != pytest.approx(0.0, abs=0.5)
+    # x^2 exp(-x^2 / 2) peaks at x = -sqrt(2) and sqrt(2)
+    for near in (-1.41, 1.41):
+        assert marginal_peak(rho, near) == pytest.approx(np.copysign(np.sqrt(2.0), near),
+                                                         abs=1e-12)
     assert np.all(dens > -1e-10)
-    assert simpson(dens, x=grid.points) == pytest.approx(1.0, abs=1e-6)
+    assert simpson(dens, x=xs) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_zero_one_superposition_peaks_off_center():
-    grid = default_grid(10)
+    xs = default_grid(10)
     vec = np.zeros(10)
     vec[0] = vec[1] = 1.0 / np.sqrt(2.0)
-    dens = homodyne_marginal_fock(density_from_vector(vec), grid)
+    rho = density_from_vector(vec)
+    dens = homodyne_marginal_fock(rho, xs)
     # mean of x in this state is sqrt(2) <0|x|1> overlap = 1
-    mean, _ = H.grid_moments(grid, dens)
+    mean, _ = H.grid_moments(xs, dens)
     assert mean == pytest.approx(1.0, abs=1e-8)
-    assert grid_peak(grid, dens) > 0.5
+    # (1 + x)^2 exp(-x^2 / 2) has slope zero at -2, -1 and 1, its peak
+    assert marginal_peak(rho, xs[np.argmax(dens)]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_coherent_marginal_matches_displaced_vacuum_and_mixture_form():
     alpha = 0.8 + 0.3j
-    grid = default_grid(30)
+    xs = default_grid(30)
     rho = density_from_vector(coherent_fock(alpha, 30))
 
-    dens_x = homodyne_marginal_fock(rho, grid)
+    dens_x = homodyne_marginal_fock(rho, xs)
     center = 2.0 * alpha.real
-    want = np.exp(-(grid.points - center) ** 2 / 2.0) / np.sqrt(2.0 * np.pi)
+    want = np.exp(-(xs - center) ** 2 / 2.0) / np.sqrt(2.0 * np.pi)
     assert np.abs(dens_x - want).max() < 1e-6
 
     # the same curve through the classical-mixture marginal, which uses
     # the natural displacement convention (factor sqrt(2) larger)
     mix = PMixtureState((CoherentPoint(1.0, np.sqrt(2.0) * alpha.real),), eta=0.5)
-    assert np.abs(dens_x - input_marginal_D1(mix, grid.points)).max() < 1e-6
+    assert np.abs(dens_x - input_marginal_D1(mix, xs)).max() < 1e-6
 
     # the p quadrature of alpha is the x quadrature of -i alpha, a local
     # oscillator turned by pi/2: it picks out the imaginary part
     dens_p = homodyne_marginal_fock(density_from_vector(coherent_fock(-1j * alpha, 30)),
-                                    grid)
-    mean_p, _ = H.grid_moments(grid, dens_p)
+                                    xs)
+    mean_p, _ = H.grid_moments(xs, dens_p)
     assert mean_p == pytest.approx(2.0 * alpha.imag, abs=1e-8)
 
 
@@ -282,6 +289,44 @@ def test_product_state_is_unchanged_by_conditioning():
 # ---------------------------------------------------------------------------
 
 
+def _sign_peaks(state) -> list[float]:
+    """The peaks of B's x density conditioned on x_A >= 0 and on x_A < 0,
+    each near the largest of its values on the default grid."""
+    xs = default_grid(state.dim_b)
+    return [marginal_peak(rho, xs[np.argmax(homodyne_marginal_fock(rho, xs))])
+            for rho, _ in condition_b_on_sign(state)]
+
+
+@pytest.mark.parametrize("alpha, dim_a", [(1.0, 20), (2.5, 40)])
+def test_zero_discord_peaks_are_the_closed_form(alpha, dim_a):
+    # each side's B state is a mix of |+><+| and |-><-|, whose density
+    # (1 + x^2 + c x) exp(-x^2 / 2) has slope (1 - x^2)(x / 2 + c) times a
+    # positive factor: the peaks are -1 and 1 for every alpha
+    state = build_ce_zero_discord(alpha=alpha)
+    assert state.dim_a == dim_a
+    peak_p, peak_m = _sign_peaks(state)
+    assert peak_p == pytest.approx(1.0, abs=1e-12)
+    assert peak_m == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_peak_agrees_with_the_grid_oracle():
+    # the log-parabola through the grid's top three points is off by
+    # O(spacing^2) from the root of the slope
+    state = build_ce_zero_discord(alpha=1.0)
+    xs = default_grid(state.dim_b)
+    for (rho, _), peak in zip(condition_b_on_sign(state), _sign_peaks(state)):
+        assert peak == pytest.approx(H.grid_peak(xs, homodyne_marginal_fock(rho, xs)),
+                                     abs=1e-5)
+
+
+def test_a_peak_outside_its_bracket_is_a_numeric_error():
+    one = np.zeros(10)
+    one[1] = 1.0
+    # the single photon's density rises through [0.49, 0.51]
+    with pytest.raises(NumericError, match="no sign change"):
+        marginal_peak(density_from_vector(one), 0.5)
+
+
 def test_zero_discord_state_is_classical_yet_separates():
     state = build_ce_zero_discord(alpha=1.0)
     assert state.dim_a == 20
@@ -291,15 +336,11 @@ def test_zero_discord_state_is_classical_yet_separates():
     # but not diagonal in the bare number basis
     assert not verify_classical_on_b(state, np.eye(state.dim_b, dtype=complex))
 
-    grid = default_grid(state.dim_b)
-    (rho_p, p_plus), (rho_m, p_minus) = condition_b_on_sign(state)
+    (_, p_plus), (_, p_minus) = condition_b_on_sign(state)
     assert p_plus == pytest.approx(0.5, abs=1e-6)
     assert p_minus == pytest.approx(0.5, abs=1e-6)
-    peak_p = grid_peak(grid, homodyne_marginal_fock(rho_p, grid))
-    peak_m = grid_peak(grid, homodyne_marginal_fock(rho_m, grid))
-    separation = abs(peak_p - peak_m)
-    assert separation > 0.1
-    assert separation == pytest.approx(2.0, abs=5e-3)
+    peak_p, peak_m = _sign_peaks(state)
+    assert peak_p - peak_m == pytest.approx(2.0, abs=1e-12)
 
 
 def test_zero_discord_state_with_degenerate_displacement():
@@ -307,11 +348,11 @@ def test_zero_discord_state_with_degenerate_displacement():
     # but nothing to condition on, so the peaks coincide
     state = build_ce_zero_discord(alpha=0.0)
     assert verify_classical_on_b(state, superposition_basis(state.dim_b))
-    grid = default_grid(state.dim_b)
-    (rho_p, _), (rho_m, _) = condition_b_on_sign(state)
-    peak_p = grid_peak(grid, homodyne_marginal_fock(rho_p, grid))
-    peak_m = grid_peak(grid, homodyne_marginal_fock(rho_m, grid))
-    assert abs(peak_p - peak_m) < 1e-9
+    peak_p, peak_m = _sign_peaks(state)
+    # each side's density, (1 + x^2) exp(-x^2 / 2) up to a factor, has twin
+    # maxima at -1 and 1; the grid's argmax picks the same one for both
+    assert abs(peak_p) == pytest.approx(1.0, abs=1e-12)
+    assert peak_p == peak_m
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +365,11 @@ def test_hidden_discord_state_certifies_all_three_limits():
     assert state.dim_a == 2
     assert state.dim_b <= 40
 
-    grid = default_grid(state.dim_b)
     (rho_p, p_plus), (rho_m, p_minus) = condition_b_on_sign(state)
     assert p_plus + p_minus == pytest.approx(1.0, abs=1e-8)
 
-    dens_p = homodyne_marginal_fock(rho_p, grid)
-    dens_m = homodyne_marginal_fock(rho_m, grid)
-    separation = abs(grid_peak(grid, dens_p) - grid_peak(grid, dens_m))
-    assert separation < 1e-3
+    # both sides are even in x, so both peak at 0
+    assert _sign_peaks(state) == pytest.approx([0.0, 0.0], abs=1e-12)
 
     (_, var_p), (_, var_m) = (quadrature_moments(rho) for rho in (rho_p, rho_m))
     ratio = max(var_p, var_m) / min(var_p, var_m)
@@ -376,24 +414,12 @@ def test_maximally_mixed_b_is_classical_in_any_basis():
 # ---------------------------------------------------------------------------
 
 
-def test_grid_validation():
-    with pytest.raises(ValidationError):
-        QuadratureGrid(np.array([0.0, 1.0]))
-    with pytest.raises(ValidationError):
-        QuadratureGrid(np.array([0.0, 1.0, 0.5]))
-    with pytest.raises(ValidationError):
-        QuadratureGrid(np.array([0.0, 0.5, 1.7]))
-    grid = default_grid(20)
-    assert grid.points[0] == -grid.points[-1]
-    assert grid.spacing == pytest.approx(0.01, abs=1e-12)
-
-
-def test_grid_peak_boundary_and_flat_guards():
-    grid = QuadratureGrid(np.linspace(0.0, 1.0, 11))
-    rising = np.linspace(0.1, 1.0, 11)
-    assert grid_peak(grid, rising) == 1.0
-    with_zero = np.array([0.0, 0.0, 1.0, 0.5, 0.2, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
-    assert grid_peak(grid, with_zero) == pytest.approx(0.2, abs=0.05)
+def test_default_grid_is_symmetric_uniform_and_read_only():
+    xs = default_grid(20)
+    assert xs[0] == -xs[-1]
+    assert np.diff(xs) == pytest.approx(np.full(len(xs) - 1, 0.01), abs=1e-12)
+    with pytest.raises(ValueError):
+        xs[0] = 0.0
 
 
 def test_fock_state_json_round_trip():

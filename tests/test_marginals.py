@@ -26,6 +26,8 @@ from cvdiscord import (
     side_probability,
     split_balanced,
 )
+from cvdiscord import marginals
+from cvdiscord.marginals import PEAK_XTOL, _bracketed_root
 
 HALF_PI = np.pi / 2.0
 # shot-noise units x are natural units u = x / ROOT2
@@ -202,6 +204,42 @@ def test_separation_frozen_sweep_values():
         form = joint_marginal_form(
             split_balanced(modulated_beam(0.0, depth)), HALF_PI, HALF_PI)
         assert analytic_peak_separation(form) == pytest.approx(frozen, abs=5e-6)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_separation_agrees_with_the_brentq_oracle(sign):
+    for lam in (0.05, 0.3, 2.0):
+        for mu in (0.05, 0.4, 3.0):
+            for share in (1e-3, 0.1, 0.5, 0.9, 0.999):
+                # |nu| a share of its bound sqrt(lam * mu)
+                form = MarginalForm(lam, mu, sign * share * math.sqrt(lam * mu))
+                assert analytic_peak_separation(form) == pytest.approx(
+                    H.brentq_peak_separation(form), abs=PEAK_XTOL)
+
+
+def test_bracketed_root_takes_a_newton_step_onto_the_bracket_end():
+    calls = []
+
+    def slope(x):
+        calls.append(x)
+        return 0.75 - x * x, -2.0 * x
+
+    # after the two ends, the Newton step from the midpoint 0.5 lands on
+    # the end 1.0 and is taken, not replaced by a bisection
+    assert _bracketed_root(slope, 0.0, 1.0) == pytest.approx(math.sqrt(0.75), abs=1e-15)
+    assert calls[:4] == [0.0, 1.0, 0.5, 1.0]
+    assert len(calls) <= 8
+
+
+def test_bracketed_root_failures_are_numeric_errors(monkeypatch):
+    with pytest.raises(NumericError, match="no sign change"):
+        _bracketed_root(lambda x: (x + 1.0, 1.0), 0.0, 1.0)
+    with pytest.raises(NumericError, match="no sign change"):
+        _bracketed_root(lambda x: (math.nan, 1.0), 0.0, 1.0)
+    # a flat slope leaves only bisection, which one step does not finish
+    monkeypatch.setattr(marginals, "PEAK_MAXITER", 1)
+    with pytest.raises(NumericError, match="did not converge in 1 steps"):
+        marginals._bracketed_root(lambda x: (0.3 - x, 0.0), 0.0, 1.0)
 
 
 def test_separation_grows_with_modulation():

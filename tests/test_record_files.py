@@ -20,7 +20,7 @@ from cvdiscord import (
     write_records,
 )
 from cvdiscord.cli import _read_sidecar, main
-from cvdiscord.errors import BLOCK_ROWS, write_table
+from cvdiscord.errors import _COMPRESSORS, BLOCK_ROWS, write_table
 from cvdiscord.sampler import COLUMNS, CSV_HEADER, NPZ_LAYOUT
 from cvdiscord.verifier import CANONICAL_PAIRS
 
@@ -114,6 +114,30 @@ def test_compressed_csv_suffixes_round_trip(tmp_path, suffix, magic):
     write_records(rs, path)
     assert path.read_bytes().startswith(magic)
     assert_bitwise_equal(read_records(path), rs)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+def test_a_non_finite_compressed_csv_record_names_its_file_row(tmp_path, suffix):
+    # the header is row 1, so record 41 is row 42
+    rs = sample(n=50)
+    x_a = rs.x_a.copy()
+    x_a[40] = math.nan
+    path = tmp_path / f"rec.csv{suffix}"
+    write_records(RecordSet(x_a, rs.x_b, rs.phases, rs.counts), path)
+    with pytest.raises(ParseError, match="row 42: non-finite x_A"):
+        read_records(path)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+def test_a_malformed_compressed_csv_line_names_its_file_row(tmp_path, suffix):
+    write_records(sample(n=50), tmp_path / "rec.csv")
+    lines = (tmp_path / "rec.csv").read_text().splitlines(keepends=True)
+    lines[42] = "0,0,abc,1\n"
+    path = tmp_path / f"rec.csv{suffix}"
+    with _COMPRESSORS[suffix](path, "wt") as fh:
+        fh.writelines(lines)
+    with pytest.raises(ParseError, match="row 43: could not convert .*'abc'"):
+        read_records(path)
 
 
 # ---------------------------------------------------------------------------
